@@ -359,8 +359,6 @@ def _add_common(p: argparse.ArgumentParser, with_out=True):
                    help="override a config entry (repeatable), e.g. controller.ki=8")
     if with_out:
         p.add_argument("--out", help="artifact directory (default: PBCLAB_OUT or ./pbclab-out)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="reserved; simulations are deterministic")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -57,7 +57,6 @@ __all__ = [
     "scalar_update",
     "fct_combine",
     "gpebo_estimate",
-    "emulator_estimate",
     "excitation_time",
     "excitation_time_from_delta",
     "kbf_derivatives",
@@ -281,11 +280,6 @@ def fct_combine(theta_hat: np.ndarray, theta_hat0: np.ndarray, omega: float, mu:
 def gpebo_estimate(xi: np.ndarray, Phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """State reconstruction x_hat = xi + Phi theta."""
     return xi + Phi @ theta
-
-
-def emulator_estimate(xi: np.ndarray) -> np.ndarray:
-    """Open-loop copy used as an observer: x_hat = xi (no correction)."""
-    return xi
 
 
 def excitation_time(times, omega, mu: float) -> float:

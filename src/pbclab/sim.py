@@ -1,11 +1,19 @@
 """Fixed-step closed-loop simulation of converter, controller and observers.
 
 One flat state vector concatenates the plant state, the controller
-integrator and every observer's matrix states; a classical 4-stage
+integrator and the observers' matrix states; a classical 4-stage
 Runge-Kutta step advances the whole block on a shared clock.  The duty
 ratio is re-evaluated from the stage states inside every stage, so the
 closed loop integrates as one smooth vector field at fourth order
-(saturation events and parameter steps are isolated instants).
+(saturation events and parameter steps are isolated instants).  The
+matrix states that depend on neither the gain nor the kind are held once
+per run and read by every estimator: the open-loop copy (xi, plus Phi when
+an estimator reads it), driven by u alone, and one regression filter pair
+(Y, Omega) per distinct pole lambda, driven by u, y and lambda.  The
+Kalman-Bucy filter keeps a block of its own.  The sharing is exact:
+Runge-Kutta acts entry by entry, and per-estimator copies would come from
+the same expressions on the same inputs, so each estimator's output is
+bit-identical to a run in which it is alone.
 
 Two estimator recursions are deliberately kept out of the Runge-Kutta
 block and advanced by their exact exponential solutions with per-step
@@ -59,7 +67,6 @@ from .control import (
 )
 from .cuk import CukParams, build_cuk, solve_equilibrium
 from .observers import (
-    GpeboState,
     drem_mix,
     fct_combine,
     gpebo_estimate,
@@ -338,109 +345,154 @@ class _PlantCache:
         return b
 
 
-class _GpeboRuntime:
-    """fct-gpebo and gpebo kinds: matrix states in the block, scalar
-    estimator advanced exactly once per step."""
+class _RegressionFilter:
+    """One (Y, Omega) regression filter pair with pole lam.  It is also the
+    state argument of gpebo_matrix_derivatives: the bank points its
+    xi/Phi/Y/Omega fields at the stage vector before each call."""
 
-    def __init__(self, spec: ObserverSpec, n: int, lay: _Layout):
-        self.spec = spec
-        self.n = n
-        self.fct = spec.kind == "fct-gpebo"
-        self.sl_xi = lay.add(n)
-        self.sl_phi = lay.add(n * n)
+    def __init__(self, lam: float, n: int, lay: _Layout):
+        self.lam = lam
         self.sl_y = lay.add(n)
         self.sl_om = lay.add(n * n)
-        self.state = make_gpebo_state(n, spec.lam, spec.gamma, spec.mu)
-        self.theta_feed = self.state.theta_hat.copy()
-        self.mix = (np.zeros(n), 0.0)
+        self.mixed = False  # a GPEBO-kind estimator reads the DREM mix
+        self.mix = None  # (scriptY, Delta) at the start of the current step
+        self.xi = self.Phi = self.Y = self.Omega = None
+
+
+class _SharedStates:
+    """Estimator states that depend on neither the gain nor the kind: the
+    open-loop copy xi (with Phi when an estimator reads it), driven by u
+    alone, and one regression filter per distinct pole, driven by u, y_m
+    and lam.  Each is integrated once, however many estimators read it."""
+
+    def __init__(self, n: int, lay: _Layout):
+        self.n = n
+        self.lay = lay
+        self.sl_xi = None
+        self.sl_phi = None
+        self.filters = {}  # lam -> _RegressionFilter
+
+    def copy(self, phi: bool):
+        """Reserve the open-loop copy, with Phi if `phi`."""
+        if self.sl_xi is None:
+            self.sl_xi = self.lay.add(self.n)
+        if phi and self.sl_phi is None:
+            self.sl_phi = self.lay.add(self.n * self.n)
+
+    def filter(self, lam: float, mixed: bool) -> _RegressionFilter:
+        """The filter of pole lam (with the copy it reads), reserved on
+        first use; `mixed` marks it for the per-step DREM mix."""
+        self.copy(phi=True)
+        filt = self.filters.get(lam)
+        if filt is None:
+            filt = self.filters[lam] = _RegressionFilter(lam, self.n, self.lay)
+        filt.mixed = filt.mixed or mixed
+        return filt
 
     def init_vector(self, y):
-        st = self.state
-        y[self.sl_xi] = st.xi
-        y[self.sl_phi] = st.Phi.ravel()
-        y[self.sl_y] = st.Y
-        y[self.sl_om] = st.Omega.ravel()
+        # xi, Y and Omega start at zero like the rest of the vector
+        if self.sl_phi is not None:
+            y[self.sl_phi] = np.eye(self.n).ravel()
 
-    def bind(self, y) -> GpeboState:
-        st = self.state
-        n = self.n
-        st.xi = y[self.sl_xi]
-        st.Phi = y[self.sl_phi].reshape(n, n)
-        st.Y = y[self.sl_y]
-        st.Omega = y[self.sl_om].reshape(n, n)
-        return st
+    def xi(self, y):
+        return y[self.sl_xi]
+
+    def Phi(self, y):
+        return y[self.sl_phi].reshape(self.n, self.n)
 
     def derivative(self, dy, y, A, b, C, y_m):
-        st = self.bind(y)
-        dxi, dPhi, dY, dOm = gpebo_matrix_derivatives(A, b, C, st, y_m)
+        xi = y[self.sl_xi]
+        if not self.filters:
+            dy[self.sl_xi] = A @ xi + b
+            if self.sl_phi is not None:
+                dy[self.sl_phi] = (A @ self.Phi(y)).ravel()
+            return
+        Phi = self.Phi(y)
+        for filt in self.filters.values():
+            filt.xi, filt.Phi = xi, Phi
+            filt.Y, filt.Omega = y[filt.sl_y], y[filt.sl_om].reshape(self.n, self.n)
+            dxi, dPhi, dY, dOm = gpebo_matrix_derivatives(A, b, C, filt, y_m)
+            dy[filt.sl_y] = dY
+            dy[filt.sl_om] = dOm.ravel()
+        # the copy rows are the same expressions for every pole
         dy[self.sl_xi] = dxi
         dy[self.sl_phi] = dPhi.ravel()
-        dy[self.sl_y] = dY
-        dy[self.sl_om] = dOm.ravel()
+
+    def mix(self, y):
+        """DREM mix of every filter a GPEBO-kind estimator reads, frozen at
+        the start of the step."""
+        for filt in self.filters.values():
+            if filt.mixed:
+                filt.mix = drem_mix(y[filt.sl_om].reshape(self.n, self.n), y[filt.sl_y])
+
+
+class _GpeboRuntime:
+    """fct-gpebo and gpebo kinds: read the shared copy and the filter of
+    their pole; own the scalar estimator, advanced exactly once per step."""
+
+    def __init__(self, spec: ObserverSpec, bank: _SharedStates):
+        init = make_gpebo_state(bank.n, spec.lam, spec.gamma, spec.mu)  # validates the gains
+        self.spec = spec
+        self.bank = bank
+        self.fct = spec.kind == "fct-gpebo"
+        self.filt = bank.filter(spec.lam, mixed=True)
+        self.omega = init.omega
+        self.theta_hat = init.theta_hat
+        self.theta_hat0 = init.theta_hat0
+        self.theta_feed = self.theta_hat.copy()
+
+    def _theta(self):
+        if self.fct:
+            return fct_combine(self.theta_hat, self.theta_hat0, self.omega, self.spec.mu)
+        return self.theta_hat
 
     def pre_step(self, y, y_m, C):
-        st = self.bind(y)
-        self.mix = drem_mix(st.Omega, st.Y)
-        if self.fct:
-            self.theta_feed = fct_combine(st.theta_hat, st.theta_hat0, st.omega, st.mu)
-        else:
-            self.theta_feed = st.theta_hat
+        self.theta_feed = self._theta()
 
-    def post_step(self, y, h):
-        st = self.state
-        scriptY, Delta = self.mix
-        st.omega, st.theta_hat = scalar_update(st.omega, st.theta_hat, scriptY, Delta, st.gamma, h)
+    def post_step(self, h):
+        scriptY, Delta = self.filt.mix
+        self.omega, self.theta_hat = scalar_update(
+            self.omega, self.theta_hat, scriptY, Delta, self.spec.gamma, h
+        )
 
     def estimate_stage(self, y):
-        st = self.bind(y)
-        return st.xi + st.Phi @ self.theta_feed
+        return self.bank.xi(y) + self.bank.Phi(y) @ self.theta_feed
 
     def estimate(self, y):
-        st = self.bind(y)
-        th = fct_combine(st.theta_hat, st.theta_hat0, st.omega, st.mu) if self.fct else st.theta_hat
-        return gpebo_estimate(st.xi, st.Phi, th)
+        return gpebo_estimate(self.bank.xi(y), self.bank.Phi(y), self._theta())
 
     def log(self, y, rec):
-        st = self.bind(y)
-        scriptY, Delta = drem_mix(st.Omega, st.Y)
-        rec["omega"].append(st.omega)
+        n = self.bank.n
+        Y, Omega = y[self.filt.sl_y], y[self.filt.sl_om].reshape(n, n)
+        scriptY, Delta = drem_mix(Omega, Y)
+        rec["omega"].append(self.omega)
         rec["Delta"].append(Delta)
-        rec["xi"].append(st.xi.copy())
-        rec["Phi"].append(st.Phi.copy())
-        rec["Y"].append(st.Y.copy())
-        rec["Omega"].append(st.Omega.copy())
-        rec["theta_hat"].append(st.theta_hat.copy())
+        rec["xi"].append(self.bank.xi(y).copy())
+        rec["Phi"].append(self.bank.Phi(y).copy())
+        rec["Y"].append(Y.copy())
+        rec["Omega"].append(Omega.copy())
+        rec["theta_hat"].append(self.theta_hat.copy())
         if self.fct:
-            rec["theta_fct"].append(fct_combine(st.theta_hat, st.theta_hat0, st.omega, st.mu))
+            rec["theta_fct"].append(self._theta())
 
 
 class _EmulatorRuntime:
-    def __init__(self, spec: ObserverSpec, n: int, lay: _Layout):
+    """The shared open-loop copy itself, read as the estimate."""
+
+    def __init__(self, spec: ObserverSpec, bank: _SharedStates):
         self.spec = spec
-        self.n = n
-        self.sl_xi = lay.add(n)
-
-    def init_vector(self, y):
-        y[self.sl_xi] = 0.0
-
-    def derivative(self, dy, y, A, b, C, y_m):
-        dy[self.sl_xi] = A @ y[self.sl_xi] + b
-
-    def pre_step(self, y, y_m, C):
-        pass
-
-    def post_step(self, y, h):
-        pass
+        self.bank = bank
+        bank.copy(phi=False)
 
     def estimate_stage(self, y):
-        return y[self.sl_xi]
+        return self.bank.xi(y)
 
     estimate = estimate_stage
 
     def log(self, y, rec):
         rec["omega"].append(np.nan)
         rec["Delta"].append(np.nan)
-        rec["xi"].append(y[self.sl_xi].copy())
+        rec["xi"].append(self.bank.xi(y).copy())
 
 
 class _KbfRuntime:
@@ -463,12 +515,6 @@ class _KbfRuntime:
         dy[self.sl_x] = dx
         dy[self.sl_H] = dH.ravel()
 
-    def pre_step(self, y, y_m, C):
-        pass
-
-    def post_step(self, y, h):
-        pass
-
     def estimate_stage(self, y):
         return y[self.sl_x]
 
@@ -481,68 +527,48 @@ class _KbfRuntime:
 
 
 class _GradientRuntime:
-    """Open-loop copy plus a gradient parameter estimator (raw or mixed
-    regression), stepped by the exact exponential with frozen data."""
+    """A gradient parameter estimator on the shared copy's raw regression
+    or on the filter of its pole (extended), stepped by the exact
+    exponential with frozen data."""
 
-    def __init__(self, spec: ObserverSpec, n: int, lay: _Layout):
+    def __init__(self, spec: ObserverSpec, bank: _SharedStates):
         if spec.mode not in ("raw", "extended"):
             raise ScenarioError(f"gradient mode {spec.mode!r} unknown")
         self.spec = spec
-        self.n = n
-        self.sl_xi = lay.add(n)
-        self.sl_phi = lay.add(n * n)
+        self.bank = bank
         self.extended = spec.mode == "extended"
         if self.extended:
-            self.sl_y = lay.add(n)
-            self.sl_om = lay.add(n * n)
-        self.lam = spec.lam
-        self.theta = np.zeros(n)
+            self.filt = bank.filter(spec.lam, mixed=False)
+        else:
+            bank.copy(phi=True)
+        self.theta = np.zeros(bank.n)
         self.frozen = None
 
-    def init_vector(self, y):
-        y[self.sl_xi] = 0.0
-        y[self.sl_phi] = np.eye(self.n).ravel()
-        if self.extended:
-            y[self.sl_y] = 0.0
-            y[self.sl_om] = 0.0
-
-    def derivative(self, dy, y, A, b, C, y_m):
-        n = self.n
-        xi = y[self.sl_xi]
-        Phi = y[self.sl_phi].reshape(n, n)
-        dy[self.sl_xi] = A @ xi + b
-        dy[self.sl_phi] = (A @ Phi).ravel()
-        if self.extended:
-            CPhi = C @ Phi
-            innov = y_m - C @ xi
-            dy[self.sl_y] = self.lam * (CPhi.T @ innov - y[self.sl_y])
-            dy[self.sl_om] = (self.lam * (CPhi.T @ CPhi - y[self.sl_om].reshape(n, n))).ravel()
-
     def pre_step(self, y, y_m, C):
-        n = self.n
-        Phi = y[self.sl_phi].reshape(n, n)
         if self.extended:
-            self.frozen = {"Omega": y[self.sl_om].reshape(n, n).copy(), "Y": y[self.sl_y].copy()}
+            filt, n = self.filt, self.bank.n
+            self.frozen = {"Omega": y[filt.sl_om].reshape(n, n).copy(), "Y": y[filt.sl_y].copy()}
         else:
-            self.frozen = {"CPhi": (C @ Phi).copy(), "y_shift": np.atleast_1d(y_m) - C @ y[self.sl_xi]}
+            self.frozen = {
+                "CPhi": (C @ self.bank.Phi(y)).copy(),
+                "y_shift": np.atleast_1d(y_m) - C @ self.bank.xi(y),
+            }
 
-    def post_step(self, y, h):
+    def post_step(self, h):
         self.theta = gradient_update(
             self.theta, self.spec.gamma, self.spec.mode, h, **self.frozen
         )
 
     def estimate_stage(self, y):
-        n = self.n
-        return y[self.sl_xi] + y[self.sl_phi].reshape(n, n) @ self.theta
+        return self.bank.xi(y) + self.bank.Phi(y) @ self.theta
 
     estimate = estimate_stage
 
     def log(self, y, rec):
-        n = self.n
         rec["omega"].append(np.nan)
         rec["Delta"].append(np.nan)
-        rec["xi"].append(y[self.sl_xi].copy())
-        rec["Phi"].append(y[self.sl_phi].reshape(n, n).copy())
+        rec["xi"].append(self.bank.xi(y).copy())
+        rec["Phi"].append(self.bank.Phi(y).copy())
         rec["theta_hat"].append(self.theta.copy())
 
 
@@ -559,11 +585,11 @@ def _as_spd(value, n: int, what: str) -> np.ndarray:
     return M
 
 
-_RUNTIME_BY_KIND = {
+# estimators that read the shared states; kbf keeps its own block
+_READER_BY_KIND = {
     "fct-gpebo": _GpeboRuntime,
     "gpebo": _GpeboRuntime,
     "emulator": _EmulatorRuntime,
-    "kbf": _KbfRuntime,
     "gradient": _GradientRuntime,
 }
 
@@ -666,14 +692,23 @@ def run_scenario(scn: Scenario) -> Trajectory:
     sl_x = lay.add(n)
     sl_c = lay.add(n_c)
     _unique_names(scn.observers)
-    runtimes = [_RUNTIME_BY_KIND[spec.kind](spec, n, lay) for spec in scn.observers]
+    bank = _SharedStates(n, lay)
+    runtimes = [
+        _KbfRuntime(spec, n, lay) if spec.kind == "kbf" else _READER_BY_KIND[spec.kind](spec, bank)
+        for spec in scn.observers
+    ]
     fb_rt = runtimes[0] if (not classical and ctl.feedback == "observer") else None
+    # the parts with states in the Runge-Kutta block, and the estimators
+    # with an exact step of their own
+    blocks = [bank] if bank.sl_xi is not None else []
+    blocks += [rt for rt in runtimes if isinstance(rt, _KbfRuntime)]
+    stepped = [rt for rt in runtimes if isinstance(rt, (_GpeboRuntime, _GradientRuntime))]
 
     y = np.zeros(lay.size)
     y[sl_x] = x0
     y[sl_c] = ctl.xc0
-    for rt in runtimes:
-        rt.init_vector(y)
+    for part in blocks:
+        part.init_vector(y)
 
     cache = _PlantCache(model)
     Cmeas = model.C
@@ -708,8 +743,8 @@ def run_scenario(scn: Scenario) -> Trajectory:
         y_m = Cmeas @ x
         A_obs = cache.drift_obs(u_s)
         b_obs = cache.source_obs(u_s)
-        for rt in runtimes:
-            rt.derivative(dy, y_stage, A_obs, b_obs, cache.C_obs, y_m)
+        for part in blocks:
+            part.derivative(dy, y_stage, A_obs, b_obs, cache.C_obs, y_m)
         return dy
 
     # logging buffers
@@ -769,6 +804,8 @@ def run_scenario(scn: Scenario) -> Trajectory:
             "feedback": ctl.feedback,
             "x4_star": ctl.x4_star,
             "mu": {rt.spec.name: rt.spec.mu for rt in runtimes},
+            "gamma": {rt.spec.name: rt.spec.gamma for rt in runtimes},
+            "lam": {rt.spec.name: rt.spec.lam for rt in runtimes},
         }
         if scn.model is None:
             meta["params"] = vars(replace(params)).copy()
@@ -812,11 +849,12 @@ def run_scenario(scn: Scenario) -> Trajectory:
             if k == N:
                 break
             y_m0 = Cmeas @ y[sl_x]
-            for rt in runtimes:
+            bank.mix(y)
+            for rt in stepped:
                 rt.pre_step(y, y_m0, cache.C_obs)
             y = rk4_step(rhs, t, y, h)
-            for rt in runtimes:
-                rt.post_step(y, h)
+            for rt in stepped:
+                rt.post_step(h)
     except NonFiniteState as exc:
         # expose whatever was sampled before the blow-up
         exc.partial = assemble()

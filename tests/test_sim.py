@@ -201,6 +201,57 @@ def test_metrics_report_the_crossing(short_run):
     assert m["tc_fct"] == pytest.approx(0.00345, abs=1e-4)
     assert m["err_at_0.004_fct"] < 1e-6
     assert m["samples"] == len(short_run.t)
+    # the gain and the pole travel with the run, so the crossing law can be
+    # re-evaluated from the trajectory alone
+    assert short_run.meta["gamma"] == {"fct": 1e12}
+    assert short_run.meta["lam"] == {"fct": 5.0}
+
+
+# -- shared estimator states ------------------------------------------------------
+
+
+def _six_estimators():
+    return [
+        ObserverSpec(name="fct", kind="fct-gpebo", gamma=1e12),
+        ObserverSpec(name="gpebo", kind="gpebo", gamma=1e17),
+        ObserverSpec(name="emulator", kind="emulator"),
+        ObserverSpec(name="grad-raw", kind="gradient", gamma=1e8, mode="raw"),
+        ObserverSpec(name="grad-ext", kind="gradient", gamma=1e8, mode="extended"),
+        ObserverSpec(name="fct-lam3", kind="fct-gpebo", gamma=1e12, lam=3.0),
+    ]
+
+
+def test_shared_states_leave_every_estimator_as_it_runs_alone():
+    # the open-loop copy and the regression filters are integrated once and
+    # read by every estimator; on the state loop each estimator must log
+    # exactly what it logs when it is the only one
+    together = run_scenario(Scenario(observers=_six_estimators(), horizon=0.002))
+    for spec in _six_estimators():
+        alone = run_scenario(Scenario(observers=[spec], horizon=0.002))
+        got, want = together.observers[spec.name], alone.observers[spec.name]
+        assert got.keys() == want.keys()
+        for key in want:
+            assert np.array_equal(got[key], want[key], equal_nan=True), (spec.name, key)
+
+
+def test_one_filter_integration_per_pole(monkeypatch):
+    import pbclab.sim as simmod
+
+    calls = []
+    original = simmod.gpebo_matrix_derivatives
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(simmod, "gpebo_matrix_derivatives", counting)
+    scn = Scenario(
+        observers=[ObserverSpec(kind="fct-gpebo", gamma=g) for g in (1e10, 1e11, 1e12)],
+        horizon=1e-4,
+    )
+    run_scenario(scn)
+    steps = round(scn.horizon / scn.h)
+    assert len(calls) == 4 * steps  # one call per Runge-Kutta stage, not per estimator
 
 
 # -- events ---------------------------------------------------------------------
