@@ -86,8 +86,8 @@ def shifted_output(Cmat: np.ndarray, x: np.ndarray, x_star: np.ndarray) -> np.nd
 
 def clamp_duty(u: np.ndarray, u_min: float, u_max: float):
     """Per-channel clamp into [u_min, u_max]; reports whether it acted."""
-    clipped = np.clip(u, u_min, u_max)
-    return clipped, bool(np.any(clipped != u))
+    clipped = np.minimum(np.maximum(u, u_min), u_max)
+    return clipped, bool((clipped != u).any())
 
 
 @dataclass
@@ -100,6 +100,7 @@ class PiPbcState:
     x_star: np.ndarray  # target state (fluxes / charges)
     u_star: np.ndarray  # duty vector holding x_star
     x_c: np.ndarray  # integrator state, length m
+    x_c_star: np.ndarray  # integrator reference -inv(Ki) u_star, fixed per operating point
     u_min: float = 0.02  # clamp floor
     u_max: float = 0.98  # clamp ceiling
 
@@ -127,6 +128,7 @@ def make_pi_pbc(
         x_star=x_star,
         u_star=u_star,
         x_c=x_c,
+        x_c_star=integrator_reference(Ki, u_star),
         u_min=u_min,
         u_max=u_max,
     )
@@ -154,12 +156,25 @@ def integrator_reference(Ki: np.ndarray, u_star: np.ndarray) -> np.ndarray:
     return -np.linalg.solve(Ki, u_star)
 
 
+def _storage(Q, Ki, x, x_c, x_star, x_c_star) -> float:
+    """W on float arrays with the integrator reference already solved; the
+    sampling loop calls it with a PiPbcState's Ki, x_star and x_c_star."""
+    xt = x - x_star
+    xct = x_c - x_c_star
+    return 0.5 * float(xt @ Q @ xt) + 0.5 * float(xct @ Ki @ xct)
+
+
 def lyapunov_value(model: PHModel, ki, x, x_c, x_star, u_star) -> float:
     """Closed-loop storage W; nonincreasing whenever the clamp is inactive."""
     Ki = _gain_matrix(ki, model.m)
-    xt = np.asarray(x, dtype=float) - np.asarray(x_star, dtype=float)
-    xct = np.atleast_1d(np.asarray(x_c, dtype=float)) - integrator_reference(Ki, u_star)
-    return 0.5 * float(xt @ model.Q @ xt) + 0.5 * float(xct @ Ki @ xct)
+    return _storage(
+        model.Q,
+        Ki,
+        np.asarray(x, dtype=float),
+        np.atleast_1d(np.asarray(x_c, dtype=float)),
+        np.asarray(x_star, dtype=float),
+        integrator_reference(Ki, u_star),
+    )
 
 
 @dataclass

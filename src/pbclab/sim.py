@@ -59,8 +59,7 @@ import numpy as np
 from . import cuk as cukmod
 from .control import (
     ClassicalPiState,
-    clamp_duty,
-    lyapunov_value,
+    _storage,
     make_pi_pbc,
     pi_pbc_step,
     classical_pi_step,
@@ -120,7 +119,7 @@ def rk4_step(f, t: float, y, h: float):
         k3 = f(t + 0.5 * h, y + (0.5 * h) * k2)
         k4 = f(t + h, y + h * k3)
         y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(y_new)):
+    if not np.isfinite(y_new).all():
         raise NonFiniteState(f"non-finite state after step ending at t={t + h:g} s")
     return y_new
 
@@ -222,9 +221,8 @@ class Trajectory:
     def to_csv(self, path):
         header = ",".join(self.csv_header())
         mat = self.csv_matrix()
-        lines = [header]
-        for row in mat:
-            lines.append(",".join(f"{v:.17g}" for v in row))
+        row_fmt = ",".join(["%.17g"] * mat.shape[1])
+        lines = [header] + [row_fmt % tuple(row) for row in mat.tolist()]
         data = "\n".join(lines) + "\n"
         with open(path, "w", newline="\n") as fh:
             fh.write(data)
@@ -431,7 +429,10 @@ class _GpeboRuntime:
     their pole; own the scalar estimator, advanced exactly once per step."""
 
     def __init__(self, spec: ObserverSpec, bank: _SharedStates):
-        init = make_gpebo_state(bank.n, spec.lam, spec.gamma, spec.mu)  # validates the gains
+        try:
+            init = make_gpebo_state(bank.n, spec.lam, spec.gamma, spec.mu)  # validates the gains
+        except ValueError as exc:
+            raise ScenarioError(f"observer {spec.name!r}: {exc}") from exc
         self.spec = spec
         self.bank = bank
         self.fct = spec.kind == "fct-gpebo"
@@ -624,6 +625,12 @@ def _validate_scenario(scn: Scenario):
         raise ScenarioError(f"unknown feedback source {ctl.feedback!r}")
     if not 0.0 <= ctl.u_min < ctl.u_max <= 1.0:
         raise ScenarioError("require 0 <= u_min < u_max <= 1")
+    if ctl.type == "pi-pbc":
+        # the storage decay dW/dt = -x~'QRQx~ - y~'Kp y~ needs Kp >= 0, Ki > 0
+        if not ctl.kp >= 0.0:
+            raise ScenarioError(f"pi-pbc needs kp >= 0, got {ctl.kp}")
+        if not ctl.ki > 0.0:
+            raise ScenarioError(f"pi-pbc needs ki > 0, got {ctl.ki}")
     if ctl.feedback == "observer" and not scn.observers:
         raise ScenarioError("observer feedback requested but no observers configured")
     for spec in scn.observers:
@@ -733,13 +740,15 @@ def run_scenario(scn: Scenario) -> Trajectory:
         return pi_pbc_step(pi, xfb)
 
     def rhs(t, y_stage):
-        dy = np.zeros_like(y_stage)
+        dy = np.zeros(lay.size)
         x = y_stage[sl_x]
         u_s, dc, _ = control_eval(y_stage)
         A = cache.drift(u_s)
         b = cache.source(u_s)
         dy[sl_x] = A @ x + b
         dy[sl_c] = dc
+        if not blocks:  # no estimator reads the observer frame
+            return dy
         y_m = Cmeas @ x
         A_obs = cache.drift_obs(u_s)
         b_obs = cache.source_obs(u_s)
@@ -778,7 +787,7 @@ def run_scenario(scn: Scenario) -> Trajectory:
         if classical:
             K_W.append(np.nan)
         else:
-            K_W.append(lyapunov_value(model, pi.Ki, x, y_now[sl_c], pi.x_star, pi.u_star))
+            K_W.append(_storage(model.Q, pi.Ki, x, y_now[sl_c], pi.x_star, pi.x_c_star))
         K_sat.append(sat)
         K_ref.append(ref_now)
         K_ep.append(epoch)

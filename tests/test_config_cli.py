@@ -210,10 +210,23 @@ def test_simulate_writes_artifacts(tmp_path, capsys):
     assert "final_v_out" in metrics and "err_final_fct" in metrics
 
 
-def test_simulate_bad_config_file_exit2(tmp_path):
+def test_simulate_bad_config_file_exit2(tmp_path, capsys):
     path = tmp_path / "bad.yaml"
     path.write_text("model: {L9: 1}\n")
     assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
+    # out-of-range estimator settings and PI-PBC gains outside the passivity
+    # argument (kp >= 0, ki > 0) are configuration errors too
+    for override, named in [
+        ("observers.0.mu=0", "mu"),
+        ("observers.0.lambda=-1", "lambda"),
+        ("controller.ki=0", "ki"),
+        ("controller.kp=-1", "kp"),
+    ]:
+        rc = cli.main(["simulate", "--preset", "fig-observer-gains", *FAST,
+                       "--set", override, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2, override
+        assert err.startswith("config error:") and named in err, (override, err)
 
 
 def test_simulate_numeric_failure_exit4_with_partial(tmp_path, capsys):

@@ -17,6 +17,7 @@ import pytest
 
 from pbclab.control import (
     ClassicalPiState,
+    _storage,
     SingularKIError,
     clamp_duty,
     classical_pi_step,
@@ -175,19 +176,27 @@ def test_integrator_reference():
 
 
 def test_lyapunov_value_zero_only_at_the_point(cuk_setup):
-    _, model, pair = cuk_setup
+    params, model, pair = cuk_setup
     ki = 5.0
     xc_ref = integrator_reference(np.array([[ki]]), pair.u_star)
     w0 = lyapunov_value(model, ki, pair.x_star, xc_ref, pair.x_star, pair.u_star)
     assert w0 == pytest.approx(0.0, abs=1e-15)
     rng = np.random.default_rng(53)
-    for _ in range(20):
-        xt = 1e-3 * rng.standard_normal(4)
-        xct = 1e-3 * rng.standard_normal(1)
-        w = lyapunov_value(model, ki, pair.x_star + xt, xc_ref + xct, pair.x_star, pair.u_star)
-        want = 0.5 * xt @ model.Q @ xt + 0.5 * ki * xct @ xct
-        assert w == pytest.approx(want, rel=1e-10)
-        assert w > 0.0
+    # the sampling loop evaluates W from the per-epoch state; it must equal
+    # the public function bit for bit, here and at a second reference
+    second, _ = solve_equilibrium(params, -10.0)
+    for target in (pair, second):
+        state = make_pi_pbc(model, 10.0, ki, target.x_star, target.u_star)
+        xc_ref = integrator_reference(np.array([[ki]]), target.u_star)
+        for _ in range(20):
+            xt = 1e-3 * rng.standard_normal(4)
+            xct = 1e-3 * rng.standard_normal(1)
+            x, xc = target.x_star + xt, xc_ref + xct
+            w = lyapunov_value(model, ki, x, xc, target.x_star, target.u_star)
+            want = 0.5 * xt @ model.Q @ xt + 0.5 * ki * xct @ xct
+            assert w == pytest.approx(want, rel=1e-10)
+            assert w > 0.0
+            assert _storage(model.Q, state.Ki, x, xc, state.x_star, state.x_c_star) == w
 
 
 def test_clamp_duty():
@@ -197,6 +206,18 @@ def test_clamp_duty():
     assert acted and u[0] == 0.98
     u, acted = clamp_duty(np.array([-0.3]), 0.02, 0.98)
     assert acted and u[0] == 0.02
+    # several channels, against np.clip as the reference
+    u_raw = np.array([-0.3, 0.02, 0.5, 0.98, 1.4])
+    u, acted = clamp_duty(u_raw, 0.02, 0.98)
+    assert acted and np.array_equal(u, np.clip(u_raw, 0.02, 0.98))
+    # a value on a bound is kept and not reported as saturated
+    u_raw = np.array([0.02, 0.5, 0.98])
+    u, acted = clamp_duty(u_raw, 0.02, 0.98)
+    assert not acted and np.array_equal(u, u_raw)
+    # NaN passes through as in np.clip and is reported
+    u_raw = np.array([0.5, np.nan])
+    u, acted = clamp_duty(u_raw, 0.02, 0.98)
+    assert acted and np.array_equal(u, np.clip(u_raw, 0.02, 0.98), equal_nan=True)
 
 
 def test_classical_pi_direction():

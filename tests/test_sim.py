@@ -254,6 +254,36 @@ def test_one_filter_integration_per_pole(monkeypatch):
     assert len(calls) == 4 * steps  # one call per Runge-Kutta stage, not per estimator
 
 
+def test_storage_reference_once_per_epoch_and_no_unread_observer_frame(monkeypatch):
+    # x_c* = -inv(Ki) u* is solved when the operating point is set (start and
+    # event), not per sample, and without estimators the observer-frame
+    # drift is never assembled
+    import pbclab.control as controlmod
+    import pbclab.sim as simmod
+
+    calls = {"integrator_reference": 0, "drift_obs": 0}
+    reference, drift_obs = controlmod.integrator_reference, simmod._PlantCache.drift_obs
+
+    def counting_reference(*args):
+        calls["integrator_reference"] += 1
+        return reference(*args)
+
+    def counting_drift_obs(self, u):
+        calls["drift_obs"] += 1
+        return drift_obs(self, u)
+
+    monkeypatch.setattr(controlmod, "integrator_reference", counting_reference)
+    monkeypatch.setattr(simmod._PlantCache, "drift_obs", counting_drift_obs)
+    scn = Scenario(
+        events=[EventSpec(time=0.0001, kind="reference", value=-12.0)],
+        horizon=0.0002,
+        stride=10,
+    )
+    traj = run_scenario(scn)
+    assert traj.epoch[-1] == 1 and np.isfinite(traj.W).all()
+    assert calls == {"integrator_reference": 2, "drift_obs": 0}
+
+
 # -- events ---------------------------------------------------------------------
 
 
