@@ -11,20 +11,27 @@ A configuration is a plain YAML mapping with sections
   one run in the same figure (curves are overlaid per variant)
 * ``description`` - optional one-line string shown by ``presets list``
 
-Unknown keys are rejected everywhere; every value is type-checked.  A
-document round-trips through :func:`canonical_dump` unchanged, and
-``--set dotted.path=value`` overrides address any entry, including list
-elements (``observers.0.gamma=1e11``).
+The keys, types and defaults of ``model``, ``controller``, ``observers``
+(one block each) and ``scenario`` (and its events) are the fields of
+``CukParams``, ``ControllerSpec``, ``ObserverSpec``, ``Scenario`` and
+``EventSpec``; a field without a default is a required key.  Unknown keys
+are rejected everywhere and every value is type-checked; the value rules
+are those of :func:`pbclab.sim.validate_scenario`, which every validated
+document passes.  A document round-trips through :func:`canonical_dump`
+unchanged, and ``--set dotted.path=value`` overrides address any entry,
+including list elements (``observers.0.gamma=1e11``).
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
+import functools
+import typing
 
 import yaml
 
-from .cuk import CukParams
-from .sim import ControllerSpec, EventSpec, ObserverSpec, Scenario
+from .sim import Scenario, ScenarioError, validate_scenario
 
 __all__ = [
     "ConfigError",
@@ -44,43 +51,47 @@ class ConfigError(ValueError):
     """Malformed configuration document or override."""
 
 
-_MODEL_KEYS = {"L1", "C1", "L2", "C2", "r1", "r2", "r", "E"}
-_CONTROLLER_KEYS = {
-    "type", "kp", "ki", "x4_star", "u_min", "u_max", "feedback", "root_policy", "xc0",
+_RENAMES = {"params": "model", "lam": "lambda"}  # dataclass field -> document key
+_SECTIONS = ("model", "controller", "observers")  # Scenario fields stated at the top level
+_OUTPUT_DEFAULTS = {
+    "dir": None, "csv": True, "svg": True, "metrics": True,
+    "checkpoints": [0.01, 0.03, 0.05], "band_frac": 0.01,
 }
-_OBSERVER_KEYS = {"name", "kind", "lambda", "gamma", "mu", "mode", "s", "h0"}
-_SCENARIO_KEYS = {"x0", "horizon", "h", "stride", "label", "events"}
-_EVENT_KEYS = {"time", "kind", "value"}
-_OUTPUT_KEYS = {"dir", "csv", "svg", "metrics", "checkpoints", "band_frac"}
-_VARIANT_KEYS = {"label", "set"}
-_TOP_KEYS = {"model", "controller", "observers", "scenario", "output", "variants", "description"}
+_VARIANT_KEYS = ("label", "set")
+_TOP_KEYS = (*_SECTIONS, "scenario", "output", "variants", "description")
+
+
+@functools.cache
+def _schema(cls) -> dict:
+    """Document key -> (field name, type, default) for each field of a
+    scenario dataclass; the default is MISSING for a required key.  The
+    result is cached and shared, so callers only read it."""
+    hints = typing.get_type_hints(cls)
+    schema = {}
+    for f in dataclasses.fields(cls):
+        default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+        schema[_RENAMES.get(f.name, f.name)] = (f.name, hints[f.name], default)
+    return schema
+
+
+def _to_doc(value):
+    """A scenario value in document form: dataclasses as mappings, tuples
+    as lists."""
+    if dataclasses.is_dataclass(value):
+        return {key: _to_doc(getattr(value, name))
+                for key, (name, _, _) in _schema(type(value)).items()}
+    if isinstance(value, (list, tuple)):
+        return [_to_doc(v) for v in value]
+    return value
 
 
 def default_config() -> dict:
     """A complete document with the table defaults (fresh copy)."""
-    p = CukParams()
-    c = ControllerSpec()
-    s = Scenario()
-    return {
-        "model": {
-            "E": p.E, "r1": p.r1, "r2": p.r2, "r": p.r,
-            "L1": p.L1, "L2": p.L2, "C1": p.C1, "C2": p.C2,
-        },
-        "controller": {
-            "type": c.type, "kp": c.kp, "ki": c.ki, "x4_star": c.x4_star,
-            "u_min": c.u_min, "u_max": c.u_max, "feedback": c.feedback,
-            "root_policy": c.root_policy, "xc0": c.xc0,
-        },
-        "observers": [],
-        "scenario": {
-            "x0": list(s.x0), "horizon": s.horizon, "h": s.h,
-            "stride": s.stride, "label": s.label, "events": [],
-        },
-        "output": {
-            "dir": None, "csv": True, "svg": True, "metrics": True,
-            "checkpoints": [0.01, 0.03, 0.05], "band_frac": 0.01,
-        },
-    }
+    doc = _to_doc(Scenario())
+    cfg = {key: doc.pop(key) for key in _SECTIONS}
+    cfg["scenario"] = doc
+    cfg["output"] = copy.deepcopy(_OUTPUT_DEFAULTS)
+    return cfg
 
 
 def _require_mapping(node, where):
@@ -94,19 +105,50 @@ def _reject_unknown(node: dict, allowed, where):
         raise ConfigError(f"unknown key(s) {unknown} in {where}")
 
 
-def _as_float(node, key, where):
-    v = node[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number, got {v!r}")
-    return float(v)
+def _number(value, where):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    return float(value)
 
 
-def _merge_section(base: dict, user: dict, allowed, where):
-    _require_mapping(user, where)
-    _reject_unknown(user, allowed, where)
-    merged = dict(base)
-    merged.update(user)
-    return merged
+def _check_mapping(schema: dict, node, where):
+    """Check a mapping in place against a schema: unknown keys are errors, a
+    missing key takes its default or, without one, is an error."""
+    _require_mapping(node, where)
+    _reject_unknown(node, schema, where)
+    for key, (_, kind, default) in schema.items():
+        if key not in node:
+            if default is dataclasses.MISSING:
+                raise ConfigError(f"{where}.{key} is required")
+            node[key] = _to_doc(default)
+        node[key] = _check(kind, default, node[key], f"{where}.{key}")
+    return node
+
+
+def _check(kind, default, value, where):
+    """Type-check one value against its field type; returns it normalized."""
+    if dataclasses.is_dataclass(kind):
+        return _check_mapping(_schema(kind), value, where)
+    if typing.get_origin(kind) is list:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a list")
+        (item,) = typing.get_args(kind)
+        return [_check_mapping(_schema(item), v, f"{where}.{i}") for i, v in enumerate(value)]
+    if kind is tuple:
+        if not isinstance(value, (list, tuple)) or len(value) != len(default):
+            raise ConfigError(f"{where} must be a list of {len(default)} numbers")
+        return [_number(v, f"{where}.{i}") for i, v in enumerate(value)]
+    if kind is int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{where} must be an integer, got {value!r}")
+        return value
+    if kind is str:
+        if not isinstance(value, str):
+            raise ConfigError(f"{where} must be a string, got {value!r}")
+        return value
+    # float, or object: a kbf weight is a matrix through the Python API and
+    # a number in a document
+    return _number(value, where)
 
 
 def loads_config(text: str) -> dict:
@@ -115,30 +157,7 @@ def loads_config(text: str) -> dict:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"YAML parse error: {exc}") from exc
-    if raw is None:
-        raw = {}
-    _require_mapping(raw, "the document")
-    _reject_unknown(raw, _TOP_KEYS, "the document")
-    cfg = default_config()
-    if "model" in raw:
-        cfg["model"] = _merge_section(cfg["model"], raw["model"], _MODEL_KEYS, "model")
-    if "controller" in raw:
-        cfg["controller"] = _merge_section(
-            cfg["controller"], raw["controller"], _CONTROLLER_KEYS, "controller"
-        )
-    if "observers" in raw:
-        cfg["observers"] = raw["observers"]
-    if "scenario" in raw:
-        cfg["scenario"] = _merge_section(
-            cfg["scenario"], raw["scenario"], _SCENARIO_KEYS, "scenario"
-        )
-    if "output" in raw:
-        cfg["output"] = _merge_section(cfg["output"], raw["output"], _OUTPUT_KEYS, "output")
-    if "variants" in raw:
-        cfg["variants"] = raw["variants"]
-    if "description" in raw:
-        cfg["description"] = raw["description"]
-    return validate_config(cfg)
+    return validate_config({} if raw is None else raw)
 
 
 def load_config(path) -> dict:
@@ -147,96 +166,32 @@ def load_config(path) -> dict:
 
 
 def validate_config(cfg: dict) -> dict:
-    """Type- and key-check a full document; returns it normalized."""
+    """Key-, type- and value-check a document in place, filling in the
+    defaults of missing keys; returns it normalized."""
     _require_mapping(cfg, "the document")
     _reject_unknown(cfg, _TOP_KEYS, "the document")
-    for section in ("model", "controller", "scenario", "output"):
-        if section not in cfg:
-            raise ConfigError(f"missing section {section!r}")
-    model = cfg["model"]
-    _require_mapping(model, "model")
-    _reject_unknown(model, _MODEL_KEYS, "model")
-    for key in _MODEL_KEYS:
-        if key not in model:
-            raise ConfigError(f"model.{key} is required")
-        model[key] = _as_float(model, key, "model")
+    schema = dict(_schema(Scenario))
+    for key in _SECTIONS:
+        _, kind, default = schema.pop(key)
+        cfg[key] = _check(kind, default, cfg.get(key, _to_doc(default)), key)
+    _check_mapping(schema, cfg.setdefault("scenario", {}), "scenario")
 
-    ctl = cfg["controller"]
-    _require_mapping(ctl, "controller")
-    _reject_unknown(ctl, _CONTROLLER_KEYS, "controller")
-    if ctl.get("type") not in ("pi-pbc", "classical-pi"):
-        raise ConfigError(f"controller.type must be pi-pbc or classical-pi, got {ctl.get('type')!r}")
-    if ctl.get("feedback") not in ("state", "observer"):
-        raise ConfigError(f"controller.feedback must be state or observer, got {ctl.get('feedback')!r}")
-    if ctl.get("root_policy") not in ("smallest", "largest"):
-        raise ConfigError(f"controller.root_policy must be smallest or largest")
-    for key in ("kp", "ki", "x4_star", "u_min", "u_max", "xc0"):
-        ctl[key] = _as_float(ctl, key, "controller")
-
-    observers = cfg.get("observers", [])
-    if not isinstance(observers, list):
-        raise ConfigError("observers must be a list")
-    for i, obs in enumerate(observers):
-        where = f"observers.{i}"
-        _require_mapping(obs, where)
-        _reject_unknown(obs, _OBSERVER_KEYS, where)
-        kind = obs.setdefault("kind", "fct-gpebo")
-        if kind not in ("fct-gpebo", "gpebo", "emulator", "kbf", "gradient"):
-            raise ConfigError(f"{where}.kind unknown: {kind!r}")
-        obs.setdefault("name", "")
-        for key, dv in (("lambda", 5.0), ("gamma", 1e12), ("mu", 1e-6)):
-            obs.setdefault(key, dv)
-            obs[key] = _as_float(obs, key, where)
-        obs.setdefault("mode", "raw")
-        if obs["mode"] not in ("raw", "extended"):
-            raise ConfigError(f"{where}.mode must be raw or extended")
-        for key in ("s", "h0"):
-            obs.setdefault(key, 1.0)
-            if not isinstance(obs[key], (int, float)) or isinstance(obs[key], bool):
-                raise ConfigError(f"{where}.{key} must be a number")
-            obs[key] = float(obs[key])
-    cfg["observers"] = observers
-
-    scn = cfg["scenario"]
-    _require_mapping(scn, "scenario")
-    _reject_unknown(scn, _SCENARIO_KEYS, "scenario")
-    x0 = scn.get("x0")
-    if not isinstance(x0, (list, tuple)) or len(x0) != 4:
-        raise ConfigError("scenario.x0 must be a list of four numbers (i1, v2, i3, v4)")
-    scn["x0"] = [float(v) for v in x0]
-    for key in ("horizon", "h"):
-        scn[key] = _as_float(scn, key, "scenario")
-    if not isinstance(scn.get("stride"), int) or isinstance(scn.get("stride"), bool):
-        raise ConfigError("scenario.stride must be an integer")
-    if not isinstance(scn.get("label"), str):
-        raise ConfigError("scenario.label must be a string")
-    events = scn.get("events", [])
-    if not isinstance(events, list):
-        raise ConfigError("scenario.events must be a list")
-    for i, ev in enumerate(events):
-        where = f"scenario.events.{i}"
-        _require_mapping(ev, where)
-        _reject_unknown(ev, _EVENT_KEYS, where)
-        for key in _EVENT_KEYS:
-            if key == "kind":
-                if ev.get("kind") not in ("reference", "load"):
-                    raise ConfigError(f"{where}.kind must be reference or load")
-            else:
-                ev[key] = _as_float(ev, key, where)
-
-    out = cfg["output"]
+    out = cfg.setdefault("output", {})
     _require_mapping(out, "output")
-    _reject_unknown(out, _OUTPUT_KEYS, "output")
-    if out.get("dir") is not None and not isinstance(out["dir"], str):
+    _reject_unknown(out, _OUTPUT_DEFAULTS, "output")
+    for key, value in _OUTPUT_DEFAULTS.items():
+        out.setdefault(key, copy.deepcopy(value))
+    if out["dir"] is not None and not isinstance(out["dir"], str):
         raise ConfigError("output.dir must be a string")
     for key in ("csv", "svg", "metrics"):
-        if not isinstance(out.get(key), bool):
+        if not isinstance(out[key], bool):
             raise ConfigError(f"output.{key} must be a boolean")
-    cps = out.get("checkpoints", [])
-    if not isinstance(cps, list):
+    if not isinstance(out["checkpoints"], list):
         raise ConfigError("output.checkpoints must be a list of times")
-    out["checkpoints"] = [float(v) for v in cps]
-    out["band_frac"] = _as_float(out, "band_frac", "output")
+    out["checkpoints"] = [
+        _number(v, f"output.checkpoints.{i}") for i, v in enumerate(out["checkpoints"])
+    ]
+    out["band_frac"] = _number(out["band_frac"], "output.band_frac")
 
     variants = cfg.get("variants")
     if variants is not None:
@@ -256,6 +211,10 @@ def validate_config(cfg: dict) -> dict:
             _require_mapping(var.get("set", {}), f"{where}.set")
     if "description" in cfg and not isinstance(cfg["description"], str):
         raise ConfigError("description must be a string")
+    try:
+        validate_scenario(scenario_from_config(cfg))
+    except ScenarioError as exc:
+        raise ConfigError(str(exc)) from exc
     return cfg
 
 
@@ -369,32 +328,23 @@ def expand_variants(cfg: dict):
 # -- bridge to the simulation types ----------------------------------------------
 
 
+def _build(cls, node: dict):
+    """The dataclass `cls` from a checked document mapping."""
+    kwargs = {}
+    for key, (name, kind, _) in _schema(cls).items():
+        value = node[key]
+        if dataclasses.is_dataclass(kind):
+            value = _build(kind, value)
+        elif typing.get_origin(kind) is list:
+            value = [_build(typing.get_args(kind)[0], v) for v in value]
+        elif kind is tuple:
+            value = tuple(value)
+        kwargs[name] = value
+    return cls(**kwargs)
+
+
 def scenario_from_config(cfg: dict) -> Scenario:
-    model = cfg["model"]
-    params = CukParams(
-        E=model["E"], r1=model["r1"], r2=model["r2"], r=model["r"],
-        L1=model["L1"], L2=model["L2"], C1=model["C1"], C2=model["C2"],
-    )
-    c = cfg["controller"]
-    controller = ControllerSpec(
-        type=c["type"], kp=c["kp"], ki=c["ki"], x4_star=c["x4_star"],
-        u_min=c["u_min"], u_max=c["u_max"], feedback=c["feedback"],
-        root_policy=c["root_policy"], xc0=c["xc0"],
-    )
-    observers = [
-        ObserverSpec(
-            name=o["name"], kind=o["kind"], lam=o["lambda"], gamma=o["gamma"],
-            mu=o["mu"], mode=o["mode"], s=o["s"], h0=o["h0"],
-        )
-        for o in cfg["observers"]
-    ]
-    s = cfg["scenario"]
-    events = [EventSpec(time=e["time"], kind=e["kind"], value=e["value"]) for e in s["events"]]
-    return Scenario(
-        params=params, controller=controller, observers=observers,
-        x0=tuple(s["x0"]), horizon=s["horizon"], h=s["h"], stride=s["stride"],
-        events=events, label=s["label"],
-    )
+    return _build(Scenario, {**cfg["scenario"], **{key: cfg[key] for key in _SECTIONS}})
 
 
 def output_options(cfg: dict) -> dict:

@@ -32,6 +32,7 @@ from .phmodel import PHModel, make_equilibrium_pair, validate_model
 __all__ = [
     "CukParams",
     "TABLE_DEFAULTS",
+    "ROOT_POLICIES",
     "CukError",
     "InfeasibleEquilibrium",
     "NoRootInUnitInterval",
@@ -82,6 +83,9 @@ class CukParams:
 
 
 TABLE_DEFAULTS = CukParams()
+
+# which admissible duty ratio becomes u_star (see solve_equilibrium)
+ROOT_POLICIES = ("smallest", "largest")
 
 
 def build_cuk(params: CukParams = TABLE_DEFAULTS) -> PHModel:
@@ -201,7 +205,7 @@ def solve_equilibrium(
     """
     if x4_star >= 0.0:
         raise CukError("the converter inverts: x4_star must be negative")
-    if root_policy not in ("smallest", "largest"):
+    if root_policy not in ROOT_POLICIES:
         raise CukError(f"unknown root policy {root_policy!r}")
     a2, a1, a0 = quadratic_coefficients(params, x4_star)
     roots, disc = _quadratic_roots(a2, a1, a0)

@@ -36,7 +36,7 @@ which keeps them stable for arbitrarily large gamma.
 
 Also provided: a Kalman-Bucy filter (matrix Riccati gain) and plain
 gradient parameter estimators on the raw or mixed regression, used as
-comparison baselines, plus a windowed observability Gramian diagnostic.
+comparison baselines.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ import numpy as np
 
 __all__ = [
     "NotYetExcited",
-    "InsufficientSamples",
     "GpeboState",
     "make_gpebo_state",
     "gpebo_matrix_derivatives",
@@ -58,21 +57,14 @@ __all__ = [
     "fct_combine",
     "gpebo_estimate",
     "excitation_time",
-    "excitation_time_from_delta",
     "kbf_derivatives",
     "gradient_derivatives",
     "gradient_update",
-    "GramianReport",
-    "observability_gramian",
 ]
 
 
 class NotYetExcited(RuntimeError):
     """The excitation integral never crossed the finite-time threshold."""
-
-
-class InsufficientSamples(ValueError):
-    """Too few samples to cover the requested quadrature window."""
 
 
 @dataclass
@@ -294,16 +286,6 @@ def excitation_time(times, omega, mu: float) -> float:
     return float(times[hit[0]])
 
 
-def excitation_time_from_delta(times, delta, gamma: float, mu: float) -> float:
-    """Same crossing computed from a Delta history: omega is rebuilt by
-    exact exponential steps on the trapezoid of Delta^2."""
-    times = np.asarray(times, dtype=float)
-    delta2 = np.asarray(delta, dtype=float) ** 2
-    seg = 0.5 * (delta2[1:] + delta2[:-1]) * np.diff(times)
-    integral = np.concatenate([[0.0], np.cumsum(seg)])
-    return excitation_time(times, np.exp(-gamma * integral), mu)
-
-
 # -- comparison observers ---------------------------------------------------
 
 
@@ -371,33 +353,3 @@ def gradient_update(theta_hat, gamma: float, mode: str, h: float, CPhi=None, y_s
             target = rcoef[i] / s
             tcoef[i] = target + (tcoef[i] - target) * np.exp(-gamma * s * h)
     return vecs @ tcoef
-
-
-@dataclass
-class GramianReport:
-    matrix: np.ndarray  # n x n windowed Gramian
-    lam_min: float
-    lam_max: float
-
-
-def observability_gramian(times, phis, C, t0: float, T: float) -> GramianReport:
-    """Trapezoidal quadrature of integral Phi' C' C Phi over [t0, t0 + T].
-
-    phis: array of shape (k, n, n) sampled at `times`.  The window must be
-    covered by at least two samples."""
-    times = np.asarray(times, dtype=float)
-    phis = np.asarray(phis, dtype=float)
-    if T <= 0.0:
-        raise ValueError("window length must be positive")
-    mask = (times >= t0 - 1e-15) & (times <= t0 + T + 1e-15)
-    idx = np.flatnonzero(mask)
-    if idx.size < 2:
-        raise InsufficientSamples(f"only {idx.size} samples inside [{t0}, {t0 + T}]")
-    if times[idx[0]] > t0 + 1e-9 or times[idx[-1]] < t0 + T - 1e-9:
-        raise InsufficientSamples("samples do not cover the requested window")
-    CPhi = C @ phis[idx]  # (k, p, n) stack
-    integrand = np.einsum("kpi,kpj->kij", CPhi, CPhi)
-    dt = np.diff(times[idx])
-    W = 0.5 * np.einsum("k,kij->ij", dt, integrand[:-1] + integrand[1:])
-    eigs = np.linalg.eigvalsh(0.5 * (W + W.T))
-    return GramianReport(matrix=W, lam_min=float(eigs[0]), lam_max=float(eigs[-1]))

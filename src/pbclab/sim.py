@@ -64,7 +64,7 @@ from .control import (
     pi_pbc_step,
     classical_pi_step,
 )
-from .cuk import CukParams, build_cuk, solve_equilibrium
+from .cuk import ROOT_POLICIES, CukParams, build_cuk, solve_equilibrium
 from .observers import (
     drem_mix,
     fct_combine,
@@ -75,7 +75,7 @@ from .observers import (
     kbf_derivatives,
     scalar_update,
 )
-from .phmodel import PHModel, make_equilibrium_pair
+from .phmodel import PHModel
 
 __all__ = [
     "NonFiniteState",
@@ -87,11 +87,17 @@ __all__ = [
     "Scenario",
     "Trajectory",
     "rk4_step",
+    "validate_scenario",
     "run_scenario",
     "compute_metrics",
 ]
 
-OBSERVER_KINDS = ("fct-gpebo", "gpebo", "emulator", "kbf", "gradient")
+GPEBO_KINDS = ("fct-gpebo", "gpebo")
+OBSERVER_KINDS = GPEBO_KINDS + ("emulator", "kbf", "gradient")
+# physical plant signals (A, V, A, V) and their estimates, in CSV column order
+SIGNALS = ("i1", "v2", "i3", "v4")
+ESTIMATES = ("ihat1", "vhat2", "ihat3", "vhat4")
+_BASE_COLUMNS = ["t", *SIGNALS, "u", "ytilde", "W"]  # then one block per observer
 
 
 class NonFiniteState(RuntimeError):
@@ -163,18 +169,13 @@ class EventSpec:
 class Scenario:
     params: CukParams = field(default_factory=CukParams)
     controller: ControllerSpec = field(default_factory=ControllerSpec)
-    observers: list = field(default_factory=list)
+    observers: list[ObserverSpec] = field(default_factory=list)
     x0: tuple = (0.75, 15.0, -1.5, -18.0)  # initial (i1, v2, i3, v4) [A, V, A, V]
     horizon: float = 0.05  # [s]
     h: float = 5e-7  # grid step [s]; see the module docstring on stability
     stride: int = 100  # samples every stride steps (default period 5e-5 s)
-    events: list = field(default_factory=list)
+    events: list[EventSpec] = field(default_factory=list)
     label: str = "run"
-    # generic plant override: supply a validated model plus its operating
-    # point explicitly (no events, initial state in stored coordinates)
-    model: PHModel | None = None
-    x_star: object = None
-    u_star: object = None
 
 
 @dataclass
@@ -194,21 +195,10 @@ class Trajectory:
     observers: dict  # name -> dict of sampled arrays
     meta: dict = field(default_factory=dict)
 
-    def signal_names(self):
-        n = self.signals.shape[1]
-        if self.meta.get("model", "cuk") == "cuk" and n == 4:
-            return ["i1", "v2", "i3", "v4"], ["ihat1", "vhat2", "ihat3", "vhat4"]
-        return [f"x{i+1}" for i in range(n)], [f"xhat{i+1}" for i in range(n)]
-
     def csv_header(self):
-        names, est = self.signal_names()
-        m = self.u.shape[1]
-        cols = ["t"] + names
-        cols += ["u"] if m == 1 else [f"u{i+1}" for i in range(m)]
-        cols += ["ytilde"] if m == 1 else [f"ytilde{i+1}" for i in range(m)]
-        cols += ["W"]
+        cols = list(_BASE_COLUMNS)
         for name in self.observers:
-            cols += [f"{name}_{c}" for c in est]
+            cols += [f"{name}_{c}" for c in ESTIMATES]
             cols += [f"{name}_err_norm", f"{name}_omega", f"{name}_Delta"]
         return cols
 
@@ -235,32 +225,20 @@ class Trajectory:
         return _trajectory_from_table(header, mat)
 
 
-_EST_STARTERS = ("ihat1", "xhat1")
-
-
 def _trajectory_from_table(header, mat) -> Trajectory:
-    first_obs = len(header)
-    for j, col in enumerate(header):
-        if any(col.endswith("_" + s) for s in _EST_STARTERS):
-            first_obs = j
-            break
-    base = header[:first_obs]
-    iw = base.index("W")
-    iu = next(j for j, c in enumerate(base) if c == "u" or c == "u1")
-    n = iu - 1
-    m_u = sum(1 for c in base if c == "u" or (c.startswith("u") and c[1:].isdigit()))
+    n = len(SIGNALS)
+    if header[: len(_BASE_COLUMNS)] != _BASE_COLUMNS:
+        raise ValueError(f"trajectory table must start with the columns {_BASE_COLUMNS}")
     t = mat[:, 0]
     signals = mat[:, 1 : 1 + n]
-    u = mat[:, iu : iu + m_u]
-    ytilde = mat[:, iu + m_u : iw]
-    W = mat[:, iw]
+    u = mat[:, n + 1 : n + 2]
+    ytilde = mat[:, n + 2 : n + 3]
+    W = mat[:, n + 3]
     observers = {}
-    j = first_obs
+    j = len(_BASE_COLUMNS)
     width = n + 3
     while j + width <= len(header):
-        col = header[j]
-        starter = next(s for s in _EST_STARTERS if col.endswith("_" + s))
-        name = col[: -(len(starter) + 1)]
+        name = header[j][: -len("_" + ESTIMATES[0])]
         observers[name] = {
             "xhat": mat[:, j : j + n],
             "err_norm": mat[:, j + n],
@@ -279,7 +257,6 @@ def _trajectory_from_table(header, mat) -> Trajectory:
         ref=np.full(K, np.nan),
         epoch=np.zeros(K, dtype=int),
         observers=observers,
-        meta={"model": "cuk" if n == 4 and "i1" in base else "generic"},
     )
 
 
@@ -429,17 +406,13 @@ class _GpeboRuntime:
     their pole; own the scalar estimator, advanced exactly once per step."""
 
     def __init__(self, spec: ObserverSpec, bank: _SharedStates):
-        try:
-            init = make_gpebo_state(bank.n, spec.lam, spec.gamma, spec.mu)  # validates the gains
-        except ValueError as exc:
-            raise ScenarioError(f"observer {spec.name!r}: {exc}") from exc
         self.spec = spec
         self.bank = bank
         self.fct = spec.kind == "fct-gpebo"
         self.filt = bank.filter(spec.lam, mixed=True)
-        self.omega = init.omega
-        self.theta_hat = init.theta_hat
-        self.theta_hat0 = init.theta_hat0
+        self.omega = 1.0
+        self.theta_hat = np.zeros(bank.n)
+        self.theta_hat0 = self.theta_hat.copy()
         self.theta_feed = self.theta_hat.copy()
 
     def _theta(self):
@@ -533,8 +506,6 @@ class _GradientRuntime:
     exponential with frozen data."""
 
     def __init__(self, spec: ObserverSpec, bank: _SharedStates):
-        if spec.mode not in ("raw", "extended"):
-            raise ScenarioError(f"gradient mode {spec.mode!r} unknown")
         self.spec = spec
         self.bank = bank
         self.extended = spec.mode == "extended"
@@ -588,8 +559,7 @@ def _as_spd(value, n: int, what: str) -> np.ndarray:
 
 # estimators that read the shared states; kbf keeps its own block
 _READER_BY_KIND = {
-    "fct-gpebo": _GpeboRuntime,
-    "gpebo": _GpeboRuntime,
+    **dict.fromkeys(GPEBO_KINDS, _GpeboRuntime),
     "emulator": _EmulatorRuntime,
     "gradient": _GradientRuntime,
 }
@@ -610,9 +580,15 @@ def _unique_names(specs):
 # -- the run ------------------------------------------------------------------
 
 
-def _validate_scenario(scn: Scenario):
-    if scn.h <= 0.0 or scn.horizon <= 0.0:
-        raise ScenarioError("step and horizon must be positive")
+def validate_scenario(scn: Scenario) -> int:
+    """Check every value rule of a scenario and return its step count.
+
+    This is the single place the rules live: the configuration layer runs
+    it on each document it loads, and `run_scenario` on each run."""
+    for key in ("h", "horizon"):
+        value = getattr(scn, key)
+        if not 0.0 < value < math.inf:
+            raise ScenarioError(f"{key} must be positive and finite, got {value}")
     N = round(scn.horizon / scn.h)
     if N < 1 or abs(N * scn.h - scn.horizon) > 1e-9 * scn.horizon:
         raise ScenarioError("horizon must be an integer multiple of the step")
@@ -623,6 +599,8 @@ def _validate_scenario(scn: Scenario):
         raise ScenarioError(f"unknown controller type {ctl.type!r}")
     if ctl.feedback not in ("state", "observer"):
         raise ScenarioError(f"unknown feedback source {ctl.feedback!r}")
+    if ctl.root_policy not in ROOT_POLICIES:
+        raise ScenarioError(f"unknown root_policy {ctl.root_policy!r}")
     if not 0.0 <= ctl.u_min < ctl.u_max <= 1.0:
         raise ScenarioError("require 0 <= u_min < u_max <= 1")
     if ctl.type == "pi-pbc":
@@ -633,22 +611,32 @@ def _validate_scenario(scn: Scenario):
             raise ScenarioError(f"pi-pbc needs ki > 0, got {ctl.ki}")
     if ctl.feedback == "observer" and not scn.observers:
         raise ScenarioError("observer feedback requested but no observers configured")
+    n = len(SIGNALS)
     for spec in scn.observers:
         if spec.kind not in OBSERVER_KINDS:
             raise ScenarioError(f"unknown observer kind {spec.kind!r}")
+        if spec.mode not in ("raw", "extended"):
+            raise ScenarioError(f"gradient mode {spec.mode!r} unknown")
+        where = f"observer {spec.name or spec.kind!r}"
+        if spec.kind in GPEBO_KINDS:
+            try:
+                make_gpebo_state(n, spec.lam, spec.gamma, spec.mu)  # checks mu, lambda, gamma
+            except ValueError as exc:
+                raise ScenarioError(f"{where}: {exc}") from exc
+        elif spec.kind == "gradient" and not spec.gamma > 0.0:
+            raise ScenarioError(f"{where}: gamma must be positive, got {spec.gamma}")
+        elif spec.kind == "kbf":
+            _as_spd(spec.s, n, f"{where}: s")
+            _as_spd(spec.h0, n, f"{where}: h0")
     for ev in scn.events:
         if ev.kind not in ("reference", "load"):
             raise ScenarioError(f"unknown event kind {ev.kind!r}")
         if not 0.0 <= ev.time <= scn.horizon:
             raise ScenarioError(f"event at t={ev.time:g} s outside the horizon")
-        if scn.model is not None:
-            raise ScenarioError("events are only supported for the built-in converter")
-        if ev.kind == "reference" and ev.value >= 0.0:
+        if ev.kind == "reference" and not ev.value < 0.0:
             raise ScenarioError("reference events must request a negative voltage")
-        if ev.kind == "load" and ev.value <= 0.0:
+        if ev.kind == "load" and not ev.value > 0.0:
             raise ScenarioError("load events must request a positive resistance")
-    if scn.model is not None and ctl.type == "classical-pi":
-        raise ScenarioError("the classical baseline is defined for the built-in converter only")
     return N
 
 
@@ -661,20 +649,15 @@ def _cuk_equilibrium(params, x4_star, policy, t):
 
 
 def run_scenario(scn: Scenario) -> Trajectory:
-    N = _validate_scenario(scn)
+    N = validate_scenario(scn)
     h, stride = scn.h, int(scn.stride)
     ctl = scn.controller
 
-    if scn.model is None:
-        params = replace(scn.params)
-        model = build_cuk(params)
-        # scenario initial state is physical (i1, v2, i3, v4); stored
-        # variables are fluxes and charges, x = Q^-1 (physical)
-        x0 = np.linalg.solve(model.Q, np.asarray(scn.x0, dtype=float))
-    else:
-        params = None
-        model = scn.model
-        x0 = np.asarray(scn.x0, dtype=float)
+    params = replace(scn.params)
+    model = build_cuk(params)
+    # scenario initial state is physical (i1, v2, i3, v4); stored
+    # variables are fluxes and charges, x = Q^-1 (physical)
+    x0 = np.linalg.solve(model.Q, np.asarray(scn.x0, dtype=float))
     n, m = model.n, model.m
 
     classical = ctl.type == "classical-pi"
@@ -687,10 +670,7 @@ def run_scenario(scn: Scenario) -> Trajectory:
     else:
         cstate = None
         n_c = m
-        if scn.model is None:
-            pair = _cuk_equilibrium(params, ctl.x4_star, ctl.root_policy, 0.0)
-        else:
-            pair = make_equilibrium_pair(model, scn.x_star, scn.u_star)
+        pair = _cuk_equilibrium(params, ctl.x4_star, ctl.root_policy, 0.0)
         pi = make_pi_pbc(
             model, ctl.kp, ctl.ki, pair.x_star, pair.u_star, u_min=ctl.u_min, u_max=ctl.u_max
         )
@@ -804,7 +784,6 @@ def run_scenario(scn: Scenario) -> Trajectory:
         for name, rec in obs_rec.items():
             observers[name] = {key: np.array(vals) for key, vals in rec.items() if vals}
         meta = {
-            "model": "cuk" if scn.model is None else "generic",
             "label": scn.label,
             "h": h,
             "stride": stride,
@@ -815,9 +794,8 @@ def run_scenario(scn: Scenario) -> Trajectory:
             "mu": {rt.spec.name: rt.spec.mu for rt in runtimes},
             "gamma": {rt.spec.name: rt.spec.gamma for rt in runtimes},
             "lam": {rt.spec.name: rt.spec.lam for rt in runtimes},
+            "params": vars(replace(params)),
         }
-        if scn.model is None:
-            meta["params"] = vars(replace(params)).copy()
         return Trajectory(
             t=np.array(K_t),
             signals=np.array(K_sig),
@@ -919,7 +897,7 @@ def compute_metrics(traj: Trajectory, band_frac: float = 0.01, checkpoints=()) -
             out[f"err_at_{tc:g}_{name}"] = float(err[idx])
         omega = rec.get("omega")
         if omega is not None and np.isfinite(omega).all():
-            mu = traj.meta.get("mu", {}).get(name, 1e-6)
+            mu = traj.meta.get("mu", {}).get(name, ObserverSpec.mu)
             crossed = np.flatnonzero(omega <= 1.0 - mu)
             out[f"tc_{name}"] = float(t[crossed[0]]) if crossed.size else math.nan
     return out

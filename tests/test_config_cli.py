@@ -76,6 +76,11 @@ def test_type_and_value_errors_rejected():
         "scenario: {events: [{time: 0.1, kind: tilt, value: 1}]}",
         "variants: []",
         "variants: [{label: a, set: {}}, {label: a, set: {}}]",
+        # value rules of the scenario itself apply when a document is loaded
+        "scenario: {events: [{time: 0.1, kind: load, value: 30.0}]}",  # past the horizon
+        "controller: {feedback: observer}",  # no observer to feed back
+        "observers: [{kind: gradient, gamma: -1.0}]",
+        "scenario: {h: .nan}",
     ]:
         with pytest.raises(ConfigError):
             loads_config(doc)
@@ -214,13 +219,18 @@ def test_simulate_bad_config_file_exit2(tmp_path, capsys):
     path = tmp_path / "bad.yaml"
     path.write_text("model: {L9: 1}\n")
     assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
-    # out-of-range estimator settings and PI-PBC gains outside the passivity
-    # argument (kp >= 0, ki > 0) are configuration errors too
+    # out-of-range estimator settings, PI-PBC gains outside the passivity
+    # argument (kp >= 0, ki > 0), a non-finite step or horizon and an event
+    # without a value are configuration errors too
     for override, named in [
         ("observers.0.mu=0", "mu"),
         ("observers.0.lambda=-1", "lambda"),
         ("controller.ki=0", "ki"),
         ("controller.kp=-1", "kp"),
+        ("scenario.h=nan", "h must be"),
+        ("scenario.horizon=.inf", "horizon must be"),
+        ("observers=[{name: g, kind: gradient, gamma: -1.0e+8}]", "gamma"),
+        ("scenario.events.0={time: 0.0001, kind: load}", "value"),
     ]:
         rc = cli.main(["simulate", "--preset", "fig-observer-gains", *FAST,
                        "--set", override, "--out", str(tmp_path)])

@@ -6,8 +6,8 @@ Oracles used here:
 * `scipy.integrate.solve_ivp` at rtol 1e-12 for the exact-step claims
   (scalar estimator, gradient flows, Riccati equation);
 * closed forms: the rank-one gradient step, H(t) = sqrt(s) tanh(sqrt(s) t)
-  for the scalar Riccati equation, exponential contraction for constant
-  excitation, and the analytic scalar Gramian.
+  for the scalar Riccati equation, and exponential contraction for
+  constant excitation.
 
 The adjugate tests include singular matrices on purpose: the whole point
 of mixing with adj(Omega) instead of inverting is that it stays exact
@@ -22,13 +22,11 @@ from scipy.integrate import solve_ivp
 
 from pbclab.observers import (
     GpeboState,
-    InsufficientSamples,
     NotYetExcited,
     adjugate,
     determinant,
     drem_mix,
     excitation_time,
-    excitation_time_from_delta,
     fct_combine,
     gpebo_estimate,
     gpebo_matrix_derivatives,
@@ -36,7 +34,6 @@ from pbclab.observers import (
     gradient_update,
     kbf_derivatives,
     make_gpebo_state,
-    observability_gramian,
     scalar_update,
 )
 
@@ -187,17 +184,6 @@ def test_excitation_time():
     assert excitation_time(times, omega, 1e-6) == pytest.approx(0.2)
     with pytest.raises(NotYetExcited):
         excitation_time(times, np.ones(4), 1e-6)
-
-
-def test_excitation_time_from_delta_constant_case():
-    # constant Delta: omega(t) = exp(-gamma Delta^2 t) crosses 1 - mu at
-    # t = -ln(1 - mu) / (gamma Delta^2); the trapezoid is exact here
-    gamma, Delta, mu = 200.0, 0.5, 0.05
-    t_true = -math.log(1.0 - mu) / (gamma * Delta**2)
-    times = np.linspace(0.0, 0.01, 20001)
-    dt = times[1] - times[0]
-    got = excitation_time_from_delta(times, np.full_like(times, Delta), gamma, mu)
-    assert t_true - 1e-12 <= got <= t_true + dt + 1e-12
 
 
 # -- matrix derivative oracles -----------------------------------------------
@@ -398,33 +384,6 @@ def test_gradient_rejects_unknown_mode():
         gradient_derivatives(np.zeros(2), 1.0, "newton")
     with pytest.raises(ValueError):
         gradient_update(np.zeros(2), 1.0, "newton", 0.1)
-
-
-# -- Gramian ------------------------------------------------------------------
-
-
-def test_observability_gramian_scalar_closed_form():
-    a = -2.0
-    times = np.linspace(0.0, 1.0, 1001)
-    phis = np.exp(a * times)[:, None, None]
-    C = np.ones((1, 1))
-    rep = observability_gramian(times, phis, C, 0.2, 0.5)
-    want = (math.exp(2 * a * 0.7) - math.exp(2 * a * 0.2)) / (2 * a)
-    assert rep.matrix[0, 0] == pytest.approx(want, rel=1e-5)
-    assert rep.lam_min == pytest.approx(rep.lam_max, rel=1e-12)
-    assert rep.lam_min == pytest.approx(want, rel=1e-5)
-
-
-def test_observability_gramian_errors():
-    times = np.linspace(0.0, 1.0, 11)
-    phis = np.repeat(np.eye(2)[None, :, :], 11, axis=0)
-    C = np.array([[1.0, 0.0]])
-    with pytest.raises(InsufficientSamples):
-        observability_gramian(times, phis, C, 0.95, 0.04)  # one sample inside
-    with pytest.raises(InsufficientSamples):
-        observability_gramian(times, phis, C, 0.5, 1.0)  # right edge uncovered
-    with pytest.raises(ValueError):
-        observability_gramian(times, phis, C, 0.0, -1.0)
 
 
 def test_make_gpebo_state_validation():

@@ -95,6 +95,10 @@ def test_scenario_validation_errors():
     with pytest.raises(ScenarioError):
         run_scenario(Scenario(horizon=0.0005, h=3e-7))  # not a multiple
     with pytest.raises(ScenarioError):
+        run_scenario(Scenario(h=math.nan))
+    with pytest.raises(ScenarioError):
+        run_scenario(Scenario(horizon=math.inf))
+    with pytest.raises(ScenarioError):
         run_scenario(Scenario(stride=0, horizon=1e-5))
     with pytest.raises(ScenarioError):
         run_scenario(Scenario(controller=ControllerSpec(type="lqr"), horizon=1e-5))
@@ -107,6 +111,18 @@ def test_scenario_validation_errors():
     with pytest.raises(ScenarioError):
         run_scenario(
             Scenario(observers=[ObserverSpec(kind="luenberger")], horizon=1e-5)
+        )
+    with pytest.raises(ScenarioError):
+        run_scenario(
+            Scenario(observers=[ObserverSpec(kind="gradient", mode="sideways")], horizon=1e-5)
+        )
+    with pytest.raises(ScenarioError):
+        run_scenario(
+            Scenario(observers=[ObserverSpec(kind="gradient", gamma=-1e8)], horizon=1e-5)
+        )
+    with pytest.raises(ScenarioError):
+        run_scenario(
+            Scenario(controller=ControllerSpec(root_policy="biggest"), horizon=1e-5)
         )
     with pytest.raises(ScenarioError):
         run_scenario(
