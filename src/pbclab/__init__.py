@@ -18,7 +18,7 @@ cli        command line front end
 from .phmodel import PHModel, validate_model, energy, coenergy, dynamics
 from .cuk import CukParams, build_cuk, solve_equilibrium
 from .control import make_pi_pbc, pi_pbc_step, lyapunov_value
-from .observers import make_gpebo_state, fct_combine, drem_mix
+from .observers import fct_combine, drem_mix
 from .sim import Scenario, run_scenario, compute_metrics, Trajectory
 
 __version__ = "0.1.0"
@@ -35,7 +35,6 @@ __all__ = [
     "make_pi_pbc",
     "pi_pbc_step",
     "lyapunov_value",
-    "make_gpebo_state",
     "fct_combine",
     "drem_mix",
     "Scenario",

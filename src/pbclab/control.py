@@ -156,25 +156,31 @@ def integrator_reference(Ki: np.ndarray, u_star: np.ndarray) -> np.ndarray:
     return -np.linalg.solve(Ki, u_star)
 
 
-def _storage(Q, Ki, x, x_c, x_star, x_c_star) -> float:
-    """W on float arrays with the integrator reference already solved; the
-    sampling loop calls it with a PiPbcState's Ki, x_star and x_c_star."""
-    xt = x - x_star
-    xct = x_c - x_c_star
-    return 0.5 * float(xt @ Q @ xt) + 0.5 * float(xct @ Ki @ xct)
+def _quad(v, M):
+    """v' M v, or one value per row of a stack v.  It is evaluated as a
+    (1, n) (n, n) (n, 1) matmul, so a stacked row equals its single
+    evaluation bit for bit."""
+    v = v[..., None, :]
+    return (v @ M @ v.swapaxes(-1, -2))[..., 0, 0]
+
+
+def _storage(Q, Ki, x, x_c, x_star, x_c_star):
+    """W on float arrays with the integrator reference already solved; x
+    and x_c may be (K, n) and (K, m) stacks of samples."""
+    return 0.5 * _quad(x - x_star, Q) + 0.5 * _quad(x_c - x_c_star, Ki)
 
 
 def lyapunov_value(model: PHModel, ki, x, x_c, x_star, u_star) -> float:
     """Closed-loop storage W; nonincreasing whenever the clamp is inactive."""
     Ki = _gain_matrix(ki, model.m)
-    return _storage(
+    return float(_storage(
         model.Q,
         Ki,
         np.asarray(x, dtype=float),
         np.atleast_1d(np.asarray(x_c, dtype=float)),
         np.asarray(x_star, dtype=float),
         integrator_reference(Ki, u_star),
-    )
+    ))
 
 
 @dataclass

@@ -23,6 +23,7 @@ rho before accepting it: the closed form and the scan must agree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,7 @@ __all__ = [
     "InfeasibleEquilibrium",
     "NoRootInUnitInterval",
     "OracleMismatch",
+    "check_params",
     "build_cuk",
     "quadratic_coefficients",
     "steady_state_oracle",
@@ -88,14 +90,19 @@ TABLE_DEFAULTS = CukParams()
 ROOT_POLICIES = ("smallest", "largest")
 
 
+def check_params(params: CukParams) -> None:
+    """Every circuit value must be finite and positive; the series
+    resistances r1 and r2 may also be zero.  NaN fails both bounds."""
+    for key, value in vars(params).items():
+        may_be_zero = key in ("r1", "r2")
+        if not ((value >= 0.0 if may_be_zero else value > 0.0) and value < math.inf):
+            bound = "nonnegative" if may_be_zero else "positive"
+            raise CukError(f"{key} must be {bound} and finite, got {value}")
+
+
 def build_cuk(params: CukParams = TABLE_DEFAULTS) -> PHModel:
     """Assemble and validate the port-Hamiltonian matrices of the converter."""
-    if min(params.L1, params.L2, params.C1, params.C2, params.r) <= 0:
-        raise CukError("inductances, capacitances and load must be positive")
-    if min(params.r1, params.r2) < 0:
-        raise CukError("series resistances must be nonnegative")
-    if params.E <= 0:
-        raise CukError("source voltage must be positive")
+    check_params(params)
     J0 = np.array(
         [
             [0.0, -1.0, 0.0, 0.0],

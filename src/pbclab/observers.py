@@ -41,14 +41,9 @@ comparison baselines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "NotYetExcited",
-    "GpeboState",
-    "make_gpebo_state",
     "gpebo_matrix_derivatives",
     "adjugate",
     "determinant",
@@ -56,81 +51,22 @@ __all__ = [
     "scalar_update",
     "fct_combine",
     "gpebo_estimate",
-    "excitation_time",
     "kbf_derivatives",
     "gradient_derivatives",
     "gradient_update",
 ]
 
 
-class NotYetExcited(RuntimeError):
-    """The excitation integral never crossed the finite-time threshold."""
-
-
-@dataclass
-class GpeboState:
-    """States of the open-loop copy, the regression filters and the scalar
-    estimator.  xi/Phi/Y/Omega integrate with the plant; omega/theta_hat
-    advance by exact exponential steps once per grid step."""
-
-    xi: np.ndarray  # open-loop state copy, length n
-    Phi: np.ndarray  # n x n transition matrix of the drift
-    Y: np.ndarray  # filtered cross-correlation, length n
-    Omega: np.ndarray  # filtered regressor Gramian, n x n
-    omega: float  # contraction bookkeeping scalar in (0, 1]
-    theta_hat: np.ndarray  # parameter estimate, length n
-    theta_hat0: np.ndarray  # frozen initial estimate (for the FCT combination)
-    lam: float  # regression filter pole [1/s]
-    gamma: float  # estimator gain
-    mu: float  # finite-time threshold margin in (0, 1)
-
-
-def make_gpebo_state(
-    n: int,
-    lam: float = 5.0,
-    gamma: float = 1e12,
-    mu: float = 1e-6,
-    xi0=None,
-    theta0=None,
-    Omega0=None,
-    Y0=None,
-) -> GpeboState:
-    if not 0.0 < mu < 1.0:
-        raise ValueError("mu must lie in (0, 1)")
-    if lam <= 0.0 or gamma <= 0.0:
-        raise ValueError("lambda and gamma must be positive")
-    xi = np.zeros(n) if xi0 is None else np.asarray(xi0, dtype=float).copy()
-    theta = np.zeros(n) if theta0 is None else np.asarray(theta0, dtype=float).copy()
-    Omega = np.zeros((n, n)) if Omega0 is None else np.asarray(Omega0, dtype=float).copy()
-    if np.abs(Omega - Omega.T).max() > 1e-12 * max(1.0, np.abs(Omega).max()):
-        raise ValueError("Omega(0) must be symmetric")
-    if Omega.any() and np.linalg.eigvalsh(Omega).min() < -1e-12:
-        raise ValueError("Omega(0) must be positive semidefinite")
-    Y = np.zeros(n) if Y0 is None else np.asarray(Y0, dtype=float).copy()
-    return GpeboState(
-        xi=xi,
-        Phi=np.eye(n),
-        Y=Y,
-        Omega=Omega,
-        omega=1.0,
-        theta_hat=theta,
-        theta_hat0=theta.copy(),
-        lam=lam,
-        gamma=gamma,
-        mu=mu,
-    )
-
-
-def gpebo_matrix_derivatives(A, b, C, state: GpeboState, y_m):
-    """Time derivatives of (xi, Phi, Y, Omega) at drift A = Lambda(u) and
-    source b = b(u).  y_m is the current measurement C x."""
-    xi, Phi, lam = state.xi, state.Phi, state.lam
+def gpebo_matrix_derivatives(A, b, C, xi, Phi, Y, Omega, lam: float, y_m):
+    """Time derivatives of the copy (xi, Phi) and of the filter (Y, Omega)
+    with pole lam, at drift A = Lambda(u) and source b = b(u).  y_m is the
+    current measurement C x."""
     dxi = A @ xi + b
     dPhi = A @ Phi
     CPhi = C @ Phi
     innov = np.atleast_1d(y_m) - C @ xi
-    dY = lam * (CPhi.T @ innov - state.Y)
-    dOmega = lam * (CPhi.T @ CPhi - state.Omega)
+    dY = lam * (CPhi.T @ innov - Y)
+    dOmega = lam * (CPhi.T @ CPhi - Omega)
     return dxi, dPhi, dY, dOmega
 
 
@@ -174,7 +110,7 @@ def _adj_det_4(a):
     c1 = a[2, 0] * a[3, 2] - a[2, 2] * a[3, 0]
     c0 = a[2, 0] * a[3, 1] - a[2, 1] * a[3, 0]
     det = s0 * c5 - s1 * c4 + s2 * c3 + s3 * c2 - s4 * c1 + s5 * c0
-    adj = np.empty((4, 4))
+    adj = np.empty((4, 4) + a.shape[2:])  # a may stack matrices along axis 2
     adj[0, 0] = a[1, 1] * c5 - a[1, 2] * c4 + a[1, 3] * c3
     adj[0, 1] = -a[0, 1] * c5 + a[0, 2] * c4 - a[0, 3] * c3
     adj[0, 2] = a[3, 1] * s5 - a[3, 2] * s4 + a[3, 3] * s3
@@ -264,26 +200,15 @@ def scalar_update(omega: float, theta_hat: np.ndarray, scriptY, Delta: float, ga
 def fct_combine(theta_hat: np.ndarray, theta_hat0: np.ndarray, omega: float, mu: float) -> np.ndarray:
     """Finite-time parameter reconstruction.  Exact once omega <= 1 - mu;
     before that it is a well-defined interpolation using the clipped
-    weight omega_c = min(omega, 1 - mu)."""
-    omega_c = min(omega, 1.0 - mu)
+    weight omega_c = min(omega, 1 - mu).  omega may also be an array that
+    broadcasts against theta_hat, such as one row per sample."""
+    omega_c = np.minimum(omega, 1.0 - mu)
     return (theta_hat - omega_c * theta_hat0) / (1.0 - omega_c)
 
 
 def gpebo_estimate(xi: np.ndarray, Phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """State reconstruction x_hat = xi + Phi theta."""
     return xi + Phi @ theta
-
-
-def excitation_time(times, omega, mu: float) -> float:
-    """First sample time with omega <= 1 - mu."""
-    times = np.asarray(times, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    hit = np.flatnonzero(omega <= 1.0 - mu)
-    if hit.size == 0:
-        raise NotYetExcited(
-            f"omega stayed above 1 - mu = {1.0 - mu} over [{times[0]:g}, {times[-1]:g}] s"
-        )
-    return float(times[hit[0]])
 
 
 # -- comparison observers ---------------------------------------------------

@@ -20,7 +20,16 @@ block and advanced by their exact exponential solutions with per-step
 frozen coefficients: the decoupled-regression scalar estimator
 (gain up to 1e17) and the plain gradient estimators (gain 1e8).  Both are
 orders of magnitude stiffer than the grid step allows for an explicit
-scheme, and the exact step is unconditionally contractive.
+scheme, and the exact step is unconditionally contractive.  Their states
+form a second flat vector s, checked for finiteness after every step
+like the Runge-Kutta vector.
+
+At each sample instant the loop stores y and s as they stand, with the
+duty ratio, passive output, clamp flag, reference and epoch of that
+instant.  The plant signals, the storage W and every estimator's logged
+arrays are derived from that store after the loop with stacked numpy;
+the estimators' internals are views of it, so estimators that read the
+same copy or filter share them.
 
 Scenario events retarget the reference voltage or restep the load at a
 grid instant; the equilibrium pair, the passive output map and the
@@ -66,12 +75,12 @@ from .control import (
 )
 from .cuk import ROOT_POLICIES, CukParams, build_cuk, solve_equilibrium
 from .observers import (
+    _adj_det,
     drem_mix,
     fct_combine,
     gpebo_estimate,
     gpebo_matrix_derivatives,
     gradient_update,
-    make_gpebo_state,
     kbf_derivatives,
     scalar_update,
 )
@@ -182,7 +191,8 @@ class Scenario:
 class Trajectory:
     """Sampled closed-loop run.  Plant and estimate samples are stored in
     physical units (currents and voltages); observer internals keep the
-    stored-variable coordinates."""
+    stored-variable coordinates and are views of the run's sample store,
+    shared by estimators that read the same copy or filter."""
 
     t: np.ndarray
     signals: np.ndarray  # (K, n) physical plant signals Q x
@@ -273,6 +283,18 @@ class _Layout:
         return sl
 
 
+def _stack(rows, sl, n: int) -> np.ndarray:
+    """The n x n matrix stored at `sl` of every sampled row, as a view."""
+    return rows[:, sl].reshape(-1, n, n)
+
+
+def _matvec(M, v):
+    """M_k v_k for a (K, n) stack v, M one matrix or a (K, n, n) stack.
+    Stacked matmul runs the per-row kernel of `M @ v_k`, so each row is
+    bit-identical to its own product."""
+    return (M @ v[:, :, None])[:, :, 0]
+
+
 class _PlantCache:
     """Drift and source assembled once per model; evaluated per stage as
     Lambda(u) = L0 + sum ui Li, b(u) = b0 + sum ui bi."""
@@ -320,10 +342,35 @@ class _PlantCache:
         return b
 
 
+class _Part:
+    """What the loop asks of each estimator-side part; every hook defaults
+    to nothing.  Rows of the Runge-Kutta vector y: `init_vector` and
+    `derivative`.  Slots of the exactly stepped vector s: `init_state`,
+    `pre_step` (data frozen at the start of a step) and `post_step` (the
+    exact step).  An estimator also gives `estimate(y, s)`, its estimate at
+    a stage when it closes the loop, and `record(ys, ss)`, its logged
+    arrays derived from the rows of y and s sampled by the loop."""
+
+    feeds = False  # set on the estimator that closes the loop
+
+    def init_vector(self, y):
+        pass
+
+    def derivative(self, dy, y, A, b, C, y_m):
+        pass
+
+    def init_state(self, s):
+        pass
+
+    def pre_step(self, y, s, y_m, C):
+        pass
+
+    def post_step(self, s, h):
+        pass
+
+
 class _RegressionFilter:
-    """One (Y, Omega) regression filter pair with pole lam.  It is also the
-    state argument of gpebo_matrix_derivatives: the bank points its
-    xi/Phi/Y/Omega fields at the stage vector before each call."""
+    """One (Y, Omega) regression filter pair with pole lam."""
 
     def __init__(self, lam: float, n: int, lay: _Layout):
         self.lam = lam
@@ -331,10 +378,9 @@ class _RegressionFilter:
         self.sl_om = lay.add(n * n)
         self.mixed = False  # a GPEBO-kind estimator reads the DREM mix
         self.mix = None  # (scriptY, Delta) at the start of the current step
-        self.xi = self.Phi = self.Y = self.Omega = None
 
 
-class _SharedStates:
+class _SharedStates(_Part):
     """Estimator states that depend on neither the gain nor the kind: the
     open-loop copy xi (with Phi when an estimator reads it), driven by u
     alone, and one regression filter per distinct pole, driven by u, y_m
@@ -384,97 +430,109 @@ class _SharedStates:
             return
         Phi = self.Phi(y)
         for filt in self.filters.values():
-            filt.xi, filt.Phi = xi, Phi
-            filt.Y, filt.Omega = y[filt.sl_y], y[filt.sl_om].reshape(self.n, self.n)
-            dxi, dPhi, dY, dOm = gpebo_matrix_derivatives(A, b, C, filt, y_m)
+            Y, Omega = y[filt.sl_y], y[filt.sl_om].reshape(self.n, self.n)
+            dxi, dPhi, dY, dOm = gpebo_matrix_derivatives(A, b, C, xi, Phi, Y, Omega, filt.lam, y_m)
             dy[filt.sl_y] = dY
             dy[filt.sl_om] = dOm.ravel()
         # the copy rows are the same expressions for every pole
         dy[self.sl_xi] = dxi
         dy[self.sl_phi] = dPhi.ravel()
 
-    def mix(self, y):
-        """DREM mix of every filter a GPEBO-kind estimator reads, frozen at
-        the start of the step."""
+    def pre_step(self, y, s, y_m, C):
+        # the DREM mix of every filter a GPEBO-kind estimator reads, frozen
+        # at the start of the step
         for filt in self.filters.values():
             if filt.mixed:
                 filt.mix = drem_mix(y[filt.sl_om].reshape(self.n, self.n), y[filt.sl_y])
 
+    def reconstruct(self, y, theta):
+        """x_hat = xi + Phi theta at one stage."""
+        return gpebo_estimate(self.xi(y), self.Phi(y), theta)
 
-class _GpeboRuntime:
+    def record(self, ys):
+        """The sampled copy, as views shared by every estimator reading it."""
+        return {"xi": ys[:, self.sl_xi], "Phi": _stack(ys, self.sl_phi, self.n)}
+
+
+class _GpeboRuntime(_Part):
     """fct-gpebo and gpebo kinds: read the shared copy and the filter of
-    their pole; own the scalar estimator, advanced exactly once per step."""
+    their pole; own the scalar estimator (omega, theta_hat) in s."""
 
-    def __init__(self, spec: ObserverSpec, bank: _SharedStates):
+    def __init__(self, spec: ObserverSpec, bank: _SharedStates, slay: _Layout):
         self.spec = spec
         self.bank = bank
         self.fct = spec.kind == "fct-gpebo"
         self.filt = bank.filter(spec.lam, mixed=True)
-        self.omega = 1.0
-        self.theta_hat = np.zeros(bank.n)
-        self.theta_hat0 = self.theta_hat.copy()
-        self.theta_feed = self.theta_hat.copy()
+        self.i_omega = slay.add(1).start
+        self.sl_theta = slay.add(bank.n)
+        self.theta_hat0 = np.zeros(bank.n)  # theta_hat starts at zero with s
+        self.theta_feed = self.theta_hat0.copy()
 
-    def _theta(self):
+    def init_state(self, s):
+        s[self.i_omega] = 1.0
+
+    def theta(self, omega, theta_hat):
+        """The estimate of theta: the finite-time combination, or theta_hat."""
         if self.fct:
-            return fct_combine(self.theta_hat, self.theta_hat0, self.omega, self.spec.mu)
-        return self.theta_hat
+            return fct_combine(theta_hat, self.theta_hat0, omega, self.spec.mu)
+        return theta_hat
 
-    def pre_step(self, y, y_m, C):
-        self.theta_feed = self._theta()
+    def pre_step(self, y, s, y_m, C):
+        # refreshed after the sample, so a sampled u of observer feedback
+        # reads the theta of one step earlier (ROADMAP item 5e)
+        if self.feeds:
+            self.theta_feed = self.theta(s[self.i_omega], s[self.sl_theta]).copy()
 
-    def post_step(self, h):
+    def post_step(self, s, h):
         scriptY, Delta = self.filt.mix
-        self.omega, self.theta_hat = scalar_update(
-            self.omega, self.theta_hat, scriptY, Delta, self.spec.gamma, h
+        s[self.i_omega], s[self.sl_theta] = scalar_update(
+            s[self.i_omega], s[self.sl_theta], scriptY, Delta, self.spec.gamma, h
         )
 
-    def estimate_stage(self, y):
-        return self.bank.xi(y) + self.bank.Phi(y) @ self.theta_feed
+    def estimate(self, y, s):
+        return self.bank.reconstruct(y, self.theta_feed)
 
-    def estimate(self, y):
-        return gpebo_estimate(self.bank.xi(y), self.bank.Phi(y), self._theta())
-
-    def log(self, y, rec):
-        n = self.bank.n
-        Y, Omega = y[self.filt.sl_y], y[self.filt.sl_om].reshape(n, n)
-        scriptY, Delta = drem_mix(Omega, Y)
-        rec["omega"].append(self.omega)
-        rec["Delta"].append(Delta)
-        rec["xi"].append(self.bank.xi(y).copy())
-        rec["Phi"].append(self.bank.Phi(y).copy())
-        rec["Y"].append(Y.copy())
-        rec["Omega"].append(Omega.copy())
-        rec["theta_hat"].append(self.theta_hat.copy())
+    def record(self, ys, ss):
+        omega, theta_hat = ss[:, self.i_omega], ss[:, self.sl_theta]
+        Omega = _stack(ys, self.filt.sl_om, self.bank.n)
+        rec = {
+            "omega": omega,
+            "Delta": _adj_det(np.moveaxis(Omega, 0, -1))[1],
+            **self.bank.record(ys),
+            "Y": ys[:, self.filt.sl_y],
+            "Omega": Omega,
+            "theta_hat": theta_hat,
+        }
+        theta = self.theta(omega[:, None], theta_hat)
         if self.fct:
-            rec["theta_fct"].append(self._theta())
+            rec["theta_fct"] = theta
+        return rec["xi"] + _matvec(rec["Phi"], theta), rec
 
 
-class _EmulatorRuntime:
+class _EmulatorRuntime(_Part):
     """The shared open-loop copy itself, read as the estimate."""
 
-    def __init__(self, spec: ObserverSpec, bank: _SharedStates):
+    def __init__(self, spec: ObserverSpec, bank: _SharedStates, slay: _Layout):
         self.spec = spec
         self.bank = bank
         bank.copy(phi=False)
 
-    def estimate_stage(self, y):
+    def estimate(self, y, s):
         return self.bank.xi(y)
 
-    estimate = estimate_stage
-
-    def log(self, y, rec):
-        rec["omega"].append(np.nan)
-        rec["Delta"].append(np.nan)
-        rec["xi"].append(self.bank.xi(y).copy())
+    def record(self, ys, ss):
+        xi = ys[:, self.bank.sl_xi]
+        return xi, {"xi": xi}
 
 
-class _KbfRuntime:
-    def __init__(self, spec: ObserverSpec, n: int, lay: _Layout):
+class _KbfRuntime(_Part):
+    """The Kalman-Bucy filter, in a block of rows of its own."""
+
+    def __init__(self, spec: ObserverSpec, bank: _SharedStates, slay: _Layout):
         self.spec = spec
-        self.n = n
-        self.sl_x = lay.add(n)
-        self.sl_H = lay.add(n * n)
+        self.n = n = bank.n
+        self.sl_x = bank.lay.add(n)
+        self.sl_H = bank.lay.add(n * n)
         self.S = _as_spd(spec.s, n, "S")
         self.H0 = _as_spd(spec.h0, n, "H0")
 
@@ -489,23 +547,19 @@ class _KbfRuntime:
         dy[self.sl_x] = dx
         dy[self.sl_H] = dH.ravel()
 
-    def estimate_stage(self, y):
+    def estimate(self, y, s):
         return y[self.sl_x]
 
-    estimate = estimate_stage
-
-    def log(self, y, rec):
-        rec["omega"].append(np.nan)
-        rec["Delta"].append(np.nan)
-        rec["H"].append(y[self.sl_H].reshape(self.n, self.n).copy())
+    def record(self, ys, ss):
+        return ys[:, self.sl_x], {"H": _stack(ys, self.sl_H, self.n)}
 
 
-class _GradientRuntime:
+class _GradientRuntime(_Part):
     """A gradient parameter estimator on the shared copy's raw regression
     or on the filter of its pole (extended), stepped by the exact
-    exponential with frozen data."""
+    exponential with frozen data; its theta lives in s."""
 
-    def __init__(self, spec: ObserverSpec, bank: _SharedStates):
+    def __init__(self, spec: ObserverSpec, bank: _SharedStates, slay: _Layout):
         self.spec = spec
         self.bank = bank
         self.extended = spec.mode == "extended"
@@ -513,10 +567,10 @@ class _GradientRuntime:
             self.filt = bank.filter(spec.lam, mixed=False)
         else:
             bank.copy(phi=True)
-        self.theta = np.zeros(bank.n)
+        self.sl_theta = slay.add(bank.n)
         self.frozen = None
 
-    def pre_step(self, y, y_m, C):
+    def pre_step(self, y, s, y_m, C):
         if self.extended:
             filt, n = self.filt, self.bank.n
             self.frozen = {"Omega": y[filt.sl_om].reshape(n, n).copy(), "Y": y[filt.sl_y].copy()}
@@ -526,22 +580,17 @@ class _GradientRuntime:
                 "y_shift": np.atleast_1d(y_m) - C @ self.bank.xi(y),
             }
 
-    def post_step(self, h):
-        self.theta = gradient_update(
-            self.theta, self.spec.gamma, self.spec.mode, h, **self.frozen
+    def post_step(self, s, h):
+        s[self.sl_theta] = gradient_update(
+            s[self.sl_theta], self.spec.gamma, self.spec.mode, h, **self.frozen
         )
 
-    def estimate_stage(self, y):
-        return self.bank.xi(y) + self.bank.Phi(y) @ self.theta
+    def estimate(self, y, s):
+        return self.bank.reconstruct(y, s[self.sl_theta])
 
-    estimate = estimate_stage
-
-    def log(self, y, rec):
-        rec["omega"].append(np.nan)
-        rec["Delta"].append(np.nan)
-        rec["xi"].append(self.bank.xi(y).copy())
-        rec["Phi"].append(self.bank.Phi(y).copy())
-        rec["theta_hat"].append(self.theta.copy())
+    def record(self, ys, ss):
+        rec = {**self.bank.record(ys), "theta_hat": ss[:, self.sl_theta]}
+        return rec["xi"] + _matvec(rec["Phi"], rec["theta_hat"]), rec
 
 
 def _as_spd(value, n: int, what: str) -> np.ndarray:
@@ -557,10 +606,10 @@ def _as_spd(value, n: int, what: str) -> np.ndarray:
     return M
 
 
-# estimators that read the shared states; kbf keeps its own block
-_READER_BY_KIND = {
+_RUNTIME_BY_KIND = {
     **dict.fromkeys(GPEBO_KINDS, _GpeboRuntime),
     "emulator": _EmulatorRuntime,
+    "kbf": _KbfRuntime,
     "gradient": _GradientRuntime,
 }
 
@@ -585,6 +634,10 @@ def validate_scenario(scn: Scenario) -> int:
 
     This is the single place the rules live: the configuration layer runs
     it on each document it loads, and `run_scenario` on each run."""
+    try:
+        cukmod.check_params(scn.params)
+    except cukmod.CukError as exc:
+        raise ScenarioError(f"model: {exc}") from exc
     for key in ("h", "horizon"):
         value = getattr(scn, key)
         if not 0.0 < value < math.inf:
@@ -618,14 +671,16 @@ def validate_scenario(scn: Scenario) -> int:
         if spec.mode not in ("raw", "extended"):
             raise ScenarioError(f"gradient mode {spec.mode!r} unknown")
         where = f"observer {spec.name or spec.kind!r}"
-        if spec.kind in GPEBO_KINDS:
-            try:
-                make_gpebo_state(n, spec.lam, spec.gamma, spec.mu)  # checks mu, lambda, gamma
-            except ValueError as exc:
-                raise ScenarioError(f"{where}: {exc}") from exc
-        elif spec.kind == "gradient" and not spec.gamma > 0.0:
+        gpebo = spec.kind in GPEBO_KINDS
+        gradient = spec.kind == "gradient"
+        if gpebo and not 0.0 < spec.mu < 1.0:
+            raise ScenarioError(f"{where}: mu must lie in (0, 1), got {spec.mu}")
+        if (gpebo or gradient) and not spec.gamma > 0.0:
             raise ScenarioError(f"{where}: gamma must be positive, got {spec.gamma}")
-        elif spec.kind == "kbf":
+        reads_filter = gpebo or (gradient and spec.mode == "extended")
+        if reads_filter and not spec.lam > 0.0:
+            raise ScenarioError(f"{where}: lambda must be positive, got {spec.lam}")
+        if spec.kind == "kbf":
             _as_spd(spec.s, n, f"{where}: s")
             _as_spd(spec.h0, n, f"{where}: h0")
     for ev in scn.events:
@@ -635,8 +690,8 @@ def validate_scenario(scn: Scenario) -> int:
             raise ScenarioError(f"event at t={ev.time:g} s outside the horizon")
         if ev.kind == "reference" and not ev.value < 0.0:
             raise ScenarioError("reference events must request a negative voltage")
-        if ev.kind == "load" and not ev.value > 0.0:
-            raise ScenarioError("load events must request a positive resistance")
+        if ev.kind == "load" and not 0.0 < ev.value < math.inf:
+            raise ScenarioError("load events must request a positive finite resistance")
     return N
 
 
@@ -674,28 +729,26 @@ def run_scenario(scn: Scenario) -> Trajectory:
         pi = make_pi_pbc(
             model, ctl.kp, ctl.ki, pair.x_star, pair.u_star, u_min=ctl.u_min, u_max=ctl.u_max
         )
+    pis = [pi]  # the PI-PBC of each epoch, for W after the loop
 
-    lay = _Layout()
+    lay, slay = _Layout(), _Layout()  # rows of y; slots of the stepped vector s
     sl_x = lay.add(n)
     sl_c = lay.add(n_c)
     _unique_names(scn.observers)
     bank = _SharedStates(n, lay)
-    runtimes = [
-        _KbfRuntime(spec, n, lay) if spec.kind == "kbf" else _READER_BY_KIND[spec.kind](spec, bank)
-        for spec in scn.observers
-    ]
+    runtimes = [_RUNTIME_BY_KIND[spec.kind](spec, bank, slay) for spec in scn.observers]
     fb_rt = runtimes[0] if (not classical and ctl.feedback == "observer") else None
-    # the parts with states in the Runge-Kutta block, and the estimators
-    # with an exact step of their own
-    blocks = [bank] if bank.sl_xi is not None else []
-    blocks += [rt for rt in runtimes if isinstance(rt, _KbfRuntime)]
-    stepped = [rt for rt in runtimes if isinstance(rt, (_GpeboRuntime, _GradientRuntime))]
+    if fb_rt is not None:
+        fb_rt.feeds = True
+    parts = ([bank] if bank.sl_xi is not None else []) + runtimes
 
     y = np.zeros(lay.size)
     y[sl_x] = x0
     y[sl_c] = ctl.xc0
-    for part in blocks:
+    s = np.zeros(slay.size)
+    for part in parts:
         part.init_vector(y)
+        part.init_state(s)
 
     cache = _PlantCache(model)
     Cmeas = model.C
@@ -715,7 +768,7 @@ def run_scenario(scn: Scenario) -> Trajectory:
         if fb_rt is None:
             xfb = y_stage[sl_x]
         else:
-            xfb = fb_rt.estimate_stage(y_stage) / cache.qd  # volts/amps -> stored
+            xfb = fb_rt.estimate(y_stage, s) / cache.qd  # volts/amps -> stored
         pi.x_c = y_stage[sl_c]
         return pi_pbc_step(pi, xfb)
 
@@ -727,62 +780,53 @@ def run_scenario(scn: Scenario) -> Trajectory:
         b = cache.source(u_s)
         dy[sl_x] = A @ x + b
         dy[sl_c] = dc
-        if not blocks:  # no estimator reads the observer frame
+        if not parts:  # no estimator reads the observer frame
             return dy
         y_m = Cmeas @ x
         A_obs = cache.drift_obs(u_s)
         b_obs = cache.source_obs(u_s)
-        for part in blocks:
+        for part in parts:
             part.derivative(dy, y_stage, A_obs, b_obs, cache.C_obs, y_m)
         return dy
 
-    # logging buffers
-    K_t, K_sig, K_u, K_yt, K_W, K_sat, K_ref, K_ep = [], [], [], [], [], [], [], []
-    obs_rec = {}
-    for rt in runtimes:
-        obs_rec[rt.spec.name] = {
-            "xhat": [],
-            "err_norm": [],
-            "omega": [],
-            "Delta": [],
-            "xi": [],
-            "Phi": [],
-            "Y": [],
-            "Omega": [],
-            "theta_hat": [],
-            "theta_fct": [],
-            "H": [],
-        }
-
+    # the sample store: y and s as they stand at each sample instant, and
+    # what control_eval returns there; every other logged signal is derived
+    # from them after the loop
+    steps = list(range(0, N + 1, stride))
+    if steps[-1] != N:
+        steps.append(N)
+    K = len(steps)
+    ys, ss = np.empty((K, lay.size)), np.empty((K, slay.size))
+    us, yts = np.empty((K, m)), np.empty((K, m))
+    sats = np.empty(K, dtype=bool)
+    refs = np.empty(K)
+    epochs = np.empty(K, dtype=int)
+    taken = 0
     epoch = 0
     ref_now = ctl.x4_star
 
-    def log_sample(t, y_now):
-        u_s, ytil, sat = control_eval(y_now)
-        x = y_now[sl_x]
-        K_t.append(t)
-        K_sig.append(model.Q @ x)
-        K_u.append(u_s.copy())
-        K_yt.append(np.atleast_1d(ytil).astype(float))
-        if classical:
-            K_W.append(np.nan)
-        else:
-            K_W.append(_storage(model.Q, pi.Ki, x, y_now[sl_c], pi.x_star, pi.x_c_star))
-        K_sat.append(sat)
-        K_ref.append(ref_now)
-        K_ep.append(epoch)
-        z = model.Q @ x  # physical plant signals
-        for rt in runtimes:
-            rec = obs_rec[rt.spec.name]
-            xhat = rt.estimate(y_now)  # already in volts and amperes
-            rec["xhat"].append(xhat.copy())
-            rec["err_norm"].append(float(np.linalg.norm(xhat - z)))
-            rt.log(y_now, rec)
-
     def assemble() -> Trajectory:
+        rows, srows, ep = ys[:taken], ss[:taken], epochs[:taken]
+        xs = rows[:, sl_x]
+        signals = _matvec(model.Q, xs)  # physical; events change r, never Q
+        W = np.full(taken, np.nan)
+        if not classical:
+            for e, pe in enumerate(pis):
+                at = ep == e
+                W[at] = _storage(model.Q, pe.Ki, xs[at], rows[at, sl_c], pe.x_star, pe.x_c_star)
         observers = {}
-        for name, rec in obs_rec.items():
-            observers[name] = {key: np.array(vals) for key, vals in rec.items() if vals}
+        for rt in runtimes:
+            xhat, rec = rt.record(rows, srows)
+            d = xhat - signals
+            # a GPEBO kind's omega and Delta in rec keep the place set here
+            observers[rt.spec.name] = {
+                "xhat": xhat,
+                # sqrt(d . d) per row: the kernel of np.linalg.norm, bit for bit
+                "err_norm": np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0]),
+                "omega": np.full(taken, np.nan),
+                "Delta": np.full(taken, np.nan),
+                **rec,
+            }
         meta = {
             "label": scn.label,
             "h": h,
@@ -797,14 +841,14 @@ def run_scenario(scn: Scenario) -> Trajectory:
             "params": vars(replace(params)),
         }
         return Trajectory(
-            t=np.array(K_t),
-            signals=np.array(K_sig),
-            u=np.array(K_u),
-            ytilde=np.array(K_yt),
-            W=np.array(K_W),
-            saturated=np.array(K_sat, dtype=bool),
-            ref=np.array(K_ref),
-            epoch=np.array(K_ep, dtype=int),
+            t=np.array(steps[:taken]) * h,
+            signals=signals,
+            u=us[:taken],
+            ytilde=yts[:taken],
+            W=W,
+            saturated=sats[:taken],
+            ref=refs[:taken],
+            epoch=ep,
             observers=observers,
             meta=meta,
         )
@@ -831,17 +875,23 @@ def run_scenario(scn: Scenario) -> Trajectory:
                             model, ctl.kp, ctl.ki, pair.x_star, pair.u_star,
                             u_min=ctl.u_min, u_max=ctl.u_max,
                         )
-            if k % stride == 0 or k == N:
-                log_sample(t, y)
+                        pis.append(pi)
+            if k == steps[taken]:
+                us[taken], yts[taken], sats[taken] = control_eval(y)
+                ys[taken], ss[taken] = y, s
+                refs[taken], epochs[taken] = ref_now, epoch
+                taken += 1
             if k == N:
                 break
-            y_m0 = Cmeas @ y[sl_x]
-            bank.mix(y)
-            for rt in stepped:
-                rt.pre_step(y, y_m0, cache.C_obs)
+            if parts:
+                y_m0 = Cmeas @ y[sl_x]
+                for part in parts:
+                    part.pre_step(y, s, y_m0, cache.C_obs)
             y = rk4_step(rhs, t, y, h)
-            for rt in stepped:
-                rt.post_step(h)
+            for part in parts:
+                part.post_step(s, h)
+            if s.size and not np.isfinite(s).all():
+                raise NonFiniteState(f"non-finite estimator state after the step to t={t + h:g} s")
     except NonFiniteState as exc:
         # expose whatever was sampled before the blow-up
         exc.partial = assemble()

@@ -220,11 +220,15 @@ def test_simulate_bad_config_file_exit2(tmp_path, capsys):
     path.write_text("model: {L9: 1}\n")
     assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
     # out-of-range estimator settings, PI-PBC gains outside the passivity
-    # argument (kp >= 0, ki > 0), a non-finite step or horizon and an event
-    # without a value are configuration errors too
+    # argument (kp >= 0, ki > 0), a non-finite step, horizon or circuit value
+    # and an event without a value are configuration errors too
     for override, named in [
         ("observers.0.mu=0", "mu"),
         ("observers.0.lambda=-1", "lambda"),
+        ("observers=[{kind: gradient, mode: extended, lambda: -5.0}]", "lambda"),
+        ("model.L1=nan", "L1"),
+        ("model.E=.inf", "E must be"),
+        ("model.r1=nan", "r1"),
         ("controller.ki=0", "ki"),
         ("controller.kp=-1", "kp"),
         ("scenario.h=nan", "h must be"),
@@ -237,6 +241,9 @@ def test_simulate_bad_config_file_exit2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert rc == 2, override
         assert err.startswith("config error:") and named in err, (override, err)
+    assert cli.main(["equilibrium", "--set", "model.L1=nan"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "L1" in err
 
 
 def test_simulate_numeric_failure_exit4_with_partial(tmp_path, capsys):

@@ -21,19 +21,15 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from pbclab.observers import (
-    GpeboState,
-    NotYetExcited,
     adjugate,
     determinant,
     drem_mix,
-    excitation_time,
     fct_combine,
     gpebo_estimate,
     gpebo_matrix_derivatives,
     gradient_derivatives,
     gradient_update,
     kbf_derivatives,
-    make_gpebo_state,
     scalar_update,
 )
 
@@ -178,25 +174,14 @@ def test_fct_combine_clips_above_threshold():
     assert np.allclose(a, b, rtol=1e-9)
 
 
-def test_excitation_time():
-    times = np.array([0.0, 0.1, 0.2, 0.3])
-    omega = np.array([1.0, 0.9999999, 0.5, 0.1])
-    assert excitation_time(times, omega, 1e-6) == pytest.approx(0.2)
-    with pytest.raises(NotYetExcited):
-        excitation_time(times, np.ones(4), 1e-6)
-
-
 # -- matrix derivative oracles -----------------------------------------------
 
 
-def _random_gpebo(rng, n, lam):
-    st = make_gpebo_state(n, lam=lam)
-    st.xi = rng.standard_normal(n)
-    st.Phi = rng.standard_normal((n, n))
-    st.Y = rng.standard_normal(n)
-    st.Omega = rng.standard_normal((n, n))
-    st.Omega = st.Omega + st.Omega.T
-    return st
+def _random_gpebo(rng, n):
+    """Random (xi, Phi, Y, Omega) with a symmetric Omega."""
+    xi, Phi, Y = rng.standard_normal(n), rng.standard_normal((n, n)), rng.standard_normal(n)
+    Omega = rng.standard_normal((n, n))
+    return xi, Phi, Y, Omega + Omega.T
 
 
 def test_gpebo_matrix_derivatives_against_index_oracle():
@@ -205,18 +190,18 @@ def test_gpebo_matrix_derivatives_against_index_oracle():
         n = int(rng.integers(2, 5))
         p = int(rng.integers(1, n))
         lam = float(rng.uniform(0.5, 8.0))
-        st = _random_gpebo(rng, n, lam)
+        xi, Phi, Y, Omega = _random_gpebo(rng, n)
         A = rng.standard_normal((n, n))
         b = rng.standard_normal(n)
         C = rng.standard_normal((p, n))
         x = rng.standard_normal(n)
         y_m = C @ x
-        dxi, dPhi, dY, dOm = gpebo_matrix_derivatives(A, b, C, st, y_m)
-        assert np.allclose(dxi, A @ st.xi + b, rtol=1e-12, atol=1e-12)
-        assert np.allclose(dPhi, A @ st.Phi, rtol=1e-12, atol=1e-12)
-        innov = y_m - C @ st.xi
-        want_dY = lam * (st.Phi.T @ C.T @ innov - st.Y)
-        want_dOm = lam * (st.Phi.T @ C.T @ C @ st.Phi - st.Omega)
+        dxi, dPhi, dY, dOm = gpebo_matrix_derivatives(A, b, C, xi, Phi, Y, Omega, lam, y_m)
+        assert np.allclose(dxi, A @ xi + b, rtol=1e-12, atol=1e-12)
+        assert np.allclose(dPhi, A @ Phi, rtol=1e-12, atol=1e-12)
+        innov = y_m - C @ xi
+        want_dY = lam * (Phi.T @ C.T @ innov - Y)
+        want_dOm = lam * (Phi.T @ C.T @ C @ Phi - Omega)
         assert np.allclose(dY, want_dY, rtol=1e-11, atol=1e-11)
         assert np.allclose(dOm, want_dOm, rtol=1e-11, atol=1e-11)
 
@@ -384,23 +369,3 @@ def test_gradient_rejects_unknown_mode():
         gradient_derivatives(np.zeros(2), 1.0, "newton")
     with pytest.raises(ValueError):
         gradient_update(np.zeros(2), 1.0, "newton", 0.1)
-
-
-def test_make_gpebo_state_validation():
-    with pytest.raises(ValueError):
-        make_gpebo_state(4, mu=0.0)
-    with pytest.raises(ValueError):
-        make_gpebo_state(4, mu=1.0)
-    with pytest.raises(ValueError):
-        make_gpebo_state(4, lam=-1.0)
-    with pytest.raises(ValueError):
-        make_gpebo_state(4, gamma=0.0)
-    with pytest.raises(ValueError):
-        make_gpebo_state(2, Omega0=np.array([[1.0, 2.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        make_gpebo_state(2, Omega0=np.array([[-1.0, 0.0], [0.0, 1.0]]))
-    st = make_gpebo_state(3, theta0=[1.0, 2.0, 3.0])
-    assert np.array_equal(st.Phi, np.eye(3))
-    assert st.omega == 1.0
-    st.theta_hat[0] = 99.0
-    assert st.theta_hat0[0] == 1.0  # frozen copy, not a view

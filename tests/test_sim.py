@@ -22,6 +22,7 @@ import pytest
 from scipy.linalg import expm
 
 from pbclab.cuk import CukParams
+from pbclab.observers import drem_mix, fct_combine, gpebo_estimate
 from pbclab.sim import (
     ControllerSpec,
     EventSpec,
@@ -120,6 +121,17 @@ def test_scenario_validation_errors():
         run_scenario(
             Scenario(observers=[ObserverSpec(kind="gradient", gamma=-1e8)], horizon=1e-5)
         )
+    # the GPEBO kinds need 0 < mu < 1 and gamma > 0, and every estimator
+    # that reads a regression filter needs lambda > 0
+    for bad in (
+        ObserverSpec(kind="fct-gpebo", mu=0.0),
+        ObserverSpec(kind="fct-gpebo", mu=1.0),
+        ObserverSpec(kind="gpebo", gamma=0.0),
+        ObserverSpec(kind="gpebo", lam=-1.0),
+        ObserverSpec(kind="gradient", mode="extended", lam=-5.0),
+    ):
+        with pytest.raises(ScenarioError):
+            run_scenario(Scenario(observers=[bad], horizon=1e-5))
     with pytest.raises(ScenarioError):
         run_scenario(
             Scenario(controller=ControllerSpec(root_policy="biggest"), horizon=1e-5)
@@ -248,6 +260,59 @@ def test_shared_states_leave_every_estimator_as_it_runs_alone():
         assert got.keys() == want.keys()
         for key in want:
             assert np.array_equal(got[key], want[key], equal_nan=True), (spec.name, key)
+
+
+def test_logged_signals_equal_their_per_sample_evaluation():
+    # the logged estimator signals are derived from the sample store with
+    # stacked numpy; each row must equal the single-sample expression
+    traj = run_scenario(Scenario(observers=_six_estimators(), horizon=2e-4, stride=20))
+    z = traj.signals
+    for name, rec in traj.observers.items():
+        for k in range(len(traj.t)):
+            assert np.linalg.norm(rec["xhat"][k] - z[k]) == rec["err_norm"][k], (name, k)
+            if "theta_hat" not in rec:
+                continue
+            theta = rec.get("theta_fct", rec["theta_hat"])[k]
+            assert np.array_equal(gpebo_estimate(rec["xi"][k], rec["Phi"][k], theta), rec["xhat"][k])
+            if "Omega" in rec:
+                assert drem_mix(rec["Omega"][k], rec["Y"][k])[1] == rec["Delta"][k], (name, k)
+            if "theta_fct" in rec:
+                want = fct_combine(rec["theta_hat"][k], np.zeros(4), rec["omega"][k], 1e-6)
+                assert np.array_equal(want, theta), (name, k)
+
+
+def test_sample_store_shares_views_and_mixes_once_per_step(monkeypatch):
+    # riders of one copy log views of the same sampled rows, and the DREM
+    # mix runs once per step per mixed filter (poles 5 and 3), never per
+    # sample or per estimator
+    import pbclab.sim as simmod
+
+    calls = []
+    original = simmod.drem_mix
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(simmod, "drem_mix", counting)
+    scn = Scenario(observers=_six_estimators(), horizon=1e-4)
+    traj = run_scenario(scn)
+    assert np.shares_memory(traj.observers["fct"]["xi"], traj.observers["gpebo"]["xi"])
+    assert len(calls) == 2 * round(scn.horizon / scn.h)
+
+
+def test_non_finite_stepped_state_raises_with_partial(monkeypatch):
+    # the exactly stepped estimator states live outside the Runge-Kutta
+    # vector; a NaN there must stop the run like a NaN in the vector does
+    import pbclab.sim as simmod
+
+    def nan_update(omega, theta_hat, *args):
+        return math.nan, theta_hat
+
+    monkeypatch.setattr(simmod, "scalar_update", nan_update)
+    with pytest.raises(NonFiniteState) as err:
+        run_scenario(Scenario(observers=[ObserverSpec(name="fct")], horizon=1e-4))
+    assert len(err.value.partial.t) >= 1
 
 
 def test_one_filter_integration_per_pole(monkeypatch):
