@@ -96,37 +96,48 @@ def _adj_det_3(a):
 
 
 def _adj_det_4(a):
+    # a is indexed a[i][j]: a list of row lists of floats (the fast path for
+    # one matrix) or an array, which may stack matrices along axis 2
     # 2 x 2 minors of the top and bottom row pairs
-    s0 = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    s1 = a[0, 0] * a[1, 2] - a[0, 2] * a[1, 0]
-    s2 = a[0, 0] * a[1, 3] - a[0, 3] * a[1, 0]
-    s3 = a[0, 1] * a[1, 2] - a[0, 2] * a[1, 1]
-    s4 = a[0, 1] * a[1, 3] - a[0, 3] * a[1, 1]
-    s5 = a[0, 2] * a[1, 3] - a[0, 3] * a[1, 2]
-    c5 = a[2, 2] * a[3, 3] - a[2, 3] * a[3, 2]
-    c4 = a[2, 1] * a[3, 3] - a[2, 3] * a[3, 1]
-    c3 = a[2, 1] * a[3, 2] - a[2, 2] * a[3, 1]
-    c2 = a[2, 0] * a[3, 3] - a[2, 3] * a[3, 0]
-    c1 = a[2, 0] * a[3, 2] - a[2, 2] * a[3, 0]
-    c0 = a[2, 0] * a[3, 1] - a[2, 1] * a[3, 0]
+    s0 = a[0][0] * a[1][1] - a[0][1] * a[1][0]
+    s1 = a[0][0] * a[1][2] - a[0][2] * a[1][0]
+    s2 = a[0][0] * a[1][3] - a[0][3] * a[1][0]
+    s3 = a[0][1] * a[1][2] - a[0][2] * a[1][1]
+    s4 = a[0][1] * a[1][3] - a[0][3] * a[1][1]
+    s5 = a[0][2] * a[1][3] - a[0][3] * a[1][2]
+    c5 = a[2][2] * a[3][3] - a[2][3] * a[3][2]
+    c4 = a[2][1] * a[3][3] - a[2][3] * a[3][1]
+    c3 = a[2][1] * a[3][2] - a[2][2] * a[3][1]
+    c2 = a[2][0] * a[3][3] - a[2][3] * a[3][0]
+    c1 = a[2][0] * a[3][2] - a[2][2] * a[3][0]
+    c0 = a[2][0] * a[3][1] - a[2][1] * a[3][0]
     det = s0 * c5 - s1 * c4 + s2 * c3 + s3 * c2 - s4 * c1 + s5 * c0
-    adj = np.empty((4, 4) + a.shape[2:])  # a may stack matrices along axis 2
-    adj[0, 0] = a[1, 1] * c5 - a[1, 2] * c4 + a[1, 3] * c3
-    adj[0, 1] = -a[0, 1] * c5 + a[0, 2] * c4 - a[0, 3] * c3
-    adj[0, 2] = a[3, 1] * s5 - a[3, 2] * s4 + a[3, 3] * s3
-    adj[0, 3] = -a[2, 1] * s5 + a[2, 2] * s4 - a[2, 3] * s3
-    adj[1, 0] = -a[1, 0] * c5 + a[1, 2] * c2 - a[1, 3] * c1
-    adj[1, 1] = a[0, 0] * c5 - a[0, 2] * c2 + a[0, 3] * c1
-    adj[1, 2] = -a[3, 0] * s5 + a[3, 2] * s2 - a[3, 3] * s1
-    adj[1, 3] = a[2, 0] * s5 - a[2, 2] * s2 + a[2, 3] * s1
-    adj[2, 0] = a[1, 0] * c4 - a[1, 1] * c2 + a[1, 3] * c0
-    adj[2, 1] = -a[0, 0] * c4 + a[0, 1] * c2 - a[0, 3] * c0
-    adj[2, 2] = a[3, 0] * s4 - a[3, 1] * s2 + a[3, 3] * s0
-    adj[2, 3] = -a[2, 0] * s4 + a[2, 1] * s2 - a[2, 3] * s0
-    adj[3, 0] = -a[1, 0] * c3 + a[1, 1] * c1 - a[1, 2] * c0
-    adj[3, 1] = a[0, 0] * c3 - a[0, 1] * c1 + a[0, 2] * c0
-    adj[3, 2] = -a[3, 0] * s3 + a[3, 1] * s1 - a[3, 2] * s0
-    adj[3, 3] = a[2, 0] * s3 - a[2, 1] * s1 + a[2, 2] * s0
+    adj = np.array([
+        [
+            a[1][1] * c5 - a[1][2] * c4 + a[1][3] * c3,
+            -a[0][1] * c5 + a[0][2] * c4 - a[0][3] * c3,
+            a[3][1] * s5 - a[3][2] * s4 + a[3][3] * s3,
+            -a[2][1] * s5 + a[2][2] * s4 - a[2][3] * s3,
+        ],
+        [
+            -a[1][0] * c5 + a[1][2] * c2 - a[1][3] * c1,
+            a[0][0] * c5 - a[0][2] * c2 + a[0][3] * c1,
+            -a[3][0] * s5 + a[3][2] * s2 - a[3][3] * s1,
+            a[2][0] * s5 - a[2][2] * s2 + a[2][3] * s1,
+        ],
+        [
+            a[1][0] * c4 - a[1][1] * c2 + a[1][3] * c0,
+            -a[0][0] * c4 + a[0][1] * c2 - a[0][3] * c0,
+            a[3][0] * s4 - a[3][1] * s2 + a[3][3] * s0,
+            -a[2][0] * s4 + a[2][1] * s2 - a[2][3] * s0,
+        ],
+        [
+            -a[1][0] * c3 + a[1][1] * c1 - a[1][2] * c0,
+            a[0][0] * c3 - a[0][1] * c1 + a[0][2] * c0,
+            -a[3][0] * s3 + a[3][1] * s1 - a[3][2] * s0,
+            a[2][0] * s3 - a[2][1] * s1 + a[2][2] * s0,
+        ],
+    ])
     return adj, det
 
 
@@ -152,7 +163,7 @@ def _adj_det(a):
     if n == 3:
         return _adj_det_3(a)
     if n == 4:
-        return _adj_det_4(a)
+        return _adj_det_4(a.tolist() if a.ndim == 2 else a)
     return _adj_det_faddeev(a)
 
 

@@ -6,6 +6,10 @@ Runge-Kutta step advances the whole block on a shared clock.  The duty
 ratio is re-evaluated from the stage states inside every stage, so the
 closed loop integrates as one smooth vector field at fourth order
 (saturation events and parameter steps are isolated instants).  The
+converter has one duty ratio, so the stage evaluates the control law,
+the clamp and the affine drift and source on that scalar as a Python
+float, with the same IEEE operations as `control.pi_pbc_step` and
+`control.classical_pi_step`, which remain the reference.  The
 matrix states that depend on neither the gain nor the kind are held once
 per run and read by every estimator: the open-loop copy (xi, plus Phi when
 an estimator reads it), driven by u alone, and one regression filter pair
@@ -66,13 +70,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import cuk as cukmod
-from .control import (
-    ClassicalPiState,
-    _storage,
-    make_pi_pbc,
-    pi_pbc_step,
-    classical_pi_step,
-)
+from .control import _storage, make_pi_pbc
 from .cuk import ROOT_POLICIES, CukParams, build_cuk, solve_equilibrium
 from .observers import (
     _adj_det,
@@ -231,7 +229,7 @@ class Trajectory:
     def from_csv(cls, path) -> "Trajectory":
         with open(path) as fh:
             header = fh.readline().strip().split(",")
-            mat = np.array([[float(v) for v in line.split(",")] for line in fh if line.strip()])
+        mat = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         return _trajectory_from_table(header, mat)
 
 
@@ -296,50 +294,51 @@ def _matvec(M, v):
 
 
 class _PlantCache:
-    """Drift and source assembled once per model; evaluated per stage as
-    Lambda(u) = L0 + sum ui Li, b(u) = b0 + sum ui bi."""
+    """Drift and source of the single-duty model, assembled once per model
+    and evaluated per stage on the scalar duty ratio u as
+    Lambda(u) = L0 + u L1 and b(u) = b0 + u b1."""
 
     def __init__(self, model: PHModel):
         self.rebuild(model)
 
     def rebuild(self, model: PHModel):
-        self.model = model
-        self.C = model.C
-        self.L0 = (model.J[0] - model.R) @ model.Q
-        self.Li = [model.J[i + 1] @ model.Q for i in range(model.m)]
-        self.b0 = model.G[0] @ model.E
-        self.bi = [model.G[i + 1] @ model.E for i in range(model.m)]
+        (J0, J1), (G0, G1) = model.J, model.G  # build_cuk: one duty ratio
+        self.L0 = (J0 - model.R) @ model.Q
+        self.L1 = J1 @ model.Q
+        self.b0 = G0 @ model.E
+        self.b1 = G1 @ model.E
         # coenergy realization for the observers: A_obs = Q Lambda Q^-1
         self.qd = np.diag(model.Q).copy()
-        self.A0_obs = model.Q @ (model.J[0] - model.R)
-        self.Ai_obs = [model.Q @ model.J[i + 1] for i in range(model.m)]
+        self.A0_obs = model.Q @ (J0 - model.R)
+        self.A1_obs = model.Q @ J1
         self.b0_obs = model.Q @ self.b0
-        self.bi_obs = [model.Q @ bi for bi in self.bi]
+        self.b1_obs = model.Q @ self.b1
         self.C_obs = model.C / self.qd[None, :]
 
-    def drift(self, u):
-        A = self.L0
-        for i, Li in enumerate(self.Li):
-            A = A + u[i] * Li
-        return A
 
-    def source(self, u):
-        b = self.b0
-        for i, bi in enumerate(self.bi):
-            b = b + u[i] * bi
-        return b
+def _stage_law(ctl: ControllerSpec, pi, model: PHModel, v_ref: float):
+    """The control law of one epoch on Python floats: maps the fed-back
+    state x and the integrator value xc to (u_raw, dx_c), the duty ratio
+    before the clamp and the integrator derivative.  Each operation is the
+    one `control.pi_pbc_step` or `control.classical_pi_step` performs (a
+    1 x 1 matmul is the float product), so the results are theirs bit for
+    bit; the gains and the operating point are read once per epoch."""
+    if pi is None:  # classical PI on the output-voltage error
+        kp, ki, q4 = ctl.kp, ctl.ki, float(model.Q[-1, -1])
 
-    def drift_obs(self, u):
-        A = self.A0_obs
-        for i, Ai in enumerate(self.Ai_obs):
-            A = A + u[i] * Ai
-        return A
+        def law(x, xc):
+            err = v_ref - q4 * x.item(-1)
+            return -kp * err - ki * xc, err
 
-    def source_obs(self, u):
-        b = self.b0_obs
-        for i, bi in enumerate(self.bi_obs):
-            b = b + u[i] * bi
-        return b
+        return law
+    Cmat, x_star = pi.Cmat, pi.x_star
+    neg_kp, ki = -pi.Kp.item(), pi.Ki.item()
+
+    def law(x, xc):
+        ytilde = (Cmat @ (x - x_star)).item()
+        return neg_kp * ytilde - ki * xc, ytilde
+
+    return law
 
 
 class _Part:
@@ -688,6 +687,10 @@ def validate_scenario(scn: Scenario) -> int:
             raise ScenarioError(f"unknown event kind {ev.kind!r}")
         if not 0.0 <= ev.time <= scn.horizon:
             raise ScenarioError(f"event at t={ev.time:g} s outside the horizon")
+        # an event acts at a step instant; one off the grid would silently
+        # move, so it must lie on it to the tolerance of the horizon rule
+        if abs(round(ev.time / scn.h) * scn.h - ev.time) > 1e-9 * scn.horizon:
+            raise ScenarioError(f"event at t={ev.time!r} s is not a multiple of the step {scn.h!r} s")
         if ev.kind == "reference" and not ev.value < 0.0:
             raise ScenarioError("reference events must request a negative voltage")
         if ev.kind == "load" and not 0.0 < ev.value < math.inf:
@@ -716,24 +719,24 @@ def run_scenario(scn: Scenario) -> Trajectory:
     n, m = model.n, model.m
 
     classical = ctl.type == "classical-pi"
+    u_lo, u_hi = ctl.u_min, ctl.u_max
     if classical:
         pi = None
-        cstate = ClassicalPiState(
-            kp=ctl.kp, ki=ctl.ki, v_ref=ctl.x4_star, u_min=ctl.u_min, u_max=ctl.u_max
-        )
         n_c = 1
     else:
-        cstate = None
         n_c = m
         pair = _cuk_equilibrium(params, ctl.x4_star, ctl.root_policy, 0.0)
         pi = make_pi_pbc(
             model, ctl.kp, ctl.ki, pair.x_star, pair.u_star, u_min=ctl.u_min, u_max=ctl.u_max
         )
     pis = [pi]  # the PI-PBC of each epoch, for W after the loop
+    ref_now = ctl.x4_star
+    law = _stage_law(ctl, pi, model, ref_now)
 
     lay, slay = _Layout(), _Layout()  # rows of y; slots of the stepped vector s
     sl_x = lay.add(n)
     sl_c = lay.add(n_c)
+    i_c = sl_c.start
     _unique_names(scn.observers)
     bank = _SharedStates(n, lay)
     runtimes = [_RUNTIME_BY_KIND[spec.kind](spec, bank, slay) for spec in scn.observers]
@@ -753,38 +756,31 @@ def run_scenario(scn: Scenario) -> Trajectory:
     cache = _PlantCache(model)
     Cmeas = model.C
 
-    # event table: snapped to the nearest grid instant
+    # event table: each event at its grid instant (validate_scenario
+    # rejects times off the grid)
     events_at = {}
     for ev in sorted(scn.events, key=lambda e: e.time):
         events_at.setdefault(int(round(ev.time / h)), []).append(ev)
 
     def control_eval(y_stage):
-        """(u, integrator derivative, saturated) at a stage state."""
-        if classical:
-            v4 = float(model.Q[n - 1, n - 1] * y_stage[sl_x][n - 1])
-            cstate.x_c = float(y_stage[sl_c][0])
-            u_s, err, sat = classical_pi_step(cstate, v4)
-            return np.array([u_s]), np.array([err]), sat
+        """(u_raw, integrator derivative) at a stage state, as floats."""
         if fb_rt is None:
             xfb = y_stage[sl_x]
         else:
             xfb = fb_rt.estimate(y_stage, s) / cache.qd  # volts/amps -> stored
-        pi.x_c = y_stage[sl_c]
-        return pi_pbc_step(pi, xfb)
+        return law(xfb, y_stage.item(i_c))
 
     def rhs(t, y_stage):
         dy = np.zeros(lay.size)
         x = y_stage[sl_x]
-        u_s, dc, _ = control_eval(y_stage)
-        A = cache.drift(u_s)
-        b = cache.source(u_s)
-        dy[sl_x] = A @ x + b
-        dy[sl_c] = dc
+        u_raw, dy[i_c] = control_eval(y_stage)
+        u = min(max(u_raw, u_lo), u_hi)
+        dy[sl_x] = (cache.L0 + u * cache.L1) @ x + (cache.b0 + u * cache.b1)
         if not parts:  # no estimator reads the observer frame
             return dy
         y_m = Cmeas @ x
-        A_obs = cache.drift_obs(u_s)
-        b_obs = cache.source_obs(u_s)
+        A_obs = cache.A0_obs + u * cache.A1_obs
+        b_obs = cache.b0_obs + u * cache.b1_obs
         for part in parts:
             part.derivative(dy, y_stage, A_obs, b_obs, cache.C_obs, y_m)
         return dy
@@ -803,7 +799,6 @@ def run_scenario(scn: Scenario) -> Trajectory:
     epochs = np.empty(K, dtype=int)
     taken = 0
     epoch = 0
-    ref_now = ctl.x4_star
 
     def assemble() -> Trajectory:
         rows, srows, ep = ys[:taken], ss[:taken], epochs[:taken]
@@ -866,18 +861,18 @@ def run_scenario(scn: Scenario) -> Trajectory:
                         Cmeas = model.C
                     else:
                         ref_now = ev.value
-                    if classical:
-                        if ev.kind == "reference":
-                            cstate.v_ref = ev.value
-                    else:
+                    if not classical:
                         pair = _cuk_equilibrium(params, ref_now, ctl.root_policy, t)
                         pi = make_pi_pbc(
                             model, ctl.kp, ctl.ki, pair.x_star, pair.u_star,
                             u_min=ctl.u_min, u_max=ctl.u_max,
                         )
                         pis.append(pi)
+                    law = _stage_law(ctl, pi, model, ref_now)
             if k == steps[taken]:
-                us[taken], yts[taken], sats[taken] = control_eval(y)
+                u_raw, yts[taken] = control_eval(y)
+                us[taken] = u = min(max(u_raw, u_lo), u_hi)
+                sats[taken] = u != u_raw  # the clamp flag, formed only here
                 ys[taken], ss[taken] = y, s
                 refs[taken], epochs[taken] = ref_now, epoch
                 taken += 1
@@ -922,20 +917,13 @@ def compute_metrics(traj: Trajectory, band_frac: float = 0.01, checkpoints=()) -
     out["u_min_seen"] = float(traj.u.min())
     out["u_max_seen"] = float(traj.u.max())
     out["saturated_samples"] = int(traj.saturated.sum())
-    # storage monotonicity on unsaturated single-epoch intervals
+    # storage monotonicity on unsaturated single-epoch intervals: the
+    # sample pairs (k, k + 1) with both W finite, neither sample clamped and
+    # one epoch
     W = traj.W
-    ok = np.isfinite(W)
-    count = 0
-    for k in range(len(t) - 1):
-        if not (ok[k] and ok[k + 1]):
-            continue
-        if traj.saturated[k] or traj.saturated[k + 1]:
-            continue
-        if traj.epoch[k] != traj.epoch[k + 1]:
-            continue
-        if W[k + 1] > W[k] + 1e-8 * abs(W[k]) + 1e-15:
-            count += 1
-    out["w_increase_count"] = count
+    free = np.isfinite(W) & ~traj.saturated
+    k = np.flatnonzero(free[:-1] & free[1:] & (traj.epoch[:-1] == traj.epoch[1:]))
+    out["w_increase_count"] = int((W[k + 1] > W[k] + 1e-8 * np.abs(W[k]) + 1e-15).sum())
     out["samples"] = len(t)
     xnorm = np.linalg.norm(traj.signals, axis=1)
     for name, rec in traj.observers.items():

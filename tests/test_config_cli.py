@@ -220,8 +220,9 @@ def test_simulate_bad_config_file_exit2(tmp_path, capsys):
     path.write_text("model: {L9: 1}\n")
     assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
     # out-of-range estimator settings, PI-PBC gains outside the passivity
-    # argument (kp >= 0, ki > 0), a non-finite step, horizon or circuit value
-    # and an event without a value are configuration errors too
+    # argument (kp >= 0, ki > 0), a non-finite step, horizon or circuit
+    # value, an event without a value and an event off the step grid are
+    # configuration errors too
     for override, named in [
         ("observers.0.mu=0", "mu"),
         ("observers.0.lambda=-1", "lambda"),
@@ -235,6 +236,7 @@ def test_simulate_bad_config_file_exit2(tmp_path, capsys):
         ("scenario.horizon=.inf", "horizon must be"),
         ("observers=[{name: g, kind: gradient, gamma: -1.0e+8}]", "gamma"),
         ("scenario.events.0={time: 0.0001, kind: load}", "value"),
+        ("scenario.events.0={time: 0.00010025, kind: load, value: 25.0}", "multiple of the step"),
     ]:
         rc = cli.main(["simulate", "--preset", "fig-observer-gains", *FAST,
                        "--set", override, "--out", str(tmp_path)])

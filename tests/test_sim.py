@@ -16,6 +16,7 @@ owns the conversion to stored flux/charge coordinates.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -148,6 +149,12 @@ def test_scenario_validation_errors():
         run_scenario(
             Scenario(events=[EventSpec(time=5e-6, kind="load", value=-3.0)], horizon=1e-5)
         )
+    # an event between two grid instants is rejected, not moved onto the grid
+    for time in (5.25e-6, 1.0000001e-4):
+        with pytest.raises(ScenarioError, match="multiple of the step"):
+            run_scenario(
+                Scenario(events=[EventSpec(time=time, kind="load", value=25.0)], horizon=2e-4)
+            )
 
 
 def test_infeasible_reference_raises_at_start():
@@ -335,26 +342,40 @@ def test_one_filter_integration_per_pole(monkeypatch):
     assert len(calls) == 4 * steps  # one call per Runge-Kutta stage, not per estimator
 
 
+class _CountingArray(np.ndarray):
+    """An array that counts the numpy operations it takes part in."""
+
+    ops = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        type(self).ops += 1
+        inputs = [np.asarray(x) for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
 def test_storage_reference_once_per_epoch_and_no_unread_observer_frame(monkeypatch):
     # x_c* = -inv(Ki) u* is solved when the operating point is set (start and
     # event), not per sample, and without estimators the observer-frame
-    # drift is never assembled
+    # drift A0_obs + u A1_obs and source b0_obs + u b1_obs are never
+    # assembled: every operation on those four arrays is counted
     import pbclab.control as controlmod
     import pbclab.sim as simmod
 
-    calls = {"integrator_reference": 0, "drift_obs": 0}
-    reference, drift_obs = controlmod.integrator_reference, simmod._PlantCache.drift_obs
+    calls = {"integrator_reference": 0}
+    reference, rebuild = controlmod.integrator_reference, simmod._PlantCache.rebuild
 
     def counting_reference(*args):
         calls["integrator_reference"] += 1
         return reference(*args)
 
-    def counting_drift_obs(self, u):
-        calls["drift_obs"] += 1
-        return drift_obs(self, u)
+    def counting_rebuild(self, model):
+        rebuild(self, model)
+        for name in ("A0_obs", "A1_obs", "b0_obs", "b1_obs"):
+            setattr(self, name, getattr(self, name).view(_CountingArray))
 
     monkeypatch.setattr(controlmod, "integrator_reference", counting_reference)
-    monkeypatch.setattr(simmod._PlantCache, "drift_obs", counting_drift_obs)
+    monkeypatch.setattr(simmod._PlantCache, "rebuild", counting_rebuild)
+    monkeypatch.setattr(_CountingArray, "ops", 0)
     scn = Scenario(
         events=[EventSpec(time=0.0001, kind="reference", value=-12.0)],
         horizon=0.0002,
@@ -362,7 +383,74 @@ def test_storage_reference_once_per_epoch_and_no_unread_observer_frame(monkeypat
     )
     traj = run_scenario(scn)
     assert traj.epoch[-1] == 1 and np.isfinite(traj.W).all()
-    assert calls == {"integrator_reference": 2, "drift_obs": 0}
+    assert calls == {"integrator_reference": 2}
+    assert _CountingArray.ops == 0
+    # the counter sees the frame as soon as an estimator reads it: four
+    # operations per Runge-Kutta stage
+    run_scenario(replace(scn, observers=[ObserverSpec(kind="emulator")]))
+    assert _CountingArray.ops == 4 * 4 * round(scn.horizon / scn.h)
+
+
+def _captured_run(monkeypatch, scn):
+    """Run scn, keeping the Runge-Kutta vector at the start of every step
+    (the plant state, then the integrator) and the PI-PBC state of every
+    epoch.  At stride 1, entry k of the vectors belongs to sample k; the
+    last sample has no step after it, so its entry is None."""
+    import pbclab.sim as simmod
+
+    ys, pis = [], []
+    step, make = simmod.rk4_step, simmod.make_pi_pbc
+
+    def keeping_step(f, t, y, h):
+        ys.append(y.copy())
+        return step(f, t, y, h)
+
+    def keeping_make(*args, **kwargs):
+        pis.append(make(*args, **kwargs))
+        return pis[-1]
+
+    monkeypatch.setattr(simmod, "rk4_step", keeping_step)
+    monkeypatch.setattr(simmod, "make_pi_pbc", keeping_make)
+    traj = run_scenario(scn)
+    ys.append(None)  # the last sample follows the last step
+    return traj, ys, pis
+
+
+def test_sampled_control_equals_the_reference_law(monkeypatch):
+    # the engine evaluates the law on floats; each sampled u, ytilde and
+    # clamp flag must equal control.pi_pbc_step at that sample's state,
+    # integrator and epoch, on a run that hits the clamp and crosses an event
+    from pbclab.control import pi_pbc_step
+
+    scn = Scenario(
+        events=[EventSpec(time=2e-4, kind="reference", value=-12.0)], horizon=4e-4, stride=1
+    )
+    traj, ys, pis = _captured_run(monkeypatch, scn)
+    assert len(ys) == len(traj.t) and len(pis) == 2
+    assert 0 < traj.saturated.sum() < len(traj.t)
+    for k in range(len(traj.t) - 1):
+        x, x_c = ys[k][:4], ys[k][4:5]
+        u, ytilde, sat = pi_pbc_step(replace(pis[traj.epoch[k]], x_c=x_c), x)
+        assert np.array_equal(u, traj.u[k]), k
+        assert np.array_equal(ytilde, traj.ytilde[k]), k
+        assert sat == traj.saturated[k], k
+
+
+def test_sampled_classical_control_equals_the_reference_law(monkeypatch):
+    from pbclab.control import ClassicalPiState, classical_pi_step
+
+    scn = Scenario(
+        controller=ControllerSpec(type="classical-pi", kp=0.008, ki=8.0),
+        events=[EventSpec(time=2e-4, kind="reference", value=-25.0)],
+        horizon=4e-4,
+        stride=1,
+    )
+    traj, ys, _ = _captured_run(monkeypatch, scn)
+    assert 0 < traj.saturated.sum() < len(traj.t)
+    for k in range(len(traj.t) - 1):
+        state = ClassicalPiState(kp=0.008, ki=8.0, v_ref=traj.ref[k], x_c=ys[k][4])
+        u, err, sat = classical_pi_step(state, traj.signals[k, -1])
+        assert (u, err, sat) == (traj.u[k, 0], traj.ytilde[k, 0], traj.saturated[k]), k
 
 
 # -- events ---------------------------------------------------------------------
@@ -463,6 +551,45 @@ def test_full_state_regulation_metrics():
     assert m["w_increase_count"] == 0
     assert 0.02 <= m["u_min_seen"] <= m["u_max_seen"] <= 0.98
     assert m["saturated_samples"] > 0  # the start-up clamp is real
+
+
+def _w_increase_loop(traj):
+    """The storage-monotonicity count, one sample pair at a time."""
+    W, count = traj.W, 0
+    for k in range(len(W) - 1):
+        if not (np.isfinite(W[k]) and np.isfinite(W[k + 1])):
+            continue
+        if traj.saturated[k] or traj.saturated[k + 1]:
+            continue
+        if traj.epoch[k] != traj.epoch[k + 1]:
+            continue
+        if W[k + 1] > W[k] + 1e-8 * abs(W[k]) + 1e-15:
+            count += 1
+    return count
+
+
+def test_storage_increase_count_skips_clamped_epoch_changing_and_nan_pairs():
+    W = np.array([1.0, 2.0, 1.5, 3.0, 2.0, 4.0, 3.0, np.nan, 5.0, 4.0, 4.0 + 1e-9, 6.0])
+    K = len(W)
+    saturated = np.zeros(K, dtype=bool)
+    saturated[3] = True  # hides the rises 2 -> 3 and 3 -> 4
+    epoch = np.zeros(K, dtype=int)
+    epoch[5:] = 1  # hides the rise 4 -> 5
+    traj = Trajectory(
+        t=np.arange(K) * 1e-6,
+        signals=np.full((K, 4), -15.0),
+        u=np.full((K, 1), 0.5),
+        ytilde=np.zeros((K, 1)),
+        W=W,
+        saturated=saturated,
+        ref=np.full(K, -15.0),
+        epoch=epoch,
+        observers={},
+    )
+    # counted: 1 -> 2 and 4 -> 6; skipped: the clamp, the epoch change, the
+    # NaN on both sides, and a rise inside the relative tolerance
+    assert _w_increase_loop(traj) == 2
+    assert compute_metrics(traj)["w_increase_count"] == 2
 
 
 def test_classical_controller_runs_without_storage_bookkeeping():
