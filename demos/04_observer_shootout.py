@@ -14,7 +14,8 @@ All estimators see the same run: the loop is closed on the first one
                regression, no freeze.
 
 Run:  python3 demos/04_observer_shootout.py
-CLI:  pbclab compare --preset fig-observer-compare
+CLI:  pbclab compare --preset fig-observer-compare   (one state-feedback
+      run with all five estimators riding along, one table row each)
 """
 
 import math

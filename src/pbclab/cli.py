@@ -6,8 +6,8 @@ Subcommands
   model and target voltage.
 * ``simulate``    - run the scenario (all variants), write trajectory CSV,
   a metrics summary, the resolved config, and SVG line plots.
-* ``compare``     - replay the same plant run against every configured
-  observer and print a consolidated table.
+* ``compare``     - run the plant once in state feedback with every
+  configured observer riding along, and print one table row per observer.
 * ``sweep``       - rerun the scenario over a list of values for one
   scalar config entry and print a metrics matrix.
 * ``presets list`` - list the shipped figure presets.
@@ -27,7 +27,6 @@ import copy
 import math
 import os
 import sys
-import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -43,7 +42,7 @@ from .config import (
     expand_variants,
     get_path,
     load_config,
-    output_options,
+    loads_config,
     scenario_from_config,
     set_path,
     validate_config,
@@ -85,8 +84,6 @@ def _load_cfg(args) -> dict:
         names = _preset_names()
         if args.preset not in names:
             raise ConfigError(f"unknown preset {args.preset!r}; available: {', '.join(names)}")
-        from .config import loads_config
-
         cfg = loads_config(_presets_dir().joinpath(args.preset + ".yaml").read_text())
     elif getattr(args, "config", None):
         path = Path(args.config)
@@ -126,6 +123,28 @@ def _fmt_val(v) -> str:
 def _write_metrics(path: Path, metrics: dict):
     lines = [f"{key}={_fmt_val(metrics[key])}" for key in sorted(metrics)]
     path.write_text("\n".join(lines) + "\n")
+
+
+def _run_and_measure(cfg: dict):
+    """Run one concrete config; return the trajectory, the checkpoints that
+    lie within the horizon and the metrics taken at them."""
+    traj = run_scenario(scenario_from_config(cfg))
+    cps = tuple(c for c in cfg["output"]["checkpoints"] if c <= cfg["scenario"]["horizon"])
+    return traj, cps, compute_metrics(traj, band_frac=cfg["output"]["band_frac"], checkpoints=cps)
+
+
+def _print_table(args, cfg, table, suffix):
+    """Print the rows of `table` in aligned columns and, when an output
+    directory is given, write them to ``<base>-<suffix>.csv``."""
+    widths = [max(len(row[j]) for row in table) for j in range(len(table[0]))]
+    for row in table:
+        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+    if getattr(args, "out", None) or cfg["output"].get("dir"):
+        out = _out_dir(args, cfg)
+        (out / f"{_base_name(args)}-{suffix}.csv").write_text(
+            "\n".join(",".join(row) for row in table) + "\n"
+        )
+        print(f"artifacts in {out}")
 
 
 # -- equilibrium ---------------------------------------------------------------
@@ -174,12 +193,12 @@ def cmd_simulate(args) -> int:
     cfg = _load_cfg(args)
     runs = expand_variants(cfg)
     out = _out_dir(args, cfg)
-    opts = output_options(cfg)
+    opts = cfg["output"]
     base = _base_name(args)
     results = []
     for label, sub in runs:
         try:
-            traj = run_scenario(scenario_from_config(sub))
+            traj, _, metrics = _run_and_measure(sub)
         except NonFiniteState as exc:
             partial = getattr(exc, "partial", None)
             if partial is not None and opts["csv"] and len(partial.t):
@@ -188,9 +207,6 @@ def cmd_simulate(args) -> int:
                 print(f"{label}: diverged ({exc}); partial samples in {path}",
                       file=sys.stderr)
             raise
-        horizon = sub["scenario"]["horizon"]
-        cps = tuple(c for c in opts["checkpoints"] if c <= horizon)
-        metrics = compute_metrics(traj, band_frac=opts["band_frac"], checkpoints=cps)
         results.append((label, traj, metrics))
         if opts["csv"]:
             traj.to_csv(out / f"{base}-{label}.csv")
@@ -240,20 +256,26 @@ def _simulate_plots(out: Path, base: str, results):
 # -- compare --------------------------------------------------------------------
 
 
-def _single_observer_metrics(job) -> tuple:
-    """Worker: one replay with a single observer riding the full-state loop."""
-    cfg, index = job
-    sub = copy.deepcopy(cfg)
-    sub["observers"] = [cfg["observers"][index]]
-    sub["controller"]["feedback"] = "state"
-    t0 = time.perf_counter()
-    traj = run_scenario(scenario_from_config(sub))
-    runtime = time.perf_counter() - t0
-    horizon = sub["scenario"]["horizon"]
-    cps = tuple(c for c in sub["output"]["checkpoints"] if c <= horizon)
-    metrics = compute_metrics(traj, band_frac=sub["output"]["band_frac"], checkpoints=cps)
-    name = next(iter(traj.observers))
-    return name, cps, metrics, runtime
+def cmd_compare(args) -> int:
+    cfg = _load_cfg(args)
+    if len(cfg["observers"]) < 2:
+        raise ConfigError("comparison needs at least two observers")
+    # no estimator closes the loop, so each one logs what it logs alone
+    cfg["controller"]["feedback"] = "state"
+    traj, cps, metrics = _run_and_measure(cfg)
+    table = [["observer"] + [f"err@{c:g}" for c in cps] + ["err_final", "t_c"]]
+    for name in traj.observers:
+        cells = [name]
+        cells += [f"{metrics[f'err_at_{c:g}_{name}']:.6e}" for c in cps]
+        cells += [f"{metrics[f'err_final_{name}']:.6e}"]
+        tc = metrics.get(f"tc_{name}", math.nan)
+        cells += ["-" if math.isnan(tc) else f"{tc:.6g}"]
+        table.append(cells)
+    _print_table(args, cfg, table, "compare")
+    return EXIT_OK
+
+
+# -- sweep ----------------------------------------------------------------------
 
 
 def _fan_out(worker, jobs):
@@ -264,41 +286,8 @@ def _fan_out(worker, jobs):
         return list(pool.map(worker, jobs))
 
 
-def cmd_compare(args) -> int:
-    cfg = _load_cfg(args)
-    if len(cfg["observers"]) < 2:
-        raise ConfigError("comparison needs at least two observers")
-    rows = _fan_out(_single_observer_metrics, [(cfg, i) for i in range(len(cfg["observers"]))])
-    cps = rows[0][1]
-    header = ["observer"] + [f"err@{c:g}" for c in cps] + ["err_final", "t_c", "runtime_s"]
-    table = [header]
-    for name, _, metrics, runtime in rows:
-        cells = [name]
-        cells += [f"{metrics[f'err_at_{c:g}_{name}']:.6e}" for c in cps]
-        cells += [f"{metrics[f'err_final_{name}']:.6e}"]
-        tc = metrics.get(f"tc_{name}", math.nan)
-        cells += ["-" if math.isnan(tc) else f"{tc:.6g}", f"{runtime:.2f}"]
-        table.append(cells)
-    widths = [max(len(row[j]) for row in table) for j in range(len(header))]
-    for row in table:
-        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-    if getattr(args, "out", None) or cfg["output"].get("dir"):
-        out = _out_dir(args, cfg)
-        lines = [",".join(row) for row in table]
-        (out / f"{_base_name(args)}-compare.csv").write_text("\n".join(lines) + "\n")
-        print(f"artifacts in {out}")
-    return EXIT_OK
-
-
-# -- sweep ----------------------------------------------------------------------
-
-
-def _sweep_worker(job) -> dict:
-    cfg = job
-    traj = run_scenario(scenario_from_config(cfg))
-    horizon = cfg["scenario"]["horizon"]
-    cps = tuple(c for c in cfg["output"]["checkpoints"] if c <= horizon)
-    return compute_metrics(traj, band_frac=cfg["output"]["band_frac"], checkpoints=cps)
+def _sweep_worker(cfg) -> dict:
+    return _run_and_measure(cfg)[2]
 
 
 def cmd_sweep(args) -> int:
@@ -318,19 +307,10 @@ def cmd_sweep(args) -> int:
         jobs.append(validate_config(sub))
     rows = _fan_out(_sweep_worker, jobs)
     keys = sorted(set().union(*(r.keys() for r in rows)))
-    header = [args.param] + keys
-    table = [header]
+    table = [[args.param] + keys]
     for text, row in zip(values, rows):
         table.append([text.strip()] + [_fmt_val(row.get(k, math.nan)) for k in keys])
-    widths = [max(len(r[j]) for r in table) for j in range(len(header))]
-    for row in table:
-        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-    if getattr(args, "out", None) or cfg["output"].get("dir"):
-        out = _out_dir(args, cfg)
-        (out / f"{_base_name(args)}-sweep.csv").write_text(
-            "\n".join(",".join(r) for r in table) + "\n"
-        )
-        print(f"artifacts in {out}")
+    _print_table(args, cfg, table, "sweep")
     return EXIT_OK
 
 
@@ -376,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("compare", help="replay the run against each observer")
+    p = sub.add_parser("compare", help="run every observer on one plant run and tabulate")
     _add_common(p)
     p.set_defaults(func=cmd_compare)
 

@@ -43,7 +43,6 @@ __all__ = [
     "apply_overrides",
     "expand_variants",
     "scenario_from_config",
-    "output_options",
 ]
 
 
@@ -345,7 +344,3 @@ def _build(cls, node: dict):
 
 def scenario_from_config(cfg: dict) -> Scenario:
     return _build(Scenario, {**cfg["scenario"], **{key: cfg[key] for key in _SECTIONS}})
-
-
-def output_options(cfg: dict) -> dict:
-    return dict(cfg["output"])

@@ -120,10 +120,6 @@ class EquilibriumPair:
     residual_norm: float = 0.0  # norm of the model equations at the pair
 
 
-def _as_matrix_list(ms) -> list:
-    return [np.asarray(m, dtype=float) for m in ms]
-
-
 def validate_model(model: PHModel) -> PHModel:
     """Check every structural invariant; raise the named error of the first
     one that fails.  Returns the model with `strictly_dissipative` set to

@@ -698,12 +698,19 @@ def validate_scenario(scn: Scenario) -> int:
     return N
 
 
-def _cuk_equilibrium(params, x4_star, policy, t):
-    try:
-        pair, _ = solve_equilibrium(params, x4_star, root_policy=policy)
-    except cukmod.CukError as exc:
-        raise InfeasibleEquilibrium(t, exc) from exc
-    return pair
+def _epoch(ctl: ControllerSpec, params, model: PHModel, v_ref: float, t: float):
+    """The PI-PBC state (None for the classical PI) and the stage law of
+    the epoch that starts at time t with reference v_ref."""
+    pi = None
+    if ctl.type != "classical-pi":
+        try:
+            pair, _ = solve_equilibrium(params, v_ref, root_policy=ctl.root_policy)
+        except cukmod.CukError as exc:
+            raise InfeasibleEquilibrium(t, exc) from exc
+        pi = make_pi_pbc(
+            model, ctl.kp, ctl.ki, pair.x_star, pair.u_star, u_min=ctl.u_min, u_max=ctl.u_max
+        )
+    return pi, _stage_law(ctl, pi, model, v_ref)
 
 
 def run_scenario(scn: Scenario) -> Trajectory:
@@ -720,18 +727,10 @@ def run_scenario(scn: Scenario) -> Trajectory:
 
     classical = ctl.type == "classical-pi"
     u_lo, u_hi = ctl.u_min, ctl.u_max
-    if classical:
-        pi = None
-        n_c = 1
-    else:
-        n_c = m
-        pair = _cuk_equilibrium(params, ctl.x4_star, ctl.root_policy, 0.0)
-        pi = make_pi_pbc(
-            model, ctl.kp, ctl.ki, pair.x_star, pair.u_star, u_min=ctl.u_min, u_max=ctl.u_max
-        )
-    pis = [pi]  # the PI-PBC of each epoch, for W after the loop
+    n_c = 1 if classical else m
     ref_now = ctl.x4_star
-    law = _stage_law(ctl, pi, model, ref_now)
+    pi, law = _epoch(ctl, params, model, ref_now, 0.0)
+    pis = [pi]  # the PI-PBC of each epoch, for W after the loop
 
     lay, slay = _Layout(), _Layout()  # rows of y; slots of the stepped vector s
     sl_x = lay.add(n)
@@ -861,14 +860,8 @@ def run_scenario(scn: Scenario) -> Trajectory:
                         Cmeas = model.C
                     else:
                         ref_now = ev.value
-                    if not classical:
-                        pair = _cuk_equilibrium(params, ref_now, ctl.root_policy, t)
-                        pi = make_pi_pbc(
-                            model, ctl.kp, ctl.ki, pair.x_star, pair.u_star,
-                            u_min=ctl.u_min, u_max=ctl.u_max,
-                        )
-                        pis.append(pi)
-                    law = _stage_law(ctl, pi, model, ref_now)
+                    pi, law = _epoch(ctl, params, model, ref_now, t)
+                    pis.append(pi)
             if k == steps[taken]:
                 u_raw, yts[taken] = control_eval(y)
                 us[taken] = u = min(max(u_raw, u_lo), u_hi)

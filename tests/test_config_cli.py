@@ -29,7 +29,7 @@ from pbclab.config import (
     set_path,
     validate_config,
 )
-from pbclab.sim import Trajectory
+from pbclab.sim import Trajectory, compute_metrics, run_scenario
 
 PRESET_DIR = Path(__file__).resolve().parents[1] / "src" / "pbclab" / "presets"
 FAST = [
@@ -272,22 +272,71 @@ def test_compare_needs_two_observers(capsys):
     assert "two observers" in err
 
 
-def test_compare_table_and_determinism(monkeypatch, capsys):
-    monkeypatch.setenv("PBCLAB_SERIAL", "1")
-    rc = cli.main([
-        "compare", *FAST,
-        "--set", "output.checkpoints=[0.0005]",
-        "--set",
-        "observers=[{name: twin-a, kind: fct-gpebo}, {name: twin-b, kind: fct-gpebo}]",
-    ])
-    assert rc == 0
+def test_compare_table_and_determinism(capsys):
+    # unnamed estimators are named as in simulate: kind, then kind-2, ...
+    for observers, names in [
+        ("[{name: twin-a, kind: fct-gpebo}, {name: twin-b, kind: fct-gpebo}]",
+         ["twin-a", "twin-b"]),
+        ("[{kind: fct-gpebo}, {kind: fct-gpebo}]", ["fct-gpebo", "fct-gpebo-2"]),
+    ]:
+        rc = cli.main(["compare", *FAST, "--set", "output.checkpoints=[0.0005]",
+                       "--set", f"observers={observers}"])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["observer", "err@0.0005", "err_final", "t_c"]
+        row_a = lines[1].split()
+        row_b = lines[2].split()
+        assert [row_a[0], row_b[0]] == names
+        # identical estimator settings -> identical rows (determinism)
+        assert row_a[1:] == row_b[1:]
+
+
+def _solo_compare_cells(cfg: dict, index: int) -> list:
+    """The table cells of observer `index` run alone on the state loop: the
+    recipe `compare` used when it gave every observer its own run."""
+    sub = copy.deepcopy(cfg)
+    sub["observers"] = [cfg["observers"][index]]
+    sub["controller"]["feedback"] = "state"
+    traj = run_scenario(scenario_from_config(sub))
+    horizon = sub["scenario"]["horizon"]
+    cps = tuple(c for c in sub["output"]["checkpoints"] if c <= horizon)
+    metrics = compute_metrics(traj, band_frac=sub["output"]["band_frac"], checkpoints=cps)
+    (name,) = traj.observers
+    tc = metrics.get(f"tc_{name}", math.nan)
+    return ([name] + [f"{metrics[f'err_at_{c:g}_{name}']:.6e}" for c in cps]
+            + [f"{metrics[f'err_final_{name}']:.6e}", "-" if math.isnan(tc) else f"{tc:.6g}"])
+
+
+def test_compare_rides_every_observer_on_one_run(monkeypatch, tmp_path, capsys):
+    # the loop is closed on observer 0 in the document; compare runs the
+    # state loop, so no estimator feeds back and each one rides along
+    overrides = [
+        "scenario.horizon=0.0015", "scenario.stride=50", "controller.feedback=observer",
+        "output.checkpoints=[0.0005, 0.0015, 0.01]",
+        "observers=[{name: fct, kind: fct-gpebo, gamma: 1.0e+20}, {kind: gpebo, gamma: 1.0e+17},"
+        " {kind: emulator}, {kind: kbf}, {kind: gradient}]",
+    ]
+    cfg = apply_overrides(default_config(), overrides)
+    expected = [_solo_compare_cells(cfg, i) for i in range(len(cfg["observers"]))]
+    calls = []
+
+    def counting(scn):
+        calls.append(scn)
+        return run_scenario(scn)
+
+    monkeypatch.setattr(cli, "run_scenario", counting)
+    argv = ["compare", "--out", str(tmp_path)]
+    for text in overrides:
+        argv += ["--set", text]
+    assert cli.main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split()[:2] == ["observer", "err@0.0005"]
-    row_a = lines[1].split()
-    row_b = lines[2].split()
-    assert row_a[0] == "twin-a" and row_b[0] == "twin-b"
-    # identical estimator settings -> identical error columns (determinism)
-    assert row_a[1:-1] == row_b[1:-1]
+    assert len(calls) == 1
+    header = ["observer", "err@0.0005", "err@0.0015", "err_final", "t_c"]
+    assert lines[0].split() == header
+    assert [line.split() for line in lines[1:6]] == expected
+    assert expected[0][-1] != "-"  # the finite-time estimator crosses in the run
+    csv_rows = (tmp_path / "run-compare.csv").read_text().splitlines()
+    assert [row.split(",") for row in csv_rows] == [header] + expected
 
 
 def test_sweep_matrix_and_empty(monkeypatch, capsys):
