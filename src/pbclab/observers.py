@@ -185,14 +185,15 @@ def determinant(a: np.ndarray) -> float:
 def drem_mix(Omega: np.ndarray, Y: np.ndarray):
     """Decouple the vector regression Y = Omega theta into n scalar ones:
     returns (scriptY, Delta) with scriptY = adj(Omega) Y and Delta =
-    det(Omega), so scriptY = Delta theta."""
-    adj, det = _adj_det(np.asarray(Omega, dtype=float))
-    return adj @ np.asarray(Y, dtype=float), float(det)
+    det(Omega), so scriptY = Delta theta.  Omega and Y are float arrays."""
+    adj, det = _adj_det(Omega)
+    return adj @ Y, float(det)
 
 
-def scalar_update(omega: float, theta_hat: np.ndarray, scriptY, Delta: float, gamma: float, h: float):
+def scalar_update(omega: float, theta_hat: np.ndarray, scriptY: np.ndarray, Delta: float, gamma: float, h: float):
     """Advance the scalar estimator over one step of length h with the mix
-    (scriptY, Delta) frozen.  The step is the exact solution of
+    (scriptY, Delta) frozen (theta_hat and scriptY float arrays).  The step
+    is the exact solution of
 
         domega/dt     = -gamma Delta^2 omega
         dtheta_hat/dt =  gamma Delta (scriptY - Delta theta_hat)
@@ -204,7 +205,7 @@ def scalar_update(omega: float, theta_hat: np.ndarray, scriptY, Delta: float, ga
         return omega, theta_hat
     kappa = np.exp(-z)
     pull = -np.expm1(-z)  # 1 - kappa without cancellation
-    theta_new = theta_hat + pull * (np.asarray(scriptY, dtype=float) / Delta - theta_hat)
+    theta_new = theta_hat + pull * (scriptY / Delta - theta_hat)
     return omega * kappa, theta_new
 
 
@@ -260,21 +261,21 @@ def gradient_update(theta_hat, gamma: float, mode: str, h: float, CPhi=None, y_s
     regression data frozen.  For the gains of interest (1e8) the flow is
     far too stiff for explicit integration, so the linear ODE is solved in
     closed form instead: decompose along the regressor and decay each mode
-    with its own exponential."""
-    theta_hat = np.asarray(theta_hat, dtype=float)
+    with its own exponential.  theta_hat and the regression data are float
+    arrays, CPhi a p x n matrix; with one measurement (p = 1) y_shift may
+    also be a float."""
     if mode == "raw":
-        CPhi = np.atleast_2d(CPhi)
-        y_shift = np.atleast_1d(y_shift)
         if CPhi.shape[0] == 1:  # single measurement: rank-one exact step
             phi = CPhi[0]
             nrm2 = float(phi @ phi)
             if nrm2 == 0.0:
                 return theta_hat
+            y0 = y_shift if isinstance(y_shift, float) else y_shift[0]
             s = float(phi @ theta_hat)
-            s_new = y_shift[0] + (s - y_shift[0]) * np.exp(-gamma * nrm2 * h)
+            s_new = y0 + (s - y0) * np.exp(-gamma * nrm2 * h)
             return theta_hat + phi * ((s_new - s) / nrm2)
         M = CPhi.T @ CPhi
-        r = CPhi.T @ y_shift
+        r = CPhi.T @ np.asarray(y_shift, dtype=float)
     elif mode == "extended":
         M = Omega @ Omega
         r = Omega @ Y

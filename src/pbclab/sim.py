@@ -19,6 +19,20 @@ Runge-Kutta acts entry by entry, and per-estimator copies would come from
 the same expressions on the same inputs, so each estimator's output is
 bit-identical to a run in which it is alone.
 
+The estimator stage rests on two structural facts of `cuk.build_cuk`,
+checked whenever the model is assembled (`_PlantCache.rebuild`).  The
+source does not switch (G1 = 0), so b(u) = b0 for every duty ratio.  The
+one sensor is the load voltmeter, so in the coenergy realization the
+output map is exactly C_obs = [0, 0, 0, 1] and the measurement is the
+single product y_m = C[0, 3] x4.  The copy, filter and Kalman-Bucy rows
+are therefore evaluated with C Phi = Phi[3], C xi = xi[3] and
+H C' = H[:, 3], the filter drives formed once per stage for every pole,
+and the Riccati derivative as P' + P - H[:, 3] H[3] + S with P = A H,
+with no symmetrization: H stays exactly symmetric, so H A' equals (A H)'
+bit for bit.  Every remaining matrix product keeps its shape, so each row
+equals `observers.gpebo_matrix_derivatives` and
+`observers.kbf_derivatives`, which remain the reference, bit for bit.
+
 Two estimator recursions are deliberately kept out of the Runge-Kutta
 block and advanced by their exact exponential solutions with per-step
 frozen coefficients: the decoupled-regression scalar estimator
@@ -77,9 +91,7 @@ from .observers import (
     drem_mix,
     fct_combine,
     gpebo_estimate,
-    gpebo_matrix_derivatives,
     gradient_update,
-    kbf_derivatives,
     scalar_update,
 )
 from .phmodel import PHModel
@@ -125,13 +137,16 @@ class ScenarioError(ValueError):
 
 
 def rk4_step(f, t: float, y, h: float):
-    """One classical Runge-Kutta step for dy/dt = f(t, y)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        k1 = f(t, y)
-        k2 = f(t + 0.5 * h, y + (0.5 * h) * k1)
-        k3 = f(t + 0.5 * h, y + (0.5 * h) * k2)
-        k4 = f(t + h, y + h * k3)
-        y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    """One classical Runge-Kutta step for dy/dt = f(t, y).
+
+    A step that overflows raises `NonFiniteState`; numpy's overflow and
+    invalid-value warnings are not silenced here (`run_scenario` enters
+    `np.errstate` once around its loop), so a direct call may also warn."""
+    k1 = f(t, y)
+    k2 = f(t + 0.5 * h, y + (0.5 * h) * k1)
+    k3 = f(t + 0.5 * h, y + (0.5 * h) * k2)
+    k4 = f(t + h, y + h * k3)
+    y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.isfinite(y_new).all():
         raise NonFiniteState(f"non-finite state after step ending at t={t + h:g} s")
     return y_new
@@ -296,24 +311,28 @@ def _matvec(M, v):
 class _PlantCache:
     """Drift and source of the single-duty model, assembled once per model
     and evaluated per stage on the scalar duty ratio u as
-    Lambda(u) = L0 + u L1 and b(u) = b0 + u b1."""
+    Lambda(u) = L0 + u L1 and the fixed source b0."""
 
     def __init__(self, model: PHModel):
         self.rebuild(model)
 
     def rebuild(self, model: PHModel):
         (J0, J1), (G0, G1) = model.J, model.G  # build_cuk: one duty ratio
+        # the two structural facts the stage relies on: the source does not
+        # switch, and the one sensor reads the last coenergy variable
+        assert not G1.any(), "the source must not depend on the duty ratio"
         self.L0 = (J0 - model.R) @ model.Q
         self.L1 = J1 @ model.Q
         self.b0 = G0 @ model.E
-        self.b1 = G1 @ model.E
         # coenergy realization for the observers: A_obs = Q Lambda Q^-1
         self.qd = np.diag(model.Q).copy()
         self.A0_obs = model.Q @ (J0 - model.R)
         self.A1_obs = model.Q @ J1
         self.b0_obs = model.Q @ self.b0
-        self.b1_obs = model.Q @ self.b1
-        self.C_obs = model.C / self.qd[None, :]
+        C_obs = model.C / self.qd[None, :]
+        assert np.array_equal(C_obs, [[0.0, 0.0, 0.0, 1.0]]), "the sensor must be the load voltmeter"
+        # y_m = C x is the single product c_y x4 (C_obs z = z4)
+        self.c_y = model.C.item(3)
 
 
 def _stage_law(ctl: ControllerSpec, pi, model: PHModel, v_ref: float):
@@ -348,20 +367,23 @@ class _Part:
     `pre_step` (data frozen at the start of a step) and `post_step` (the
     exact step).  An estimator also gives `estimate(y, s)`, its estimate at
     a stage when it closes the loop, and `record(ys, ss)`, its logged
-    arrays derived from the rows of y and s sampled by the loop."""
+    arrays derived from the rows of y and s sampled by the loop.  The
+    observer frame reaches `derivative` as the drift A = A_obs(u) and the
+    source b = b_obs; the measurement reaches both hooks as the float y_m,
+    read by C_obs = [0, 0, 0, 1], so C z is z[3] (see `_PlantCache`)."""
 
     feeds = False  # set on the estimator that closes the loop
 
     def init_vector(self, y):
         pass
 
-    def derivative(self, dy, y, A, b, C, y_m):
+    def derivative(self, dy, y, A, b, y_m):
         pass
 
     def init_state(self, s):
         pass
 
-    def pre_step(self, y, s, y_m, C):
+    def pre_step(self, y, s, y_m):
         pass
 
     def post_step(self, s, h):
@@ -377,6 +399,14 @@ class _RegressionFilter:
         self.sl_om = lay.add(n * n)
         self.mixed = False  # a GPEBO-kind estimator reads the DREM mix
         self.mix = None  # (scriptY, Delta) at the start of the current step
+
+    def derivative(self, dy, y, drive_y, drive_om):
+        """Write dY = lam (drive_y - Y) and dOmega = lam (drive_om - Omega),
+        the drives (C Phi)' (y_m - C xi) and (C Phi)' C Phi being shared by
+        every pole."""
+        lam = self.lam
+        dy[self.sl_y] = lam * (drive_y - y[self.sl_y])
+        dy[self.sl_om] = lam * (drive_om - y[self.sl_om])
 
 
 class _SharedStates(_Part):
@@ -420,24 +450,25 @@ class _SharedStates(_Part):
     def Phi(self, y):
         return y[self.sl_phi].reshape(self.n, self.n)
 
-    def derivative(self, dy, y, A, b, C, y_m):
+    def derivative(self, dy, y, A, b, y_m):
+        # the rows of `observers.gpebo_matrix_derivatives` at C = [0, 0, 0, 1]:
+        # C Phi is the row Phi[3] and C xi the entry xi[3], and the two
+        # filter drives are formed once for every pole
         xi = y[self.sl_xi]
-        if not self.filters:
-            dy[self.sl_xi] = A @ xi + b
-            if self.sl_phi is not None:
-                dy[self.sl_phi] = (A @ self.Phi(y)).ravel()
+        dy[self.sl_xi] = A @ xi + b
+        if self.sl_phi is None:
             return
         Phi = self.Phi(y)
+        dy[self.sl_phi] = (A @ Phi).ravel()
+        if not self.filters:
+            return
+        c = Phi[3]
+        drive_y = c * (y_m - xi.item(3))
+        drive_om = (c[:, None] * c).ravel()  # np.outer(c, c), without its wrapper
         for filt in self.filters.values():
-            Y, Omega = y[filt.sl_y], y[filt.sl_om].reshape(self.n, self.n)
-            dxi, dPhi, dY, dOm = gpebo_matrix_derivatives(A, b, C, xi, Phi, Y, Omega, filt.lam, y_m)
-            dy[filt.sl_y] = dY
-            dy[filt.sl_om] = dOm.ravel()
-        # the copy rows are the same expressions for every pole
-        dy[self.sl_xi] = dxi
-        dy[self.sl_phi] = dPhi.ravel()
+            filt.derivative(dy, y, drive_y, drive_om)
 
-    def pre_step(self, y, s, y_m, C):
+    def pre_step(self, y, s, y_m):
         # the DREM mix of every filter a GPEBO-kind estimator reads, frozen
         # at the start of the step
         for filt in self.filters.values():
@@ -476,7 +507,7 @@ class _GpeboRuntime(_Part):
             return fct_combine(theta_hat, self.theta_hat0, omega, self.spec.mu)
         return theta_hat
 
-    def pre_step(self, y, s, y_m, C):
+    def pre_step(self, y, s, y_m):
         # refreshed after the sample, so a sampled u of observer feedback
         # reads the theta of one step earlier (ROADMAP item 5e)
         if self.feeds:
@@ -539,12 +570,19 @@ class _KbfRuntime(_Part):
         y[self.sl_x] = 0.0
         y[self.sl_H] = self.H0.ravel()
 
-    def derivative(self, dy, y, A, b, C, y_m):
+    def derivative(self, dy, y, A, b, y_m):
+        # the rows of `observers.kbf_derivatives` at C = [0, 0, 0, 1]: H C' is
+        # the column H[:, 3] and H C' C H its outer product with the row
+        # H[3].  H is exactly symmetric (H0 and S are, and every Runge-Kutta
+        # update acts entry by entry), so H A' is (A H)' bit for bit and the
+        # unsymmetrized sum is already the symmetrized one
         n = self.n
         H = y[self.sl_H].reshape(n, n)
-        dx, dH = kbf_derivatives(A, b, C, self.S, y[self.sl_x], H, y_m)
-        dy[self.sl_x] = dx
-        dy[self.sl_H] = dH.ravel()
+        x_hat = y[self.sl_x]
+        h_col = H[:, 3]
+        dy[self.sl_x] = A @ x_hat + b + h_col * (y_m - x_hat.item(3))
+        P = A @ H
+        dy[self.sl_H] = (P.T + P - h_col[:, None] * H[3] + self.S).ravel()
 
     def estimate(self, y, s):
         return y[self.sl_x]
@@ -569,14 +607,15 @@ class _GradientRuntime(_Part):
         self.sl_theta = slay.add(bank.n)
         self.frozen = None
 
-    def pre_step(self, y, s, y_m, C):
+    def pre_step(self, y, s, y_m):
         if self.extended:
             filt, n = self.filt, self.bank.n
             self.frozen = {"Omega": y[filt.sl_om].reshape(n, n).copy(), "Y": y[filt.sl_y].copy()}
         else:
+            # C Phi and y_m - C xi at C = [0, 0, 0, 1]
             self.frozen = {
-                "CPhi": (C @ self.bank.Phi(y)).copy(),
-                "y_shift": np.atleast_1d(y_m) - C @ self.bank.xi(y),
+                "CPhi": self.bank.Phi(y)[3:4].copy(),
+                "y_shift": y_m - self.bank.xi(y).item(3),
             }
 
     def post_step(self, s, h):
@@ -602,7 +641,9 @@ def _as_spd(value, n: int, what: str) -> np.ndarray:
         raise ScenarioError(f"{what} must be symmetric")
     if np.linalg.eigvalsh(M).min() <= 0.0:
         raise ScenarioError(f"{what} must be positive definite")
-    return M
+    # exactly symmetric, so the Riccati state H stays so; a scalar or an
+    # exactly symmetric matrix comes back unchanged
+    return 0.5 * (M + M.T)
 
 
 _RUNTIME_BY_KIND = {
@@ -613,16 +654,25 @@ _RUNTIME_BY_KIND = {
 }
 
 
+def _hooked(parts, hook: str):
+    """The parts that override `hook`, so the loop calls no no-op hook."""
+    return [part for part in parts if getattr(type(part), hook) is not getattr(_Part, hook)]
+
+
 def _unique_names(specs):
-    seen = {}
+    """Give every estimator a distinct name: its configured name, else its
+    kind; a repeat gets the first suffix -2, -3, ... that no configured or
+    already assigned name uses."""
+    configured = {spec.name for spec in specs if spec.name}
+    assigned = set()
     for spec in specs:
-        base = spec.name or spec.kind
-        if base in seen:
-            seen[base] += 1
-            spec.name = f"{base}-{seen[base]}"
-        else:
-            seen[base] = 1
-            spec.name = base
+        base = name = spec.name or spec.kind
+        k = 1
+        while name in assigned or (name != spec.name and name in configured):
+            k += 1
+            name = f"{base}-{k}"
+        assigned.add(name)
+        spec.name = name
 
 
 # -- the run ------------------------------------------------------------------
@@ -743,6 +793,8 @@ def run_scenario(scn: Scenario) -> Trajectory:
     if fb_rt is not None:
         fb_rt.feeds = True
     parts = ([bank] if bank.sl_xi is not None else []) + runtimes
+    # the parts whose per-stage and per-step hooks do something
+    derivs, pres, posts = (_hooked(parts, hook) for hook in ("derivative", "pre_step", "post_step"))
 
     y = np.zeros(lay.size)
     y[sl_x] = x0
@@ -753,7 +805,6 @@ def run_scenario(scn: Scenario) -> Trajectory:
         part.init_state(s)
 
     cache = _PlantCache(model)
-    Cmeas = model.C
 
     # event table: each event at its grid instant (validate_scenario
     # rejects times off the grid)
@@ -774,14 +825,13 @@ def run_scenario(scn: Scenario) -> Trajectory:
         x = y_stage[sl_x]
         u_raw, dy[i_c] = control_eval(y_stage)
         u = min(max(u_raw, u_lo), u_hi)
-        dy[sl_x] = (cache.L0 + u * cache.L1) @ x + (cache.b0 + u * cache.b1)
-        if not parts:  # no estimator reads the observer frame
+        dy[sl_x] = (cache.L0 + u * cache.L1) @ x + cache.b0
+        if not derivs:  # no estimator reads the observer frame
             return dy
-        y_m = Cmeas @ x
+        y_m = cache.c_y * x.item(3)
         A_obs = cache.A0_obs + u * cache.A1_obs
-        b_obs = cache.b0_obs + u * cache.b1_obs
-        for part in parts:
-            part.derivative(dy, y_stage, A_obs, b_obs, cache.C_obs, y_m)
+        for part in derivs:
+            part.derivative(dy, y_stage, A_obs, cache.b0_obs, y_m)
         return dy
 
     # the sample store: y and s as they stand at each sample instant, and
@@ -848,38 +898,40 @@ def run_scenario(scn: Scenario) -> Trajectory:
         )
 
     try:
-        for k in range(N + 1):
-            t = k * h
-            if k in events_at:
-                for ev in events_at[k]:
-                    epoch += 1
-                    if ev.kind == "load":
-                        params.r = ev.value
-                        model = build_cuk(params)
-                        cache.rebuild(model)
-                        Cmeas = model.C
-                    else:
-                        ref_now = ev.value
-                    pi, law = _epoch(ctl, params, model, ref_now, t)
-                    pis.append(pi)
-            if k == steps[taken]:
-                u_raw, yts[taken] = control_eval(y)
-                us[taken] = u = min(max(u_raw, u_lo), u_hi)
-                sats[taken] = u != u_raw  # the clamp flag, formed only here
-                ys[taken], ss[taken] = y, s
-                refs[taken], epochs[taken] = ref_now, epoch
-                taken += 1
-            if k == N:
-                break
-            if parts:
-                y_m0 = Cmeas @ y[sl_x]
-                for part in parts:
-                    part.pre_step(y, s, y_m0, cache.C_obs)
-            y = rk4_step(rhs, t, y, h)
-            for part in parts:
-                part.post_step(s, h)
-            if s.size and not np.isfinite(s).all():
-                raise NonFiniteState(f"non-finite estimator state after the step to t={t + h:g} s")
+        # an overflow or invalid value shows as a non-finite state, which
+        # the step checks raise; numpy's warnings are silenced once here
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(N + 1):
+                t = k * h
+                if k in events_at:
+                    for ev in events_at[k]:
+                        epoch += 1
+                        if ev.kind == "load":
+                            params.r = ev.value
+                            model = build_cuk(params)
+                            cache.rebuild(model)
+                        else:
+                            ref_now = ev.value
+                        pi, law = _epoch(ctl, params, model, ref_now, t)
+                        pis.append(pi)
+                if k == steps[taken]:
+                    u_raw, yts[taken] = control_eval(y)
+                    us[taken] = u = min(max(u_raw, u_lo), u_hi)
+                    sats[taken] = u != u_raw  # the clamp flag, formed only here
+                    ys[taken], ss[taken] = y, s
+                    refs[taken], epochs[taken] = ref_now, epoch
+                    taken += 1
+                if k == N:
+                    break
+                if pres:
+                    y_m0 = cache.c_y * y.item(3)  # x4: the plant rows come first
+                    for part in pres:
+                        part.pre_step(y, s, y_m0)
+                y = rk4_step(rhs, t, y, h)
+                for part in posts:
+                    part.post_step(s, h)
+                if s.size and not np.isfinite(s).all():
+                    raise NonFiniteState(f"non-finite estimator state after the step to t={t + h:g} s")
     except NonFiniteState as exc:
         # expose whatever was sampled before the blow-up
         exc.partial = assemble()

@@ -323,23 +323,28 @@ def test_non_finite_stepped_state_raises_with_partial(monkeypatch):
 
 
 def test_one_filter_integration_per_pole(monkeypatch):
+    # every evaluation of a pole's (Y, Omega) rows is counted: three
+    # estimators on pole 5 and one on pole 3 make two filters, each
+    # evaluated once per Runge-Kutta stage, not once per estimator
     import pbclab.sim as simmod
 
     calls = []
-    original = simmod.gpebo_matrix_derivatives
+    original = simmod._RegressionFilter.derivative
 
-    def counting(*args):
-        calls.append(1)
-        return original(*args)
+    def counting(self, *args):
+        calls.append(self.lam)
+        return original(self, *args)
 
-    monkeypatch.setattr(simmod, "gpebo_matrix_derivatives", counting)
+    monkeypatch.setattr(simmod._RegressionFilter, "derivative", counting)
     scn = Scenario(
-        observers=[ObserverSpec(kind="fct-gpebo", gamma=g) for g in (1e10, 1e11, 1e12)],
+        observers=[ObserverSpec(kind="fct-gpebo", gamma=g) for g in (1e10, 1e11, 1e12)]
+        + [ObserverSpec(kind="fct-gpebo", lam=3.0)],
         horizon=1e-4,
     )
     run_scenario(scn)
-    steps = round(scn.horizon / scn.h)
-    assert len(calls) == 4 * steps  # one call per Runge-Kutta stage, not per estimator
+    stages = 4 * round(scn.horizon / scn.h)
+    assert len(calls) == 2 * stages
+    assert calls.count(5.0) == calls.count(3.0) == stages
 
 
 class _CountingArray(np.ndarray):
@@ -356,8 +361,8 @@ class _CountingArray(np.ndarray):
 def test_storage_reference_once_per_epoch_and_no_unread_observer_frame(monkeypatch):
     # x_c* = -inv(Ki) u* is solved when the operating point is set (start and
     # event), not per sample, and without estimators the observer-frame
-    # drift A0_obs + u A1_obs and source b0_obs + u b1_obs are never
-    # assembled: every operation on those four arrays is counted
+    # drift A0_obs + u A1_obs and source b0_obs are never used: every
+    # operation on those three arrays is counted
     import pbclab.control as controlmod
     import pbclab.sim as simmod
 
@@ -370,7 +375,7 @@ def test_storage_reference_once_per_epoch_and_no_unread_observer_frame(monkeypat
 
     def counting_rebuild(self, model):
         rebuild(self, model)
-        for name in ("A0_obs", "A1_obs", "b0_obs", "b1_obs"):
+        for name in ("A0_obs", "A1_obs", "b0_obs"):
             setattr(self, name, getattr(self, name).view(_CountingArray))
 
     monkeypatch.setattr(controlmod, "integrator_reference", counting_reference)
@@ -385,10 +390,12 @@ def test_storage_reference_once_per_epoch_and_no_unread_observer_frame(monkeypat
     assert traj.epoch[-1] == 1 and np.isfinite(traj.W).all()
     assert calls == {"integrator_reference": 2}
     assert _CountingArray.ops == 0
-    # the counter sees the frame as soon as an estimator reads it: four
-    # operations per Runge-Kutta stage
+    # the counter sees the frame as soon as an estimator reads it: three
+    # operations per Runge-Kutta stage, u * A1_obs and A0_obs + (u * A1_obs)
+    # for the drift, and (A xi) + b0_obs in the emulator's copy row (the
+    # source does not switch, so nothing is added to b0_obs)
     run_scenario(replace(scn, observers=[ObserverSpec(kind="emulator")]))
-    assert _CountingArray.ops == 4 * 4 * round(scn.horizon / scn.h)
+    assert _CountingArray.ops == 4 * 3 * round(scn.horizon / scn.h)
 
 
 def _captured_run(monkeypatch, scn):
@@ -451,6 +458,142 @@ def test_sampled_classical_control_equals_the_reference_law(monkeypatch):
         state = ClassicalPiState(kp=0.008, ki=8.0, v_ref=traj.ref[k], x_c=ys[k][4])
         u, err, sat = classical_pi_step(state, traj.signals[k, -1])
         assert (u, err, sat) == (traj.u[k, 0], traj.ytilde[k, 0], traj.saturated[k]), k
+
+
+def test_estimator_rows_equal_the_reference_derivatives(monkeypatch):
+    # the engine evaluates the copy, filter and Kalman-Bucy rows on the
+    # voltmeter structure C_obs = [0, 0, 0, 1] with the fixed source b0; at
+    # every Runge-Kutta stage of an observer-feedback run with a load event
+    # they must equal observers.gpebo_matrix_derivatives and kbf_derivatives
+    # at the same (A_obs, b_obs, C_obs, y_m), and the raw gradient's frozen
+    # data must equal C_obs Phi and y_m - C_obs xi, all bit for bit
+    import pbclab.sim as simmod
+    from pbclab.cuk import build_cuk
+    from pbclab.observers import gpebo_matrix_derivatives, kbf_derivatives
+
+    S = np.array([[2.0, 0.3, 0.0, 0.0], [0.3, 1.0, 0.0, 0.1], [0.0, 0.0, 1.5, 0.2], [0.0, 0.1, 0.2, 0.5]])
+    scn = Scenario(
+        controller=ControllerSpec(feedback="observer"),
+        observers=[
+            ObserverSpec(name="fct", kind="fct-gpebo", gamma=1e12),
+            ObserverSpec(name="gpebo", kind="gpebo", gamma=1e17),
+            ObserverSpec(name="emulator", kind="emulator"),
+            ObserverSpec(name="kbf", kind="kbf", s=S, h0=2.0),
+            ObserverSpec(name="grad-raw", kind="gradient", gamma=1e8, mode="raw"),
+            ObserverSpec(name="grad-ext", kind="gradient", gamma=1e8, mode="extended", lam=3.0),
+        ],
+        events=[EventSpec(time=1e-4, kind="load", value=30.0)],
+        horizon=2e-4,
+        stride=50,
+    )
+    k_event = round(1e-4 / scn.h)
+    kept, stages, frozen, law_u = {}, [], [], {}
+    step, stage_law = simmod.rk4_step, simmod._stage_law
+    bank_init, kbf_init = simmod._SharedStates.__init__, simmod._KbfRuntime.__init__
+    grad_pre = simmod._GradientRuntime.pre_step
+
+    def keeping_bank(self, *args):
+        bank_init(self, *args)
+        kept["bank"] = self
+
+    def keeping_kbf(self, *args):
+        kbf_init(self, *args)
+        kept["kbf"] = self
+
+    def keeping_grad_pre(self, y, s, y_m):
+        grad_pre(self, y, s, y_m)
+        if not self.extended:
+            frozen.append((y.copy(), dict(self.frozen)))
+
+    def keeping_law(*args):
+        law = stage_law(*args)
+
+        def recorded(x, xc):
+            out = law(x, xc)
+            law_u["raw"] = out[0]
+            return out
+
+        return recorded
+
+    def keeping_step(f, t, y, h):
+        def rhs(t_stage, y_stage):
+            dy = f(t_stage, y_stage)
+            stages.append((round(t / h), y_stage.copy(), dy.copy(), law_u["raw"]))
+            return dy
+
+        return step(rhs, t, y, h)
+
+    monkeypatch.setattr(simmod._SharedStates, "__init__", keeping_bank)
+    monkeypatch.setattr(simmod._KbfRuntime, "__init__", keeping_kbf)
+    monkeypatch.setattr(simmod._GradientRuntime, "pre_step", keeping_grad_pre)
+    monkeypatch.setattr(simmod, "_stage_law", keeping_law)
+    monkeypatch.setattr(simmod, "rk4_step", keeping_step)
+    run_scenario(scn)
+    bank, kbf = kept["bank"], kept["kbf"]
+    assert sorted(bank.filters) == [3.0, 5.0]
+    N = round(scn.horizon / scn.h)
+    assert len(stages) == 4 * N and len(frozen) == N
+
+    def frame(r, u):
+        """(A_obs, b_obs, C_obs) of the model with load r at duty ratio u."""
+        model = build_cuk(CukParams(r=r))
+        (J0, J1), (G0, G1), Q = model.J, model.G, model.Q
+        A = Q @ (J0 - model.R) + u * (Q @ J1)
+        b = Q @ (G0 @ model.E) + u * (Q @ (G1 @ model.E))
+        return A, b, model.C / np.diag(Q)[None, :], model
+
+    for k, y, dy, u_raw in stages:
+        u = min(max(u_raw, scn.controller.u_min), scn.controller.u_max)
+        A, b, C, model = frame(30.0 if k >= k_event else 20.0, u)
+        y_m = model.C @ y[:4]
+        xi, Phi = bank.xi(y), bank.Phi(y)
+        for lam, filt in bank.filters.items():
+            Y, Omega = y[filt.sl_y], y[filt.sl_om].reshape(4, 4)
+            dxi, dPhi, dY, dOm = gpebo_matrix_derivatives(A, b, C, xi, Phi, Y, Omega, lam, y_m)
+            assert np.array_equal(dy[bank.sl_xi], dxi), k
+            assert np.array_equal(dy[bank.sl_phi], dPhi.ravel()), k
+            assert np.array_equal(dy[filt.sl_y], dY), (k, lam)
+            assert np.array_equal(dy[filt.sl_om], dOm.ravel()), (k, lam)
+        H = y[kbf.sl_H].reshape(4, 4)
+        dx, dH = kbf_derivatives(A, b, C, S, y[kbf.sl_x], H, y_m)
+        assert np.array_equal(dy[kbf.sl_x], dx), k
+        assert np.array_equal(dy[kbf.sl_H], dH.ravel()), k
+    _, _, C, model = frame(20.0, 0.0)  # the sensor is the same in both epochs
+    for y, data in frozen:
+        y_m = model.C @ y[:4]
+        assert np.array_equal(data["CPhi"], C @ bank.Phi(y))
+        assert np.array_equal(np.atleast_1d(data["y_shift"]), y_m - C @ bank.xi(y))
+
+
+def test_repeated_names_keep_every_estimator():
+    # names a, a, a-2: the second a must not take the configured a-2, so
+    # three estimators give three column blocks
+    observers = [
+        ObserverSpec(name="a", kind="fct-gpebo"),
+        ObserverSpec(name="a", kind="emulator"),
+        ObserverSpec(name="a-2", kind="kbf"),
+    ]
+    traj = run_scenario(Scenario(observers=observers, horizon=5e-5, stride=20))
+    assert list(traj.observers) == ["a", "a-3", "a-2"]
+    assert "Omega" in traj.observers["a"] and "H" in traj.observers["a-2"]
+    header = traj.csv_header()
+    assert len(header) == 8 + 3 * 7 and len(set(header)) == len(header)
+    assert traj.csv_matrix().shape[1] == len(header)
+
+
+def test_kbf_riccati_state_stays_exactly_symmetric():
+    # S and H0 within the 1e-12 symmetry tolerance are symmetrized when
+    # they are read, so every sampled H is exactly symmetric, as the
+    # unsymmetrized Riccati stage needs
+    S = np.eye(4)
+    S[0, 3] += 1e-13
+    H0 = 2.0 * np.eye(4)
+    H0[1, 2] -= 1e-13
+    spec = ObserverSpec(name="kbf", kind="kbf", s=S, h0=H0)
+    traj = run_scenario(Scenario(observers=[spec], horizon=2e-4, stride=10))
+    H = traj.observers["kbf"]["H"]
+    assert np.array_equal(H, np.swapaxes(H, 1, 2))
+    assert not np.array_equal(H[-1], H[0])  # H moved
 
 
 # -- events ---------------------------------------------------------------------
