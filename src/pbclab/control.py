@@ -80,8 +80,16 @@ def passive_output_matrix(model: PHModel, x_star: np.ndarray) -> np.ndarray:
 
 
 def shifted_output(Cmat: np.ndarray, x: np.ndarray, x_star: np.ndarray) -> np.ndarray:
-    """ytilde = Cmat (x - x_star)."""
-    return Cmat @ (np.asarray(x, dtype=float) - np.asarray(x_star, dtype=float))
+    """ytilde = Cmat (x - x_star), each entry summed left to right:
+    ytilde_i = Cmat[i, 0] d_0 + Cmat[i, 1] d_1 + ... with d = x - x_star.
+
+    The order is stated so that the simulation engine, which evaluates the
+    same sum on Python floats, matches this function bit for bit."""
+    d = np.asarray(x, dtype=float) - np.asarray(x_star, dtype=float)
+    ytilde = Cmat[:, 0] * d[0]
+    for j in range(1, d.size):
+        ytilde = ytilde + Cmat[:, j] * d[j]
+    return ytilde
 
 
 def clamp_duty(u: np.ndarray, u_min: float, u_max: float):

@@ -1,23 +1,33 @@
 """Fixed-step closed-loop simulation of converter, controller and observers.
 
-One flat state vector concatenates the plant state, the controller
-integrator and the observers' matrix states; a classical 4-stage
-Runge-Kutta step advances the whole block on a shared clock.  The duty
-ratio is re-evaluated from the stage states inside every stage, so the
-closed loop integrates as one smooth vector field at fourth order
-(saturation events and parameter steps are isolated instants).  The
-converter has one duty ratio, so the stage evaluates the control law,
-the clamp and the affine drift and source on that scalar as a Python
-float, with the same IEEE operations as `control.pi_pbc_step` and
-`control.classical_pi_step`, which remain the reference.  The
-matrix states that depend on neither the gain nor the kind are held once
-per run and read by every estimator: the open-loop copy (xi, plus Phi when
-an estimator reads it), driven by u alone, and one regression filter pair
-(Y, Omega) per distinct pole lambda, driven by u, y and lambda.  The
-Kalman-Bucy filter keeps a block of its own.  The sharing is exact:
-Runge-Kutta acts entry by entry, and per-estimator copies would come from
-the same expressions on the same inputs, so each estimator's output is
-bit-identical to a run in which it is alone.
+One Runge-Kutta vector holds the plant state, the controller integrator
+and the observers' matrix states; a classical 4-stage Runge-Kutta step
+advances the whole block on a shared clock.  The duty ratio is
+re-evaluated from the stage states inside every stage.  The closed loop
+is fourth order only where it is smooth: a clamp entry or exit is a kink
+the fixed grid does not locate, and across one the plant drops to about
+second order or less; events are applied at grid instants.
+
+The vector is held in two parts.  The plant rows and the integrator
+(x1..x4, x_c) are Python floats, advanced by one fused step
+(`_rk4_split_step`) that evaluates per stage, in a fixed left-to-right
+order, the passive output ytilde = sum_j Cmat[0, j] (x_j - x*_j), the raw
+duty ratio and its clamp, and the drift
+dx_i = sum_j (L0_ij + u L1_ij) x_j + b0_i.  The step uses `rk4_step`'s
+stage weights and association, so its result equals `rk4_step` on the
+joined vector bit for bit; the control law performs the IEEE operations
+of `control.pi_pbc_step` (whose `shifted_output` sums in the same order)
+and `control.classical_pi_step`, which remain the reference.  numpy is
+used only for the estimator rows y, a vector stepped in the same four
+stages when an estimator exists, which reads u and the measurement as
+floats.  The matrix states that depend on neither the gain nor the kind
+are held once per run and read by every estimator: the open-loop copy
+(xi, plus Phi when an estimator reads it), driven by u alone, and one
+regression filter pair (Y, Omega) per distinct pole lambda, driven by u,
+y and lambda.  The Kalman-Bucy filter keeps a block of its own.  The
+sharing is exact: Runge-Kutta acts entry by entry, and per-estimator
+copies would come from the same expressions on the same inputs, so each
+estimator's output is bit-identical to a run in which it is alone.
 
 The estimator stage rests on two structural facts of `cuk.build_cuk`,
 checked whenever the model is assembled (`_PlantCache.rebuild`).  The
@@ -39,15 +49,15 @@ frozen coefficients: the decoupled-regression scalar estimator
 (gain up to 1e17) and the plain gradient estimators (gain 1e8).  Both are
 orders of magnitude stiffer than the grid step allows for an explicit
 scheme, and the exact step is unconditionally contractive.  Their states
-form a second flat vector s, checked for finiteness after every step
-like the Runge-Kutta vector.
+form a flat vector s, checked for finiteness after every step like the
+Runge-Kutta vector.
 
-At each sample instant the loop stores y and s as they stand, with the
-duty ratio, passive output, clamp flag, reference and epoch of that
-instant.  The plant signals, the storage W and every estimator's logged
-arrays are derived from that store after the loop with stacked numpy;
-the estimators' internals are views of it, so estimators that read the
-same copy or filter share them.
+At each sample instant the loop stores the plant rows, y and s as they
+stand, with the duty ratio, passive output, clamp flag, reference and
+epoch of that instant.  The plant signals, the storage W and every
+estimator's logged arrays are derived from that store after the loop
+with stacked numpy; the estimators' internals are views of it, so
+estimators that read the same copy or filter share them.
 
 Scenario events retarget the reference voltage or restep the load at a
 grid instant; the equilibrium pair, the passive output map and the
@@ -79,6 +89,7 @@ finite-time crossing are exact per step and insensitive to this choice.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -150,6 +161,29 @@ def rk4_step(f, t: float, y, h: float):
     if not np.isfinite(y_new).all():
         raise NonFiniteState(f"non-finite state after step ending at t={t + h:g} s")
     return y_new
+
+
+def _rk4_split_step(stage, t: float, p: list, y, h: float):
+    """The engine's step: `rk4_step` on a vector split into the plant rows
+    and integrator p, a list of Python floats, and the estimator rows y, a
+    numpy vector.  stage(p, y) returns (dp, dy), with dy None when there is
+    no estimator; y is then neither stepped nor checked.  Every entry is
+    combined with rk4_step's stage weights and association, so the new
+    state equals rk4_step's on the joined vector bit for bit."""
+    hh = 0.5 * h
+    k1, m1 = stage(p, y)
+    k2, m2 = stage([v + hh * d for v, d in zip(p, k1)], y if m1 is None else y + hh * m1)
+    k3, m3 = stage([v + hh * d for v, d in zip(p, k2)], y if m2 is None else y + hh * m2)
+    k4, m4 = stage([v + h * d for v, d in zip(p, k3)], y if m3 is None else y + h * m3)
+    h6 = h / 6.0
+    p = [v + h6 * (d1 + 2.0 * d2 + 2.0 * d3 + d4) for v, d1, d2, d3, d4 in zip(p, k1, k2, k3, k4)]
+    finite = all(map(math.isfinite, p))
+    if m1 is not None:
+        y = y + h6 * (m1 + 2.0 * m2 + 2.0 * m3 + m4)
+        finite = finite and np.isfinite(y).all()
+    if not finite:
+        raise NonFiniteState(f"non-finite state after step ending at t={t + h:g} s")
+    return p, y
 
 
 # -- scenario description ----------------------------------------------------
@@ -321,40 +355,54 @@ class _PlantCache:
         # the two structural facts the stage relies on: the source does not
         # switch, and the one sensor reads the last coenergy variable
         assert not G1.any(), "the source must not depend on the duty ratio"
-        self.L0 = (J0 - model.R) @ model.Q
-        self.L1 = J1 @ model.Q
-        self.b0 = G0 @ model.E
+        L0 = (J0 - model.R) @ model.Q
+        L1 = J1 @ model.Q
+        b0 = G0 @ model.E
+        # row i of the plant stage as the floats (L0_i1..L0_i4, L1_i1..L1_i4, b0_i)
+        self.rows = [(*l0, *l1, b) for l0, l1, b in zip(L0.tolist(), L1.tolist(), b0.tolist())]
         # coenergy realization for the observers: A_obs = Q Lambda Q^-1
         self.qd = np.diag(model.Q).copy()
         self.A0_obs = model.Q @ (J0 - model.R)
         self.A1_obs = model.Q @ J1
-        self.b0_obs = model.Q @ self.b0
+        self.b0_obs = model.Q @ b0
         C_obs = model.C / self.qd[None, :]
         assert np.array_equal(C_obs, [[0.0, 0.0, 0.0, 1.0]]), "the sensor must be the load voltmeter"
         # y_m = C x is the single product c_y x4 (C_obs z = z4)
         self.c_y = model.C.item(3)
 
+    def drift(self, x, u: float) -> list:
+        """dx_i = sum_j (L0_ij + u L1_ij) x_j + b0_i on Python floats, the
+        sum taken left to right and b0_i added last; x is read from its
+        first four entries."""
+        x1, x2, x3, x4 = x[:4]
+        return [
+            (a1 + u * c1) * x1 + (a2 + u * c2) * x2 + (a3 + u * c3) * x3 + (a4 + u * c4) * x4 + b
+            for a1, a2, a3, a4, c1, c2, c3, c4, b in self.rows
+        ]
+
 
 def _stage_law(ctl: ControllerSpec, pi, model: PHModel, v_ref: float):
     """The control law of one epoch on Python floats: maps the fed-back
-    state x and the integrator value xc to (u_raw, dx_c), the duty ratio
-    before the clamp and the integrator derivative.  Each operation is the
-    one `control.pi_pbc_step` or `control.classical_pi_step` performs (a
-    1 x 1 matmul is the float product), so the results are theirs bit for
-    bit; the gains and the operating point are read once per epoch."""
+    state x (read from its first four entries) and the integrator value xc
+    to (u_raw, dx_c), the duty ratio before the clamp and the integrator
+    derivative.  Each operation is the one `control.pi_pbc_step` or
+    `control.classical_pi_step` performs (ytilde summed left to right as in
+    `control.shifted_output`, a 1 x 1 matmul as the float product), so the
+    results are theirs bit for bit; the gains and the operating point are
+    read once per epoch."""
     if pi is None:  # classical PI on the output-voltage error
         kp, ki, q4 = ctl.kp, ctl.ki, float(model.Q[-1, -1])
 
         def law(x, xc):
-            err = v_ref - q4 * x.item(-1)
+            err = v_ref - q4 * x[3]
             return -kp * err - ki * xc, err
 
         return law
-    Cmat, x_star = pi.Cmat, pi.x_star
+    (c1, c2, c3, c4), (s1, s2, s3, s4) = pi.Cmat[0].tolist(), pi.x_star.tolist()
     neg_kp, ki = -pi.Kp.item(), pi.Ki.item()
 
     def law(x, xc):
-        ytilde = (Cmat @ (x - x_star)).item()
+        ytilde = c1 * (x[0] - s1) + c2 * (x[1] - s2) + c3 * (x[2] - s3) + c4 * (x[3] - s4)
         return neg_kp * ytilde - ki * xc, ytilde
 
     return law
@@ -362,17 +410,19 @@ def _stage_law(ctl: ControllerSpec, pi, model: PHModel, v_ref: float):
 
 class _Part:
     """What the loop asks of each estimator-side part; every hook defaults
-    to nothing.  Rows of the Runge-Kutta vector y: `init_vector` and
-    `derivative`.  Slots of the exactly stepped vector s: `init_state`,
-    `pre_step` (data frozen at the start of a step) and `post_step` (the
-    exact step).  An estimator also gives `estimate(y, s)`, its estimate at
-    a stage when it closes the loop, and `record(ys, ss)`, its logged
-    arrays derived from the rows of y and s sampled by the loop.  The
-    observer frame reaches `derivative` as the drift A = A_obs(u) and the
-    source b = b_obs; the measurement reaches both hooks as the float y_m,
-    read by C_obs = [0, 0, 0, 1], so C z is z[3] (see `_PlantCache`)."""
+    to nothing.  The estimator rows y of the Runge-Kutta vector (the plant
+    rows are held apart as floats): `init_vector` and `derivative`.  Slots
+    of the exactly stepped vector s: `init_state`, `pre_step` (data frozen
+    at the start of a step) and `post_step` (the exact step).  An estimator
+    also gives `estimate(y, s)`, its estimate at a stage when it closes the
+    loop, and `record(ys, ss)`, its logged arrays derived from the rows of y
+    and s sampled by the loop.  The observer frame reaches `derivative` as
+    the drift A = A_obs(u) and the source b = b_obs; the measurement reaches
+    both hooks as the float y_m, read by C_obs = [0, 0, 0, 1], so C z is
+    z[3] (see `_PlantCache`)."""
 
     feeds = False  # set on the estimator that closes the loop
+    name = ""  # an estimator's distinct name in the run, set by run_scenario
 
     def init_vector(self, y):
         pass
@@ -659,20 +709,20 @@ def _hooked(parts, hook: str):
     return [part for part in parts if getattr(type(part), hook) is not getattr(_Part, hook)]
 
 
-def _unique_names(specs):
-    """Give every estimator a distinct name: its configured name, else its
-    kind; a repeat gets the first suffix -2, -3, ... that no configured or
-    already assigned name uses."""
+def _unique_names(specs) -> list:
+    """A distinct name per estimator, without writing to the specs: its
+    configured name, else its kind; a repeat gets the first suffix -2, -3,
+    ... that no configured or already assigned name uses."""
     configured = {spec.name for spec in specs if spec.name}
-    assigned = set()
+    assigned = []
     for spec in specs:
         base = name = spec.name or spec.kind
         k = 1
         while name in assigned or (name != spec.name and name in configured):
             k += 1
             name = f"{base}-{k}"
-        assigned.add(name)
-        spec.name = name
+        assigned.append(name)
+    return assigned
 
 
 # -- the run ------------------------------------------------------------------
@@ -694,8 +744,8 @@ def validate_scenario(scn: Scenario) -> int:
     N = round(scn.horizon / scn.h)
     if N < 1 or abs(N * scn.h - scn.horizon) > 1e-9 * scn.horizon:
         raise ScenarioError("horizon must be an integer multiple of the step")
-    if int(scn.stride) < 1:
-        raise ScenarioError("stride must be a positive integer")
+    if isinstance(scn.stride, bool) or not isinstance(scn.stride, numbers.Integral) or scn.stride < 1:
+        raise ScenarioError(f"stride must be a positive integer, got {scn.stride!r}")
     ctl = scn.controller
     if ctl.type not in ("pi-pbc", "classical-pi"):
         raise ScenarioError(f"unknown controller type {ctl.type!r}")
@@ -765,7 +815,7 @@ def _epoch(ctl: ControllerSpec, params, model: PHModel, v_ref: float, t: float):
 
 def run_scenario(scn: Scenario) -> Trajectory:
     N = validate_scenario(scn)
-    h, stride = scn.h, int(scn.stride)
+    h, stride = scn.h, scn.stride
     ctl = scn.controller
 
     params = replace(scn.params)
@@ -777,18 +827,17 @@ def run_scenario(scn: Scenario) -> Trajectory:
 
     classical = ctl.type == "classical-pi"
     u_lo, u_hi = ctl.u_min, ctl.u_max
-    n_c = 1 if classical else m
     ref_now = ctl.x4_star
     pi, law = _epoch(ctl, params, model, ref_now, 0.0)
     pis = [pi]  # the PI-PBC of each epoch, for W after the loop
 
-    lay, slay = _Layout(), _Layout()  # rows of y; slots of the stepped vector s
-    sl_x = lay.add(n)
-    sl_c = lay.add(n_c)
-    i_c = sl_c.start
-    _unique_names(scn.observers)
+    # the plant rows and the integrator: p = [x1, .., xn, xc] as Python floats
+    p = x0.tolist() + [float(ctl.xc0)]
+    lay, slay = _Layout(), _Layout()  # estimator rows y; slots of the stepped vector s
     bank = _SharedStates(n, lay)
     runtimes = [_RUNTIME_BY_KIND[spec.kind](spec, bank, slay) for spec in scn.observers]
+    for rt, name in zip(runtimes, _unique_names(scn.observers)):
+        rt.name = name
     fb_rt = runtimes[0] if (not classical and ctl.feedback == "observer") else None
     if fb_rt is not None:
         fb_rt.feeds = True
@@ -797,8 +846,6 @@ def run_scenario(scn: Scenario) -> Trajectory:
     derivs, pres, posts = (_hooked(parts, hook) for hook in ("derivative", "pre_step", "post_step"))
 
     y = np.zeros(lay.size)
-    y[sl_x] = x0
-    y[sl_c] = ctl.xc0
     s = np.zeros(slay.size)
     for part in parts:
         part.init_vector(y)
@@ -812,36 +859,37 @@ def run_scenario(scn: Scenario) -> Trajectory:
     for ev in sorted(scn.events, key=lambda e: e.time):
         events_at.setdefault(int(round(ev.time / h)), []).append(ev)
 
-    def control_eval(y_stage):
+    def control(p, y):
         """(u_raw, integrator derivative) at a stage state, as floats."""
         if fb_rt is None:
-            xfb = y_stage[sl_x]
-        else:
-            xfb = fb_rt.estimate(y_stage, s) / cache.qd  # volts/amps -> stored
-        return law(xfb, y_stage.item(i_c))
+            return law(p, p[n])
+        # volts/amps -> stored
+        return law((fb_rt.estimate(y, s) / cache.qd).tolist(), p[n])
 
-    def rhs(t, y_stage):
-        dy = np.zeros(lay.size)
-        x = y_stage[sl_x]
-        u_raw, dy[i_c] = control_eval(y_stage)
+    def stage(p, y):
+        """(dp, dy): the derivatives of the plant rows and integrator, and
+        of the estimator rows (None without an estimator)."""
+        u_raw, dxc = control(p, y)
         u = min(max(u_raw, u_lo), u_hi)
-        dy[sl_x] = (cache.L0 + u * cache.L1) @ x + cache.b0
+        dp = cache.drift(p, u)
+        dp.append(dxc)
         if not derivs:  # no estimator reads the observer frame
-            return dy
-        y_m = cache.c_y * x.item(3)
+            return dp, None
+        dy = np.zeros(lay.size)
+        y_m = cache.c_y * p[3]
         A_obs = cache.A0_obs + u * cache.A1_obs
         for part in derivs:
-            part.derivative(dy, y_stage, A_obs, cache.b0_obs, y_m)
-        return dy
+            part.derivative(dy, y, A_obs, cache.b0_obs, y_m)
+        return dp, dy
 
-    # the sample store: y and s as they stand at each sample instant, and
-    # what control_eval returns there; every other logged signal is derived
+    # the sample store: p, y and s as they stand at each sample instant,
+    # and what control returns there; every other logged signal is derived
     # from them after the loop
     steps = list(range(0, N + 1, stride))
     if steps[-1] != N:
         steps.append(N)
     K = len(steps)
-    ys, ss = np.empty((K, lay.size)), np.empty((K, slay.size))
+    ps, ys, ss = np.empty((K, len(p))), np.empty((K, lay.size)), np.empty((K, slay.size))
     us, yts = np.empty((K, m)), np.empty((K, m))
     sats = np.empty(K, dtype=bool)
     refs = np.empty(K)
@@ -850,20 +898,20 @@ def run_scenario(scn: Scenario) -> Trajectory:
     epoch = 0
 
     def assemble() -> Trajectory:
-        rows, srows, ep = ys[:taken], ss[:taken], epochs[:taken]
-        xs = rows[:, sl_x]
+        prows, rows, srows, ep = ps[:taken], ys[:taken], ss[:taken], epochs[:taken]
+        xs = prows[:, :n]
         signals = _matvec(model.Q, xs)  # physical; events change r, never Q
         W = np.full(taken, np.nan)
         if not classical:
             for e, pe in enumerate(pis):
                 at = ep == e
-                W[at] = _storage(model.Q, pe.Ki, xs[at], rows[at, sl_c], pe.x_star, pe.x_c_star)
+                W[at] = _storage(model.Q, pe.Ki, xs[at], prows[at, n:], pe.x_star, pe.x_c_star)
         observers = {}
         for rt in runtimes:
             xhat, rec = rt.record(rows, srows)
             d = xhat - signals
             # a GPEBO kind's omega and Delta in rec keep the place set here
-            observers[rt.spec.name] = {
+            observers[rt.name] = {
                 "xhat": xhat,
                 # sqrt(d . d) per row: the kernel of np.linalg.norm, bit for bit
                 "err_norm": np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0]),
@@ -879,9 +927,9 @@ def run_scenario(scn: Scenario) -> Trajectory:
             "controller": ctl.type,
             "feedback": ctl.feedback,
             "x4_star": ctl.x4_star,
-            "mu": {rt.spec.name: rt.spec.mu for rt in runtimes},
-            "gamma": {rt.spec.name: rt.spec.gamma for rt in runtimes},
-            "lam": {rt.spec.name: rt.spec.lam for rt in runtimes},
+            "mu": {rt.name: rt.spec.mu for rt in runtimes},
+            "gamma": {rt.name: rt.spec.gamma for rt in runtimes},
+            "lam": {rt.name: rt.spec.lam for rt in runtimes},
             "params": vars(replace(params)),
         }
         return Trajectory(
@@ -915,19 +963,19 @@ def run_scenario(scn: Scenario) -> Trajectory:
                         pi, law = _epoch(ctl, params, model, ref_now, t)
                         pis.append(pi)
                 if k == steps[taken]:
-                    u_raw, yts[taken] = control_eval(y)
+                    u_raw, yts[taken] = control(p, y)
                     us[taken] = u = min(max(u_raw, u_lo), u_hi)
                     sats[taken] = u != u_raw  # the clamp flag, formed only here
-                    ys[taken], ss[taken] = y, s
+                    ps[taken], ys[taken], ss[taken] = p, y, s
                     refs[taken], epochs[taken] = ref_now, epoch
                     taken += 1
                 if k == N:
                     break
                 if pres:
-                    y_m0 = cache.c_y * y.item(3)  # x4: the plant rows come first
+                    y_m0 = cache.c_y * p[3]
                     for part in pres:
                         part.pre_step(y, s, y_m0)
-                y = rk4_step(rhs, t, y, h)
+                p, y = _rk4_split_step(stage, t, p, y, h)
                 for part in posts:
                     part.post_step(s, h)
                 if s.size and not np.isfinite(s).all():

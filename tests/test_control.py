@@ -12,6 +12,8 @@ slip in either breaks the cancellation of the cross terms, so this test
 pins both conventions.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,23 @@ def test_shifted_output_frozen_value(cuk_setup):
     yt = shifted_output(Cmat, x, pair.x_star)
     assert yt.shape == (1,)
     assert yt[0] == pytest.approx(-1.9823265799509151, rel=1e-12)
+
+
+def test_shifted_output_is_the_left_to_right_sum():
+    # ytilde_i sums Cmat[i, j] (x_j - x*_j) left to right, the order the
+    # engine's float stage uses; against the correctly rounded math.fsum of
+    # the same terms it is off by at most n eps sum |terms|
+    rng = np.random.default_rng(47)
+    eps = np.finfo(float).eps
+    for _ in range(300):
+        m, n = int(rng.integers(1, 4)), int(rng.integers(2, 7))
+        Cmat = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (m, n))
+        x, x_star = rng.standard_normal(n), rng.standard_normal(n)
+        yt = shifted_output(Cmat, x, x_star)
+        assert yt.shape == (m,)
+        for i in range(m):
+            terms = [Cmat[i, j] * (x[j] - x_star[j]) for j in range(n)]
+            assert abs(yt[i] - math.fsum(terms)) <= n * eps * sum(map(abs, terms))
 
 
 def test_shifted_dynamics_identity():

@@ -102,6 +102,10 @@ def test_scenario_validation_errors():
         run_scenario(Scenario(horizon=math.inf))
     with pytest.raises(ScenarioError):
         run_scenario(Scenario(stride=0, horizon=1e-5))
+    # a stride is an integer >= 1: a float or a bool is not truncated
+    for stride in (2.5, 2.0, True, -3):
+        with pytest.raises(ScenarioError, match="stride"):
+            run_scenario(Scenario(stride=stride, horizon=1e-5))
     with pytest.raises(ScenarioError):
         run_scenario(Scenario(controller=ControllerSpec(type="lqr"), horizon=1e-5))
     with pytest.raises(ScenarioError):
@@ -399,24 +403,25 @@ def test_storage_reference_once_per_epoch_and_no_unread_observer_frame(monkeypat
 
 
 def _captured_run(monkeypatch, scn):
-    """Run scn, keeping the Runge-Kutta vector at the start of every step
-    (the plant state, then the integrator) and the PI-PBC state of every
-    epoch.  At stride 1, entry k of the vectors belongs to sample k; the
-    last sample has no step after it, so its entry is None."""
+    """Run scn, keeping the plant rows of the Runge-Kutta vector at the
+    start of every step (the plant state, then the integrator) and the
+    PI-PBC state of every epoch.  At stride 1, entry k of the vectors
+    belongs to sample k; the last sample has no step after it, so its entry
+    is None."""
     import pbclab.sim as simmod
 
     ys, pis = [], []
-    step, make = simmod.rk4_step, simmod.make_pi_pbc
+    step, make = simmod._rk4_split_step, simmod.make_pi_pbc
 
-    def keeping_step(f, t, y, h):
-        ys.append(y.copy())
-        return step(f, t, y, h)
+    def keeping_step(stage, t, p, y, h):
+        ys.append(np.array(p))
+        return step(stage, t, p, y, h)
 
     def keeping_make(*args, **kwargs):
         pis.append(make(*args, **kwargs))
         return pis[-1]
 
-    monkeypatch.setattr(simmod, "rk4_step", keeping_step)
+    monkeypatch.setattr(simmod, "_rk4_split_step", keeping_step)
     monkeypatch.setattr(simmod, "make_pi_pbc", keeping_make)
     traj = run_scenario(scn)
     ys.append(None)  # the last sample follows the last step
@@ -487,8 +492,8 @@ def test_estimator_rows_equal_the_reference_derivatives(monkeypatch):
         stride=50,
     )
     k_event = round(1e-4 / scn.h)
-    kept, stages, frozen, law_u = {}, [], [], {}
-    step, stage_law = simmod.rk4_step, simmod._stage_law
+    kept, stages, frozen, starts, law_u = {}, [], [], [], {}
+    step, stage_law = simmod._rk4_split_step, simmod._stage_law
     bank_init, kbf_init = simmod._SharedStates.__init__, simmod._KbfRuntime.__init__
     grad_pre = simmod._GradientRuntime.pre_step
 
@@ -515,19 +520,23 @@ def test_estimator_rows_equal_the_reference_derivatives(monkeypatch):
 
         return recorded
 
-    def keeping_step(f, t, y, h):
-        def rhs(t_stage, y_stage):
-            dy = f(t_stage, y_stage)
-            stages.append((round(t / h), y_stage.copy(), dy.copy(), law_u["raw"]))
-            return dy
+    def keeping_step(stage, t, p, z, h):
+        # the plant state at the start of the step, and at every stage the
+        # plant state, the estimator rows and their derivatives
+        starts.append(np.array(p[:4]))
 
-        return step(rhs, t, y, h)
+        def recording(p_stage, z_stage):
+            dp, dz = stage(p_stage, z_stage)
+            stages.append((round(t / h), np.array(p_stage[:4]), z_stage.copy(), dz.copy(), law_u["raw"]))
+            return dp, dz
+
+        return step(recording, t, p, z, h)
 
     monkeypatch.setattr(simmod._SharedStates, "__init__", keeping_bank)
     monkeypatch.setattr(simmod._KbfRuntime, "__init__", keeping_kbf)
     monkeypatch.setattr(simmod._GradientRuntime, "pre_step", keeping_grad_pre)
     monkeypatch.setattr(simmod, "_stage_law", keeping_law)
-    monkeypatch.setattr(simmod, "rk4_step", keeping_step)
+    monkeypatch.setattr(simmod, "_rk4_split_step", keeping_step)
     run_scenario(scn)
     bank, kbf = kept["bank"], kept["kbf"]
     assert sorted(bank.filters) == [3.0, 5.0]
@@ -542,10 +551,10 @@ def test_estimator_rows_equal_the_reference_derivatives(monkeypatch):
         b = Q @ (G0 @ model.E) + u * (Q @ (G1 @ model.E))
         return A, b, model.C / np.diag(Q)[None, :], model
 
-    for k, y, dy, u_raw in stages:
+    for k, x, y, dy, u_raw in stages:
         u = min(max(u_raw, scn.controller.u_min), scn.controller.u_max)
         A, b, C, model = frame(30.0 if k >= k_event else 20.0, u)
-        y_m = model.C @ y[:4]
+        y_m = model.C @ x
         xi, Phi = bank.xi(y), bank.Phi(y)
         for lam, filt in bank.filters.items():
             Y, Omega = y[filt.sl_y], y[filt.sl_om].reshape(4, 4)
@@ -559,8 +568,8 @@ def test_estimator_rows_equal_the_reference_derivatives(monkeypatch):
         assert np.array_equal(dy[kbf.sl_x], dx), k
         assert np.array_equal(dy[kbf.sl_H], dH.ravel()), k
     _, _, C, model = frame(20.0, 0.0)  # the sensor is the same in both epochs
-    for y, data in frozen:
-        y_m = model.C @ y[:4]
+    for (y, data), x in zip(frozen, starts, strict=True):
+        y_m = model.C @ x
         assert np.array_equal(data["CPhi"], C @ bank.Phi(y))
         assert np.array_equal(np.atleast_1d(data["y_shift"]), y_m - C @ bank.xi(y))
 
@@ -579,6 +588,138 @@ def test_repeated_names_keep_every_estimator():
     header = traj.csv_header()
     assert len(header) == 8 + 3 * 7 and len(set(header)) == len(header)
     assert traj.csv_matrix().shape[1] == len(header)
+
+
+def test_aliased_specs_are_named_per_run_without_renaming_them():
+    # one spec listed three times gives three blocks, and the names are
+    # assigned per run: a second run of the same scenario logs the same
+    # names, and the specs keep their configured (empty) name
+    spec = ObserverSpec(kind="emulator")
+    scn = Scenario(observers=[spec] * 3, horizon=5e-5, stride=20)
+    for _ in range(2):
+        traj = run_scenario(scn)
+        assert list(traj.observers) == ["emulator", "emulator-2", "emulator-3"]
+        assert list(traj.meta["mu"]) == list(traj.observers)
+        assert spec.name == ""
+
+
+def _joined(stage, n_p):
+    """The engine's stage function as rk4_step's f(t, y) on the joined
+    vector y = (plant rows and integrator, estimator rows)."""
+
+    def f(t, y):
+        dp, dz = stage(y[:n_p].tolist(), y[n_p:])
+        return np.array(dp) if dz is None else np.concatenate([dp, dz])
+
+    return f
+
+
+def _checked_steps(monkeypatch, check_stage=None):
+    """Make every engine step check itself against rk4_step applied to the
+    same stage function on the joined vector, bit for bit; check_stage(p,
+    dp) sees every stage of the engine's own step.  Returns the list of the
+    checked steps' start times."""
+    import pbclab.sim as simmod
+
+    step, count = simmod._rk4_split_step, []
+
+    def checking_step(stage, t, p, z, h):
+        def seen(p_stage, z_stage):
+            dp, dz = stage(p_stage, z_stage)
+            if check_stage is not None:
+                check_stage(p_stage, dp)
+            return dp, dz
+
+        p_new, z_new = step(seen, t, p, z, h)
+        want = simmod.rk4_step(_joined(stage, len(p)), t, np.concatenate([p, z]), h)
+        assert np.array_equal(np.concatenate([p_new, z_new]), want), t
+        count.append(t)
+        return p_new, z_new
+
+    monkeypatch.setattr(simmod, "_rk4_split_step", checking_step)
+    return count
+
+
+def test_engine_step_equals_rk4_on_the_clamped_stage(monkeypatch):
+    # on a state loop that hits the clamp and crosses an event, every step
+    # equals rk4_step on the joined vector, and every stage's derivative is
+    # the plant drift at the duty ratio control.pi_pbc_step clamps, with
+    # the integrator derivative ytilde
+    import pbclab.sim as simmod
+    from pbclab.control import pi_pbc_step
+    from pbclab.cuk import build_cuk
+
+    pis, make = [], simmod.make_pi_pbc
+
+    def keeping_make(*args, **kwargs):
+        pis.append(make(*args, **kwargs))
+        return pis[-1]
+
+    cache = simmod._PlantCache(build_cuk(CukParams()))  # a reference event keeps the plant
+    clamped = []
+
+    def check_stage(p, dp):
+        u, ytilde, sat = pi_pbc_step(replace(pis[-1], x_c=np.array(p[4:])), np.array(p[:4]))
+        clamped.append(sat)
+        assert dp == cache.drift(p, u.item()) + [ytilde.item()]
+
+    monkeypatch.setattr(simmod, "make_pi_pbc", keeping_make)
+    steps = _checked_steps(monkeypatch, check_stage)
+    scn = Scenario(
+        events=[EventSpec(time=2e-4, kind="reference", value=-12.0)], horizon=4e-4, stride=10
+    )
+    traj = run_scenario(scn)
+    assert len(steps) == round(scn.horizon / scn.h) and len(pis) == 2
+    assert 0 < sum(clamped) < len(clamped) and 0 < traj.saturated.sum() < len(traj.t)
+
+
+def test_engine_step_equals_rk4_with_every_estimator_kind(monkeypatch):
+    # the estimator rows ride in the same four stages: on an observer-
+    # feedback run with all five kinds and a load event, every step equals
+    # rk4_step on the joined vector
+    steps = _checked_steps(monkeypatch)
+    scn = Scenario(
+        controller=ControllerSpec(feedback="observer"),
+        observers=[
+            ObserverSpec(name="fct", kind="fct-gpebo", gamma=1e12),
+            ObserverSpec(name="gpebo", kind="gpebo", gamma=1e17),
+            ObserverSpec(name="emulator", kind="emulator"),
+            ObserverSpec(name="kbf", kind="kbf"),
+            ObserverSpec(name="grad-raw", kind="gradient", gamma=1e8, mode="raw"),
+            ObserverSpec(name="grad-ext", kind="gradient", gamma=1e8, mode="extended", lam=3.0),
+        ],
+        events=[EventSpec(time=1e-4, kind="load", value=30.0)],
+        horizon=2e-4,
+        stride=50,
+    )
+    traj = run_scenario(scn)
+    assert len(steps) == round(scn.horizon / scn.h)
+    assert traj.saturated.any()
+
+
+def test_float_drift_rows_agree_with_the_model_dynamics():
+    # the plant stage sums each row left to right on Python floats; at
+    # random states and duty ratios it must agree with phmodel.dynamics
+    # within that sum's rounding bound, n eps sum |terms|, the terms being
+    # the products L0_ij x_j and u L1_ij x_j and the source b0_i
+    from pbclab.cuk import build_cuk
+    from pbclab.phmodel import dynamics
+    from pbclab.sim import _PlantCache
+
+    rng = np.random.default_rng(23)
+    eps = np.finfo(float).eps
+    for r in (20.0, 30.0, 5.0):
+        model = build_cuk(CukParams(r=r))
+        cache = _PlantCache(model)
+        qd = np.diag(model.Q)
+        for _ in range(500):
+            x = rng.uniform(-1.0, 1.0, 4) * [5.0, 60.0, 5.0, 60.0] / qd  # amps and volts
+            u = rng.uniform(0.0, 1.0)
+            got, want = cache.drift(x.tolist(), u), dynamics(model, x, [u])
+            for i, row in enumerate(cache.rows):
+                a, c, b = np.array(row[:4]), np.array(row[4:8]), row[8]
+                terms = np.abs(a * x).sum() + np.abs(u * c * x).sum() + abs(b)
+                assert abs(got[i] - want[i]) <= 4 * eps * terms, (r, i)
 
 
 def test_kbf_riccati_state_stays_exactly_symmetric():
