@@ -9,7 +9,10 @@ Subcommands
 * ``compare``     - run the plant once in state feedback with every
   configured observer riding along, and print one table row per observer.
 * ``sweep``       - rerun the scenario over a list of values for one
-  scalar config entry and print a metrics matrix.
+  scalar config entry and print a metrics matrix.  Two or more values fan
+  out over a process pool of min(values, CPUs) workers; with the
+  ``PBCLAB_SERIAL`` environment variable set (e.g. ``PBCLAB_SERIAL=1``)
+  they run one after another in this process.
 * ``presets list`` - list the shipped figure presets.
 
 Configuration comes from ``--config FILE`` or ``--preset NAME`` (else the
@@ -27,7 +30,6 @@ import copy
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -281,6 +283,8 @@ def cmd_compare(args) -> int:
 def _fan_out(worker, jobs):
     if len(jobs) <= 1 or os.environ.get("PBCLAB_SERIAL"):
         return [worker(j) for j in jobs]
+    from concurrent.futures import ProcessPoolExecutor  # only a pooled sweep pays this import
+
     workers = min(len(jobs), os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, jobs))

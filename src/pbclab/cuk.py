@@ -61,11 +61,17 @@ class InfeasibleEquilibrium(CukError):
             f"no equilibrium at x4_star={x4_star:g} V (discriminant {discriminant:g} < 0)"
         )
 
+    def __reduce__(self):
+        return type(self), (self.x4_star, self.discriminant)
+
 
 class NoRootInUnitInterval(CukError):
     def __init__(self, roots):
         self.roots = list(roots)
         super().__init__(f"quadratic roots {self.roots} all fall outside (0, 1)")
+
+    def __reduce__(self):
+        return type(self), (self.roots,)
 
 
 class OracleMismatch(CukError):

@@ -53,10 +53,16 @@ class NonSkewError(ModelError):
         self.index = index
         super().__init__(f"interconnection matrix J{index} is not skew-symmetric")
 
+    def __reduce__(self):
+        return type(self), (self.index,)
+
 
 class NonSymmetricRError(ModelError):
     def __init__(self):
         super().__init__("dissipation matrix R is not symmetric")
+
+    def __reduce__(self):
+        return type(self), ()
 
 
 class NonPsdRError(ModelError):
@@ -64,10 +70,16 @@ class NonPsdRError(ModelError):
         self.min_eig = min_eig
         super().__init__(f"dissipation matrix R has a negative eigenvalue ({min_eig:.3e})")
 
+    def __reduce__(self):
+        return type(self), (self.min_eig,)
+
 
 class NonPositiveQError(ModelError):
     def __init__(self):
         super().__init__("energy matrix Q must be diagonal with positive entries")
+
+    def __reduce__(self):
+        return type(self), ()
 
 
 class RankDeficientCError(ModelError):
@@ -75,6 +87,9 @@ class RankDeficientCError(ModelError):
         self.rank = rank
         self.p = p
         super().__init__(f"measurement matrix C has rank {rank} < {p} rows")
+
+    def __reduce__(self):
+        return type(self), (self.rank, self.p)
 
 
 @dataclass

@@ -142,6 +142,10 @@ class InfeasibleEquilibrium(RuntimeError):
         self.epoch_time = epoch_time
         super().__init__(f"no equilibrium at t={epoch_time:g} s: {cause}")
 
+    def __reduce__(self):
+        # the cause is kept only as its text, which follows the first " s: "
+        return type(self), (self.epoch_time, str(self).partition(" s: ")[2])
+
 
 class ScenarioError(ValueError):
     """The scenario description is inconsistent."""

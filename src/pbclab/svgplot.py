@@ -10,7 +10,6 @@ curves here are smooth at the sampling period).
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -20,6 +19,12 @@ _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#17becf",
             "#8c564b", "#7f7f7f"]
 _MAX_POINTS = 2000
 _LOG_FLOOR = 1e-18  # nonpositive values are dropped on a log axis
+
+
+def escape(text: str) -> str:
+    """Escape ``&``, ``<`` and ``>`` for an SVG text node, as
+    ``xml.sax.saxutils.escape`` does; quotes stay as they are."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 6):

@@ -10,13 +10,21 @@ Oracles
 """
 
 import copy
+import importlib
 import math
+import os
+import pickle
+import pkgutil
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pbclab import cli
+import pbclab
+from pbclab import cli, control, cuk, phmodel, sim, svgplot
 from pbclab.config import (
     ConfigError,
     apply_overrides,
@@ -354,6 +362,126 @@ def test_sweep_matrix_and_empty(monkeypatch, capsys):
 
     assert cli.main(["sweep", "--param", "controller.ki", "--values", ""]) == 0
     assert "0 value(s)" in capsys.readouterr().out
+
+
+def _sweep_stdout(capsys, out_dir, extra):
+    rc = cli.main(["sweep", *extra, "--out", str(out_dir)])
+    text = capsys.readouterr().out
+    assert rc == 0
+    return text.replace(str(out_dir), "<out>")
+
+
+def test_pooled_sweep_equals_the_serial_sweep(monkeypatch, tmp_path, capsys):
+    """Two values fan out over the process pool; the table and the CSV are
+    the serial run's, byte for byte."""
+    import concurrent.futures
+
+    pools = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    extra = [*FAST, "--param", "controller.ki", "--values", "4,8"]
+    monkeypatch.delenv("PBCLAB_SERIAL", raising=False)
+    pooled = _sweep_stdout(capsys, tmp_path / "pooled", extra)
+    assert len(pools) == 1
+    monkeypatch.setenv("PBCLAB_SERIAL", "1")
+    serial = _sweep_stdout(capsys, tmp_path / "serial", extra)
+    assert len(pools) == 1
+    assert pooled == serial
+    assert (tmp_path / "pooled" / "run-sweep.csv").read_bytes() == (
+        tmp_path / "serial" / "run-sweep.csv"
+    ).read_bytes()
+
+
+def test_pooled_sweep_reports_an_infeasible_point_as_the_serial_sweep(monkeypatch, capsys):
+    argv = ["sweep", "--set", "scenario.horizon=0.0001",
+            "--param", "controller.x4_star", "--values=-15,-1000"]
+    monkeypatch.delenv("PBCLAB_SERIAL", raising=False)
+    assert cli.main(argv) == 3
+    pooled = capsys.readouterr().err
+    monkeypatch.setenv("PBCLAB_SERIAL", "1")
+    assert cli.main(argv) == 3
+    serial = capsys.readouterr().err
+    assert serial.startswith("infeasible operating point: ")
+    assert pooled == serial
+
+
+# every exception class pbclab defines, with constructor arguments
+_EXCEPTION_SAMPLES = {
+    ConfigError: ("unknown key 'x'",),
+    control.SingularKIError: ("Ki is singular",),
+    cuk.CukError: ("bad parameters",),
+    cuk.InfeasibleEquilibrium: (-1000.0, -1.47502e8),
+    cuk.NoRootInUnitInterval: ([1.25, -0.5],),
+    cuk.OracleMismatch: ("roots disagree",),
+    phmodel.ModelError: ("bad model",),
+    phmodel.NonSkewError: (2,),
+    phmodel.NonSymmetricRError: (),
+    phmodel.NonPsdRError: (-0.125,),
+    phmodel.NonPositiveQError: (),
+    phmodel.RankDeficientCError: (1, 2),
+    sim.NonFiniteState: ("non-finite state at t=1e-05 s",),
+    sim.InfeasibleEquilibrium: (1e-3, cuk.InfeasibleEquilibrium(-1000.0, -1.47502e8)),
+    sim.ScenarioError: ("stride must be an integer >= 1",),
+}
+
+
+def _defined_exception_classes():
+    found = set()
+    for info in pkgutil.iter_modules(pbclab.__path__):
+        mod = importlib.import_module(f"pbclab.{info.name}")
+        for obj in vars(mod).values():
+            if (isinstance(obj, type) and issubclass(obj, BaseException)
+                    and obj.__module__ == mod.__name__):
+                found.add(obj)
+    return found
+
+
+def test_every_exception_survives_a_pickle_round_trip():
+    """A pool worker's exception reaches the parent through pickle."""
+    assert _defined_exception_classes() == set(_EXCEPTION_SAMPLES)
+    for cls, args in _EXCEPTION_SAMPLES.items():
+        exc = cls(*args)
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is cls
+        assert str(back) == str(exc)
+        assert vars(back) == vars(exc)
+
+
+def test_importing_the_cli_leaves_the_pool_and_xml_stacks_unloaded():
+    code = (
+        "import sys, numpy, yaml\n"
+        "before = set(sys.modules)\n"
+        "import pbclab.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    src = str(Path(pbclab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    added = done.stdout.split()
+    assert "pbclab.cli" in added
+    heavy = ("concurrent.futures", "multiprocessing", "xml", "urllib", "http", "ssl",
+             "email", "socket", "subprocess")
+    loaded = [m for m in added for h in heavy if m == h or m.startswith(h + ".")]
+    assert loaded == []
+
+
+def test_svg_text_nodes_are_escaped_as_saxutils_escapes_them():
+    from xml.sax.saxutils import escape
+
+    nasty = "a<b & c>d \"q\" 'r'"
+    t = np.linspace(0.0, 1.0, 5)
+    svg = svgplot.line_plot([(nasty + " v4", t, t**2)], title=nasty + " title",
+                            xlabel=nasty + " x", ylabel=nasty + " y")
+    texts = re.findall(r"<text [^>]*>(.*?)</text>", svg)
+    for label in (" title", " x", " y", " v4"):
+        assert escape(nasty + label) in texts
+    assert escape(nasty) == "a&lt;b &amp; c&gt;d \"q\" 'r'"
 
 
 def test_sweep_bad_or_nonscalar_path_exit2(capsys):
