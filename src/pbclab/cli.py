@@ -9,10 +9,15 @@ Subcommands
 * ``compare``     - run the plant once in state feedback with every
   configured observer riding along, and print one table row per observer.
 * ``sweep``       - rerun the scenario over a list of values for one
-  scalar config entry and print a metrics matrix.  Two or more values fan
-  out over a process pool of min(values, CPUs) workers; with the
-  ``PBCLAB_SERIAL`` environment variable set (e.g. ``PBCLAB_SERIAL=1``)
-  they run one after another in this process.
+  scalar config entry and print a metrics matrix.  Values whose scenarios
+  differ only in the name, gamma or mu of GPEBO-kind and gradient
+  estimators that do not close the loop share one closed-loop pass
+  (``pbclab.sim.SharedPass``): they run in value order in one process,
+  the first one in full and each later one by replaying its estimators'
+  exact steps.  Two or more distinct passes fan out over a process pool
+  of min(passes, CPUs) workers; with the ``PBCLAB_SERIAL`` environment
+  variable set (e.g. ``PBCLAB_SERIAL=1``) they run one after another in
+  this process.
 * ``presets list`` - list the shipped figure presets.
 
 Configuration comes from ``--config FILE`` or ``--preset NAME`` (else the
@@ -55,6 +60,8 @@ from .sim import (
     InfeasibleEquilibrium,
     NonFiniteState,
     ScenarioError,
+    SharedPass,
+    _pass_key,
     compute_metrics,
     run_scenario,
 )
@@ -127,10 +134,12 @@ def _write_metrics(path: Path, metrics: dict):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _run_and_measure(cfg: dict):
-    """Run one concrete config; return the trajectory, the checkpoints that
-    lie within the horizon and the metrics taken at them."""
-    traj = run_scenario(scenario_from_config(cfg))
+def _run_and_measure(cfg: dict, shared=None):
+    """Run one concrete config, on the closed-loop pass `shared` if given;
+    return the trajectory, the checkpoints that lie within the horizon and
+    the metrics taken at them."""
+    scn = scenario_from_config(cfg)
+    traj = run_scenario(scn) if shared is None else run_scenario(scn, shared=shared)
     cps = tuple(c for c in cfg["output"]["checkpoints"] if c <= cfg["scenario"]["horizon"])
     return traj, cps, compute_metrics(traj, band_frac=cfg["output"]["band_frac"], checkpoints=cps)
 
@@ -290,8 +299,10 @@ def _fan_out(worker, jobs):
         return list(pool.map(worker, jobs))
 
 
-def _sweep_worker(cfg) -> dict:
-    return _run_and_measure(cfg)[2]
+def _sweep_worker(cfgs) -> list:
+    """The metrics of configs that share one closed-loop pass, in order."""
+    shared = SharedPass()
+    return [_run_and_measure(cfg, shared)[2] for cfg in cfgs]
 
 
 def cmd_sweep(args) -> int:
@@ -309,7 +320,14 @@ def cmd_sweep(args) -> int:
         sub.pop("variants", None)
         set_path(sub, args.param, _parse_value(text.strip()))
         jobs.append(validate_config(sub))
-    rows = _fan_out(_sweep_worker, jobs)
+    groups = {}  # pass key -> the indices of the jobs that share its pass
+    for i, job in enumerate(jobs):
+        groups.setdefault(_pass_key(scenario_from_config(job)), []).append(i)
+    rows = [None] * len(jobs)
+    done = _fan_out(_sweep_worker, [[jobs[i] for i in idx] for idx in groups.values()])
+    for idx, metrics in zip(groups.values(), done):
+        for i, row in zip(idx, metrics):
+            rows[i] = row
     keys = sorted(set().union(*(r.keys() for r in rows)))
     table = [[args.param] + keys]
     for text, row in zip(values, rows):

@@ -31,7 +31,7 @@ import typing
 
 import yaml
 
-from .sim import Scenario, ScenarioError, validate_scenario
+from .sim import Scenario, ScenarioError, _check_band_frac, validate_scenario
 
 __all__ = [
     "ConfigError",
@@ -191,6 +191,10 @@ def validate_config(cfg: dict) -> dict:
         _number(v, f"output.checkpoints.{i}") for i, v in enumerate(out["checkpoints"])
     ]
     out["band_frac"] = _number(out["band_frac"], "output.band_frac")
+    try:
+        _check_band_frac(out["band_frac"])
+    except ValueError as exc:
+        raise ConfigError(f"output.{exc}") from exc
 
     variants = cfg.get("variants")
     if variants is not None:

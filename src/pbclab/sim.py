@@ -59,6 +59,18 @@ estimator's logged arrays are derived from that store after the loop
 with stacked numpy; the estimators' internals are views of it, so
 estimators that read the same copy or filter share them.
 
+A sweep over the gains of estimators that only ride shares one
+closed-loop pass (`SharedPass`).  The name, gamma and mu of a GPEBO-kind
+or gradient estimator that does not close the loop reach nothing but its
+own exactly stepped slots of s, so runs that differ only there have the
+same plant, integrator, copy, filters and Kalman-Bucy rows, and the same
+frozen inputs to every exact step.  The first such run integrates the
+loop and keeps its sample store and, per step, those frozen inputs; each
+later one starts s afresh, steps every exact step from the kept inputs,
+samples s at the same instants and assembles its trajectory from the
+kept store.  It calls the same update functions on the same inputs, so
+its arrays are those of a run of its own, bit for bit.
+
 Scenario events retarget the reference voltage or restep the load at a
 grid instant; the equilibrium pair, the passive output map and the
 storage-function bookkeeping are recomputed there and the integrator
@@ -90,7 +102,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -116,6 +128,7 @@ __all__ = [
     "EventSpec",
     "Scenario",
     "Trajectory",
+    "SharedPass",
     "rk4_step",
     "validate_scenario",
     "run_scenario",
@@ -124,6 +137,7 @@ __all__ = [
 
 GPEBO_KINDS = ("fct-gpebo", "gpebo")
 OBSERVER_KINDS = GPEBO_KINDS + ("emulator", "kbf", "gradient")
+_EXACT_KINDS = GPEBO_KINDS + ("gradient",)  # the kinds stepped exactly, in s
 # physical plant signals (A, V, A, V) and their estimates, in CSV column order
 SIGNALS = ("i1", "v2", "i3", "v4")
 ESTIMATES = ("ihat1", "vhat2", "ihat3", "vhat4")
@@ -452,7 +466,7 @@ class _RegressionFilter:
         self.sl_y = lay.add(n)
         self.sl_om = lay.add(n * n)
         self.mixed = False  # a GPEBO-kind estimator reads the DREM mix
-        self.mix = None  # (scriptY, Delta) at the start of the current step
+        self.frozen = None  # the mix {scriptY, Delta} at the start of the current step
 
     def derivative(self, dy, y, drive_y, drive_om):
         """Write dY = lam (drive_y - Y) and dOmega = lam (drive_om - Omega),
@@ -527,7 +541,8 @@ class _SharedStates(_Part):
         # at the start of the step
         for filt in self.filters.values():
             if filt.mixed:
-                filt.mix = drem_mix(y[filt.sl_om].reshape(self.n, self.n), y[filt.sl_y])
+                scriptY, Delta = drem_mix(y[filt.sl_om].reshape(self.n, self.n), y[filt.sl_y])
+                filt.frozen = {"scriptY": scriptY, "Delta": Delta}
 
     def reconstruct(self, y, theta):
         """x_hat = xi + Phi theta at one stage."""
@@ -568,9 +583,9 @@ class _GpeboRuntime(_Part):
             self.theta_feed = self.theta(s[self.i_omega], s[self.sl_theta]).copy()
 
     def post_step(self, s, h):
-        scriptY, Delta = self.filt.mix
+        mix = self.filt.frozen
         s[self.i_omega], s[self.sl_theta] = scalar_update(
-            s[self.i_omega], s[self.sl_theta], scriptY, Delta, self.spec.gamma, h
+            s[self.i_omega], s[self.sl_theta], mix["scriptY"], mix["Delta"], self.spec.gamma, h
         )
 
     def estimate(self, y, s):
@@ -729,6 +744,115 @@ def _unique_names(specs) -> list:
     return assigned
 
 
+def _closes_loop(ctl: ControllerSpec) -> bool:
+    """Whether the first estimator closes the loop: the PI-PBC on observer
+    feedback (the classical PI reads the plant output)."""
+    return ctl.type != "classical-pi" and ctl.feedback == "observer"
+
+
+# -- shared closed-loop passes ------------------------------------------------
+
+
+class _Store:
+    """The plant side of a run's samples: at each sample instant the plant
+    rows and integrator p, the estimator rows y, the clamped duty ratio, the
+    passive output, the clamp flag, the reference and the epoch; with the
+    PI-PBC state of every epoch (None for the classical PI) and the
+    coenergy weights Q, which no event changes."""
+
+    def __init__(self, K: int, n_p: int, n_y: int, m: int, Q):
+        self.ps, self.ys = np.empty((K, n_p)), np.empty((K, n_y))
+        self.us, self.yts = np.empty((K, m)), np.empty((K, m))
+        self.sats = np.empty(K, dtype=bool)
+        self.refs = np.empty(K)
+        self.epochs = np.empty(K, dtype=int)
+        self.pis = []
+        self.Q = Q
+
+    def arrays(self):
+        return self.ps, self.ys, self.us, self.yts, self.sats, self.refs, self.epochs
+
+
+class _Tape:
+    """What one source hands the exact steps, kept at every step of a pass
+    in float arrays allocated at the first step: a mixed filter's
+    {scriptY, Delta}, a raw gradient's {CPhi, y_shift} or an extended
+    gradient's {Omega, Y}."""
+
+    def __init__(self, steps: int):
+        self.steps = steps
+        self.cols = None
+
+    def keep(self, k: int, frozen: dict):
+        if self.cols is None:
+            self.cols = {key: np.empty((self.steps, *np.shape(v))) for key, v in frozen.items()}
+        for key, v in frozen.items():
+            self.cols[key][k] = v
+
+    def row(self, k: int) -> dict:
+        return {key: col[k] for key, col in self.cols.items()}
+
+
+class SharedPass:
+    """One closed-loop pass, shared by the runs of one key.
+
+    The key is the scenario with the name, gamma and mu of every GPEBO-kind
+    and gradient estimator that does not close the loop left out; nothing
+    else is, and it holds floats by value and arrays by shape and bytes.
+    `run_scenario(scn, shared=p)` replays the pass p keeps when scn has its
+    key, and otherwise runs in full and, once the run completes, leaves its
+    own pass in p: the plant-side sample store, the PI-PBC state of every
+    epoch and, per step, the frozen inputs of every exact step.  Every run
+    of a pass shares the kept arrays, so they are read-only, and so are the
+    trajectory arrays that are views of them."""
+
+    def __init__(self):
+        self.key = None  # the key of the kept pass, None while none is kept
+        self.store = None  # its _Store
+        self.tapes = None  # its _Tape per source of frozen inputs
+
+    def keep(self, key, store: _Store, tapes):
+        for arr in [*store.arrays(), *(col for tape in tapes for col in tape.cols.values())]:
+            arr.flags.writeable = False
+        self.key, self.store, self.tapes = key, store, tapes
+
+
+def _lossless(value):
+    """A comparable form of a scenario value that tells apart any two
+    values a run could: floats by their exact value, arrays by dtype, shape
+    and bytes, dataclasses and sequences entry by entry."""
+    if is_dataclass(value):
+        return (type(value).__name__, *(_lossless(getattr(value, f.name)) for f in fields(value)))
+    if isinstance(value, (list, tuple)):
+        return ("seq", *map(_lossless, value))
+    if isinstance(value, np.ndarray):
+        return ("array", value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, float):
+        return ("float", value.hex())
+    return (type(value).__name__, value)
+
+
+def _pass_key(scn: Scenario) -> tuple:
+    """The key of the closed-loop pass of scn (see `SharedPass`)."""
+    feeding = _closes_loop(scn.controller)
+    specs = [
+        spec if (i == 0 and feeding) or spec.kind not in _EXACT_KINDS
+        else replace(spec, name=None, gamma=None, mu=None)
+        for i, spec in enumerate(scn.observers)
+    ]
+    return _lossless(replace(scn, observers=specs))
+
+
+def _params_at(scn: Scenario, events_at: dict, k: int) -> CukParams:
+    """The circuit values in force once the events up to step k have acted."""
+    params = replace(scn.params)
+    for j, evs in events_at.items():
+        for ev in evs:
+            if j <= k and ev.kind == "load":
+                params.r = ev.value
+    return params
+
+
 # -- the run ------------------------------------------------------------------
 
 
@@ -750,7 +874,13 @@ def validate_scenario(scn: Scenario) -> int:
         raise ScenarioError("horizon must be an integer multiple of the step")
     if isinstance(scn.stride, bool) or not isinstance(scn.stride, numbers.Integral) or scn.stride < 1:
         raise ScenarioError(f"stride must be a positive integer, got {scn.stride!r}")
+    if not all(map(math.isfinite, scn.x0)):
+        raise ScenarioError(f"x0 must be finite, got {list(scn.x0)}")
     ctl = scn.controller
+    for key in ("x4_star", "xc0"):
+        value = getattr(ctl, key)
+        if not math.isfinite(value):
+            raise ScenarioError(f"{key} must be finite, got {value}")
     if ctl.type not in ("pi-pbc", "classical-pi"):
         raise ScenarioError(f"unknown controller type {ctl.type!r}")
     if ctl.feedback not in ("state", "observer"):
@@ -778,8 +908,8 @@ def validate_scenario(scn: Scenario) -> int:
         gradient = spec.kind == "gradient"
         if gpebo and not 0.0 < spec.mu < 1.0:
             raise ScenarioError(f"{where}: mu must lie in (0, 1), got {spec.mu}")
-        if (gpebo or gradient) and not spec.gamma > 0.0:
-            raise ScenarioError(f"{where}: gamma must be positive, got {spec.gamma}")
+        if (gpebo or gradient) and not 0.0 < spec.gamma < math.inf:
+            raise ScenarioError(f"{where}: gamma must be positive and finite, got {spec.gamma}")
         reads_filter = gpebo or (gradient and spec.mode == "extended")
         if reads_filter and not spec.lam > 0.0:
             raise ScenarioError(f"{where}: lambda must be positive, got {spec.lam}")
@@ -817,37 +947,89 @@ def _epoch(ctl: ControllerSpec, params, model: PHModel, v_ref: float, t: float):
     return pi, _stage_law(ctl, pi, model, v_ref)
 
 
-def run_scenario(scn: Scenario) -> Trajectory:
+def _assemble(scn: Scenario, store: _Store, runtimes, steps, ss, taken: int, params) -> Trajectory:
+    """The trajectory of the first `taken` samples: the plant side read from
+    the store and the exactly stepped states from ss, each estimator's
+    logged arrays derived from them with stacked numpy; params are the
+    circuit values in force at the last step taken."""
+    ctl = scn.controller
+    n = len(SIGNALS)
+    prows, rows, srows, ep = store.ps[:taken], store.ys[:taken], ss[:taken], store.epochs[:taken]
+    xs = prows[:, :n]
+    signals = _matvec(store.Q, xs)  # physical; events change r, never Q
+    W = np.full(taken, np.nan)
+    if ctl.type != "classical-pi":
+        for e, pe in enumerate(store.pis):
+            at = ep == e
+            W[at] = _storage(store.Q, pe.Ki, xs[at], prows[at, n:], pe.x_star, pe.x_c_star)
+    observers = {}
+    for rt in runtimes:
+        xhat, rec = rt.record(rows, srows)
+        d = xhat - signals
+        # a GPEBO kind's omega and Delta in rec keep the place set here
+        observers[rt.name] = {
+            "xhat": xhat,
+            # sqrt(d . d) per row: the kernel of np.linalg.norm, bit for bit
+            "err_norm": np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0]),
+            "omega": np.full(taken, np.nan),
+            "Delta": np.full(taken, np.nan),
+            **rec,
+        }
+    meta = {
+        "label": scn.label,
+        "h": scn.h,
+        "stride": scn.stride,
+        "horizon": scn.horizon,
+        "controller": ctl.type,
+        "feedback": ctl.feedback,
+        "x4_star": ctl.x4_star,
+        "mu": {rt.name: rt.spec.mu for rt in runtimes},
+        "gamma": {rt.name: rt.spec.gamma for rt in runtimes},
+        "lam": {rt.name: rt.spec.lam for rt in runtimes},
+        "params": vars(replace(params)),
+    }
+    return Trajectory(
+        t=np.array(steps[:taken]) * scn.h,
+        signals=signals,
+        u=store.us[:taken],
+        ytilde=store.yts[:taken],
+        W=W,
+        saturated=store.sats[:taken],
+        ref=store.refs[:taken],
+        epoch=ep,
+        observers=observers,
+        meta=meta,
+    )
+
+
+def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
+    """Run a scenario and return its sampled trajectory.
+
+    Given `shared`, a run of the key of the pass it keeps replays that pass:
+    it runs no Runge-Kutta stage and no event, steps the exact steps from
+    the kept inputs and assembles from the kept store.  Any other run is a
+    full one, which leaves its pass in `shared` once it completes (see
+    `SharedPass`).  Without `shared` nothing is kept."""
     N = validate_scenario(scn)
     h, stride = scn.h, scn.stride
     ctl = scn.controller
+    n = len(SIGNALS)
 
-    params = replace(scn.params)
-    model = build_cuk(params)
-    # scenario initial state is physical (i1, v2, i3, v4); stored
-    # variables are fluxes and charges, x = Q^-1 (physical)
-    x0 = np.linalg.solve(model.Q, np.asarray(scn.x0, dtype=float))
-    n, m = model.n, model.m
-
-    classical = ctl.type == "classical-pi"
-    u_lo, u_hi = ctl.u_min, ctl.u_max
-    ref_now = ctl.x4_star
-    pi, law = _epoch(ctl, params, model, ref_now, 0.0)
-    pis = [pi]  # the PI-PBC of each epoch, for W after the loop
-
-    # the plant rows and the integrator: p = [x1, .., xn, xc] as Python floats
-    p = x0.tolist() + [float(ctl.xc0)]
     lay, slay = _Layout(), _Layout()  # estimator rows y; slots of the stepped vector s
     bank = _SharedStates(n, lay)
     runtimes = [_RUNTIME_BY_KIND[spec.kind](spec, bank, slay) for spec in scn.observers]
     for rt, name in zip(runtimes, _unique_names(scn.observers)):
         rt.name = name
-    fb_rt = runtimes[0] if (not classical and ctl.feedback == "observer") else None
+    fb_rt = runtimes[0] if _closes_loop(ctl) else None
     if fb_rt is not None:
         fb_rt.feeds = True
     parts = ([bank] if bank.sl_xi is not None else []) + runtimes
     # the parts whose per-stage and per-step hooks do something
     derivs, pres, posts = (_hooked(parts, hook) for hook in ("derivative", "pre_step", "post_step"))
+    # the parts whose frozen inputs the exact steps read
+    sources = [f for f in bank.filters.values() if f.mixed] + [
+        rt for rt in runtimes if isinstance(rt, _GradientRuntime)
+    ]
 
     y = np.zeros(lay.size)
     s = np.zeros(slay.size)
@@ -855,107 +1037,73 @@ def run_scenario(scn: Scenario) -> Trajectory:
         part.init_vector(y)
         part.init_state(s)
 
-    cache = _PlantCache(model)
-
     # event table: each event at its grid instant (validate_scenario
     # rejects times off the grid)
     events_at = {}
     for ev in sorted(scn.events, key=lambda e: e.time):
         events_at.setdefault(int(round(ev.time / h)), []).append(ev)
 
-    def control(p, y):
-        """(u_raw, integrator derivative) at a stage state, as floats."""
-        if fb_rt is None:
-            return law(p, p[n])
-        # volts/amps -> stored
-        return law((fb_rt.estimate(y, s) / cache.qd).tolist(), p[n])
-
-    def stage(p, y):
-        """(dp, dy): the derivatives of the plant rows and integrator, and
-        of the estimator rows (None without an estimator)."""
-        u_raw, dxc = control(p, y)
-        u = min(max(u_raw, u_lo), u_hi)
-        dp = cache.drift(p, u)
-        dp.append(dxc)
-        if not derivs:  # no estimator reads the observer frame
-            return dp, None
-        dy = np.zeros(lay.size)
-        y_m = cache.c_y * p[3]
-        A_obs = cache.A0_obs + u * cache.A1_obs
-        for part in derivs:
-            part.derivative(dy, y, A_obs, cache.b0_obs, y_m)
-        return dp, dy
-
-    # the sample store: p, y and s as they stand at each sample instant,
-    # and what control returns there; every other logged signal is derived
-    # from them after the loop
+    # the sample instants; s is sampled there in ss, the rest in the store
     steps = list(range(0, N + 1, stride))
     if steps[-1] != N:
         steps.append(N)
     K = len(steps)
-    ps, ys, ss = np.empty((K, len(p))), np.empty((K, lay.size)), np.empty((K, slay.size))
-    us, yts = np.empty((K, m)), np.empty((K, m))
-    sats = np.empty(K, dtype=bool)
-    refs = np.empty(K)
-    epochs = np.empty(K, dtype=int)
+    ss = np.empty((K, slay.size))
     taken = 0
-    epoch = 0
 
-    def assemble() -> Trajectory:
-        prows, rows, srows, ep = ps[:taken], ys[:taken], ss[:taken], epochs[:taken]
-        xs = prows[:, :n]
-        signals = _matvec(model.Q, xs)  # physical; events change r, never Q
-        W = np.full(taken, np.nan)
-        if not classical:
-            for e, pe in enumerate(pis):
-                at = ep == e
-                W[at] = _storage(model.Q, pe.Ki, xs[at], prows[at, n:], pe.x_star, pe.x_c_star)
-        observers = {}
-        for rt in runtimes:
-            xhat, rec = rt.record(rows, srows)
-            d = xhat - signals
-            # a GPEBO kind's omega and Delta in rec keep the place set here
-            observers[rt.name] = {
-                "xhat": xhat,
-                # sqrt(d . d) per row: the kernel of np.linalg.norm, bit for bit
-                "err_norm": np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0]),
-                "omega": np.full(taken, np.nan),
-                "Delta": np.full(taken, np.nan),
-                **rec,
-            }
-        meta = {
-            "label": scn.label,
-            "h": h,
-            "stride": stride,
-            "horizon": scn.horizon,
-            "controller": ctl.type,
-            "feedback": ctl.feedback,
-            "x4_star": ctl.x4_star,
-            "mu": {rt.name: rt.spec.mu for rt in runtimes},
-            "gamma": {rt.name: rt.spec.gamma for rt in runtimes},
-            "lam": {rt.name: rt.spec.lam for rt in runtimes},
-            "params": vars(replace(params)),
-        }
-        return Trajectory(
-            t=np.array(steps[:taken]) * h,
-            signals=signals,
-            u=us[:taken],
-            ytilde=yts[:taken],
-            W=W,
-            saturated=sats[:taken],
-            ref=refs[:taken],
-            epoch=ep,
-            observers=observers,
-            meta=meta,
-        )
+    key = None if shared is None else _pass_key(scn)
+    replay = key is not None and key == shared.key
+    if replay:
+        store, tapes = shared.store, shared.tapes
+    else:
+        params = replace(scn.params)
+        model = build_cuk(params)
+        cache = _PlantCache(model)
+        # scenario initial state is physical (i1, v2, i3, v4); stored
+        # variables are fluxes and charges, x = Q^-1 (physical)
+        x0 = np.linalg.solve(model.Q, np.asarray(scn.x0, dtype=float))
+        # the plant rows and the integrator: p = [x1, .., xn, xc] as Python floats
+        p = x0.tolist() + [float(ctl.xc0)]
+        store = _Store(K, len(p), lay.size, model.m, model.Q)
+        tapes = None if shared is None else [_Tape(N) for _ in sources]
+        u_lo, u_hi = ctl.u_min, ctl.u_max
+        ref_now = ctl.x4_star
+        pi, law = _epoch(ctl, params, model, ref_now, 0.0)
+        store.pis.append(pi)  # the PI-PBC of each epoch, for W after the loop
+        epoch = 0
 
+        def control(p, y):
+            """(u_raw, integrator derivative) at a stage state, as floats."""
+            if fb_rt is None:
+                return law(p, p[n])
+            # volts/amps -> stored
+            return law((fb_rt.estimate(y, s) / cache.qd).tolist(), p[n])
+
+        def stage(p, y):
+            """(dp, dy): the derivatives of the plant rows and integrator, and
+            of the estimator rows (None without an estimator)."""
+            u_raw, dxc = control(p, y)
+            u = min(max(u_raw, u_lo), u_hi)
+            dp = cache.drift(p, u)
+            dp.append(dxc)
+            if not derivs:  # no estimator reads the observer frame
+                return dp, None
+            dy = np.zeros(lay.size)
+            y_m = cache.c_y * p[3]
+            A_obs = cache.A0_obs + u * cache.A1_obs
+            for part in derivs:
+                part.derivative(dy, y, A_obs, cache.b0_obs, y_m)
+            return dp, dy
+
+    ps, ys, us, yts, sats, refs, epochs = store.arrays()
+    k = 0
     try:
         # an overflow or invalid value shows as a non-finite state, which
         # the step checks raise; numpy's warnings are silenced once here
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(N + 1):
                 t = k * h
-                if k in events_at:
+                if k in events_at and not replay:
                     for ev in events_at[k]:
                         epoch += 1
                         if ev.kind == "load":
@@ -965,39 +1113,62 @@ def run_scenario(scn: Scenario) -> Trajectory:
                         else:
                             ref_now = ev.value
                         pi, law = _epoch(ctl, params, model, ref_now, t)
-                        pis.append(pi)
+                        store.pis.append(pi)
                 if k == steps[taken]:
-                    u_raw, yts[taken] = control(p, y)
-                    us[taken] = u = min(max(u_raw, u_lo), u_hi)
-                    sats[taken] = u != u_raw  # the clamp flag, formed only here
-                    ps[taken], ys[taken], ss[taken] = p, y, s
-                    refs[taken], epochs[taken] = ref_now, epoch
+                    if not replay:
+                        u_raw, yts[taken] = control(p, y)
+                        us[taken] = u = min(max(u_raw, u_lo), u_hi)
+                        sats[taken] = u != u_raw  # the clamp flag, formed only here
+                        ps[taken], ys[taken] = p, y
+                        refs[taken], epochs[taken] = ref_now, epoch
+                    ss[taken] = s
                     taken += 1
                 if k == N:
                     break
-                if pres:
-                    y_m0 = cache.c_y * p[3]
-                    for part in pres:
-                        part.pre_step(y, s, y_m0)
-                p, y = _rk4_split_step(stage, t, p, y, h)
+                if replay:
+                    for tape, source in zip(tapes, sources):
+                        source.frozen = tape.row(k)
+                else:
+                    if pres:
+                        y_m0 = cache.c_y * p[3]
+                        for part in pres:
+                            part.pre_step(y, s, y_m0)
+                    if tapes:
+                        for tape, source in zip(tapes, sources):
+                            tape.keep(k, source.frozen)
+                    p, y = _rk4_split_step(stage, t, p, y, h)
                 for part in posts:
                     part.post_step(s, h)
                 if s.size and not np.isfinite(s).all():
                     raise NonFiniteState(f"non-finite estimator state after the step to t={t + h:g} s")
     except NonFiniteState as exc:
         # expose whatever was sampled before the blow-up
-        exc.partial = assemble()
+        if replay:
+            params = _params_at(scn, events_at, k)
+        exc.partial = _assemble(scn, store, runtimes, steps, ss, taken, params)
         raise
 
-    return assemble()
+    if replay:
+        params = _params_at(scn, events_at, N)
+    elif shared is not None:
+        shared.keep(key, store, tapes)
+    return _assemble(scn, store, runtimes, steps, ss, taken, params)
 
 
 # -- metrics ------------------------------------------------------------------
 
 
+def _check_band_frac(band_frac: float):
+    """The settling band is a fraction of |ref| in (0, 1); NaN, which no
+    band comparison would ever count as outside, is not one."""
+    if not 0.0 < band_frac < 1.0:
+        raise ValueError(f"band_frac must lie in (0, 1), got {band_frac}")
+
+
 def compute_metrics(traj: Trajectory, band_frac: float = 0.01, checkpoints=()) -> dict:
     """Flat key-value summary of a run: regulation, control effort, storage
     monotonicity, and per-observer convergence figures."""
+    _check_band_frac(band_frac)
     out = {}
     t = traj.t
     v_out = traj.signals[:, -1]

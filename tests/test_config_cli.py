@@ -410,6 +410,65 @@ def test_pooled_sweep_reports_an_infeasible_point_as_the_serial_sweep(monkeypatc
     assert pooled == serial
 
 
+def test_gain_sweep_shares_one_pass_without_a_pool(monkeypatch, tmp_path, capsys):
+    """Values of a riding estimator's gain share one closed-loop pass in
+    this process; each row is the one-value sweep's, byte for byte."""
+    import concurrent.futures
+
+    import pbclab.sim as simmod
+
+    pools, steps = [], []
+    step = simmod._rk4_split_step
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    def counting_step(*args):
+        steps.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(simmod, "_rk4_split_step", counting_step)
+    monkeypatch.delenv("PBCLAB_SERIAL", raising=False)
+    values = ["1e10", "1e11", "1e12"]
+    base = ["--preset", "fig-observer-gains", *FAST, "--param", "observers.0.gamma"]
+    swept = _sweep_stdout(capsys, tmp_path / "all", [*base, "--values", ",".join(values)])
+    assert pools == []
+    assert len(steps) == round(0.0005 / 5.0e-7)  # one pass for three rows
+    table = swept.splitlines()[1:5]
+    csv_rows = (tmp_path / "all" / "fig-observer-gains-sweep.csv").read_bytes().splitlines()
+    assert len(csv_rows) == 4
+    for i, value in enumerate(values, start=1):
+        alone = _sweep_stdout(capsys, tmp_path / value, [*base, "--values", value]).splitlines()
+        alone_csv = (tmp_path / value / "fig-observer-gains-sweep.csv").read_bytes().splitlines()
+        assert alone_csv == [csv_rows[0], csv_rows[i]]
+        assert [row.split() for row in alone[1:3]] == [table[0].split(), table[i].split()]
+    assert pools == []
+
+
+@pytest.mark.parametrize("override, key", [
+    ("observers.0.gamma=.inf", "gamma"),
+    ("scenario.x0=[.nan, 15.0, -1.5, -18.0]", "x0"),
+    ("controller.xc0=.inf", "xc0"),
+    ("controller.x4_star=.nan", "x4_star"),
+    ("output.band_frac=.nan", "band_frac"),
+    ("output.band_frac=1.0", "band_frac"),
+])
+def test_a_value_a_run_cannot_use_is_a_config_error(capsys, override, key):
+    rc = cli.main(["simulate", "--preset", "fig-observer-gains",
+                   "--set", "scenario.horizon=0.00005", "--set", override])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err
+    if key == "band_frac":  # the one rule, which compute_metrics applies too
+        traj = run_scenario(sim.Scenario(horizon=5e-5))
+        for bad in (math.nan, 0.0, 1.0):
+            with pytest.raises(ValueError, match="band_frac"):
+                compute_metrics(traj, band_frac=bad)
+
+
 # every exception class pbclab defines, with constructor arguments
 _EXCEPTION_SAMPLES = {
     ConfigError: ("unknown key 'x'",),

@@ -32,6 +32,7 @@ from pbclab.sim import (
     ObserverSpec,
     Scenario,
     ScenarioError,
+    SharedPass,
     Trajectory,
     compute_metrics,
     rk4_step,
@@ -573,6 +574,156 @@ def test_estimator_rows_equal_the_reference_derivatives(monkeypatch):
         y_m = model.C @ x
         assert np.array_equal(data["CPhi"], C @ bank.Phi(y))
         assert np.array_equal(np.atleast_1d(data["y_shift"]), y_m - C @ bank.xi(y))
+
+
+# -- shared closed-loop passes ------------------------------------------------------
+
+
+def _counting_steps(monkeypatch):
+    """Count the engine's Runge-Kutta steps."""
+    import pbclab.sim as simmod
+
+    calls, step = [], simmod._rk4_split_step
+
+    def counting(*args):
+        calls.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(simmod, "_rk4_split_step", counting)
+    return calls
+
+
+def _assert_same_run(got, want):
+    """Two trajectories equal array for array, with their meta and metrics."""
+    for key in ("t", "signals", "u", "ytilde", "W", "saturated", "ref", "epoch"):
+        assert np.array_equal(getattr(got, key), getattr(want, key), equal_nan=True), key
+    assert got.observers.keys() == want.observers.keys()
+    for name, rec in want.observers.items():
+        assert got.observers[name].keys() == rec.keys(), name
+        for key in rec:
+            assert np.array_equal(got.observers[name][key], rec[key], equal_nan=True), (name, key)
+    assert got.meta == want.meta
+    got_m, want_m = compute_metrics(got, checkpoints=(1e-4,)), compute_metrics(want, checkpoints=(1e-4,))
+    assert got_m.keys() == want_m.keys()
+    for key, value in want_m.items():
+        assert got_m[key] == value or (math.isnan(got_m[key]) and math.isnan(value)), key
+
+
+def _riders_on_the_state_loop(gamma=1e10, mu=1e-6, name="fct-a"):
+    return Scenario(
+        observers=[
+            ObserverSpec(name=name, kind="fct-gpebo", gamma=gamma, mu=mu),
+            ObserverSpec(name="fct-b", kind="fct-gpebo", gamma=1e11),
+            ObserverSpec(name="fct-c", kind="fct-gpebo", gamma=1e12),
+        ],
+        horizon=2e-4,
+        stride=30,
+    )
+
+
+_KBF_S = np.array([[2.0, 0.3, 0.0, 0.0], [0.3, 1.0, 0.0, 0.1], [0.0, 0.0, 1.5, 0.2], [0.0, 0.1, 0.2, 0.5]])
+
+
+def _riders_on_observer_feedback(gamma=1e17, mu=1e-6, name="gpebo", grad_gamma=1e8, fct_gamma=1e12,
+                                 lam=5.0, s=_KBF_S, event_time=1e-4):
+    return Scenario(
+        controller=ControllerSpec(feedback="observer"),
+        observers=[
+            ObserverSpec(name="fct", kind="fct-gpebo", gamma=fct_gamma),
+            ObserverSpec(name=name, kind="gpebo", gamma=gamma, mu=mu, lam=lam),
+            ObserverSpec(name="grad-raw", kind="gradient", gamma=grad_gamma, mode="raw"),
+            ObserverSpec(name="grad-ext", kind="gradient", gamma=grad_gamma, mode="extended", lam=3.0),
+            ObserverSpec(name="kbf", kind="kbf", s=s, h0=2.0),
+        ],
+        events=[EventSpec(time=event_time, kind="load", value=30.0)],
+        horizon=2e-4,
+        stride=30,
+    )
+
+
+@pytest.mark.parametrize("make, rows", [
+    (_riders_on_the_state_loop,
+     [dict(gamma=3e12), dict(gamma=1e10, mu=0.3, name="swept"), dict(gamma=1e14)]),
+    (_riders_on_observer_feedback,
+     [dict(gamma=1e12), dict(gamma=1e15, mu=0.01, name="swept", grad_gamma=1e6)]),
+], ids=["state-loop-fct-riders", "fct-feedback-mixed-riders"])
+def test_replayed_rows_equal_runs_of_their_own(monkeypatch, make, rows):
+    # the first run of a pass integrates the loop; every later row only
+    # steps its exact steps again, and must log what it logs on its own
+    shared = SharedPass()
+    steps = _counting_steps(monkeypatch)
+    first = run_scenario(make(), shared=shared)
+    N = len(steps)
+    assert N == round(2e-4 / 5e-7)
+    _assert_same_run(first, run_scenario(make()))
+    for row in rows:
+        del steps[:]
+        replayed = run_scenario(make(**row), shared=shared)
+        assert steps == []  # no Runge-Kutta stage
+        _assert_same_run(replayed, run_scenario(make(**row)))
+    # the rows of a pass share its arrays, which therefore cannot be written
+    assert np.shares_memory(first.u, replayed.u)
+    for arr in (replayed.u, replayed.observers["fct-b" if "fct-b" in replayed.observers else "fct"]["xi"]):
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
+
+
+def test_replay_raises_as_a_run_of_its_own(monkeypatch):
+    # a rider that turns non-finite from step k stops a replayed row at the
+    # same step, with the same message and the same partial samples; the
+    # load event after k must not reach the partial's circuit values
+    import pbclab.sim as simmod
+
+    k_nan = 150
+    update = simmod.scalar_update
+
+    def nan_from_step_k(calls):
+        def nan_update(omega, theta_hat, *args):
+            calls.append(1)
+            if len(calls) > 3 * k_nan:  # three riders per step
+                return math.nan, theta_hat
+            return update(omega, theta_hat, *args)
+
+        return nan_update
+
+    def make(gamma):
+        scn = _riders_on_the_state_loop(gamma=gamma)
+        return replace(scn, events=[EventSpec(time=1e-4, kind="load", value=30.0)])
+
+    shared = SharedPass()
+    run_scenario(make(1e10), shared=shared)
+    failures = []
+    for kept in (shared, None):
+        monkeypatch.setattr(simmod, "scalar_update", nan_from_step_k([]))
+        with pytest.raises(NonFiniteState) as err:
+            run_scenario(make(1e13), shared=kept)
+        failures.append(err.value)
+    replayed, alone = failures
+    message = f"non-finite estimator state after the step to t={(k_nan + 1) * 5e-7:g} s"
+    assert str(replayed) == str(alone) == message
+    assert len(replayed.partial.t) == len(alone.partial.t) == k_nan // 30 + 1
+    _assert_same_run(replayed.partial, alone.partial)
+    assert alone.partial.meta["params"]["r"] == 20.0
+
+
+@pytest.mark.parametrize("base, other", [
+    (dict(lam=5.0), dict(lam=4.0)),  # a swept pole
+    (dict(fct_gamma=1e12), dict(fct_gamma=1e11)),  # the gain of the estimator that feeds back
+    (dict(s=_KBF_S), dict(s=_KBF_S + np.diag([2e-12, 0.0, 0.0, 0.0]))),  # the 13th digit of S
+    (dict(event_time=1e-4), dict(event_time=1.5e-4)),  # a moved event
+], ids=["lambda", "feeding-gamma", "kbf-s-13th-digit", "event-time"])
+def test_a_change_outside_the_riders_gains_runs_a_full_pass(monkeypatch, base, other):
+    shared = SharedPass()
+    steps = _counting_steps(monkeypatch)
+    run_scenario(_riders_on_observer_feedback(**base), shared=shared)
+    N = len(steps)
+    run_scenario(_riders_on_observer_feedback(**other), shared=shared)
+    assert len(steps) == 2 * N
+    # the rider gains alone replay the pass just kept
+    run_scenario(_riders_on_observer_feedback(**other, gamma=1e13, grad_gamma=1e7), shared=shared)
+    assert len(steps) == 2 * N
+    if "s" in base:  # numpy prints both matrices alike, to 8 digits
+        assert repr(base["s"]) == repr(other["s"])
 
 
 def test_repeated_names_keep_every_estimator():
