@@ -13,11 +13,13 @@ Subcommands
   differ only in the name, gamma or mu of GPEBO-kind and gradient
   estimators that do not close the loop share one closed-loop pass
   (``pbclab.sim.SharedPass``): they run in value order in one process,
-  the first one in full and each later one by replaying its estimators'
-  exact steps.  Two or more distinct passes fan out over a process pool
-  of min(passes, CPUs) workers; with the ``PBCLAB_SERIAL`` environment
-  variable set (e.g. ``PBCLAB_SERIAL=1``) they run one after another in
-  this process.
+  the first one in full, stepping every riding GPEBO-kind gain of the
+  group once, and each later one by taking its estimators' sampled states
+  from that pass; only an exact step the pass lacks (a gradient's new
+  gain) is stepped again.  Two or more distinct passes fan out over a
+  process pool of min(passes, CPUs) workers; with the ``PBCLAB_SERIAL``
+  environment variable set (e.g. ``PBCLAB_SERIAL=1``) they run one after
+  another in this process.
 * ``presets list`` - list the shipped figure presets.
 
 Configuration comes from ``--config FILE`` or ``--preset NAME`` (else the
@@ -134,11 +136,11 @@ def _write_metrics(path: Path, metrics: dict):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _run_and_measure(cfg: dict, shared=None):
-    """Run one concrete config, on the closed-loop pass `shared` if given;
-    return the trajectory, the checkpoints that lie within the horizon and
-    the metrics taken at them."""
-    scn = scenario_from_config(cfg)
+def _run_and_measure(cfg: dict, shared=None, scn=None):
+    """Run one concrete config (its scenario `scn` if already built), on the
+    closed-loop pass `shared` if given; return the trajectory, the
+    checkpoints that lie within the horizon and the metrics taken at them."""
+    scn = scenario_from_config(cfg) if scn is None else scn
     traj = run_scenario(scn) if shared is None else run_scenario(scn, shared=shared)
     cps = tuple(c for c in cfg["output"]["checkpoints"] if c <= cfg["scenario"]["horizon"])
     return traj, cps, compute_metrics(traj, band_frac=cfg["output"]["band_frac"], checkpoints=cps)
@@ -299,10 +301,11 @@ def _fan_out(worker, jobs):
         return list(pool.map(worker, jobs))
 
 
-def _sweep_worker(cfgs) -> list:
-    """The metrics of configs that share one closed-loop pass, in order."""
-    shared = SharedPass()
-    return [_run_and_measure(cfg, shared)[2] for cfg in cfgs]
+def _sweep_worker(jobs) -> list:
+    """The metrics of (config, scenario) jobs that share one closed-loop
+    pass, in order."""
+    shared = SharedPass([scn for _, scn in jobs])
+    return [_run_and_measure(cfg, shared, scn)[2] for cfg, scn in jobs]
 
 
 def cmd_sweep(args) -> int:
@@ -314,15 +317,16 @@ def cmd_sweep(args) -> int:
     print(f"sweep {args.param}: {len(values)} value(s)")
     if not values:
         return EXIT_OK
-    jobs = []
+    jobs = []  # (config, scenario) per value
     for text in values:
         sub = copy.deepcopy(cfg)
         sub.pop("variants", None)
         set_path(sub, args.param, _parse_value(text.strip()))
-        jobs.append(validate_config(sub))
+        sub = validate_config(sub)
+        jobs.append((sub, scenario_from_config(sub)))
     groups = {}  # pass key -> the indices of the jobs that share its pass
-    for i, job in enumerate(jobs):
-        groups.setdefault(_pass_key(scenario_from_config(job)), []).append(i)
+    for i, (_, scn) in enumerate(jobs):
+        groups.setdefault(_pass_key(scn), []).append(i)
     rows = [None] * len(jobs)
     done = _fan_out(_sweep_worker, [[jobs[i] for i in idx] for idx in groups.values()])
     for idx, metrics in zip(groups.values(), done):

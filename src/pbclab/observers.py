@@ -199,13 +199,23 @@ def scalar_update(omega: float, theta_hat: np.ndarray, scriptY: np.ndarray, Delt
         dtheta_hat/dt =  gamma Delta (scriptY - Delta theta_hat)
 
     so it remains contractive for any gamma (the recursions are stiff for
-    gains of practical interest, up to 1e17)."""
+    gains of practical interest, up to 1e17).  A step with
+    gamma Delta^2 h = 0 (Delta = 0, or an underflow) leaves the state as it
+    is.
+
+    Stacked estimators on one mix: gamma may be a column (E, 1) of gains,
+    with omega (E, 1) and theta_hat (E, n) their states.  Every operation
+    acts element by element, so row e is the call for gamma[e] alone, bit
+    for bit."""
     z = gamma * Delta * Delta * h
-    if z == 0.0:
+    stacked = isinstance(z, np.ndarray)
+    if not (z.any() if stacked else z):
         return omega, theta_hat
     kappa = np.exp(-z)
     pull = -np.expm1(-z)  # 1 - kappa without cancellation
     theta_new = theta_hat + pull * (scriptY / Delta - theta_hat)
+    if stacked and not z.all():  # the rows whose z underflowed to 0 hold
+        return np.where(z == 0.0, omega, omega * kappa), np.where(z == 0.0, theta_hat, theta_new)
     return omega * kappa, theta_new
 
 

@@ -65,11 +65,17 @@ or gradient estimator that does not close the loop reach nothing but its
 own exactly stepped slots of s, so runs that differ only there have the
 same plant, integrator, copy, filters and Kalman-Bucy rows, and the same
 frozen inputs to every exact step.  The first such run integrates the
-loop and keeps its sample store and, per step, those frozen inputs; each
-later one starts s afresh, steps every exact step from the kept inputs,
-samples s at the same instants and assembles its trajectory from the
-kept store.  It calls the same update functions on the same inputs, so
-its arrays are those of a run of its own, bit for bit.
+loop and keeps its sample store, per step those frozen inputs, and the
+sampled slots of each exact step.  It also steps the GPEBO-kind gains of
+the pass's other runs that it does not step itself: one stack per mixed
+filter, outside s, advanced by one `scalar_update` call per step.  An
+exact step's slots depend only on its kind, its filter or regression and
+its gain, so each later run takes from the pass the slots it holds for
+those settings, re-steps only the other exact steps from the kept inputs
+(none, when only riding GPEBO gains or mu differ) and assembles its
+trajectory from the kept store.  The same update functions act on the
+same inputs element by element, so its arrays are those of a run of its
+own, bit for bit.
 
 Scenario events retarget the reference voltage or restep the load at a
 grid instant; the equilibrium pair, the passive output map and the
@@ -141,7 +147,8 @@ _EXACT_KINDS = GPEBO_KINDS + ("gradient",)  # the kinds stepped exactly, in s
 # physical plant signals (A, V, A, V) and their estimates, in CSV column order
 SIGNALS = ("i1", "v2", "i3", "v4")
 ESTIMATES = ("ihat1", "vhat2", "ihat3", "vhat4")
-_BASE_COLUMNS = ["t", *SIGNALS, "u", "ytilde", "W"]  # then one block per observer
+_BASE_COLUMNS = ["t", *SIGNALS, "u", "ytilde", "W"]  # then one block per observer:
+_BLOCK = [*ESTIMATES, "err_norm", "omega", "Delta"]  # its columns, each after "<name>_"
 
 
 class NonFiniteState(RuntimeError):
@@ -273,8 +280,7 @@ class Trajectory:
     def csv_header(self):
         cols = list(_BASE_COLUMNS)
         for name in self.observers:
-            cols += [f"{name}_{c}" for c in ESTIMATES]
-            cols += [f"{name}_err_norm", f"{name}_omega", f"{name}_Delta"]
+            cols += [f"{name}_{c}" for c in _BLOCK]
         return cols
 
     def csv_matrix(self):
@@ -296,31 +302,40 @@ class Trajectory:
     def from_csv(cls, path) -> "Trajectory":
         with open(path) as fh:
             header = fh.readline().strip().split(",")
-        mat = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            rows = bool(fh.readline().strip())
+        mat = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2) if rows else np.empty((0, len(header)))
         return _trajectory_from_table(header, mat)
 
 
 def _trajectory_from_table(header, mat) -> Trajectory:
+    """The trajectory a table holds: the base columns, then one whole block
+    <name>_ihat1 ... <name>_Delta per observer, and at least one row."""
     n = len(SIGNALS)
     if header[: len(_BASE_COLUMNS)] != _BASE_COLUMNS:
         raise ValueError(f"trajectory table must start with the columns {_BASE_COLUMNS}")
+    if mat.shape[1] != len(header):
+        raise ValueError(f"trajectory table has {len(header)} columns in its header but {mat.shape[1]} in its rows")
+    if not len(mat):
+        raise ValueError("trajectory table has no rows")
     t = mat[:, 0]
     signals = mat[:, 1 : 1 + n]
     u = mat[:, n + 1 : n + 2]
     ytilde = mat[:, n + 2 : n + 3]
     W = mat[:, n + 3]
     observers = {}
-    j = len(_BASE_COLUMNS)
-    width = n + 3
-    while j + width <= len(header):
-        name = header[j][: -len("_" + ESTIMATES[0])]
+    for j in range(len(_BASE_COLUMNS), len(header), len(_BLOCK)):
+        name = header[j].removesuffix("_" + ESTIMATES[0])
+        for c, col in enumerate(_BLOCK):
+            got = header[j + c] if j + c < len(header) else None
+            if got != f"{name}_{col}":
+                found = "missing" if got is None else repr(got)
+                raise ValueError(f"trajectory table column {j + c} must be {name}_{col}, not {found}")
         observers[name] = {
             "xhat": mat[:, j : j + n],
             "err_norm": mat[:, j + n],
             "omega": mat[:, j + n + 1],
             "Delta": mat[:, j + n + 2],
         }
-        j += width
     K = len(t)
     return Trajectory(
         t=t,
@@ -434,7 +449,9 @@ class _Part:
     at the start of a step) and `post_step` (the exact step).  An estimator
     also gives `estimate(y, s)`, its estimate at a stage when it closes the
     loop, and `record(ys, ss)`, its logged arrays derived from the rows of y
-    and s sampled by the loop.  The observer frame reaches `derivative` as
+    and s sampled by the loop; one stepped exactly names its slots of s,
+    `sl`, and `step_key`, the settings its exact step reads besides the
+    frozen inputs.  The observer frame reaches `derivative` as
     the drift A = A_obs(u) and the source b = b_obs; the measurement reaches
     both hooks as the float y_m, read by C_obs = [0, 0, 0, 1], so C z is
     z[3] (see `_PlantCache`)."""
@@ -564,6 +581,9 @@ class _GpeboRuntime(_Part):
         self.filt = bank.filter(spec.lam, mixed=True)
         self.i_omega = slay.add(1).start
         self.sl_theta = slay.add(bank.n)
+        # its slots of s, (omega, theta_hat), and what their exact steps read
+        self.sl = slice(self.i_omega, self.sl_theta.stop)
+        self.step_key = ("gpebo", spec.lam, spec.gamma)
         self.theta_hat0 = np.zeros(bank.n)  # theta_hat starts at zero with s
         self.theta_feed = self.theta_hat0.copy()
 
@@ -673,7 +693,8 @@ class _GradientRuntime(_Part):
             self.filt = bank.filter(spec.lam, mixed=False)
         else:
             bank.copy(phi=True)
-        self.sl_theta = slay.add(bank.n)
+        self.sl = self.sl_theta = slay.add(bank.n)
+        self.step_key = ("gradient", spec.mode, spec.lam, spec.gamma)
         self.frozen = None
 
     def pre_step(self, y, s, y_m):
@@ -793,6 +814,32 @@ class _Tape:
         return {key: col[k] for key, col in self.cols.items()}
 
 
+class _Riders:
+    """GPEBO-kind estimators of the other runs of a pass that read one mixed
+    filter, stepped outside the run by one `scalar_update` call per step:
+    row e of `state` is the (omega, theta_hat) of the gain gammas[e], laid
+    out as the estimator's slots of s; its rows are sampled at the run's
+    instants and `finite` says which stayed finite at every step."""
+
+    def __init__(self, filt: _RegressionFilter, gammas: list, n: int, K: int):
+        self.filt = filt
+        self.keys = [("gpebo", filt.lam, gamma) for gamma in gammas]
+        self.gammas = np.array(gammas, dtype=float)[:, None]
+        self.state = np.zeros((len(gammas), 1 + n))
+        self.state[:, 0] = 1.0
+        self.samples = np.empty((K, *self.state.shape))
+        self.finite = np.ones(len(gammas), dtype=bool)
+
+    def step(self, h: float):
+        st, mix = self.state, self.filt.frozen
+        st[:, :1], st[:, 1:] = scalar_update(st[:, :1], st[:, 1:], mix["scriptY"], mix["Delta"], self.gammas, h)
+        if not np.isfinite(st).all():
+            self.finite &= np.isfinite(st).all(axis=1)
+
+    def kept(self) -> dict:
+        return {key: self.samples[:, e] for e, key in enumerate(self.keys) if self.finite[e]}
+
+
 class SharedPass:
     """One closed-loop pass, shared by the runs of one key.
 
@@ -802,19 +849,42 @@ class SharedPass:
     `run_scenario(scn, shared=p)` replays the pass p keeps when scn has its
     key, and otherwise runs in full and, once the run completes, leaves its
     own pass in p: the plant-side sample store, the PI-PBC state of every
-    epoch and, per step, the frozen inputs of every exact step.  Every run
-    of a pass shares the kept arrays, so they are read-only, and so are the
-    trajectory arrays that are views of them."""
+    epoch, per step the frozen inputs of every exact step, and the sampled
+    columns of every exact step that stayed finite at every step, by the
+    settings it reads (`step_key`).  Those are the run's own exact steps and,
+    when the run has the key of `scenarios` (the runs the pass serves, all
+    of one key, as `cmd_sweep` groups them), their GPEBO-kind gains that the
+    run does not step itself, one stack per mixed filter (`_Riders`).  A replay
+    takes the columns the pass holds and re-steps only the other exact
+    steps from the kept inputs.  Every run of a pass shares the kept arrays,
+    so they are read-only, and so are the trajectory arrays that are views
+    of them."""
 
-    def __init__(self):
+    def __init__(self, scenarios):
+        self.scenarios = list(scenarios)  # the runs the pass serves
+        self.group = _pass_key(self.scenarios[0]) if self.scenarios else None  # their key
         self.key = None  # the key of the kept pass, None while none is kept
         self.store = None  # its _Store
         self.tapes = None  # its _Tape per source of frozen inputs
+        self.cols = None  # step key -> sampled columns, (K, slots)
 
-    def keep(self, key, store: _Store, tapes):
-        for arr in [*store.arrays(), *(col for tape in tapes for col in tape.cols.values())]:
+    def riders(self, bank: _SharedStates, steppers, K: int) -> list:
+        """The stacks of the GPEBO-kind gains of the scenarios that none of
+        the run's exact steps `steppers` steps, in order."""
+        own = {rt.step_key for rt in steppers}
+        gains = {}  # lam -> distinct gains
+        for scn in self.scenarios:
+            for spec in scn.observers:
+                if spec.kind in GPEBO_KINDS and ("gpebo", spec.lam, spec.gamma) not in own:
+                    lam_gains = gains.setdefault(spec.lam, [])
+                    if spec.gamma not in lam_gains:
+                        lam_gains.append(spec.gamma)
+        return [_Riders(bank.filters[lam], g, bank.n, K) for lam, g in gains.items()]
+
+    def keep(self, key, store: _Store, tapes, cols: dict):
+        for arr in [*store.arrays(), *(col for tape in tapes for col in tape.cols.values()), *cols.values()]:
             arr.flags.writeable = False
-        self.key, self.store, self.tapes = key, store, tapes
+        self.key, self.store, self.tapes, self.cols = key, store, tapes, cols
 
 
 def _lossless(value):
@@ -1006,10 +1076,12 @@ def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
     """Run a scenario and return its sampled trajectory.
 
     Given `shared`, a run of the key of the pass it keeps replays that pass:
-    it runs no Runge-Kutta stage and no event, steps the exact steps from
-    the kept inputs and assembles from the kept store.  Any other run is a
-    full one, which leaves its pass in `shared` once it completes (see
-    `SharedPass`).  Without `shared` nothing is kept."""
+    it runs no Runge-Kutta stage and no event, takes the sampled slots the
+    pass holds for its exact steps, re-steps the others from the kept
+    inputs (with no step loop when there are none) and assembles from the
+    kept store.  Any other run is a full one, which leaves its pass in
+    `shared` once it completes (see `SharedPass`).  Without `shared`
+    nothing is kept."""
     N = validate_scenario(scn)
     h, stride = scn.h, scn.stride
     ctl = scn.controller
@@ -1053,8 +1125,12 @@ def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
 
     key = None if shared is None else _pass_key(scn)
     replay = key is not None and key == shared.key
+    reused = []  # a replay's (slots, sampled columns) taken from the pass
     if replay:
-        store, tapes = shared.store, shared.tapes
+        store, tapes, riders = shared.store, shared.tapes, []
+        # the exact steps whose sampled columns the pass holds are not re-stepped
+        reused = [(rt.sl, shared.cols[rt.step_key]) for rt in posts if rt.step_key in shared.cols]
+        posts = [rt for rt in posts if rt.step_key not in shared.cols]
     else:
         params = replace(scn.params)
         model = build_cuk(params)
@@ -1066,6 +1142,8 @@ def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
         p = x0.tolist() + [float(ctl.xc0)]
         store = _Store(K, len(p), lay.size, model.m, model.Q)
         tapes = None if shared is None else [_Tape(N) for _ in sources]
+        # the other runs' GPEBO-kind gains, stepped for the pass
+        riders = [] if key is None or key != shared.group else shared.riders(bank, posts, K)
         u_lo, u_hi = ctl.u_min, ctl.u_max
         ref_now = ctl.x4_star
         pi, law = _epoch(ctl, params, model, ref_now, 0.0)
@@ -1095,13 +1173,21 @@ def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
                 part.derivative(dy, y, A_obs, cache.b0_obs, y_m)
             return dp, dy
 
+    def finish(taken: int, k: int) -> Trajectory:
+        """The trajectory of the first `taken` samples, with the circuit
+        values in force at step k."""
+        for sl, cols in reused:
+            ss[:taken, sl] = cols[:taken]
+        return _assemble(scn, store, runtimes, steps, ss, taken, _params_at(scn, events_at, k) if replay else params)
+
     ps, ys, us, yts, sats, refs, epochs = store.arrays()
     k = 0
     try:
         # an overflow or invalid value shows as a non-finite state, which
         # the step checks raise; numpy's warnings are silenced once here
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(N + 1):
+            # a replay with nothing left to re-step runs no step loop
+            for k in range(N + 1 if posts or not replay else 0):
                 t = k * h
                 if k in events_at and not replay:
                     for ev in events_at[k]:
@@ -1121,6 +1207,8 @@ def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
                         sats[taken] = u != u_raw  # the clamp flag, formed only here
                         ps[taken], ys[taken] = p, y
                         refs[taken], epochs[taken] = ref_now, epoch
+                        for stack in riders:
+                            stack.samples[taken] = stack.state
                     ss[taken] = s
                     taken += 1
                 if k == N:
@@ -1139,20 +1227,22 @@ def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
                     p, y = _rk4_split_step(stage, t, p, y, h)
                 for part in posts:
                     part.post_step(s, h)
+                for stack in riders:
+                    stack.step(h)
                 if s.size and not np.isfinite(s).all():
                     raise NonFiniteState(f"non-finite estimator state after the step to t={t + h:g} s")
     except NonFiniteState as exc:
         # expose whatever was sampled before the blow-up
-        if replay:
-            params = _params_at(scn, events_at, k)
-        exc.partial = _assemble(scn, store, runtimes, steps, ss, taken, params)
+        exc.partial = finish(taken, k)
         raise
 
-    if replay:
-        params = _params_at(scn, events_at, N)
-    elif shared is not None:
-        shared.keep(key, store, tapes)
-    return _assemble(scn, store, runtimes, steps, ss, taken, params)
+    if shared is not None and not replay:
+        ss.flags.writeable = False  # kept, with the trajectory's views of it
+        cols = {rt.step_key: ss[:, rt.sl] for rt in posts}
+        for stack in riders:
+            cols.update(stack.kept())
+        shared.keep(key, store, tapes, cols)
+    return finish(K, N)
 
 
 # -- metrics ------------------------------------------------------------------

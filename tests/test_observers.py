@@ -128,6 +128,36 @@ def test_scalar_update_edge_cases():
     assert np.array_equal(th, scriptY / 2.0)
 
 
+def test_stacked_scalar_update_equals_per_estimator_calls_bit_for_bit():
+    # E estimators on one mix, stepped by one call over a column of gains,
+    # against E calls of their own: the same bits, including the rows that
+    # hold because gamma Delta^2 h underflows to 0 with Delta != 0, the rows
+    # with kappa = exp(-z) = 0, and a whole call with Delta = 0 (which must
+    # not divide by it)
+    rng = np.random.default_rng(2024)
+    E, n = 8, 4
+    seen = {"Delta = 0": 0, "z = 0, Delta != 0": 0, "kappa = 0": 0, "0 < kappa < 1": 0}
+    for trial in range(3000):
+        gamma = 10.0 ** rng.uniform(0.0, 17.0, size=(E, 1))
+        omega = rng.uniform(0.0, 1.0, size=(E, 1))
+        theta_hat = rng.standard_normal((E, n))
+        theta_hat[rng.random((E, n)) < 0.05] = -0.0
+        scriptY = rng.standard_normal(n)
+        h = 10.0 ** rng.uniform(-8.0, 0.0)
+        Delta = [0.0, rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-170.0, -150.0),
+                 rng.uniform(-2.0, 2.0)][trial % 3]
+        om_stack, th_stack = scalar_update(omega, theta_hat, scriptY, Delta, gamma, h)
+        for e in range(E):
+            om, th = scalar_update(float(omega[e, 0]), theta_hat[e], scriptY, Delta, float(gamma[e, 0]), h)
+            assert np.float64(om).tobytes() == om_stack[e].tobytes()
+            assert np.asarray(th).tobytes() == th_stack[e].tobytes()
+            z = float(gamma[e, 0]) * Delta * Delta * h
+            kind = ("Delta = 0" if Delta == 0.0 else "z = 0, Delta != 0" if z == 0.0
+                    else "kappa = 0" if np.exp(-z) == 0.0 else "0 < kappa < 1")
+            seen[kind] += 1
+    assert min(seen.values()) > 1000, seen
+
+
 def test_drem_contraction_invariant():
     # theta_hat - theta = omega * (theta_hat0 - theta) holds exactly for the
     # frozen-coefficient recursion, for any Delta sequence

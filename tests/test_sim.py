@@ -648,18 +648,30 @@ def _riders_on_observer_feedback(gamma=1e17, mu=1e-6, name="gpebo", grad_gamma=1
      [dict(gamma=1e12), dict(gamma=1e15, mu=0.01, name="swept", grad_gamma=1e6)]),
 ], ids=["state-loop-fct-riders", "fct-feedback-mixed-riders"])
 def test_replayed_rows_equal_runs_of_their_own(monkeypatch, make, rows):
-    # the first run of a pass integrates the loop; every later row only
-    # steps its exact steps again, and must log what it logs on its own
-    shared = SharedPass()
+    # the first run of a pass integrates the loop and, stacked, the rows'
+    # other GPEBO-kind gains; every later row takes its GPEBO-kind riders
+    # from the pass, re-steps only a changed gradient, and must log what it
+    # logs on its own
+    import pbclab.sim as simmod
+
+    shared = SharedPass([make(), *(make(**row) for row in rows)])
     steps = _counting_steps(monkeypatch)
+    gains, update = [], simmod.scalar_update
+
+    def counting_update(*args):
+        gains.append(args[4])
+        return update(*args)
+
+    monkeypatch.setattr(simmod, "scalar_update", counting_update)
     first = run_scenario(make(), shared=shared)
     N = len(steps)
     assert N == round(2e-4 / 5e-7)
+    assert sum(np.ndim(gamma) > 0 for gamma in gains) == N  # one stack
     _assert_same_run(first, run_scenario(make()))
     for row in rows:
-        del steps[:]
+        del steps[:], gains[:]
         replayed = run_scenario(make(**row), shared=shared)
-        assert steps == []  # no Runge-Kutta stage
+        assert steps == [] and gains == []  # no Runge-Kutta stage, no GPEBO step
         _assert_same_run(replayed, run_scenario(make(**row)))
     # the rows of a pass share its arrays, which therefore cannot be written
     assert np.shares_memory(first.u, replayed.u)
@@ -668,21 +680,26 @@ def test_replayed_rows_equal_runs_of_their_own(monkeypatch, make, rows):
             arr[0] = 0.5
 
 
-def test_replay_raises_as_a_run_of_its_own(monkeypatch):
-    # a rider that turns non-finite from step k stops a replayed row at the
-    # same step, with the same message and the same partial samples; the
-    # load event after k must not reach the partial's circuit values
+def _assert_replay_raises_as_a_run_of_its_own(monkeypatch, stacked):
+    """The rider of gain 1e13 turns non-finite from its step k: a replayed
+    row stops at the same step, with the same message and the same partial
+    samples; the load event after k must not reach the partial's circuit
+    values.  When the gain was `stacked` for the first row's pass, that row
+    completes and the pass keeps no columns for it."""
     import pbclab.sim as simmod
 
-    k_nan = 150
+    k_nan, gamma_nan = 150, 1e13
     update = simmod.scalar_update
 
     def nan_from_step_k(calls):
-        def nan_update(omega, theta_hat, *args):
-            calls.append(1)
-            if len(calls) > 3 * k_nan:  # three riders per step
-                return math.nan, theta_hat
-            return update(omega, theta_hat, *args)
+        def nan_update(omega, theta_hat, scriptY, Delta, gamma, h):
+            hit = np.asarray(gamma) == gamma_nan  # a stacked call steps each row once
+            if hit.any():
+                calls.append(np.ndim(gamma))
+                if len(calls) > k_nan:
+                    new_omega, new_theta = update(omega, theta_hat, scriptY, Delta, gamma, h)
+                    return np.where(hit, math.nan, new_omega), np.where(hit, theta_hat, new_theta)
+            return update(omega, theta_hat, scriptY, Delta, gamma, h)
 
         return nan_update
 
@@ -690,13 +707,18 @@ def test_replay_raises_as_a_run_of_its_own(monkeypatch):
         scn = _riders_on_the_state_loop(gamma=gamma)
         return replace(scn, events=[EventSpec(time=1e-4, kind="load", value=30.0)])
 
-    shared = SharedPass()
-    run_scenario(make(1e10), shared=shared)
+    shared = SharedPass([make(1e10), make(gamma_nan)] if stacked else [])
+    first_calls = []
+    monkeypatch.setattr(simmod, "scalar_update", nan_from_step_k(first_calls))
+    first = run_scenario(make(1e10), shared=shared)
+    assert first_calls == ([2] * round(2e-4 / 5e-7) if stacked else [])
+    _assert_same_run(first, run_scenario(make(1e10)))
+    assert all(key[2] != gamma_nan for key in shared.cols)
     failures = []
     for kept in (shared, None):
         monkeypatch.setattr(simmod, "scalar_update", nan_from_step_k([]))
         with pytest.raises(NonFiniteState) as err:
-            run_scenario(make(1e13), shared=kept)
+            run_scenario(make(gamma_nan), shared=kept)
         failures.append(err.value)
     replayed, alone = failures
     message = f"non-finite estimator state after the step to t={(k_nan + 1) * 5e-7:g} s"
@@ -706,6 +728,14 @@ def test_replay_raises_as_a_run_of_its_own(monkeypatch):
     assert alone.partial.meta["params"]["r"] == 20.0
 
 
+def test_replay_raises_as_a_run_of_its_own(monkeypatch):
+    _assert_replay_raises_as_a_run_of_its_own(monkeypatch, stacked=False)
+
+
+def test_a_stacked_gain_that_turns_non_finite_is_re_stepped_by_its_row(monkeypatch):
+    _assert_replay_raises_as_a_run_of_its_own(monkeypatch, stacked=True)
+
+
 @pytest.mark.parametrize("base, other", [
     (dict(lam=5.0), dict(lam=4.0)),  # a swept pole
     (dict(fct_gamma=1e12), dict(fct_gamma=1e11)),  # the gain of the estimator that feeds back
@@ -713,7 +743,7 @@ def test_replay_raises_as_a_run_of_its_own(monkeypatch):
     (dict(event_time=1e-4), dict(event_time=1.5e-4)),  # a moved event
 ], ids=["lambda", "feeding-gamma", "kbf-s-13th-digit", "event-time"])
 def test_a_change_outside_the_riders_gains_runs_a_full_pass(monkeypatch, base, other):
-    shared = SharedPass()
+    shared = SharedPass([])
     steps = _counting_steps(monkeypatch)
     run_scenario(_riders_on_observer_feedback(**base), shared=shared)
     N = len(steps)
@@ -724,6 +754,68 @@ def test_a_change_outside_the_riders_gains_runs_a_full_pass(monkeypatch, base, o
     assert len(steps) == 2 * N
     if "s" in base:  # numpy prints both matrices alike, to 8 digits
         assert repr(base["s"]) == repr(other["s"])
+
+
+def _sweep_runs(monkeypatch, argv):
+    """Run `pbclab sweep` in this process and hold every row to a run of
+    its own; per row, the gains of its exact-step calls (a stacked
+    scalar_update's as a column)."""
+    import pbclab.cli as cli
+    import pbclab.sim as simmod
+
+    runs, run = [], cli.run_scenario
+    scalar, gradient = simmod.scalar_update, simmod.gradient_update
+
+    def recording_run(scn, **kwargs):
+        runs.append({"scn": scn, "scalar": [], "stacked": [], "gradient": []})
+        runs[-1]["traj"] = run(scn, **kwargs)
+        return runs[-1]["traj"]
+
+    def counting_scalar(*args):
+        runs[-1]["stacked" if np.ndim(args[4]) else "scalar"].append(args[4])
+        return scalar(*args)
+
+    def counting_gradient(*args, **kwargs):
+        runs[-1]["gradient"].append(args[1])
+        return gradient(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_scenario", recording_run)
+    monkeypatch.setattr(simmod, "scalar_update", counting_scalar)
+    monkeypatch.setattr(simmod, "gradient_update", counting_gradient)
+    assert cli.main(["sweep", "--set", "scenario.horizon=0.0002", "--set", "scenario.stride=30", *argv]) == 0
+    monkeypatch.undo()
+    for row in runs:
+        _assert_same_run(row["traj"], run_scenario(row["scn"]))
+    return runs
+
+
+_GAINS = ["--preset", "fig-observer-gains", "--param"]  # riders of gains 1e10, 1e11, 1e12
+
+
+@pytest.mark.parametrize("argv, own, stacked", [
+    ([*_GAINS, "observers.0.gamma", "--values", "1e10,3e12,1e17,5e11,3e12"], [1e10, 1e11, 1e12], [3e12, 1e17, 5e11]),
+    ([*_GAINS, "observers.0.gamma", "--values", "1e11,1e11,1e10"], [1e11, 1e11, 1e12], [1e10]),
+    ([*_GAINS, "observers.0.mu", "--values", "1e-6,0.01,0.3"], [1e10, 1e11, 1e12], []),
+], ids=["gamma", "repeated-gamma", "mu"])
+def test_a_sweep_steps_each_riders_gain_once(monkeypatch, argv, own, stacked):
+    # the first row steps its own riders and, stacked, every other gain of
+    # the sweep; no later row steps a rider again
+    N = round(2e-4 / 5e-7)
+    first, *later = _sweep_runs(monkeypatch, argv)
+    assert sorted(first["scalar"]) == sorted(own * N)
+    assert len(first["stacked"]) == (N if stacked else 0)
+    assert all(gammas.ravel().tolist() == stacked for gammas in first["stacked"])
+    assert later and all(row["scalar"] == row["stacked"] == [] for row in later)
+
+
+def test_a_gradient_gain_sweep_re_steps_only_that_rider(monkeypatch):
+    # FCT feedback with a GPEBO, an emulator, a KBF and a raw gradient riding
+    N = round(2e-4 / 5e-7)
+    argv = ["--preset", "fig-observer-compare", "--param", "observers.4.gamma", "--values", "1e8,1e7,1e8,1e9"]
+    first, *later = _sweep_runs(monkeypatch, argv)
+    assert (len(first["scalar"]), first["stacked"], first["gradient"]) == (2 * N, [], [1e8] * N)
+    assert [row["gradient"] for row in later] == [[1e7] * N, [], [1e9] * N]
+    assert all(row["scalar"] == row["stacked"] == [] for row in later)
 
 
 def test_repeated_names_keep_every_estimator():
@@ -951,6 +1043,27 @@ def test_csv_round_trip_and_byte_determinism(tmp_path):
     header = orig.csv_header()
     assert header[:6] == ["t", "i1", "v2", "i3", "v4", "u"]
     assert "fct_ihat1" in header and "fct_Delta" in header
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda rows: [row[:-1] for row in rows], "column 14 must be fct_Delta, not missing"),
+    (lambda rows: [[cell.replace("fct_ihat3", "fct_i3") for cell in rows[0]], *rows[1:]],
+     "column 10 must be fct_ihat3, not 'fct_i3'"),
+    (lambda rows: [[*rows[0], "spare"], *([*row, "1.0"] for row in rows[1:])],
+     "column 15 must be spare_ihat1, not 'spare'"),
+    (lambda rows: rows[:1], "no rows"),
+], ids=["last-column-dropped", "renamed-column", "trailing-column", "header-only"])
+def test_a_table_of_other_than_the_base_and_whole_blocks_is_refused(tmp_path, edit, message):
+    # columns are read by their names: the base columns, then whole blocks
+    # <name>_ihat1 ... <name>_Delta, and at least one row
+    scn = Scenario(observers=[ObserverSpec(name="fct", kind="fct-gpebo")], horizon=2e-5, stride=10)
+    path = tmp_path / "run.csv"
+    run_scenario(scn).to_csv(path)
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    assert len(rows[0]) == 15
+    path.write_text("".join(",".join(row) + "\n" for row in edit(rows)))
+    with pytest.raises(ValueError, match=message):
+        Trajectory.from_csv(path)
 
 
 # -- order of the full closed-loop integrator ------------------------------------
