@@ -13,10 +13,9 @@ Subcommands
   differ only in the name, gamma or mu of GPEBO-kind and gradient
   estimators that do not close the loop share one closed-loop pass
   (``pbclab.sim.SharedPass``): they run in value order in one process,
-  the first one in full, stepping every riding GPEBO-kind gain of the
-  group once, and each later one by taking its estimators' sampled states
-  from that pass; only an exact step the pass lacks (a gradient's new
-  gain) is stepped again.  Two or more distinct passes fan out over a
+  the first one in full, stepping every rider gain of the group once, and
+  each later one only by assembling its estimators' sampled states from
+  that pass.  Two or more distinct passes fan out over a
   process pool of min(passes, CPUs) workers; with the ``PBCLAB_SERIAL``
   environment variable set (e.g. ``PBCLAB_SERIAL=1``) they run one after
   another in this process.

@@ -65,17 +65,18 @@ or gradient estimator that does not close the loop reach nothing but its
 own exactly stepped slots of s, so runs that differ only there have the
 same plant, integrator, copy, filters and Kalman-Bucy rows, and the same
 frozen inputs to every exact step.  The first such run integrates the
-loop and keeps its sample store, per step those frozen inputs, and the
-sampled slots of each exact step.  It also steps the GPEBO-kind gains of
-the pass's other runs that it does not step itself: one stack per mixed
-filter, outside s, advanced by one `scalar_update` call per step.  An
-exact step's slots depend only on its kind, its filter or regression and
-its gain, so each later run takes from the pass the slots it holds for
-those settings, re-steps only the other exact steps from the kept inputs
-(none, when only riding GPEBO gains or mu differ) and assembles its
-trajectory from the kept store.  The same update functions act on the
-same inputs element by element, so its arrays are those of a run of its
-own, bit for bit.
+loop and steps, besides its own exact steps, every rider gain of the
+pass's other runs once, outside s, on the same frozen inputs: the
+GPEBO-kind gains of each mixed filter stacked in one `scalar_update` call
+per step, and each gradient gain in one `gradient_update` call per step.
+It keeps its sample store and the sampled slots of every exact step that
+stayed finite.  An exact step's slots depend only on its kind, its filter
+or regression and its gain, so a later run whose every exact step the
+pass holds only assembles its trajectory from the kept store and slots;
+any other run is a full run of its own.  No frozen input is kept per
+step.  The same update functions act on the same inputs element by
+element, so an assembled run's arrays are those of a run of its own, bit
+for bit.
 
 Scenario events retarget the reference voltage or restep the load at a
 grid instant; the equilibrium pair, the passive output map and the
@@ -794,45 +795,36 @@ class _Store:
         return self.ps, self.ys, self.us, self.yts, self.sats, self.refs, self.epochs
 
 
-class _Tape:
-    """What one source hands the exact steps, kept at every step of a pass
-    in float arrays allocated at the first step: a mixed filter's
-    {scriptY, Delta}, a raw gradient's {CPhi, y_shift} or an extended
-    gradient's {Omega, Y}."""
-
-    def __init__(self, steps: int):
-        self.steps = steps
-        self.cols = None
-
-    def keep(self, k: int, frozen: dict):
-        if self.cols is None:
-            self.cols = {key: np.empty((self.steps, *np.shape(v))) for key, v in frozen.items()}
-        for key, v in frozen.items():
-            self.cols[key][k] = v
-
-    def row(self, k: int) -> dict:
-        return {key: col[k] for key, col in self.cols.items()}
-
-
 class _Riders:
-    """GPEBO-kind estimators of the other runs of a pass that read one mixed
-    filter, stepped outside the run by one `scalar_update` call per step:
-    row e of `state` is the (omega, theta_hat) of the gain gammas[e], laid
-    out as the estimator's slots of s; its rows are sampled at the run's
-    instants and `finite` says which stayed finite at every step."""
+    """Exact steps of the other runs of a pass that the run does not step
+    itself, on the frozen inputs its own exact step `rt` reads, stepped
+    outside s: row e of `state` holds, laid out as rt's slots of s, the
+    state of the step key keys[e], which differs from rt's in its gain
+    alone; its rows are sampled at the run's instants and `finite` says
+    which stayed finite at every step.  GPEBO-kind gains take one
+    `scalar_update` call per step over their column; gradient gains one
+    `gradient_update` call each, since a stacked rank-one step would sum
+    its `phi @ theta` in another order."""
 
-    def __init__(self, filt: _RegressionFilter, gammas: list, n: int, K: int):
-        self.filt = filt
-        self.keys = [("gpebo", filt.lam, gamma) for gamma in gammas]
-        self.gammas = np.array(gammas, dtype=float)[:, None]
-        self.state = np.zeros((len(gammas), 1 + n))
-        self.state[:, 0] = 1.0
+    def __init__(self, rt, keys: list, K: int):
+        self.rt, self.keys = rt, keys
+        self.gammas = [key[-1] for key in keys]
+        self.state = np.zeros((len(keys), rt.sl.stop - rt.sl.start))
+        self.stacked = isinstance(rt, _GpeboRuntime)
+        if self.stacked:
+            self.column = np.array(self.gammas, dtype=float)[:, None]
+            self.state[:, 0] = 1.0  # omega
         self.samples = np.empty((K, *self.state.shape))
-        self.finite = np.ones(len(gammas), dtype=bool)
+        self.finite = np.ones(len(keys), dtype=bool)
 
     def step(self, h: float):
-        st, mix = self.state, self.filt.frozen
-        st[:, :1], st[:, 1:] = scalar_update(st[:, :1], st[:, 1:], mix["scriptY"], mix["Delta"], self.gammas, h)
+        st, rt = self.state, self.rt
+        if self.stacked:
+            mix = rt.filt.frozen
+            st[:, :1], st[:, 1:] = scalar_update(st[:, :1], st[:, 1:], mix["scriptY"], mix["Delta"], self.column, h)
+        else:
+            for e, gamma in enumerate(self.gammas):
+                st[e] = gradient_update(st[e], gamma, rt.spec.mode, h, **rt.frozen)
         if not np.isfinite(st).all():
             self.finite &= np.isfinite(st).all(axis=1)
 
@@ -846,45 +838,51 @@ class SharedPass:
     The key is the scenario with the name, gamma and mu of every GPEBO-kind
     and gradient estimator that does not close the loop left out; nothing
     else is, and it holds floats by value and arrays by shape and bytes.
-    `run_scenario(scn, shared=p)` replays the pass p keeps when scn has its
-    key, and otherwise runs in full and, once the run completes, leaves its
-    own pass in p: the plant-side sample store, the PI-PBC state of every
-    epoch, per step the frozen inputs of every exact step, and the sampled
-    columns of every exact step that stayed finite at every step, by the
-    settings it reads (`step_key`).  Those are the run's own exact steps and,
-    when the run has the key of `scenarios` (the runs the pass serves, all
-    of one key, as `cmd_sweep` groups them), their GPEBO-kind gains that the
-    run does not step itself, one stack per mixed filter (`_Riders`).  A replay
-    takes the columns the pass holds and re-steps only the other exact
-    steps from the kept inputs.  Every run of a pass shares the kept arrays,
-    so they are read-only, and so are the trajectory arrays that are views
-    of them."""
+    `run_scenario(scn, shared=p)` serves scn from the pass p keeps when scn
+    has its key and p holds the sampled columns of every exact step of scn:
+    it assembles them with the kept store and runs no step.  Any other run
+    is in full and, once it completes, leaves its own pass in p: the
+    plant-side sample store, the PI-PBC state of every epoch, the circuit
+    values in force at the end, and the sampled columns of every exact step
+    that stayed finite at every step, by the settings it reads
+    (`step_key`).  Those are the run's own exact steps and, when the run has
+    the key of `scenarios` (the runs the pass serves, all of one key, as
+    `cmd_sweep` groups them), every rider gain of theirs that the run does
+    not step itself (`_Riders`), so each of those runs whose gains stayed
+    finite is served.  No frozen input is kept per step.  Every run of a
+    pass shares the kept arrays, so they are read-only, and so are the
+    trajectory arrays that are views of them."""
 
     def __init__(self, scenarios):
         self.scenarios = list(scenarios)  # the runs the pass serves
         self.group = _pass_key(self.scenarios[0]) if self.scenarios else None  # their key
         self.key = None  # the key of the kept pass, None while none is kept
         self.store = None  # its _Store
-        self.tapes = None  # its _Tape per source of frozen inputs
+        self.params = None  # its circuit values at the end
         self.cols = None  # step key -> sampled columns, (K, slots)
 
-    def riders(self, bank: _SharedStates, steppers, K: int) -> list:
-        """The stacks of the GPEBO-kind gains of the scenarios that none of
-        the run's exact steps `steppers` steps, in order."""
-        own = {rt.step_key for rt in steppers}
-        gains = {}  # lam -> distinct gains
+    def riders(self, runtimes, K: int) -> list:
+        """The exact steps of the scenarios that none of the run's
+        `runtimes` steps itself, one `_Riders` per kind and filter or
+        regression, in order.  The scenarios have the run's key, so their
+        estimators match its runtimes slot by slot in all but the name,
+        gamma and mu."""
+        own = {rt.step_key for rt in runtimes if rt.spec.kind in _EXACT_KINDS}
+        stacks = {}  # step key without the gain -> (the run's step on its inputs, rider keys)
         for scn in self.scenarios:
-            for spec in scn.observers:
-                if spec.kind in GPEBO_KINDS and ("gpebo", spec.lam, spec.gamma) not in own:
-                    lam_gains = gains.setdefault(spec.lam, [])
-                    if spec.gamma not in lam_gains:
-                        lam_gains.append(spec.gamma)
-        return [_Riders(bank.filters[lam], g, bank.n, K) for lam, g in gains.items()]
+            for rt, spec in zip(runtimes, scn.observers):
+                if spec.kind not in _EXACT_KINDS:
+                    continue
+                key = (*rt.step_key[:-1], spec.gamma)
+                if key not in own:
+                    own.add(key)
+                    stacks.setdefault(key[:-1], (rt, []))[1].append(key)
+        return [_Riders(rt, keys, K) for rt, keys in stacks.values()]
 
-    def keep(self, key, store: _Store, tapes, cols: dict):
-        for arr in [*store.arrays(), *(col for tape in tapes for col in tape.cols.values()), *cols.values()]:
+    def keep(self, key, store: _Store, params: CukParams, cols: dict):
+        for arr in [*store.arrays(), *cols.values()]:
             arr.flags.writeable = False
-        self.key, self.store, self.tapes, self.cols = key, store, tapes, cols
+        self.key, self.store, self.params, self.cols = key, store, params, cols
 
 
 def _lossless(value):
@@ -911,16 +909,6 @@ def _pass_key(scn: Scenario) -> tuple:
         for i, spec in enumerate(scn.observers)
     ]
     return _lossless(replace(scn, observers=specs))
-
-
-def _params_at(scn: Scenario, events_at: dict, k: int) -> CukParams:
-    """The circuit values in force once the events up to step k have acted."""
-    params = replace(scn.params)
-    for j, evs in events_at.items():
-        for ev in evs:
-            if j <= k and ev.kind == "load":
-                params.r = ev.value
-    return params
 
 
 # -- the run ------------------------------------------------------------------
@@ -1075,13 +1063,12 @@ def _assemble(scn: Scenario, store: _Store, runtimes, steps, ss, taken: int, par
 def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
     """Run a scenario and return its sampled trajectory.
 
-    Given `shared`, a run of the key of the pass it keeps replays that pass:
-    it runs no Runge-Kutta stage and no event, takes the sampled slots the
-    pass holds for its exact steps, re-steps the others from the kept
-    inputs (with no step loop when there are none) and assembles from the
-    kept store.  Any other run is a full one, which leaves its pass in
-    `shared` once it completes (see `SharedPass`).  Without `shared`
-    nothing is kept."""
+    Given `shared`, a run of the key of the pass it keeps, whose every
+    exact step the pass holds, is served by the pass: it runs no step, no
+    event and no update call, and assembles its trajectory from the kept
+    store and sampled columns.  Any other run is a full one, which leaves
+    its pass in `shared` once it completes (see `SharedPass`).  Without
+    `shared` nothing is kept."""
     N = validate_scenario(scn)
     h, stride = scn.h, scn.stride
     ctl = scn.controller
@@ -1098,10 +1085,19 @@ def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
     parts = ([bank] if bank.sl_xi is not None else []) + runtimes
     # the parts whose per-stage and per-step hooks do something
     derivs, pres, posts = (_hooked(parts, hook) for hook in ("derivative", "pre_step", "post_step"))
-    # the parts whose frozen inputs the exact steps read
-    sources = [f for f in bank.filters.values() if f.mixed] + [
-        rt for rt in runtimes if isinstance(rt, _GradientRuntime)
-    ]
+
+    # the sample instants; s is sampled there in ss, the rest in the store
+    steps = list(range(0, N + 1, stride))
+    if steps[-1] != N:
+        steps.append(N)
+    K = len(steps)
+    ss = np.empty((K, slay.size))
+
+    key = None if shared is None else _pass_key(scn)
+    if key is not None and key == shared.key and all(rt.step_key in shared.cols for rt in posts):
+        for rt in posts:
+            ss[:, rt.sl] = shared.cols[rt.step_key]
+        return _assemble(scn, shared.store, runtimes, steps, ss, K, shared.params)
 
     y = np.zeros(lay.size)
     s = np.zeros(slay.size)
@@ -1115,81 +1111,55 @@ def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
     for ev in sorted(scn.events, key=lambda e: e.time):
         events_at.setdefault(int(round(ev.time / h)), []).append(ev)
 
-    # the sample instants; s is sampled there in ss, the rest in the store
-    steps = list(range(0, N + 1, stride))
-    if steps[-1] != N:
-        steps.append(N)
-    K = len(steps)
-    ss = np.empty((K, slay.size))
-    taken = 0
+    params = replace(scn.params)
+    model = build_cuk(params)
+    cache = _PlantCache(model)
+    # scenario initial state is physical (i1, v2, i3, v4); stored
+    # variables are fluxes and charges, x = Q^-1 (physical)
+    x0 = np.linalg.solve(model.Q, np.asarray(scn.x0, dtype=float))
+    # the plant rows and the integrator: p = [x1, .., xn, xc] as Python floats
+    p = x0.tolist() + [float(ctl.xc0)]
+    store = _Store(K, len(p), lay.size, model.m, model.Q)
+    # the rider gains of the pass's other runs, stepped for the pass
+    riders = shared.riders(runtimes, K) if key is not None and key == shared.group else []
+    u_lo, u_hi = ctl.u_min, ctl.u_max
+    ref_now = ctl.x4_star
+    pi, law = _epoch(ctl, params, model, ref_now, 0.0)
+    store.pis.append(pi)  # the PI-PBC of each epoch, for W after the loop
+    epoch = 0
 
-    key = None if shared is None else _pass_key(scn)
-    replay = key is not None and key == shared.key
-    reused = []  # a replay's (slots, sampled columns) taken from the pass
-    if replay:
-        store, tapes, riders = shared.store, shared.tapes, []
-        # the exact steps whose sampled columns the pass holds are not re-stepped
-        reused = [(rt.sl, shared.cols[rt.step_key]) for rt in posts if rt.step_key in shared.cols]
-        posts = [rt for rt in posts if rt.step_key not in shared.cols]
-    else:
-        params = replace(scn.params)
-        model = build_cuk(params)
-        cache = _PlantCache(model)
-        # scenario initial state is physical (i1, v2, i3, v4); stored
-        # variables are fluxes and charges, x = Q^-1 (physical)
-        x0 = np.linalg.solve(model.Q, np.asarray(scn.x0, dtype=float))
-        # the plant rows and the integrator: p = [x1, .., xn, xc] as Python floats
-        p = x0.tolist() + [float(ctl.xc0)]
-        store = _Store(K, len(p), lay.size, model.m, model.Q)
-        tapes = None if shared is None else [_Tape(N) for _ in sources]
-        # the other runs' GPEBO-kind gains, stepped for the pass
-        riders = [] if key is None or key != shared.group else shared.riders(bank, posts, K)
-        u_lo, u_hi = ctl.u_min, ctl.u_max
-        ref_now = ctl.x4_star
-        pi, law = _epoch(ctl, params, model, ref_now, 0.0)
-        store.pis.append(pi)  # the PI-PBC of each epoch, for W after the loop
-        epoch = 0
+    def control(p, y):
+        """(u_raw, integrator derivative) at a stage state, as floats."""
+        if fb_rt is None:
+            return law(p, p[n])
+        # volts/amps -> stored
+        return law((fb_rt.estimate(y, s) / cache.qd).tolist(), p[n])
 
-        def control(p, y):
-            """(u_raw, integrator derivative) at a stage state, as floats."""
-            if fb_rt is None:
-                return law(p, p[n])
-            # volts/amps -> stored
-            return law((fb_rt.estimate(y, s) / cache.qd).tolist(), p[n])
-
-        def stage(p, y):
-            """(dp, dy): the derivatives of the plant rows and integrator, and
-            of the estimator rows (None without an estimator)."""
-            u_raw, dxc = control(p, y)
-            u = min(max(u_raw, u_lo), u_hi)
-            dp = cache.drift(p, u)
-            dp.append(dxc)
-            if not derivs:  # no estimator reads the observer frame
-                return dp, None
-            dy = np.zeros(lay.size)
-            y_m = cache.c_y * p[3]
-            A_obs = cache.A0_obs + u * cache.A1_obs
-            for part in derivs:
-                part.derivative(dy, y, A_obs, cache.b0_obs, y_m)
-            return dp, dy
-
-    def finish(taken: int, k: int) -> Trajectory:
-        """The trajectory of the first `taken` samples, with the circuit
-        values in force at step k."""
-        for sl, cols in reused:
-            ss[:taken, sl] = cols[:taken]
-        return _assemble(scn, store, runtimes, steps, ss, taken, _params_at(scn, events_at, k) if replay else params)
+    def stage(p, y):
+        """(dp, dy): the derivatives of the plant rows and integrator, and
+        of the estimator rows (None without an estimator)."""
+        u_raw, dxc = control(p, y)
+        u = min(max(u_raw, u_lo), u_hi)
+        dp = cache.drift(p, u)
+        dp.append(dxc)
+        if not derivs:  # no estimator reads the observer frame
+            return dp, None
+        dy = np.zeros(lay.size)
+        y_m = cache.c_y * p[3]
+        A_obs = cache.A0_obs + u * cache.A1_obs
+        for part in derivs:
+            part.derivative(dy, y, A_obs, cache.b0_obs, y_m)
+        return dp, dy
 
     ps, ys, us, yts, sats, refs, epochs = store.arrays()
-    k = 0
+    taken = 0
     try:
         # an overflow or invalid value shows as a non-finite state, which
         # the step checks raise; numpy's warnings are silenced once here
         with np.errstate(over="ignore", invalid="ignore"):
-            # a replay with nothing left to re-step runs no step loop
-            for k in range(N + 1 if posts or not replay else 0):
+            for k in range(N + 1):
                 t = k * h
-                if k in events_at and not replay:
+                if k in events_at:
                     for ev in events_at[k]:
                         epoch += 1
                         if ev.kind == "load":
@@ -1201,30 +1171,22 @@ def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
                         pi, law = _epoch(ctl, params, model, ref_now, t)
                         store.pis.append(pi)
                 if k == steps[taken]:
-                    if not replay:
-                        u_raw, yts[taken] = control(p, y)
-                        us[taken] = u = min(max(u_raw, u_lo), u_hi)
-                        sats[taken] = u != u_raw  # the clamp flag, formed only here
-                        ps[taken], ys[taken] = p, y
-                        refs[taken], epochs[taken] = ref_now, epoch
-                        for stack in riders:
-                            stack.samples[taken] = stack.state
+                    u_raw, yts[taken] = control(p, y)
+                    us[taken] = u = min(max(u_raw, u_lo), u_hi)
+                    sats[taken] = u != u_raw  # the clamp flag, formed only here
+                    ps[taken], ys[taken] = p, y
+                    refs[taken], epochs[taken] = ref_now, epoch
                     ss[taken] = s
+                    for stack in riders:
+                        stack.samples[taken] = stack.state
                     taken += 1
                 if k == N:
                     break
-                if replay:
-                    for tape, source in zip(tapes, sources):
-                        source.frozen = tape.row(k)
-                else:
-                    if pres:
-                        y_m0 = cache.c_y * p[3]
-                        for part in pres:
-                            part.pre_step(y, s, y_m0)
-                    if tapes:
-                        for tape, source in zip(tapes, sources):
-                            tape.keep(k, source.frozen)
-                    p, y = _rk4_split_step(stage, t, p, y, h)
+                if pres:
+                    y_m0 = cache.c_y * p[3]
+                    for part in pres:
+                        part.pre_step(y, s, y_m0)
+                p, y = _rk4_split_step(stage, t, p, y, h)
                 for part in posts:
                     part.post_step(s, h)
                 for stack in riders:
@@ -1233,16 +1195,16 @@ def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
                     raise NonFiniteState(f"non-finite estimator state after the step to t={t + h:g} s")
     except NonFiniteState as exc:
         # expose whatever was sampled before the blow-up
-        exc.partial = finish(taken, k)
+        exc.partial = _assemble(scn, store, runtimes, steps, ss, taken, params)
         raise
 
-    if shared is not None and not replay:
+    if shared is not None:
         ss.flags.writeable = False  # kept, with the trajectory's views of it
         cols = {rt.step_key: ss[:, rt.sl] for rt in posts}
         for stack in riders:
             cols.update(stack.kept())
-        shared.keep(key, store, tapes, cols)
-    return finish(K, N)
+        shared.keep(key, store, params, cols)
+    return _assemble(scn, store, runtimes, steps, ss, K, params)
 
 
 # -- metrics ------------------------------------------------------------------

@@ -648,30 +648,37 @@ def _riders_on_observer_feedback(gamma=1e17, mu=1e-6, name="gpebo", grad_gamma=1
      [dict(gamma=1e12), dict(gamma=1e15, mu=0.01, name="swept", grad_gamma=1e6)]),
 ], ids=["state-loop-fct-riders", "fct-feedback-mixed-riders"])
 def test_replayed_rows_equal_runs_of_their_own(monkeypatch, make, rows):
-    # the first run of a pass integrates the loop and, stacked, the rows'
-    # other GPEBO-kind gains; every later row takes its GPEBO-kind riders
-    # from the pass, re-steps only a changed gradient, and must log what it
+    # the first run of a pass integrates the loop and steps every rider
+    # gain of the rows once (the GPEBO-kind ones stacked); every later row
+    # only assembles its trajectory from the pass, and must log what it
     # logs on its own
     import pbclab.sim as simmod
 
     shared = SharedPass([make(), *(make(**row) for row in rows)])
     steps = _counting_steps(monkeypatch)
-    gains, update = [], simmod.scalar_update
+    gains, grad_gains = [], []
+    scalar, gradient = simmod.scalar_update, simmod.gradient_update
 
-    def counting_update(*args):
+    def counting_scalar(*args):
         gains.append(args[4])
-        return update(*args)
+        return scalar(*args)
 
-    monkeypatch.setattr(simmod, "scalar_update", counting_update)
+    def counting_gradient(*args, **kwargs):
+        grad_gains.append(args[1])
+        return gradient(*args, **kwargs)
+
+    monkeypatch.setattr(simmod, "scalar_update", counting_scalar)
+    monkeypatch.setattr(simmod, "gradient_update", counting_gradient)
     first = run_scenario(make(), shared=shared)
     N = len(steps)
     assert N == round(2e-4 / 5e-7)
     assert sum(np.ndim(gamma) > 0 for gamma in gains) == N  # one stack
     _assert_same_run(first, run_scenario(make()))
     for row in rows:
-        del steps[:], gains[:]
+        del steps[:], gains[:], grad_gains[:]
         replayed = run_scenario(make(**row), shared=shared)
-        assert steps == [] and gains == []  # no Runge-Kutta stage, no GPEBO step
+        # no Runge-Kutta stage, no GPEBO step, no gradient step
+        assert steps == [] and gains == [] and grad_gains == []
         _assert_same_run(replayed, run_scenario(make(**row)))
     # the rows of a pass share its arrays, which therefore cannot be written
     assert np.shares_memory(first.u, replayed.u)
@@ -680,19 +687,29 @@ def test_replayed_rows_equal_runs_of_their_own(monkeypatch, make, rows):
             arr[0] = 0.5
 
 
-def _assert_replay_raises_as_a_run_of_its_own(monkeypatch, stacked):
-    """The rider of gain 1e13 turns non-finite from its step k: a replayed
-    row stops at the same step, with the same message and the same partial
-    samples; the load event after k must not reach the partial's circuit
-    values.  When the gain was `stacked` for the first row's pass, that row
-    completes and the pass keeps no columns for it."""
+def _gradient_riders_on_the_state_loop(gamma=1e8):
+    scn = _riders_on_the_state_loop()
+    return replace(scn, observers=[*scn.observers, ObserverSpec(name="grad", kind="gradient", gamma=gamma)])
+
+
+def _assert_replay_raises_as_a_run_of_its_own(monkeypatch, stacked, rider="gpebo"):
+    """The rider of gain `gamma_nan` (the swept FCT estimator's, or with
+    `rider="gradient"` a raw gradient's) turns non-finite from its step k:
+    its row raises at the same step as a run of its own, with the same
+    message and the same partial samples; the load event after k must not
+    reach the partial's circuit values.  When the gain was `stacked` for
+    the first row's pass, that row completes and the pass keeps no columns
+    for it, so the failing row runs in full."""
     import pbclab.sim as simmod
 
-    k_nan, gamma_nan = 150, 1e13
-    update = simmod.scalar_update
+    k_nan = 150
+    gpebo = rider == "gpebo"
+    gamma_ok, gamma_nan = (1e10, 1e13) if gpebo else (1e8, 1e9)
+    name = "scalar_update" if gpebo else "gradient_update"
+    update = getattr(simmod, name)
 
     def nan_from_step_k(calls):
-        def nan_update(omega, theta_hat, scriptY, Delta, gamma, h):
+        def nan_scalar(omega, theta_hat, scriptY, Delta, gamma, h):
             hit = np.asarray(gamma) == gamma_nan  # a stacked call steps each row once
             if hit.any():
                 calls.append(np.ndim(gamma))
@@ -701,22 +718,30 @@ def _assert_replay_raises_as_a_run_of_its_own(monkeypatch, stacked):
                     return np.where(hit, math.nan, new_omega), np.where(hit, theta_hat, new_theta)
             return update(omega, theta_hat, scriptY, Delta, gamma, h)
 
-        return nan_update
+        def nan_gradient(theta_hat, gamma, *args, **kwargs):
+            new_theta = update(theta_hat, gamma, *args, **kwargs)
+            if gamma == gamma_nan:
+                calls.append(np.ndim(gamma))
+                if len(calls) > k_nan:
+                    return np.full_like(new_theta, math.nan)
+            return new_theta
+
+        return nan_scalar if gpebo else nan_gradient
 
     def make(gamma):
-        scn = _riders_on_the_state_loop(gamma=gamma)
+        scn = _riders_on_the_state_loop(gamma=gamma) if gpebo else _gradient_riders_on_the_state_loop(gamma)
         return replace(scn, events=[EventSpec(time=1e-4, kind="load", value=30.0)])
 
-    shared = SharedPass([make(1e10), make(gamma_nan)] if stacked else [])
+    shared = SharedPass([make(gamma_ok), make(gamma_nan)] if stacked else [])
     first_calls = []
-    monkeypatch.setattr(simmod, "scalar_update", nan_from_step_k(first_calls))
-    first = run_scenario(make(1e10), shared=shared)
-    assert first_calls == ([2] * round(2e-4 / 5e-7) if stacked else [])
-    _assert_same_run(first, run_scenario(make(1e10)))
-    assert all(key[2] != gamma_nan for key in shared.cols)
+    monkeypatch.setattr(simmod, name, nan_from_step_k(first_calls))
+    first = run_scenario(make(gamma_ok), shared=shared)
+    assert first_calls == ([2 if gpebo else 0] * round(2e-4 / 5e-7) if stacked else [])
+    _assert_same_run(first, run_scenario(make(gamma_ok)))
+    assert shared.cols and all(key[-1] != gamma_nan for key in shared.cols)
     failures = []
     for kept in (shared, None):
-        monkeypatch.setattr(simmod, "scalar_update", nan_from_step_k([]))
+        monkeypatch.setattr(simmod, name, nan_from_step_k([]))
         with pytest.raises(NonFiniteState) as err:
             run_scenario(make(gamma_nan), shared=kept)
         failures.append(err.value)
@@ -736,6 +761,10 @@ def test_a_stacked_gain_that_turns_non_finite_is_re_stepped_by_its_row(monkeypat
     _assert_replay_raises_as_a_run_of_its_own(monkeypatch, stacked=True)
 
 
+def test_a_gradient_rider_that_turns_non_finite_runs_its_row_in_full(monkeypatch):
+    _assert_replay_raises_as_a_run_of_its_own(monkeypatch, stacked=True, rider="gradient")
+
+
 @pytest.mark.parametrize("base, other", [
     (dict(lam=5.0), dict(lam=4.0)),  # a swept pole
     (dict(fct_gamma=1e12), dict(fct_gamma=1e11)),  # the gain of the estimator that feeds back
@@ -743,14 +772,16 @@ def test_a_stacked_gain_that_turns_non_finite_is_re_stepped_by_its_row(monkeypat
     (dict(event_time=1e-4), dict(event_time=1.5e-4)),  # a moved event
 ], ids=["lambda", "feeding-gamma", "kbf-s-13th-digit", "event-time"])
 def test_a_change_outside_the_riders_gains_runs_a_full_pass(monkeypatch, base, other):
-    shared = SharedPass([])
+    # the pass serves the group of `other`, as `cmd_sweep` would build it
+    served = _riders_on_observer_feedback(**other, gamma=1e13, grad_gamma=1e7)
+    shared = SharedPass([_riders_on_observer_feedback(**other), served])
     steps = _counting_steps(monkeypatch)
     run_scenario(_riders_on_observer_feedback(**base), shared=shared)
     N = len(steps)
     run_scenario(_riders_on_observer_feedback(**other), shared=shared)
     assert len(steps) == 2 * N
-    # the rider gains alone replay the pass just kept
-    run_scenario(_riders_on_observer_feedback(**other, gamma=1e13, grad_gamma=1e7), shared=shared)
+    # the rider gains alone are served by the pass just kept
+    run_scenario(served, shared=shared)
     assert len(steps) == 2 * N
     if "s" in base:  # numpy prints both matrices alike, to 8 digits
         assert repr(base["s"]) == repr(other["s"])
@@ -808,14 +839,17 @@ def test_a_sweep_steps_each_riders_gain_once(monkeypatch, argv, own, stacked):
     assert later and all(row["scalar"] == row["stacked"] == [] for row in later)
 
 
-def test_a_gradient_gain_sweep_re_steps_only_that_rider(monkeypatch):
-    # FCT feedback with a GPEBO, an emulator, a KBF and a raw gradient riding
+def test_a_gradient_gain_sweep_steps_each_gain_once_in_the_first_row(monkeypatch):
+    # FCT feedback with a GPEBO, an emulator, a KBF and a raw gradient
+    # riding: the first row steps every gain of the gradient, one call per
+    # gain and step, and no later row steps anything
     N = round(2e-4 / 5e-7)
     argv = ["--preset", "fig-observer-compare", "--param", "observers.4.gamma", "--values", "1e8,1e7,1e8,1e9"]
     first, *later = _sweep_runs(monkeypatch, argv)
-    assert (len(first["scalar"]), first["stacked"], first["gradient"]) == (2 * N, [], [1e8] * N)
-    assert [row["gradient"] for row in later] == [[1e7] * N, [], [1e9] * N]
-    assert all(row["scalar"] == row["stacked"] == [] for row in later)
+    assert (len(first["scalar"]), first["stacked"]) == (2 * N, [])
+    assert sorted(first["gradient"]) == sorted([1e8, 1e7, 1e9] * N)
+    assert len(later) == 3
+    assert all(row["scalar"] == row["stacked"] == row["gradient"] == [] for row in later)
 
 
 def test_repeated_names_keep_every_estimator():
