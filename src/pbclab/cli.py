@@ -9,13 +9,15 @@ Subcommands
 * ``compare``     - run the plant once in state feedback with every
   configured observer riding along, and print one table row per observer.
 * ``sweep``       - rerun the scenario over a list of values for one
-  scalar config entry and print a metrics matrix.  Values whose scenarios
-  differ only in the name, gamma or mu of GPEBO-kind and gradient
-  estimators that do not close the loop share one closed-loop pass
-  (``pbclab.sim.SharedPass``): they run in value order in one process,
-  the first one in full, stepping every rider gain of the group once, and
-  each later one only by assembling its estimators' sampled states from
-  that pass.  Two or more distinct passes fan out over a
+  scalar config entry and print a metrics matrix.  Each value's document
+  is validated and its scenario built once (``config.scenario_of``), and
+  ``pbclab.sim.SharedPass.groups`` keys each scenario once and groups
+  them: values whose scenarios differ only in the name, gamma or mu of
+  GPEBO-kind and gradient estimators that do not close the loop share one
+  closed-loop pass.  They run in value order in one process, the first
+  one in full, stepping every rider gain of the group once, and each
+  later one only by assembling its estimators' sampled states from that
+  pass.  Two or more distinct passes fan out over a
   process pool of min(passes, CPUs) workers; with the ``PBCLAB_SERIAL``
   environment variable set (e.g. ``PBCLAB_SERIAL=1``) they run one after
   another in this process.
@@ -52,8 +54,8 @@ from .config import (
     load_config,
     loads_config,
     scenario_from_config,
+    scenario_of,
     set_path,
-    validate_config,
 )
 from .cuk import build_cuk, quadratic_coefficients, solve_equilibrium
 from .phmodel import equilibrium_residual
@@ -62,7 +64,6 @@ from .sim import (
     NonFiniteState,
     ScenarioError,
     SharedPass,
-    _pass_key,
     compute_metrics,
     run_scenario,
 )
@@ -135,12 +136,11 @@ def _write_metrics(path: Path, metrics: dict):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _run_and_measure(cfg: dict, shared=None, scn=None):
-    """Run one concrete config (its scenario `scn` if already built), on the
-    closed-loop pass `shared` if given; return the trajectory, the
-    checkpoints that lie within the horizon and the metrics taken at them."""
-    scn = scenario_from_config(cfg) if scn is None else scn
-    traj = run_scenario(scn) if shared is None else run_scenario(scn, shared=shared)
+def _run_and_measure(cfg: dict, scn, shared=None):
+    """Run the scenario `scn` of one concrete config, on the closed-loop
+    pass `shared` if given; return the trajectory, the checkpoints that lie
+    within the horizon and the metrics taken at them."""
+    traj = run_scenario(scn, shared=shared)
     cps = tuple(c for c in cfg["output"]["checkpoints"] if c <= cfg["scenario"]["horizon"])
     return traj, cps, compute_metrics(traj, band_frac=cfg["output"]["band_frac"], checkpoints=cps)
 
@@ -210,7 +210,7 @@ def cmd_simulate(args) -> int:
     results = []
     for label, sub in runs:
         try:
-            traj, _, metrics = _run_and_measure(sub)
+            traj, _, metrics = _run_and_measure(sub, scenario_from_config(sub))
         except NonFiniteState as exc:
             partial = getattr(exc, "partial", None)
             if partial is not None and opts["csv"] and len(partial.t):
@@ -274,7 +274,7 @@ def cmd_compare(args) -> int:
         raise ConfigError("comparison needs at least two observers")
     # no estimator closes the loop, so each one logs what it logs alone
     cfg["controller"]["feedback"] = "state"
-    traj, cps, metrics = _run_and_measure(cfg)
+    traj, cps, metrics = _run_and_measure(cfg, scenario_from_config(cfg))
     table = [["observer"] + [f"err@{c:g}" for c in cps] + ["err_final", "t_c"]]
     for name in traj.observers:
         cells = [name]
@@ -300,11 +300,11 @@ def _fan_out(worker, jobs):
         return list(pool.map(worker, jobs))
 
 
-def _sweep_worker(jobs) -> list:
-    """The metrics of (config, scenario) jobs that share one closed-loop
-    pass, in order."""
-    shared = SharedPass([scn for _, scn in jobs])
-    return [_run_and_measure(cfg, shared, scn)[2] for cfg, scn in jobs]
+def _sweep_worker(job) -> list:
+    """The metrics of the rows of one closed-loop pass, in order; `job` is
+    the pass and the rows' documents."""
+    shared, cfgs = job
+    return [_run_and_measure(cfg, scn, shared)[2] for cfg, scn in zip(cfgs, shared.scenarios)]
 
 
 def cmd_sweep(args) -> int:
@@ -316,21 +316,20 @@ def cmd_sweep(args) -> int:
     print(f"sweep {args.param}: {len(values)} value(s)")
     if not values:
         return EXIT_OK
-    jobs = []  # (config, scenario) per value
+    subs, scns = [], []  # per value: the validated document and its scenario
     for text in values:
         sub = copy.deepcopy(cfg)
         sub.pop("variants", None)
         set_path(sub, args.param, _parse_value(text.strip()))
-        sub = validate_config(sub)
-        jobs.append((sub, scenario_from_config(sub)))
-    groups = {}  # pass key -> the indices of the jobs that share its pass
-    for i, (_, scn) in enumerate(jobs):
-        groups.setdefault(_pass_key(scn), []).append(i)
-    rows = [None] * len(jobs)
-    done = _fan_out(_sweep_worker, [[jobs[i] for i in idx] for idx in groups.values()])
-    for idx, metrics in zip(groups.values(), done):
-        for i, row in zip(idx, metrics):
-            rows[i] = row
+        scns.append(scenario_of(sub))
+        subs.append(sub)
+    cfg_of = dict(zip(map(id, scns), subs))
+    passes = SharedPass.groups(scns)
+    jobs = [(shared, [cfg_of[id(scn)] for scn in shared.scenarios]) for shared in passes]
+    done = {}  # id(scenario) -> its row's metrics
+    for shared, metrics in zip(passes, _fan_out(_sweep_worker, jobs)):
+        done.update(zip(map(id, shared.scenarios), metrics))
+    rows = [done[id(scn)] for scn in scns]
     keys = sorted(set().union(*(r.keys() for r in rows)))
     table = [[args.param] + keys]
     for text, row in zip(values, rows):

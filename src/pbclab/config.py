@@ -39,6 +39,7 @@ __all__ = [
     "load_config",
     "loads_config",
     "validate_config",
+    "scenario_of",
     "canonical_dump",
     "apply_overrides",
     "expand_variants",
@@ -165,8 +166,16 @@ def load_config(path) -> dict:
 
 
 def validate_config(cfg: dict) -> dict:
+    """Check a document in place as `scenario_of` does; returns it
+    normalized."""
+    scenario_of(cfg)
+    return cfg
+
+
+def scenario_of(cfg: dict) -> Scenario:
     """Key-, type- and value-check a document in place, filling in the
-    defaults of missing keys; returns it normalized."""
+    defaults of missing keys; returns the validated scenario it states,
+    built once."""
     _require_mapping(cfg, "the document")
     _reject_unknown(cfg, _TOP_KEYS, "the document")
     schema = dict(_schema(Scenario))
@@ -214,11 +223,12 @@ def validate_config(cfg: dict) -> dict:
             _require_mapping(var.get("set", {}), f"{where}.set")
     if "description" in cfg and not isinstance(cfg["description"], str):
         raise ConfigError("description must be a string")
+    scn = scenario_from_config(cfg)
     try:
-        validate_scenario(scenario_from_config(cfg))
+        validate_scenario(scn)
     except ScenarioError as exc:
         raise ConfigError(str(exc)) from exc
-    return cfg
+    return scn
 
 
 def canonical_dump(cfg: dict) -> str:

@@ -71,28 +71,9 @@ def gpebo_matrix_derivatives(A, b, C, xi, Phi, Y, Omega, lam: float, y_m):
 
 
 # -- adjugate --------------------------------------------------------------
-# Cofactor expansions up to 4 x 4 keep adj and det mutually consistent and
-# exact in exact arithmetic; larger sizes fall back to Faddeev-LeVerrier.
-
-
-def _adj_det_2(a):
-    adj = np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]])
-    return adj, a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-
-
-def _adj_det_3(a):
-    adj = np.empty((3, 3))
-    adj[0, 0] = a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1]
-    adj[0, 1] = a[0, 2] * a[2, 1] - a[0, 1] * a[2, 2]
-    adj[0, 2] = a[0, 1] * a[1, 2] - a[0, 2] * a[1, 1]
-    adj[1, 0] = a[1, 2] * a[2, 0] - a[1, 0] * a[2, 2]
-    adj[1, 1] = a[0, 0] * a[2, 2] - a[0, 2] * a[2, 0]
-    adj[1, 2] = a[0, 2] * a[1, 0] - a[0, 0] * a[1, 2]
-    adj[2, 0] = a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0]
-    adj[2, 1] = a[0, 1] * a[2, 0] - a[0, 0] * a[2, 1]
-    adj[2, 2] = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    det = a[0, 0] * adj[0, 0] + a[0, 1] * adj[1, 0] + a[0, 2] * adj[2, 0]
-    return adj, det
+# The cofactor expansion keeps adj and det mutually consistent and exact in
+# exact arithmetic.  It is written for the converter's state dimension, 4,
+# and no other size is taken.
 
 
 def _adj_det_4(a):
@@ -141,35 +122,17 @@ def _adj_det_4(a):
     return adj, det
 
 
-def _adj_det_faddeev(a):
-    """Faddeev-LeVerrier recursion: returns (adj, det) for any square size."""
-    n = a.shape[0]
-    M = np.zeros_like(a)
-    c = 1.0
-    for k in range(1, n + 1):
-        M = a @ M + c * np.eye(n)
-        c = -np.trace(a @ M) / k
-    det = (-1.0) ** n * c
-    adj = (-1.0) ** (n - 1) * M
-    return adj, det
-
-
 def _adj_det(a):
-    n = a.shape[0]
-    if n == 1:
-        return np.array([[1.0]]), a[0, 0]
-    if n == 2:
-        return _adj_det_2(a)
-    if n == 3:
-        return _adj_det_3(a)
-    if n == 4:
-        return _adj_det_4(a.tolist() if a.ndim == 2 else a)
-    return _adj_det_faddeev(a)
+    """(adj, det) of a 4 x 4 matrix, or of 4 x 4 matrices stacked along
+    axis 2."""
+    if a.shape[:2] != (4, 4):
+        raise ValueError(f"the adjugate is taken of 4 x 4 matrices, got shape {a.shape}")
+    return _adj_det_4(a.tolist() if a.ndim == 2 else a)
 
 
 def adjugate(a: np.ndarray) -> np.ndarray:
-    """Adjugate (classical adjoint): adj(A) A = A adj(A) = det(A) I, valid
-    also for singular A."""
+    """Adjugate (classical adjoint) of a 4 x 4 matrix:
+    adj(A) A = A adj(A) = det(A) I, valid also for singular A."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("adjugate needs a square matrix")
@@ -177,7 +140,8 @@ def adjugate(a: np.ndarray) -> np.ndarray:
 
 
 def determinant(a: np.ndarray) -> float:
-    """Determinant evaluated by the same cofactor scheme as `adjugate`."""
+    """Determinant of a 4 x 4 matrix, by the same cofactor scheme as
+    `adjugate`."""
     a = np.asarray(a, dtype=float)
     return float(_adj_det(a)[1])
 

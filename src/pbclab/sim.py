@@ -64,7 +64,9 @@ closed-loop pass (`SharedPass`).  The name, gamma and mu of a GPEBO-kind
 or gradient estimator that does not close the loop reach nothing but its
 own exactly stepped slots of s, so runs that differ only there have the
 same plant, integrator, copy, filters and Kalman-Bucy rows, and the same
-frozen inputs to every exact step.  The first such run integrates the
+frozen inputs to every exact step.  `SharedPass.groups` keys each run
+once and makes one pass per key, which holds its runs; a run given its
+pass is not keyed again.  The first run of a pass integrates the
 loop and steps, besides its own exact steps, every rider gain of the
 pass's other runs once, outside s, on the same frozen inputs: the
 GPEBO-kind gains of each mixed filter stacked in one `scalar_update` call
@@ -326,6 +328,8 @@ def _trajectory_from_table(header, mat) -> Trajectory:
     observers = {}
     for j in range(len(_BASE_COLUMNS), len(header), len(_BLOCK)):
         name = header[j].removesuffix("_" + ESTIMATES[0])
+        if name in observers:
+            raise ValueError(f"trajectory table column {j} repeats {header[j]!r}")
         for c, col in enumerate(_BLOCK):
             got = header[j + c] if j + c < len(header) else None
             if got != f"{name}_{col}":
@@ -724,6 +728,8 @@ class _GradientRuntime(_Part):
 
 def _as_spd(value, n: int, what: str) -> np.ndarray:
     M = np.asarray(value, dtype=float)
+    if not np.isfinite(M).all():
+        raise ScenarioError(f"{what} must be finite")
     if M.ndim == 0:
         M = float(M) * np.eye(n)
     if M.shape != (n, n):
@@ -833,40 +839,47 @@ class _Riders:
 
 
 class SharedPass:
-    """One closed-loop pass, shared by the runs of one key.
+    """One closed-loop pass, shared by the rows of one key.
 
     The key is the scenario with the name, gamma and mu of every GPEBO-kind
     and gradient estimator that does not close the loop left out; nothing
     else is, and it holds floats by value and arrays by shape and bytes.
-    `run_scenario(scn, shared=p)` serves scn from the pass p keeps when scn
-    has its key and p holds the sampled columns of every exact step of scn:
-    it assembles them with the kept store and runs no step.  Any other run
-    is in full and, once it completes, leaves its own pass in p: the
+    `groups` keys each row once and makes one pass per key; the pass holds
+    its rows (`scenarios`), and `run_scenario(scn, shared=p)` takes only a
+    row of p, which it does not key again.  It serves the row from the pass
+    p keeps when p holds the sampled columns of every exact step of the
+    row: it assembles them with the kept store and runs no step.  Any other
+    row runs in full and, once it completes, leaves its own pass in p: the
     plant-side sample store, the PI-PBC state of every epoch, the circuit
     values in force at the end, and the sampled columns of every exact step
     that stayed finite at every step, by the settings it reads
-    (`step_key`).  Those are the run's own exact steps and, when the run has
-    the key of `scenarios` (the runs the pass serves, all of one key, as
-    `cmd_sweep` groups them), every rider gain of theirs that the run does
-    not step itself (`_Riders`), so each of those runs whose gains stayed
-    finite is served.  No frozen input is kept per step.  Every run of a
-    pass shares the kept arrays, so they are read-only, and so are the
-    trajectory arrays that are views of them."""
+    (`step_key`).  Those are the row's own exact steps and every rider gain
+    of the other rows that it does not step itself (`_Riders`), so each of
+    those rows whose gains stayed finite is served.  No frozen input is
+    kept per step.  Every row of a pass shares the kept arrays, so they are
+    read-only, and so are the trajectory arrays that are views of them."""
 
-    def __init__(self, scenarios):
-        self.scenarios = list(scenarios)  # the runs the pass serves
-        self.group = _pass_key(self.scenarios[0]) if self.scenarios else None  # their key
-        self.key = None  # the key of the kept pass, None while none is kept
-        self.store = None  # its _Store
+    def __init__(self, key, scenarios):
+        self.key = key  # the pass key of every row
+        self.scenarios = scenarios  # the rows the pass serves, in order
+        self.store = None  # the kept pass's _Store, None while none is kept
         self.params = None  # its circuit values at the end
         self.cols = None  # step key -> sampled columns, (K, slots)
 
+    @classmethod
+    def groups(cls, scenarios) -> list:
+        """One pass per pass key of `scenarios`, in first-seen order, each
+        holding its rows in their order; every row is keyed once."""
+        rows = {}
+        for scn in scenarios:
+            rows.setdefault(_pass_key(scn), []).append(scn)
+        return [cls(key, group) for key, group in rows.items()]
+
     def riders(self, runtimes, K: int) -> list:
-        """The exact steps of the scenarios that none of the run's
-        `runtimes` steps itself, one `_Riders` per kind and filter or
-        regression, in order.  The scenarios have the run's key, so their
-        estimators match its runtimes slot by slot in all but the name,
-        gamma and mu."""
+        """The exact steps of the rows that none of the run's `runtimes`
+        steps itself, one `_Riders` per kind and filter or regression, in
+        order.  The rows have the run's key, so their estimators match its
+        runtimes slot by slot in all but the name, gamma and mu."""
         own = {rt.step_key for rt in runtimes if rt.spec.kind in _EXACT_KINDS}
         stacks = {}  # step key without the gain -> (the run's step on its inputs, rider keys)
         for scn in self.scenarios:
@@ -879,10 +892,10 @@ class SharedPass:
                     stacks.setdefault(key[:-1], (rt, []))[1].append(key)
         return [_Riders(rt, keys, K) for rt, keys in stacks.values()]
 
-    def keep(self, key, store: _Store, params: CukParams, cols: dict):
+    def keep(self, store: _Store, params: CukParams, cols: dict):
         for arr in [*store.arrays(), *cols.values()]:
             arr.flags.writeable = False
-        self.key, self.store, self.params, self.cols = key, store, params, cols
+        self.store, self.params, self.cols = store, params, cols
 
 
 def _lossless(value):
@@ -1063,12 +1076,14 @@ def _assemble(scn: Scenario, store: _Store, runtimes, steps, ss, taken: int, par
 def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
     """Run a scenario and return its sampled trajectory.
 
-    Given `shared`, a run of the key of the pass it keeps, whose every
-    exact step the pass holds, is served by the pass: it runs no step, no
-    event and no update call, and assembles its trajectory from the kept
-    store and sampled columns.  Any other run is a full one, which leaves
-    its pass in `shared` once it completes (see `SharedPass`).  Without
-    `shared` nothing is kept."""
+    Given `shared`, scn must be one of its rows (`SharedPass.groups`).  A
+    row whose every exact step the kept pass holds is served by the pass:
+    it runs no step, no event and no update call, and assembles its
+    trajectory from the kept store and sampled columns.  Any other row runs
+    in full and leaves its pass in `shared` once it completes (see
+    `SharedPass`).  Without `shared` nothing is kept."""
+    if shared is not None and not any(scn is row for row in shared.scenarios):
+        raise ValueError("the scenario is not one of the rows of the shared pass")
     N = validate_scenario(scn)
     h, stride = scn.h, scn.stride
     ctl = scn.controller
@@ -1093,8 +1108,7 @@ def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
     K = len(steps)
     ss = np.empty((K, slay.size))
 
-    key = None if shared is None else _pass_key(scn)
-    if key is not None and key == shared.key and all(rt.step_key in shared.cols for rt in posts):
+    if shared is not None and shared.store is not None and all(rt.step_key in shared.cols for rt in posts):
         for rt in posts:
             ss[:, rt.sl] = shared.cols[rt.step_key]
         return _assemble(scn, shared.store, runtimes, steps, ss, K, shared.params)
@@ -1120,8 +1134,8 @@ def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
     # the plant rows and the integrator: p = [x1, .., xn, xc] as Python floats
     p = x0.tolist() + [float(ctl.xc0)]
     store = _Store(K, len(p), lay.size, model.m, model.Q)
-    # the rider gains of the pass's other runs, stepped for the pass
-    riders = shared.riders(runtimes, K) if key is not None and key == shared.group else []
+    # the rider gains of the pass's other rows, stepped for the pass
+    riders = [] if shared is None else shared.riders(runtimes, K)
     u_lo, u_hi = ctl.u_min, ctl.u_max
     ref_now = ctl.x4_star
     pi, law = _epoch(ctl, params, model, ref_now, 0.0)
@@ -1203,7 +1217,7 @@ def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
         cols = {rt.step_key: ss[:, rt.sl] for rt in posts}
         for stack in riders:
             cols.update(stack.kept())
-        shared.keep(key, store, params, cols)
+        shared.keep(store, params, cols)
     return _assemble(scn, store, runtimes, steps, ss, K, params)
 
 

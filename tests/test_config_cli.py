@@ -328,9 +328,9 @@ def test_compare_rides_every_observer_on_one_run(monkeypatch, tmp_path, capsys):
     expected = [_solo_compare_cells(cfg, i) for i in range(len(cfg["observers"]))]
     calls = []
 
-    def counting(scn):
+    def counting(scn, **kwargs):
         calls.append(scn)
-        return run_scenario(scn)
+        return run_scenario(scn, **kwargs)
 
     monkeypatch.setattr(cli, "run_scenario", counting)
     argv = ["compare", "--out", str(tmp_path)]
@@ -448,6 +448,33 @@ def test_gain_sweep_shares_one_pass_without_a_pool(monkeypatch, tmp_path, capsys
     assert pools == []
 
 
+def test_a_sweep_builds_and_keys_each_row_once(monkeypatch, capsys):
+    """Each validated document's scenario is built once (the preset, the
+    overrides and one per row) and each row's pass key is taken once."""
+    import pbclab.config as configmod
+    import pbclab.sim as simmod
+
+    built, keyed = [], []
+    build, key = configmod.scenario_from_config, simmod._pass_key
+
+    def counting_build(cfg):
+        built.append(1)
+        return build(cfg)
+
+    def counting_key(scn):
+        keyed.append(1)
+        return key(scn)
+
+    monkeypatch.setattr(configmod, "scenario_from_config", counting_build)
+    monkeypatch.setattr(simmod, "_pass_key", counting_key)
+    argv = ["sweep", "--preset", "fig-observer-gains", *FAST, "--param", "observers.0.gamma",
+            "--values", "1e10,3e11,1e12"]
+    assert cli.main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 5
+    assert len(keyed) == 3
+    assert len(built) == 3 + 2
+
+
 @pytest.mark.parametrize("override, key", [
     ("observers.0.gamma=.inf", "gamma"),
     ("scenario.x0=[.nan, 15.0, -1.5, -18.0]", "x0"),
@@ -455,6 +482,8 @@ def test_gain_sweep_shares_one_pass_without_a_pool(monkeypatch, tmp_path, capsys
     ("controller.x4_star=.nan", "x4_star"),
     ("output.band_frac=.nan", "band_frac"),
     ("output.band_frac=1.0", "band_frac"),
+    *((f"observers.3={{kind: kbf, {key}: {bad}}}", f"'kbf': {key}")
+      for key in ("s", "h0") for bad in (".nan", ".inf", "-.inf")),
 ])
 def test_a_value_a_run_cannot_use_is_a_config_error(capsys, override, key):
     rc = cli.main(["simulate", "--preset", "fig-observer-gains",

@@ -5,6 +5,7 @@ Oracles used here:
 * index-level loop reimplementations for every matrix derivative;
 * `scipy.integrate.solve_ivp` at rtol 1e-12 for the exact-step claims
   (scalar estimator, gradient flows, Riccati equation);
+* Faddeev-LeVerrier for the 4 x 4 cofactor adjugate and determinant;
 * closed forms: the rank-one gradient step, H(t) = sqrt(s) tanh(sqrt(s) t)
   for the scalar Riccati equation, and exponential contraction for
   constant excitation.
@@ -37,10 +38,22 @@ from pbclab.observers import (
 # -- adjugate ----------------------------------------------------------------
 
 
+def _faddeev_leverrier(a):
+    """(adj, det) of a square matrix by the Faddeev-LeVerrier recursion: an
+    oracle independent of the cofactor expansion."""
+    n = a.shape[0]
+    M = np.zeros_like(a)
+    c = 1.0
+    for k in range(1, n + 1):
+        M = a @ M + c * np.eye(n)
+        c = -np.trace(a @ M) / k
+    return (-1.0) ** (n - 1) * M, (-1.0) ** n * c
+
+
 def test_adjugate_identity_on_random_matrices():
     rng = np.random.default_rng(61)
+    n = 4
     for _ in range(100):
-        n = int(rng.integers(1, 7))
         A = rng.uniform(-1.0, 1.0, size=(n, n))
         adj = adjugate(A)
         det = determinant(A)
@@ -48,12 +61,15 @@ def test_adjugate_identity_on_random_matrices():
         assert np.allclose(A @ adj, det * np.eye(n), rtol=0.0, atol=1e-10 * scale)
         assert np.allclose(adj @ A, det * np.eye(n), rtol=0.0, atol=1e-10 * scale)
         assert det == pytest.approx(np.linalg.det(A), rel=1e-8, abs=1e-10)
+        adj_fl, det_fl = _faddeev_leverrier(A)
+        assert np.allclose(adj, adj_fl, rtol=0.0, atol=1e-12 * scale)
+        assert det == pytest.approx(det_fl, rel=1e-10, abs=1e-12)
 
 
 def test_adjugate_matches_inverse_when_well_conditioned():
     rng = np.random.default_rng(67)
+    n = 4
     for _ in range(50):
-        n = int(rng.integers(2, 6))
         A = rng.uniform(-1.0, 1.0, size=(n, n)) + 2.0 * np.eye(n)
         det = determinant(A)
         assert abs(det) > 1e-6
@@ -62,8 +78,8 @@ def test_adjugate_matches_inverse_when_well_conditioned():
 
 def test_adjugate_on_singular_matrices():
     rng = np.random.default_rng(71)
+    n = 4
     for _ in range(40):
-        n = int(rng.integers(2, 6))
         # rank n-1: adjugate is nonzero but annihilates the matrix
         B = rng.standard_normal((n, n - 1))
         Cf = rng.standard_normal((n - 1, n))
@@ -74,19 +90,22 @@ def test_adjugate_on_singular_matrices():
         assert np.abs(adj @ A).max() < bound
         assert np.abs(adj).max() > 0.0
         assert abs(determinant(A)) < bound
-        if n >= 3:
-            # rank n-2: every (n-1)-minor vanishes, the adjugate is zero
-            B2 = rng.standard_normal((n, n - 2))
-            C2 = rng.standard_normal((n - 2, n))
-            adj2 = adjugate(B2 @ C2)
-            assert np.abs(adj2).max() < bound
-    assert np.array_equal(adjugate(np.array([[7.0]])), np.array([[1.0]]))
-    assert determinant(np.array([[7.0]])) == 7.0
+        # rank n-2: every (n-1)-minor vanishes, the adjugate is zero
+        B2 = rng.standard_normal((n, n - 2))
+        C2 = rng.standard_normal((n - 2, n))
+        adj2 = adjugate(B2 @ C2)
+        assert np.abs(adj2).max() < bound
 
 
 def test_adjugate_rejects_nonsquare():
     with pytest.raises(ValueError):
         adjugate(np.zeros((2, 3)))
+    # the cofactor scheme is the state dimension's, 4 x 4 alone
+    for n in (1, 2, 3, 5, 6):
+        with pytest.raises(ValueError):
+            adjugate(np.eye(n))
+        with pytest.raises(ValueError):
+            determinant(np.eye(n))
 
 
 # -- scalar estimator --------------------------------------------------------
@@ -241,7 +260,7 @@ def test_pebo_invariant_and_regression_consistency_lti():
     # the regression filters on a random stable LTI system: the invariant
     # x = xi + Phi (x0 - xi0) and the exact regression Y = Omega theta
     rng = np.random.default_rng(97)
-    n, p, lam = 3, 1, 4.0
+    n, p, lam = 4, 1, 4.0  # the state dimension, which the mixing takes
     B = rng.standard_normal((n, n))
     A = -(B @ B.T) - 0.5 * np.eye(n)
     b = rng.standard_normal(n)

@@ -654,7 +654,8 @@ def test_replayed_rows_equal_runs_of_their_own(monkeypatch, make, rows):
     # logs on its own
     import pbclab.sim as simmod
 
-    shared = SharedPass([make(), *(make(**row) for row in rows)])
+    (shared,) = SharedPass.groups([make(), *(make(**row) for row in rows)])
+    first_row, *later_rows = shared.scenarios
     steps = _counting_steps(monkeypatch)
     gains, grad_gains = [], []
     scalar, gradient = simmod.scalar_update, simmod.gradient_update
@@ -669,14 +670,14 @@ def test_replayed_rows_equal_runs_of_their_own(monkeypatch, make, rows):
 
     monkeypatch.setattr(simmod, "scalar_update", counting_scalar)
     monkeypatch.setattr(simmod, "gradient_update", counting_gradient)
-    first = run_scenario(make(), shared=shared)
+    first = run_scenario(first_row, shared=shared)
     N = len(steps)
     assert N == round(2e-4 / 5e-7)
     assert sum(np.ndim(gamma) > 0 for gamma in gains) == N  # one stack
     _assert_same_run(first, run_scenario(make()))
-    for row in rows:
+    for row, scn in zip(rows, later_rows):
         del steps[:], gains[:], grad_gains[:]
-        replayed = run_scenario(make(**row), shared=shared)
+        replayed = run_scenario(scn, shared=shared)
         # no Runge-Kutta stage, no GPEBO step, no gradient step
         assert steps == [] and gains == [] and grad_gains == []
         _assert_same_run(replayed, run_scenario(make(**row)))
@@ -699,7 +700,8 @@ def _assert_replay_raises_as_a_run_of_its_own(monkeypatch, stacked, rider="gpebo
     message and the same partial samples; the load event after k must not
     reach the partial's circuit values.  When the gain was `stacked` for
     the first row's pass, that row completes and the pass keeps no columns
-    for it, so the failing row runs in full."""
+    for it, so the failing row runs in full.  Without `stacked` the pass
+    steps no rider gain, so it holds nothing of the failing row."""
     import pbclab.sim as simmod
 
     k_nan = 150
@@ -732,10 +734,13 @@ def _assert_replay_raises_as_a_run_of_its_own(monkeypatch, stacked, rider="gpebo
         scn = _riders_on_the_state_loop(gamma=gamma) if gpebo else _gradient_riders_on_the_state_loop(gamma)
         return replace(scn, events=[EventSpec(time=1e-4, kind="load", value=30.0)])
 
-    shared = SharedPass([make(gamma_ok), make(gamma_nan)] if stacked else [])
+    (shared,) = SharedPass.groups([make(gamma_ok), make(gamma_nan)])
+    row_ok, row_nan = shared.scenarios
+    if not stacked:
+        monkeypatch.setattr(simmod.SharedPass, "riders", lambda self, runtimes, K: [])
     first_calls = []
     monkeypatch.setattr(simmod, name, nan_from_step_k(first_calls))
-    first = run_scenario(make(gamma_ok), shared=shared)
+    first = run_scenario(row_ok, shared=shared)
     assert first_calls == ([2 if gpebo else 0] * round(2e-4 / 5e-7) if stacked else [])
     _assert_same_run(first, run_scenario(make(gamma_ok)))
     assert shared.cols and all(key[-1] != gamma_nan for key in shared.cols)
@@ -743,7 +748,7 @@ def _assert_replay_raises_as_a_run_of_its_own(monkeypatch, stacked, rider="gpebo
     for kept in (shared, None):
         monkeypatch.setattr(simmod, name, nan_from_step_k([]))
         with pytest.raises(NonFiniteState) as err:
-            run_scenario(make(gamma_nan), shared=kept)
+            run_scenario(row_nan, shared=kept)
         failures.append(err.value)
     replayed, alone = failures
     message = f"non-finite estimator state after the step to t={(k_nan + 1) * 5e-7:g} s"
@@ -772,19 +777,31 @@ def test_a_gradient_rider_that_turns_non_finite_runs_its_row_in_full(monkeypatch
     (dict(event_time=1e-4), dict(event_time=1.5e-4)),  # a moved event
 ], ids=["lambda", "feeding-gamma", "kbf-s-13th-digit", "event-time"])
 def test_a_change_outside_the_riders_gains_runs_a_full_pass(monkeypatch, base, other):
-    # the pass serves the group of `other`, as `cmd_sweep` would build it
-    served = _riders_on_observer_feedback(**other, gamma=1e13, grad_gamma=1e7)
-    shared = SharedPass([_riders_on_observer_feedback(**other), served])
+    # grouped as `cmd_sweep` groups its rows: `base` alone, `other` with a
+    # row that differs from it in the rider gains alone
+    rows = [_riders_on_observer_feedback(**base), _riders_on_observer_feedback(**other),
+            _riders_on_observer_feedback(**other, gamma=1e13, grad_gamma=1e7)]
+    passes = SharedPass.groups(rows)
+    assert [list(map(id, p.scenarios)) for p in passes] == [[id(rows[0])], [id(rows[1]), id(rows[2])]]
     steps = _counting_steps(monkeypatch)
-    run_scenario(_riders_on_observer_feedback(**base), shared=shared)
+    run_scenario(rows[0], shared=passes[0])
     N = len(steps)
-    run_scenario(_riders_on_observer_feedback(**other), shared=shared)
+    run_scenario(rows[1], shared=passes[1])
     assert len(steps) == 2 * N
     # the rider gains alone are served by the pass just kept
-    run_scenario(served, shared=shared)
+    run_scenario(rows[2], shared=passes[1])
     assert len(steps) == 2 * N
     if "s" in base:  # numpy prints both matrices alike, to 8 digits
         assert repr(base["s"]) == repr(other["s"])
+
+
+def test_a_pass_takes_only_its_own_rows():
+    # a pass serves the scenarios it was grouped from, by identity; an
+    # equal scenario built afresh is not one of them
+    (shared,) = SharedPass.groups([_riders_on_the_state_loop(), _riders_on_the_state_loop(gamma=3e12)])
+    with pytest.raises(ValueError, match="not one of the rows"):
+        run_scenario(_riders_on_the_state_loop(), shared=shared)
+    assert shared.store is None
 
 
 def _sweep_runs(monkeypatch, argv):
@@ -1086,7 +1103,8 @@ def test_csv_round_trip_and_byte_determinism(tmp_path):
     (lambda rows: [[*rows[0], "spare"], *([*row, "1.0"] for row in rows[1:])],
      "column 15 must be spare_ihat1, not 'spare'"),
     (lambda rows: rows[:1], "no rows"),
-], ids=["last-column-dropped", "renamed-column", "trailing-column", "header-only"])
+    (lambda rows: [[*row, *row[8:]] for row in rows], "column 15 repeats 'fct_ihat1'"),
+], ids=["last-column-dropped", "renamed-column", "trailing-column", "header-only", "repeated-block"])
 def test_a_table_of_other_than_the_base_and_whole_blocks_is_refused(tmp_path, edit, message):
     # columns are read by their names: the base columns, then whole blocks
     # <name>_ihat1 ... <name>_Delta, and at least one row
