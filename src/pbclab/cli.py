@@ -14,13 +14,13 @@ Subcommands
   ``pbclab.sim.SharedPass.groups`` keys each scenario once and groups
   them: values whose scenarios differ only in the name, gamma or mu of
   GPEBO-kind and gradient estimators that do not close the loop share one
-  closed-loop pass.  They run in value order in one process, the first
-  one in full, stepping every rider gain of the group once, and each
-  later one only by assembling its estimators' sampled states from that
-  pass.  Two or more distinct passes fan out over a
-  process pool of min(passes, CPUs) workers; with the ``PBCLAB_SERIAL``
-  environment variable set (e.g. ``PBCLAB_SERIAL=1``) they run one after
-  another in this process.
+  closed-loop pass.  They run in value order in one process: the first
+  one in full, with every rider gain of the group a row of its exact-step
+  stacks, so each gain is stepped once; each later one only by
+  assembling its estimators' sampled states from that pass.  Two or more
+  distinct passes fan out over a process pool of min(passes, CPUs)
+  workers; with the ``PBCLAB_SERIAL`` environment variable set (e.g.
+  ``PBCLAB_SERIAL=1``) they run one after another in this process.
 * ``presets list`` - list the shipped figure presets.
 
 Configuration comes from ``--config FILE`` or ``--preset NAME`` (else the

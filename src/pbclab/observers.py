@@ -172,13 +172,13 @@ def scalar_update(omega: float, theta_hat: np.ndarray, scriptY: np.ndarray, Delt
     acts element by element, so row e is the call for gamma[e] alone, bit
     for bit."""
     z = gamma * Delta * Delta * h
-    stacked = isinstance(z, np.ndarray)
-    if not (z.any() if stacked else z):
+    moving = np.count_nonzero(z)  # the rows with z != 0, NaN included
+    if not moving:
         return omega, theta_hat
     kappa = np.exp(-z)
     pull = -np.expm1(-z)  # 1 - kappa without cancellation
     theta_new = theta_hat + pull * (scriptY / Delta - theta_hat)
-    if stacked and not z.all():  # the rows whose z underflowed to 0 hold
+    if isinstance(z, np.ndarray) and moving < z.size:  # the rows whose z underflowed to 0 hold
         return np.where(z == 0.0, omega, omega * kappa), np.where(z == 0.0, theta_hat, theta_new)
     return omega * kappa, theta_new
 

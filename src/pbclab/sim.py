@@ -49,36 +49,37 @@ frozen coefficients: the decoupled-regression scalar estimator
 (gain up to 1e17) and the plain gradient estimators (gain 1e8).  Both are
 orders of magnitude stiffer than the grid step allows for an explicit
 scheme, and the exact step is unconditionally contractive.  Their states
-form a flat vector s, checked for finiteness after every step like the
+are the rows of one stack per kind and filter or regression
+(`_ExactSteps`), one row per gain: estimators whose exact steps read the
+same settings (`step_key`) share a row.  A stack forms its frozen inputs
+itself, from the estimator rows y at the start of the step, steps its
+rows after the Runge-Kutta step and checks them for finiteness like the
 Runge-Kutta vector.
 
-At each sample instant the loop stores the plant rows, y and s as they
-stand, with the duty ratio, passive output, clamp flag, reference and
-epoch of that instant.  The plant signals, the storage W and every
-estimator's logged arrays are derived from that store after the loop
-with stacked numpy; the estimators' internals are views of it, so
-estimators that read the same copy or filter share them.
+At each sample instant the loop stores the plant rows, y and every
+stack's rows as they stand, with the duty ratio, passive output, clamp
+flag, reference and epoch of that instant.  The plant signals, the
+storage W and every estimator's logged arrays are derived from that
+store after the loop with stacked numpy; the estimators' internals are
+views of it, so estimators that read the same copy, filter or row share
+them.
 
 A sweep over the gains of estimators that only ride shares one
 closed-loop pass (`SharedPass`).  The name, gamma and mu of a GPEBO-kind
 or gradient estimator that does not close the loop reach nothing but its
-own exactly stepped slots of s, so runs that differ only there have the
-same plant, integrator, copy, filters and Kalman-Bucy rows, and the same
+own exactly stepped row, so runs that differ only there have the same
+plant, integrator, copy, filters and Kalman-Bucy rows, and the same
 frozen inputs to every exact step.  `SharedPass.groups` keys each run
 once and makes one pass per key, which holds its runs; a run given its
-pass is not keyed again.  The first run of a pass integrates the
-loop and steps, besides its own exact steps, every rider gain of the
-pass's other runs once, outside s, on the same frozen inputs: the
-GPEBO-kind gains of each mixed filter stacked in one `scalar_update` call
-per step, and each gradient gain in one `gradient_update` call per step.
-It keeps its sample store and the sampled slots of every exact step that
-stayed finite.  An exact step's slots depend only on its kind, its filter
-or regression and its gain, so a later run whose every exact step the
-pass holds only assembles its trajectory from the kept store and slots;
-any other run is a full run of its own.  No frozen input is kept per
-step.  The same update functions act on the same inputs element by
-element, so an assembled run's arrays are those of a run of its own, bit
-for bit.
+pass is not keyed again.  In the first run of a pass every gain of the
+pass's runs is a row of a stack, so each gain is stepped once; the run
+keeps its sample store and the sampled columns of every row that stayed
+finite.  A row's columns depend only on its kind, its filter or
+regression and its gain, so a later run whose every exact step the pass
+holds only assembles its trajectory from the kept store and columns; any
+other run is a full run of its own.  No frozen input is kept per step.
+The update functions act on each row element by element, so an
+assembled run's arrays are those of a run of its own, bit for bit.
 
 Scenario events retarget the reference voltage or restep the load at a
 grid instant; the equilibrium pair, the passive output map and the
@@ -146,12 +147,13 @@ __all__ = [
 
 GPEBO_KINDS = ("fct-gpebo", "gpebo")
 OBSERVER_KINDS = GPEBO_KINDS + ("emulator", "kbf", "gradient")
-_EXACT_KINDS = GPEBO_KINDS + ("gradient",)  # the kinds stepped exactly, in s
+_EXACT_KINDS = GPEBO_KINDS + ("gradient",)  # the kinds stepped exactly (`_ExactSteps`)
 # physical plant signals (A, V, A, V) and their estimates, in CSV column order
 SIGNALS = ("i1", "v2", "i3", "v4")
 ESTIMATES = ("ihat1", "vhat2", "ihat3", "vhat4")
 _BASE_COLUMNS = ["t", *SIGNALS, "u", "ytilde", "W"]  # then one block per observer:
 _BLOCK = [*ESTIMATES, "err_norm", "omega", "Delta"]  # its columns, each after "<name>_"
+MAX_STEPS = 10**8  # the most grid steps one run may take (horizon / h)
 
 
 class NonFiniteState(RuntimeError):
@@ -449,19 +451,18 @@ def _stage_law(ctl: ControllerSpec, pi, model: PHModel, v_ref: float):
 class _Part:
     """What the loop asks of each estimator-side part; every hook defaults
     to nothing.  The estimator rows y of the Runge-Kutta vector (the plant
-    rows are held apart as floats): `init_vector` and `derivative`.  Slots
-    of the exactly stepped vector s: `init_state`, `pre_step` (data frozen
-    at the start of a step) and `post_step` (the exact step).  An estimator
-    also gives `estimate(y, s)`, its estimate at a stage when it closes the
-    loop, and `record(ys, ss)`, its logged arrays derived from the rows of y
-    and s sampled by the loop; one stepped exactly names its slots of s,
-    `sl`, and `step_key`, the settings its exact step reads besides the
-    frozen inputs.  The observer frame reaches `derivative` as
-    the drift A = A_obs(u) and the source b = b_obs; the measurement reaches
-    both hooks as the float y_m, read by C_obs = [0, 0, 0, 1], so C z is
-    z[3] (see `_PlantCache`)."""
+    rows are held apart as floats): `init_vector` and `derivative`.  The
+    estimator that closes the loop may refresh what it feeds back once per
+    step, after the sample: `pre_step`.  An estimator also gives
+    `estimate(y)`, its estimate at a stage when it closes the loop, and
+    `record(ys, cols)`, its logged arrays derived from the sampled rows of y
+    and the sampled columns of the exact steps (`_ExactSteps`), by step key.
+    One stepped exactly names `step_key`, the settings its exact step reads
+    besides the frozen inputs, and is pointed to its row, `exact` and `row`.
+    The observer frame reaches `derivative` as the drift A = A_obs(u) and
+    the source b = b_obs; the measurement reaches it as the float y_m, read
+    by C_obs = [0, 0, 0, 1], so C z is z[3] (see `_PlantCache`)."""
 
-    feeds = False  # set on the estimator that closes the loop
     name = ""  # an estimator's distinct name in the run, set by run_scenario
 
     def init_vector(self, y):
@@ -470,13 +471,7 @@ class _Part:
     def derivative(self, dy, y, A, b, y_m):
         pass
 
-    def init_state(self, s):
-        pass
-
-    def pre_step(self, y, s, y_m):
-        pass
-
-    def post_step(self, s, h):
+    def pre_step(self):
         pass
 
 
@@ -487,8 +482,6 @@ class _RegressionFilter:
         self.lam = lam
         self.sl_y = lay.add(n)
         self.sl_om = lay.add(n * n)
-        self.mixed = False  # a GPEBO-kind estimator reads the DREM mix
-        self.frozen = None  # the mix {scriptY, Delta} at the start of the current step
 
     def derivative(self, dy, y, drive_y, drive_om):
         """Write dY = lam (drive_y - Y) and dOmega = lam (drive_om - Omega),
@@ -519,14 +512,13 @@ class _SharedStates(_Part):
         if phi and self.sl_phi is None:
             self.sl_phi = self.lay.add(self.n * self.n)
 
-    def filter(self, lam: float, mixed: bool) -> _RegressionFilter:
+    def filter(self, lam: float) -> _RegressionFilter:
         """The filter of pole lam (with the copy it reads), reserved on
-        first use; `mixed` marks it for the per-step DREM mix."""
+        first use."""
         self.copy(phi=True)
         filt = self.filters.get(lam)
         if filt is None:
             filt = self.filters[lam] = _RegressionFilter(lam, self.n, self.lay)
-        filt.mixed = filt.mixed or mixed
         return filt
 
     def init_vector(self, y):
@@ -558,14 +550,6 @@ class _SharedStates(_Part):
         for filt in self.filters.values():
             filt.derivative(dy, y, drive_y, drive_om)
 
-    def pre_step(self, y, s, y_m):
-        # the DREM mix of every filter a GPEBO-kind estimator reads, frozen
-        # at the start of the step
-        for filt in self.filters.values():
-            if filt.mixed:
-                scriptY, Delta = drem_mix(y[filt.sl_om].reshape(self.n, self.n), y[filt.sl_y])
-                filt.frozen = {"scriptY": scriptY, "Delta": Delta}
-
     def reconstruct(self, y, theta):
         """x_hat = xi + Phi theta at one stage."""
         return gpebo_estimate(self.xi(y), self.Phi(y), theta)
@@ -577,23 +561,17 @@ class _SharedStates(_Part):
 
 class _GpeboRuntime(_Part):
     """fct-gpebo and gpebo kinds: read the shared copy and the filter of
-    their pole; own the scalar estimator (omega, theta_hat) in s."""
+    their pole; own the scalar estimator (omega, theta_hat), a row of an
+    `_ExactSteps`."""
 
-    def __init__(self, spec: ObserverSpec, bank: _SharedStates, slay: _Layout):
+    def __init__(self, spec: ObserverSpec, bank: _SharedStates):
         self.spec = spec
         self.bank = bank
         self.fct = spec.kind == "fct-gpebo"
-        self.filt = bank.filter(spec.lam, mixed=True)
-        self.i_omega = slay.add(1).start
-        self.sl_theta = slay.add(bank.n)
-        # its slots of s, (omega, theta_hat), and what their exact steps read
-        self.sl = slice(self.i_omega, self.sl_theta.stop)
+        self.filt = bank.filter(spec.lam)
         self.step_key = ("gpebo", spec.lam, spec.gamma)
-        self.theta_hat0 = np.zeros(bank.n)  # theta_hat starts at zero with s
+        self.theta_hat0 = np.zeros(bank.n)  # theta_hat starts at zero with its row
         self.theta_feed = self.theta_hat0.copy()
-
-    def init_state(self, s):
-        s[self.i_omega] = 1.0
 
     def theta(self, omega, theta_hat):
         """The estimate of theta: the finite-time combination, or theta_hat."""
@@ -601,23 +579,18 @@ class _GpeboRuntime(_Part):
             return fct_combine(theta_hat, self.theta_hat0, omega, self.spec.mu)
         return theta_hat
 
-    def pre_step(self, y, s, y_m):
+    def pre_step(self):
         # refreshed after the sample, so a sampled u of observer feedback
         # reads the theta of one step earlier (ROADMAP item 5e)
-        if self.feeds:
-            self.theta_feed = self.theta(s[self.i_omega], s[self.sl_theta]).copy()
+        row = self.exact.state[self.row]
+        self.theta_feed = self.theta(row[0], row[1:]).copy()
 
-    def post_step(self, s, h):
-        mix = self.filt.frozen
-        s[self.i_omega], s[self.sl_theta] = scalar_update(
-            s[self.i_omega], s[self.sl_theta], mix["scriptY"], mix["Delta"], self.spec.gamma, h
-        )
-
-    def estimate(self, y, s):
+    def estimate(self, y):
         return self.bank.reconstruct(y, self.theta_feed)
 
-    def record(self, ys, ss):
-        omega, theta_hat = ss[:, self.i_omega], ss[:, self.sl_theta]
+    def record(self, ys, cols):
+        col = cols[self.step_key]
+        omega, theta_hat = col[:, 0], col[:, 1:]
         Omega = _stack(ys, self.filt.sl_om, self.bank.n)
         rec = {
             "omega": omega,
@@ -636,15 +609,15 @@ class _GpeboRuntime(_Part):
 class _EmulatorRuntime(_Part):
     """The shared open-loop copy itself, read as the estimate."""
 
-    def __init__(self, spec: ObserverSpec, bank: _SharedStates, slay: _Layout):
+    def __init__(self, spec: ObserverSpec, bank: _SharedStates):
         self.spec = spec
         self.bank = bank
         bank.copy(phi=False)
 
-    def estimate(self, y, s):
+    def estimate(self, y):
         return self.bank.xi(y)
 
-    def record(self, ys, ss):
+    def record(self, ys, cols):
         xi = ys[:, self.bank.sl_xi]
         return xi, {"xi": xi}
 
@@ -652,7 +625,7 @@ class _EmulatorRuntime(_Part):
 class _KbfRuntime(_Part):
     """The Kalman-Bucy filter, in a block of rows of its own."""
 
-    def __init__(self, spec: ObserverSpec, bank: _SharedStates, slay: _Layout):
+    def __init__(self, spec: ObserverSpec, bank: _SharedStates):
         self.spec = spec
         self.n = n = bank.n
         self.sl_x = bank.lay.add(n)
@@ -678,52 +651,118 @@ class _KbfRuntime(_Part):
         P = A @ H
         dy[self.sl_H] = (P.T + P - h_col[:, None] * H[3] + self.S).ravel()
 
-    def estimate(self, y, s):
+    def estimate(self, y):
         return y[self.sl_x]
 
-    def record(self, ys, ss):
+    def record(self, ys, cols):
         return ys[:, self.sl_x], {"H": _stack(ys, self.sl_H, self.n)}
 
 
 class _GradientRuntime(_Part):
     """A gradient parameter estimator on the shared copy's raw regression
     or on the filter of its pole (extended), stepped by the exact
-    exponential with frozen data; its theta lives in s."""
+    exponential with frozen data; its theta is a row of an `_ExactSteps`."""
 
-    def __init__(self, spec: ObserverSpec, bank: _SharedStates, slay: _Layout):
+    def __init__(self, spec: ObserverSpec, bank: _SharedStates):
         self.spec = spec
         self.bank = bank
         self.extended = spec.mode == "extended"
         if self.extended:
-            self.filt = bank.filter(spec.lam, mixed=False)
+            self.filt = bank.filter(spec.lam)
         else:
             bank.copy(phi=True)
-        self.sl = self.sl_theta = slay.add(bank.n)
         self.step_key = ("gradient", spec.mode, spec.lam, spec.gamma)
-        self.frozen = None
 
-    def pre_step(self, y, s, y_m):
-        if self.extended:
-            filt, n = self.filt, self.bank.n
-            self.frozen = {"Omega": y[filt.sl_om].reshape(n, n).copy(), "Y": y[filt.sl_y].copy()}
-        else:
-            # C Phi and y_m - C xi at C = [0, 0, 0, 1]
-            self.frozen = {
-                "CPhi": self.bank.Phi(y)[3:4].copy(),
-                "y_shift": y_m - self.bank.xi(y).item(3),
-            }
+    def estimate(self, y):
+        return self.bank.reconstruct(y, self.exact.state[self.row])
 
-    def post_step(self, s, h):
-        s[self.sl_theta] = gradient_update(
-            s[self.sl_theta], self.spec.gamma, self.spec.mode, h, **self.frozen
-        )
-
-    def estimate(self, y, s):
-        return self.bank.reconstruct(y, s[self.sl_theta])
-
-    def record(self, ys, ss):
-        rec = {**self.bank.record(ys), "theta_hat": ss[:, self.sl_theta]}
+    def record(self, ys, cols):
+        rec = {**self.bank.record(ys), "theta_hat": cols[self.step_key]}
         return rec["xi"] + _matvec(rec["Phi"], rec["theta_hat"]), rec
+
+
+class _ExactSteps:
+    """The exactly stepped states of one kind on one filter or regression,
+    one row per step key (`step_key`: the kind, the filter or regression,
+    and the gain): (omega, theta_hat) for the GPEBO kinds, theta for a
+    gradient estimator.  Rows 0 .. own - 1 are the run's own estimators',
+    which share a row when their step keys agree; the rest are the other
+    gains of a shared pass's rows.  Each step reads inputs frozen at its
+    start, formed here from the estimator rows y: the DREM mix of the
+    filter, for one `scalar_update` call over the column of gains; or a
+    gradient's regression data, for one `gradient_update` call per row,
+    since a stacked rank-one step would sum its phi @ theta in another
+    order.  The rows are sampled at the run's instants.  A non-finite own
+    row raises `NonFiniteState`; a non-finite other row is left out of
+    the sampled columns a run keeps (`_columns`)."""
+
+    def __init__(self, rt):
+        self.rt = rt  # the run's first estimator on these inputs
+        self.rows = {}  # step key -> row
+        self.own = 0  # rows 0 .. own - 1 are the run's own
+
+    def add(self, key) -> int:
+        return self.rows.setdefault(key, len(self.rows))
+
+    def start(self, K: int):
+        """Set every row to its initial state and reserve K samples."""
+        self.gammas = [key[-1] for key in self.rows]
+        self.gpebo, n = isinstance(self.rt, _GpeboRuntime), self.rt.bank.n
+        # a row is (omega, theta_hat) for the GPEBO kinds, theta for a gradient
+        self.state = np.zeros((len(self.gammas), 1 + n if self.gpebo else n))
+        if self.gpebo:
+            self.column = np.array(self.gammas, dtype=float)[:, None]
+            self.state[:, 0] = 1.0  # omega
+        self.samples = np.empty((K, *self.state.shape))
+        self.finite = np.ones(len(self.gammas), dtype=bool)
+
+    def step(self, y, y_m: float, t: float, h: float):
+        """Step every row from t to t + h on the rows y and the measurement
+        y_m at t."""
+        rt, st, n = self.rt, self.state, self.rt.bank.n
+        if self.gpebo:
+            filt = rt.filt
+            scriptY, Delta = drem_mix(y[filt.sl_om].reshape(n, n), y[filt.sl_y])
+            st[:, :1], st[:, 1:] = scalar_update(st[:, :1], st[:, 1:], scriptY, Delta, self.column, h)
+        else:
+            if rt.extended:
+                frozen = {"Omega": y[rt.filt.sl_om].reshape(n, n), "Y": y[rt.filt.sl_y]}
+            else:  # C Phi and y_m - C xi at C = [0, 0, 0, 1]
+                frozen = {"CPhi": rt.bank.Phi(y)[3:4], "y_shift": y_m - rt.bank.xi(y).item(3)}
+            for e, gamma in enumerate(self.gammas):
+                st[e] = gradient_update(st[e], gamma, rt.spec.mode, h, **frozen)
+        if not np.isfinite(st).all():
+            finite = np.isfinite(st).all(axis=1)
+            if not finite[: self.own].all():
+                raise NonFiniteState(f"non-finite estimator state after the step to t={t + h:g} s")
+            self.finite &= finite
+
+
+def _exact_steps(runtimes, rows, K: int) -> list:
+    """The exact steps of a run, one `_ExactSteps` per kind and filter or
+    regression, with each of the run's own estimators pointed to its row;
+    then a row for every other gain in `rows`, the observer lists of a
+    shared pass's rows.  Those have the run's pass key, so they match its
+    estimators place by place in all but the name, gamma and mu."""
+    stacks = {}  # step key without the gain -> _ExactSteps
+    for rt in runtimes:
+        if rt.spec.kind in _EXACT_KINDS:
+            rt.exact = stacks.get(rt.step_key[:-1]) or stacks.setdefault(rt.step_key[:-1], _ExactSteps(rt))
+            rt.row = rt.exact.add(rt.step_key)
+    for stack in stacks.values():
+        stack.own = len(stack.rows)
+    for specs in rows:
+        for rt, spec in zip(runtimes, specs):
+            if spec.kind in _EXACT_KINDS:
+                rt.exact.add((*rt.step_key[:-1], spec.gamma))
+    for stack in stacks.values():
+        stack.start(K)
+    return list(stacks.values())
+
+
+def _columns(stacks) -> dict:
+    """The sampled states of every stack row that stayed finite, by step key."""
+    return {key: st.samples[:, e] for st in stacks for key, e in st.rows.items() if st.finite[e]}
 
 
 def _as_spd(value, n: int, what: str) -> np.ndarray:
@@ -801,43 +840,6 @@ class _Store:
         return self.ps, self.ys, self.us, self.yts, self.sats, self.refs, self.epochs
 
 
-class _Riders:
-    """Exact steps of the other runs of a pass that the run does not step
-    itself, on the frozen inputs its own exact step `rt` reads, stepped
-    outside s: row e of `state` holds, laid out as rt's slots of s, the
-    state of the step key keys[e], which differs from rt's in its gain
-    alone; its rows are sampled at the run's instants and `finite` says
-    which stayed finite at every step.  GPEBO-kind gains take one
-    `scalar_update` call per step over their column; gradient gains one
-    `gradient_update` call each, since a stacked rank-one step would sum
-    its `phi @ theta` in another order."""
-
-    def __init__(self, rt, keys: list, K: int):
-        self.rt, self.keys = rt, keys
-        self.gammas = [key[-1] for key in keys]
-        self.state = np.zeros((len(keys), rt.sl.stop - rt.sl.start))
-        self.stacked = isinstance(rt, _GpeboRuntime)
-        if self.stacked:
-            self.column = np.array(self.gammas, dtype=float)[:, None]
-            self.state[:, 0] = 1.0  # omega
-        self.samples = np.empty((K, *self.state.shape))
-        self.finite = np.ones(len(keys), dtype=bool)
-
-    def step(self, h: float):
-        st, rt = self.state, self.rt
-        if self.stacked:
-            mix = rt.filt.frozen
-            st[:, :1], st[:, 1:] = scalar_update(st[:, :1], st[:, 1:], mix["scriptY"], mix["Delta"], self.column, h)
-        else:
-            for e, gamma in enumerate(self.gammas):
-                st[e] = gradient_update(st[e], gamma, rt.spec.mode, h, **rt.frozen)
-        if not np.isfinite(st).all():
-            self.finite &= np.isfinite(st).all(axis=1)
-
-    def kept(self) -> dict:
-        return {key: self.samples[:, e] for e, key in enumerate(self.keys) if self.finite[e]}
-
-
 class SharedPass:
     """One closed-loop pass, shared by the rows of one key.
 
@@ -849,22 +851,22 @@ class SharedPass:
     row of p, which it does not key again.  It serves the row from the pass
     p keeps when p holds the sampled columns of every exact step of the
     row: it assembles them with the kept store and runs no step.  Any other
-    row runs in full and, once it completes, leaves its own pass in p: the
-    plant-side sample store, the PI-PBC state of every epoch, the circuit
-    values in force at the end, and the sampled columns of every exact step
-    that stayed finite at every step, by the settings it reads
-    (`step_key`).  Those are the row's own exact steps and every rider gain
-    of the other rows that it does not step itself (`_Riders`), so each of
-    those rows whose gains stayed finite is served.  No frozen input is
-    kept per step.  Every row of a pass shares the kept arrays, so they are
-    read-only, and so are the trajectory arrays that are views of them."""
+    row runs in full, with a row of its exact-step stacks (`_ExactSteps`)
+    for every gain of p's rows, and, once it completes, leaves its own pass
+    in p: the plant-side sample store, the PI-PBC state of every epoch, the
+    circuit values in force at the end, and the sampled columns of every
+    stack row that stayed finite at every step, by the settings it reads
+    (`step_key`).  So each row whose gains stayed finite is served.  No
+    frozen input is kept per step.  Every row of a pass shares the kept
+    arrays, so they are read-only, and so are the trajectory arrays that
+    are views of them."""
 
     def __init__(self, key, scenarios):
         self.key = key  # the pass key of every row
         self.scenarios = scenarios  # the rows the pass serves, in order
         self.store = None  # the kept pass's _Store, None while none is kept
         self.params = None  # its circuit values at the end
-        self.cols = None  # step key -> sampled columns, (K, slots)
+        self.cols = None  # step key -> sampled columns of its row, (K, slots)
 
     @classmethod
     def groups(cls, scenarios) -> list:
@@ -874,23 +876,6 @@ class SharedPass:
         for scn in scenarios:
             rows.setdefault(_pass_key(scn), []).append(scn)
         return [cls(key, group) for key, group in rows.items()]
-
-    def riders(self, runtimes, K: int) -> list:
-        """The exact steps of the rows that none of the run's `runtimes`
-        steps itself, one `_Riders` per kind and filter or regression, in
-        order.  The rows have the run's key, so their estimators match its
-        runtimes slot by slot in all but the name, gamma and mu."""
-        own = {rt.step_key for rt in runtimes if rt.spec.kind in _EXACT_KINDS}
-        stacks = {}  # step key without the gain -> (the run's step on its inputs, rider keys)
-        for scn in self.scenarios:
-            for rt, spec in zip(runtimes, scn.observers):
-                if spec.kind not in _EXACT_KINDS:
-                    continue
-                key = (*rt.step_key[:-1], spec.gamma)
-                if key not in own:
-                    own.add(key)
-                    stacks.setdefault(key[:-1], (rt, []))[1].append(key)
-        return [_Riders(rt, keys, K) for rt, keys in stacks.values()]
 
     def keep(self, store: _Store, params: CukParams, cols: dict):
         for arr in [*store.arrays(), *cols.values()]:
@@ -940,7 +925,11 @@ def validate_scenario(scn: Scenario) -> int:
         value = getattr(scn, key)
         if not 0.0 < value < math.inf:
             raise ScenarioError(f"{key} must be positive and finite, got {value}")
-    N = round(scn.horizon / scn.h)
+    ratio = scn.horizon / scn.h  # checked against the cap before it is rounded
+    if not ratio <= MAX_STEPS:
+        raise ScenarioError(f"h={scn.h!r} s, horizon={scn.horizon!r} s and stride={scn.stride!r} "
+                            f"ask for {ratio:g} steps, more than the cap of {MAX_STEPS:g}")
+    N = round(ratio)
     if N < 1 or abs(N * scn.h - scn.horizon) > 1e-9 * scn.horizon:
         raise ScenarioError("horizon must be an integer multiple of the step")
     if isinstance(scn.stride, bool) or not isinstance(scn.stride, numbers.Integral) or scn.stride < 1:
@@ -1018,14 +1007,16 @@ def _epoch(ctl: ControllerSpec, params, model: PHModel, v_ref: float, t: float):
     return pi, _stage_law(ctl, pi, model, v_ref)
 
 
-def _assemble(scn: Scenario, store: _Store, runtimes, steps, ss, taken: int, params) -> Trajectory:
+def _assemble(scn: Scenario, store: _Store, runtimes, steps, cols: dict, taken: int, params) -> Trajectory:
     """The trajectory of the first `taken` samples: the plant side read from
-    the store and the exactly stepped states from ss, each estimator's
-    logged arrays derived from them with stacked numpy; params are the
-    circuit values in force at the last step taken."""
+    the store and the exactly stepped states from cols, the sampled columns
+    of each exact step by step key, each estimator's logged arrays derived
+    from them with stacked numpy; params are the circuit values in force at
+    the last step taken."""
     ctl = scn.controller
     n = len(SIGNALS)
-    prows, rows, srows, ep = store.ps[:taken], store.ys[:taken], ss[:taken], store.epochs[:taken]
+    prows, rows, ep = store.ps[:taken], store.ys[:taken], store.epochs[:taken]
+    cols = {key: col[:taken] for key, col in cols.items()}
     xs = prows[:, :n]
     signals = _matvec(store.Q, xs)  # physical; events change r, never Q
     W = np.full(taken, np.nan)
@@ -1035,7 +1026,7 @@ def _assemble(scn: Scenario, store: _Store, runtimes, steps, ss, taken: int, par
             W[at] = _storage(store.Q, pe.Ki, xs[at], prows[at, n:], pe.x_star, pe.x_c_star)
     observers = {}
     for rt in runtimes:
-        xhat, rec = rt.record(rows, srows)
+        xhat, rec = rt.record(rows, cols)
         d = xhat - signals
         # a GPEBO kind's omega and Delta in rec keep the place set here
         observers[rt.name] = {
@@ -1089,35 +1080,32 @@ def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
     ctl = scn.controller
     n = len(SIGNALS)
 
-    lay, slay = _Layout(), _Layout()  # estimator rows y; slots of the stepped vector s
+    lay = _Layout()  # the estimator rows y
     bank = _SharedStates(n, lay)
-    runtimes = [_RUNTIME_BY_KIND[spec.kind](spec, bank, slay) for spec in scn.observers]
+    runtimes = [_RUNTIME_BY_KIND[spec.kind](spec, bank) for spec in scn.observers]
     for rt, name in zip(runtimes, _unique_names(scn.observers)):
         rt.name = name
     fb_rt = runtimes[0] if _closes_loop(ctl) else None
-    if fb_rt is not None:
-        fb_rt.feeds = True
     parts = ([bank] if bank.sl_xi is not None else []) + runtimes
-    # the parts whose per-stage and per-step hooks do something
-    derivs, pres, posts = (_hooked(parts, hook) for hook in ("derivative", "pre_step", "post_step"))
+    # the parts whose per-stage hook, and the feed's per-step hook, do something
+    derivs, pres = _hooked(parts, "derivative"), _hooked([fb_rt] if fb_rt else [], "pre_step")
 
-    # the sample instants; s is sampled there in ss, the rest in the store
+    # the sample instants
     steps = list(range(0, N + 1, stride))
     if steps[-1] != N:
         steps.append(N)
     K = len(steps)
-    ss = np.empty((K, slay.size))
 
-    if shared is not None and shared.store is not None and all(rt.step_key in shared.cols for rt in posts):
-        for rt in posts:
-            ss[:, rt.sl] = shared.cols[rt.step_key]
-        return _assemble(scn, shared.store, runtimes, steps, ss, K, shared.params)
+    if shared is not None and shared.store is not None and all(
+        rt.step_key in shared.cols for rt in runtimes if rt.spec.kind in _EXACT_KINDS
+    ):
+        return _assemble(scn, shared.store, runtimes, steps, shared.cols, K, shared.params)
 
     y = np.zeros(lay.size)
-    s = np.zeros(slay.size)
     for part in parts:
         part.init_vector(y)
-        part.init_state(s)
+    # the run's own exact steps and, for a pass, every other gain of its rows
+    stacks = _exact_steps(runtimes, [] if shared is None else [row.observers for row in shared.scenarios], K)
 
     # event table: each event at its grid instant (validate_scenario
     # rejects times off the grid)
@@ -1134,8 +1122,6 @@ def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
     # the plant rows and the integrator: p = [x1, .., xn, xc] as Python floats
     p = x0.tolist() + [float(ctl.xc0)]
     store = _Store(K, len(p), lay.size, model.m, model.Q)
-    # the rider gains of the pass's other rows, stepped for the pass
-    riders = [] if shared is None else shared.riders(runtimes, K)
     u_lo, u_hi = ctl.u_min, ctl.u_max
     ref_now = ctl.x4_star
     pi, law = _epoch(ctl, params, model, ref_now, 0.0)
@@ -1147,7 +1133,7 @@ def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
         if fb_rt is None:
             return law(p, p[n])
         # volts/amps -> stored
-        return law((fb_rt.estimate(y, s) / cache.qd).tolist(), p[n])
+        return law((fb_rt.estimate(y) / cache.qd).tolist(), p[n])
 
     def stage(p, y):
         """(dp, dy): the derivatives of the plant rows and integrator, and
@@ -1190,35 +1176,27 @@ def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
                     sats[taken] = u != u_raw  # the clamp flag, formed only here
                     ps[taken], ys[taken] = p, y
                     refs[taken], epochs[taken] = ref_now, epoch
-                    ss[taken] = s
-                    for stack in riders:
+                    for stack in stacks:
                         stack.samples[taken] = stack.state
                     taken += 1
                 if k == N:
                     break
-                if pres:
-                    y_m0 = cache.c_y * p[3]
-                    for part in pres:
-                        part.pre_step(y, s, y_m0)
+                if stacks:  # the exact steps read y and y_m at the start of the step
+                    y0, y_m0 = y, cache.c_y * p[3]
+                    for part in pres:  # a GPEBO kind's, so only with a stack
+                        part.pre_step()
                 p, y = _rk4_split_step(stage, t, p, y, h)
-                for part in posts:
-                    part.post_step(s, h)
-                for stack in riders:
-                    stack.step(h)
-                if s.size and not np.isfinite(s).all():
-                    raise NonFiniteState(f"non-finite estimator state after the step to t={t + h:g} s")
+                for stack in stacks:
+                    stack.step(y0, y_m0, t, h)
     except NonFiniteState as exc:
         # expose whatever was sampled before the blow-up
-        exc.partial = _assemble(scn, store, runtimes, steps, ss, taken, params)
+        exc.partial = _assemble(scn, store, runtimes, steps, _columns(stacks), taken, params)
         raise
 
+    cols = _columns(stacks)
     if shared is not None:
-        ss.flags.writeable = False  # kept, with the trajectory's views of it
-        cols = {rt.step_key: ss[:, rt.sl] for rt in posts}
-        for stack in riders:
-            cols.update(stack.kept())
         shared.keep(store, params, cols)
-    return _assemble(scn, store, runtimes, steps, ss, K, params)
+    return _assemble(scn, store, runtimes, steps, cols, K, params)
 
 
 # -- metrics ------------------------------------------------------------------

@@ -498,6 +498,25 @@ def test_a_value_a_run_cannot_use_is_a_config_error(capsys, override, key):
                 compute_metrics(traj, band_frac=bad)
 
 
+@pytest.mark.parametrize("override", ["scenario.h=1e-300", "scenario.horizon=1e300", "scenario.h=5e-324"])
+def test_a_step_count_over_the_cap_is_refused_before_anything_runs(monkeypatch, tmp_path, capsys, override):
+    # horizon / h is checked against the step cap before it is rounded, so
+    # a huge or an infinite ratio (0.05 / 5e-324) is a configuration error
+    # that names h, horizon and stride, and no run starts
+    def no_run(*args, **kwargs):
+        raise AssertionError("a refused scenario must not run")
+
+    monkeypatch.setattr(cli, "run_scenario", no_run)
+    out = tmp_path / "out"
+    rc = cli.main(["simulate", "--preset", "fig-step", "--set", override, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: ") and all(key in err for key in ("h=", "horizon=", "stride="))
+    assert not out.exists()
+    # the cap itself is a step count a scenario may ask for
+    assert sim.validate_scenario(sim.Scenario(h=1e-9, horizon=0.1)) == sim.MAX_STEPS
+
+
 # every exception class pbclab defines, with constructor arguments
 _EXCEPTION_SAMPLES = {
     ConfigError: ("unknown key 'x'",),

@@ -353,6 +353,40 @@ def test_one_filter_integration_per_pole(monkeypatch):
     assert calls.count(5.0) == calls.count(3.0) == stages
 
 
+def test_estimators_with_one_step_key_share_a_row(monkeypatch):
+    # three FCT estimators on pole 5, the third a copy of the first but for
+    # mu: their two gains are the two rows of one stack, stepped by one
+    # scalar_update call per step, and each estimator logs what it logs in
+    # a run of its own
+    import pbclab.sim as simmod
+
+    specs = [
+        ObserverSpec(name="a", kind="fct-gpebo", gamma=1e10),
+        ObserverSpec(name="b", kind="fct-gpebo", gamma=1e12),
+        ObserverSpec(name="a-mu", kind="fct-gpebo", gamma=1e10, mu=0.01),
+    ]
+    scn = Scenario(observers=specs, horizon=2e-4, stride=30)
+    shapes, scalar = [], simmod.scalar_update
+
+    def counting(*args):
+        shapes.append(np.shape(args[4]))
+        return scalar(*args)
+
+    monkeypatch.setattr(simmod, "scalar_update", counting)
+    together = run_scenario(scn)
+    assert shapes == [(2, 1)] * round(scn.horizon / scn.h)
+    monkeypatch.undo()
+    a, a_mu = together.observers["a"], together.observers["a-mu"]
+    assert np.shares_memory(a["theta_hat"], a_mu["theta_hat"])
+    assert not np.array_equal(a["theta_fct"], a_mu["theta_fct"])
+    for spec in specs:
+        alone = run_scenario(replace(scn, observers=[spec]))
+        got, want = together.observers[spec.name], alone.observers[spec.name]
+        assert got.keys() == want.keys()
+        for key in want:
+            assert np.array_equal(got[key], want[key], equal_nan=True), (spec.name, key)
+
+
 class _CountingArray(np.ndarray):
     """An array that counts the numpy operations it takes part in."""
 
@@ -497,7 +531,7 @@ def test_estimator_rows_equal_the_reference_derivatives(monkeypatch):
     kept, stages, frozen, starts, law_u = {}, [], [], [], {}
     step, stage_law = simmod._rk4_split_step, simmod._stage_law
     bank_init, kbf_init = simmod._SharedStates.__init__, simmod._KbfRuntime.__init__
-    grad_pre = simmod._GradientRuntime.pre_step
+    gradient = simmod.gradient_update
 
     def keeping_bank(self, *args):
         bank_init(self, *args)
@@ -507,10 +541,10 @@ def test_estimator_rows_equal_the_reference_derivatives(monkeypatch):
         kbf_init(self, *args)
         kept["kbf"] = self
 
-    def keeping_grad_pre(self, y, s, y_m):
-        grad_pre(self, y, s, y_m)
-        if not self.extended:
-            frozen.append((y.copy(), dict(self.frozen)))
+    def keeping_gradient(theta_hat, gamma, mode, h, **data):
+        if mode == "raw":
+            frozen.append(data)
+        return gradient(theta_hat, gamma, mode, h, **data)
 
     def keeping_law(*args):
         law = stage_law(*args)
@@ -523,9 +557,10 @@ def test_estimator_rows_equal_the_reference_derivatives(monkeypatch):
         return recorded
 
     def keeping_step(stage, t, p, z, h):
-        # the plant state at the start of the step, and at every stage the
-        # plant state, the estimator rows and their derivatives
-        starts.append(np.array(p[:4]))
+        # the plant state and the estimator rows at the start of the step,
+        # and at every stage the plant state, the estimator rows and their
+        # derivatives
+        starts.append((np.array(p[:4]), z.copy()))
 
         def recording(p_stage, z_stage):
             dp, dz = stage(p_stage, z_stage)
@@ -536,7 +571,7 @@ def test_estimator_rows_equal_the_reference_derivatives(monkeypatch):
 
     monkeypatch.setattr(simmod._SharedStates, "__init__", keeping_bank)
     monkeypatch.setattr(simmod._KbfRuntime, "__init__", keeping_kbf)
-    monkeypatch.setattr(simmod._GradientRuntime, "pre_step", keeping_grad_pre)
+    monkeypatch.setattr(simmod, "gradient_update", keeping_gradient)
     monkeypatch.setattr(simmod, "_stage_law", keeping_law)
     monkeypatch.setattr(simmod, "_rk4_split_step", keeping_step)
     run_scenario(scn)
@@ -570,7 +605,7 @@ def test_estimator_rows_equal_the_reference_derivatives(monkeypatch):
         assert np.array_equal(dy[kbf.sl_x], dx), k
         assert np.array_equal(dy[kbf.sl_H], dH.ravel()), k
     _, _, C, model = frame(20.0, 0.0)  # the sensor is the same in both epochs
-    for (y, data), x in zip(frozen, starts, strict=True):
+    for data, (x, y) in zip(frozen, starts, strict=True):
         y_m = model.C @ x
         assert np.array_equal(data["CPhi"], C @ bank.Phi(y))
         assert np.array_equal(np.atleast_1d(data["y_shift"]), y_m - C @ bank.xi(y))
@@ -700,8 +735,10 @@ def _assert_replay_raises_as_a_run_of_its_own(monkeypatch, stacked, rider="gpebo
     message and the same partial samples; the load event after k must not
     reach the partial's circuit values.  When the gain was `stacked` for
     the first row's pass, that row completes and the pass keeps no columns
-    for it, so the failing row runs in full.  Without `stacked` the pass
-    steps no rider gain, so it holds nothing of the failing row."""
+    for it, so the failing row runs in full.  Without `stacked` the first
+    row runs in a pass of its own, which steps no other gain, and the
+    group's pass keeps what that pass kept, so it holds nothing of the
+    failing row."""
     import pbclab.sim as simmod
 
     k_nan = 150
@@ -736,11 +773,12 @@ def _assert_replay_raises_as_a_run_of_its_own(monkeypatch, stacked, rider="gpebo
 
     (shared,) = SharedPass.groups([make(gamma_ok), make(gamma_nan)])
     row_ok, row_nan = shared.scenarios
-    if not stacked:
-        monkeypatch.setattr(simmod.SharedPass, "riders", lambda self, runtimes, K: [])
+    first_pass = shared if stacked else SharedPass.groups([row_ok])[0]
     first_calls = []
     monkeypatch.setattr(simmod, name, nan_from_step_k(first_calls))
-    first = run_scenario(row_ok, shared=shared)
+    first = run_scenario(row_ok, shared=first_pass)
+    if not stacked:
+        shared.keep(first_pass.store, first_pass.params, first_pass.cols)
     assert first_calls == ([2 if gpebo else 0] * round(2e-4 / 5e-7) if stacked else [])
     _assert_same_run(first, run_scenario(make(gamma_ok)))
     assert shared.cols and all(key[-1] != gamma_nan for key in shared.cols)
@@ -840,30 +878,34 @@ def _sweep_runs(monkeypatch, argv):
 _GAINS = ["--preset", "fig-observer-gains", "--param"]  # riders of gains 1e10, 1e11, 1e12
 
 
-@pytest.mark.parametrize("argv, own, stacked", [
-    ([*_GAINS, "observers.0.gamma", "--values", "1e10,3e12,1e17,5e11,3e12"], [1e10, 1e11, 1e12], [3e12, 1e17, 5e11]),
-    ([*_GAINS, "observers.0.gamma", "--values", "1e11,1e11,1e10"], [1e11, 1e11, 1e12], [1e10]),
-    ([*_GAINS, "observers.0.mu", "--values", "1e-6,0.01,0.3"], [1e10, 1e11, 1e12], []),
+@pytest.mark.parametrize("argv, column", [
+    # the first row's own gains, then the other gains of the sweep
+    ([*_GAINS, "observers.0.gamma", "--values", "1e10,3e12,1e17,5e11,3e12"], [1e10, 1e11, 1e12, 3e12, 1e17, 5e11]),
+    # observers 0 and 1 of the first row share a gain, and so a row
+    ([*_GAINS, "observers.0.gamma", "--values", "1e11,1e11,1e10"], [1e11, 1e12, 1e10]),
+    ([*_GAINS, "observers.0.mu", "--values", "1e-6,0.01,0.3"], [1e10, 1e11, 1e12]),
 ], ids=["gamma", "repeated-gamma", "mu"])
-def test_a_sweep_steps_each_riders_gain_once(monkeypatch, argv, own, stacked):
-    # the first row steps its own riders and, stacked, every other gain of
-    # the sweep; no later row steps a rider again
+def test_a_sweep_steps_each_riders_gain_once(monkeypatch, argv, column):
+    # the first row steps each gain of the sweep once per step, in one
+    # stacked call on the one filter; no later row steps anything
     N = round(2e-4 / 5e-7)
     first, *later = _sweep_runs(monkeypatch, argv)
-    assert sorted(first["scalar"]) == sorted(own * N)
-    assert len(first["stacked"]) == (N if stacked else 0)
-    assert all(gammas.ravel().tolist() == stacked for gammas in first["stacked"])
+    assert first["scalar"] == []
+    assert len(first["stacked"]) == N
+    assert all(gammas.ravel().tolist() == column for gammas in first["stacked"])
     assert later and all(row["scalar"] == row["stacked"] == [] for row in later)
 
 
 def test_a_gradient_gain_sweep_steps_each_gain_once_in_the_first_row(monkeypatch):
     # FCT feedback with a GPEBO, an emulator, a KBF and a raw gradient
-    # riding: the first row steps every gain of the gradient, one call per
-    # gain and step, and no later row steps anything
+    # riding: the first row steps the FCT and GPEBO gains of the one filter
+    # in one stacked call per step, and every gain of the gradient, one call
+    # per gain and step; no later row steps anything
     N = round(2e-4 / 5e-7)
     argv = ["--preset", "fig-observer-compare", "--param", "observers.4.gamma", "--values", "1e8,1e7,1e8,1e9"]
     first, *later = _sweep_runs(monkeypatch, argv)
-    assert (len(first["scalar"]), first["stacked"]) == (2 * N, [])
+    assert first["scalar"] == [] and len(first["stacked"]) == N
+    assert all(gammas.ravel().tolist() == [1e12, 1e17] for gammas in first["stacked"])
     assert sorted(first["gradient"]) == sorted([1e8, 1e7, 1e9] * N)
     assert len(later) == 3
     assert all(row["scalar"] == row["stacked"] == row["gradient"] == [] for row in later)
