@@ -203,14 +203,15 @@ def cmd_equilibrium(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load_cfg(args)
-    runs = expand_variants(cfg)
+    # every run's document is checked, and its scenario built, before the first run
+    runs = [(label, sub, scenario_of(sub)) for label, sub in expand_variants(cfg)]
     out = _out_dir(args, cfg)
     opts = cfg["output"]
     base = _base_name(args)
     results = []
-    for label, sub in runs:
+    for label, sub, scn in runs:
         try:
-            traj, _, metrics = _run_and_measure(sub, scenario_from_config(sub))
+            traj, _, metrics = _run_and_measure(sub, scn)
         except NonFiniteState as exc:
             partial = getattr(exc, "partial", None)
             if partial is not None and opts["csv"] and len(partial.t):

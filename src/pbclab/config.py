@@ -323,7 +323,8 @@ def apply_overrides(cfg: dict, assignments) -> dict:
 
 
 def expand_variants(cfg: dict):
-    """List of (label, concrete config) pairs, one per run of the figure."""
+    """List of (label, concrete config) pairs, one per run of the figure,
+    each to be checked, and its scenario built, by `scenario_of`."""
     variants = cfg.get("variants")
     if not variants:
         return [(cfg["scenario"]["label"], cfg)]
@@ -334,7 +335,7 @@ def expand_variants(cfg: dict):
         for path, value in var.get("set", {}).items():
             set_path(sub, path, copy.deepcopy(value))
         sub["scenario"]["label"] = var["label"]
-        out.append((var["label"], validate_config(sub)))
+        out.append((var["label"], sub))
     return out
 
 

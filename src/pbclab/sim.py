@@ -20,14 +20,15 @@ of `control.pi_pbc_step` (whose `shifted_output` sums in the same order)
 and `control.classical_pi_step`, which remain the reference.  numpy is
 used only for the estimator rows y, a vector stepped in the same four
 stages when an estimator exists, which reads u and the measurement as
-floats.  The matrix states that depend on neither the gain nor the kind
-are held once per run and read by every estimator: the open-loop copy
-(xi, plus Phi when an estimator reads it), driven by u alone, and one
-regression filter pair (Y, Omega) per distinct pole lambda, driven by u,
-y and lambda.  The Kalman-Bucy filter keeps a block of its own.  The
-sharing is exact: Runge-Kutta acts entry by entry, and per-estimator
-copies would come from the same expressions on the same inputs, so each
-estimator's output is bit-identical to a run in which it is alone.
+floats; the bank (`_Bank`) alone lays out, starts and differentiates y.
+The matrix states that depend on neither the gain nor the kind are held
+once per run and read by every estimator: the open-loop copy (xi, plus
+Phi when an estimator reads it), driven by u alone, and one regression
+filter pair (Y, Omega) per distinct pole lambda, driven by u, y and
+lambda.  Each Kalman-Bucy filter keeps a block of its own.  The sharing
+is exact: Runge-Kutta acts entry by entry, and per-estimator copies would
+come from the same expressions on the same inputs, so each estimator's
+output is bit-identical to a run in which it is alone.
 
 The estimator stage rests on two structural facts of `cuk.build_cuk`,
 checked whenever the model is assembled (`_PlantCache.rebuild`).  The
@@ -67,19 +68,20 @@ them.
 A sweep over the gains of estimators that only ride shares one
 closed-loop pass (`SharedPass`).  The name, gamma and mu of a GPEBO-kind
 or gradient estimator that does not close the loop reach nothing but its
-own exactly stepped row, so runs that differ only there have the same
-plant, integrator, copy, filters and Kalman-Bucy rows, and the same
-frozen inputs to every exact step.  `SharedPass.groups` keys each run
-once and makes one pass per key, which holds its runs; a run given its
-pass is not keyed again.  In the first run of a pass every gain of the
-pass's runs is a row of a stack, so each gain is stepped once; the run
-keeps its sample store and the sampled columns of every row that stayed
-finite.  A row's columns depend only on its kind, its filter or
-regression and its gain, so a later run whose every exact step the pass
-holds only assembles its trajectory from the kept store and columns; any
-other run is a full run of its own.  No frozen input is kept per step.
-The update functions act on each row element by element, so an
-assembled run's arrays are those of a run of its own, bit for bit.
+own exactly stepped row, and an estimator that reads no filter reads no
+lambda, so runs that differ only there have the same plant, integrator,
+copy, filters and Kalman-Bucy rows, and the same frozen inputs to every
+exact step.  `SharedPass.groups` keys each run once and makes one pass
+per key, which holds its runs; a run given its pass is not keyed again.
+In the first run of a pass every gain of the pass's runs is a row of a
+stack, so each gain is stepped once; the run keeps its sample store and
+the sampled columns of every row that stayed finite.  A row's columns
+depend only on its kind, its filter or regression and its gain, so a
+later run whose every exact step the pass holds only assembles its
+trajectory from the kept store and columns; any other run is a full run
+of its own.  No frozen input is kept per step.  The update functions
+act on each row element by element, so an assembled run's arrays are
+those of a run of its own, bit for bit.
 
 Scenario events retarget the reference voltage or restep the load at a
 grid instant; the equilibrium pair, the passive output map and the
@@ -360,19 +362,20 @@ def _trajectory_from_table(header, mat) -> Trajectory:
 # -- runtime helpers ---------------------------------------------------------
 
 
-class _Layout:
-    def __init__(self):
-        self.size = 0
+class _Block:
+    """A block of the estimator rows that the bank reserved: its slice `sl`
+    of a row and its shape.  Called on a stage row y or on a (K, size)
+    stack ys of sampled rows, it returns each row's block, as a view."""
 
-    def add(self, count: int) -> slice:
-        sl = slice(self.size, self.size + count)
-        self.size += count
-        return sl
+    __slots__ = ("sl", "shape")
 
+    def __init__(self, sl: slice, shape: tuple):
+        self.sl, self.shape = sl, shape
 
-def _stack(rows, sl, n: int) -> np.ndarray:
-    """The n x n matrix stored at `sl` of every sampled row, as a view."""
-    return rows[:, sl].reshape(-1, n, n)
+    def __call__(self, rows):
+        if rows.ndim == 1:  # a stage row
+            return rows[self.sl].reshape(self.shape)
+        return rows[:, self.sl].reshape(len(rows), *self.shape)
 
 
 def _matvec(M, v):
@@ -448,123 +451,125 @@ def _stage_law(ctl: ControllerSpec, pi, model: PHModel, v_ref: float):
     return law
 
 
-class _Part:
-    """What the loop asks of each estimator-side part; every hook defaults
-    to nothing.  The estimator rows y of the Runge-Kutta vector (the plant
-    rows are held apart as floats): `init_vector` and `derivative`.  The
-    estimator that closes the loop may refresh what it feeds back once per
-    step, after the sample: `pre_step`.  An estimator also gives
-    `estimate(y)`, its estimate at a stage when it closes the loop, and
-    `record(ys, cols)`, its logged arrays derived from the sampled rows of y
-    and the sampled columns of the exact steps (`_ExactSteps`), by step key.
-    One stepped exactly names `step_key`, the settings its exact step reads
-    besides the frozen inputs, and is pointed to its row, `exact` and `row`.
-    The observer frame reaches `derivative` as the drift A = A_obs(u) and
-    the source b = b_obs; the measurement reaches it as the float y_m, read
-    by C_obs = [0, 0, 0, 1], so C z is z[3] (see `_PlantCache`)."""
-
-    name = ""  # an estimator's distinct name in the run, set by run_scenario
-
-    def init_vector(self, y):
-        pass
-
-    def derivative(self, dy, y, A, b, y_m):
-        pass
-
-    def pre_step(self):
-        pass
-
-
 class _RegressionFilter:
-    """One (Y, Omega) regression filter pair with pole lam."""
+    """One (Y, Omega) regression filter pair with pole lam, in rows the
+    bank reserves."""
 
-    def __init__(self, lam: float, n: int, lay: _Layout):
+    def __init__(self, lam: float, bank: "_Bank"):
         self.lam = lam
-        self.sl_y = lay.add(n)
-        self.sl_om = lay.add(n * n)
+        self.Y, self.Omega = bank.add(bank.n), bank.add(bank.n, bank.n)
 
     def derivative(self, dy, y, drive_y, drive_om):
         """Write dY = lam (drive_y - Y) and dOmega = lam (drive_om - Omega),
         the drives (C Phi)' (y_m - C xi) and (C Phi)' C Phi being shared by
         every pole."""
-        lam = self.lam
-        dy[self.sl_y] = lam * (drive_y - y[self.sl_y])
-        dy[self.sl_om] = lam * (drive_om - y[self.sl_om])
+        lam, sl_y, sl_om = self.lam, self.Y.sl, self.Omega.sl
+        dy[sl_y] = lam * (drive_y - y[sl_y])
+        dy[sl_om] = lam * (drive_om - y[sl_om])
 
 
-class _SharedStates(_Part):
-    """Estimator states that depend on neither the gain nor the kind: the
-    open-loop copy xi (with Phi when an estimator reads it), driven by u
-    alone, and one regression filter per distinct pole, driven by u, y_m
-    and lam.  Each is integrated once, however many estimators read it."""
+class _Bank:
+    """The estimator rows y of the Runge-Kutta vector and their one owner,
+    which lays them out, starts them and differentiates them.  Its blocks
+    are the open-loop copy xi (with Phi when an estimator reads it), driven
+    by u alone; one `_RegressionFilter` per distinct pole, driven by u, y_m
+    and lam; and each Kalman-Bucy filter's block (`_KbfRuntime`).  Each is
+    integrated once, however many estimators read it.  Only these owners
+    slice y, and only per stage; every other reader calls a `_Block`.
 
-    def __init__(self, n: int, lay: _Layout):
+    An estimator runtime only reads the rows.  It gives `estimate(y)`, its
+    estimate at a stage when it closes the loop, and `record(ys, cols)`,
+    its logged arrays from the sampled rows and the sampled columns of the
+    exact steps (`_ExactSteps`) by step key; one stepped exactly names
+    `step_key`, the settings its exact step reads besides the frozen
+    inputs, and is pointed to its row, `exact` and `row`.  `derivative`
+    reads the observer frame as A = A_obs(u) and b = b_obs, and the
+    measurement as the float y_m, read by C_obs = [0, 0, 0, 1], so C z is
+    z[3] (see `_PlantCache`)."""
+
+    def __init__(self, n: int):
         self.n = n
-        self.lay = lay
-        self.sl_xi = None
-        self.sl_phi = None
+        self.size = 0  # the number of rows reserved
+        self.xi = self.Phi = None  # the copy's blocks, once reserved
         self.filters = {}  # lam -> _RegressionFilter
+        self.kbfs = []  # the Kalman-Bucy filters, in run order
+
+    def add(self, *shape) -> _Block:
+        """Reserve the next rows, for a block of `shape`."""
+        sl = slice(self.size, self.size + math.prod(shape))
+        self.size = sl.stop
+        return _Block(sl, shape)
 
     def copy(self, phi: bool):
         """Reserve the open-loop copy, with Phi if `phi`."""
-        if self.sl_xi is None:
-            self.sl_xi = self.lay.add(self.n)
-        if phi and self.sl_phi is None:
-            self.sl_phi = self.lay.add(self.n * self.n)
+        if self.xi is None:
+            self.xi = self.add(self.n)
+        if phi and self.Phi is None:
+            self.Phi = self.add(self.n, self.n)
 
     def filter(self, lam: float) -> _RegressionFilter:
         """The filter of pole lam (with the copy it reads), reserved on
         first use."""
         self.copy(phi=True)
-        filt = self.filters.get(lam)
-        if filt is None:
-            filt = self.filters[lam] = _RegressionFilter(lam, self.n, self.lay)
-        return filt
+        if lam not in self.filters:
+            self.filters[lam] = _RegressionFilter(lam, self)
+        return self.filters[lam]
 
-    def init_vector(self, y):
-        # xi, Y and Omega start at zero like the rest of the vector
-        if self.sl_phi is not None:
-            y[self.sl_phi] = np.eye(self.n).ravel()
+    def kbf(self, kbf) -> tuple:
+        """Reserve a Kalman-Bucy filter's blocks x_hat and H."""
+        self.kbfs.append(kbf)
+        return self.add(self.n), self.add(self.n, self.n)
 
-    def xi(self, y):
-        return y[self.sl_xi]
+    def start(self):
+        """The rows at t = 0: Phi = I, each H = H0, and zeros elsewhere."""
+        y = np.zeros(self.size)
+        if self.Phi is not None:
+            y[self.Phi.sl] = np.eye(self.n).ravel()
+        for kbf in self.kbfs:
+            y[kbf.H.sl] = kbf.H0.ravel()
+        return y
 
-    def Phi(self, y):
-        return y[self.sl_phi].reshape(self.n, self.n)
-
-    def derivative(self, dy, y, A, b, y_m):
+    def derivative(self, y, A, b, y_m):
+        """dy at a stage: every Kalman-Bucy block, the copy and every filter."""
+        dy = np.zeros(self.size)
+        for kbf in self.kbfs:
+            kbf.derivative(dy, y, A, b, y_m)
+        if self.xi is None:
+            return dy
         # the rows of `observers.gpebo_matrix_derivatives` at C = [0, 0, 0, 1]:
         # C Phi is the row Phi[3] and C xi the entry xi[3], and the two
         # filter drives are formed once for every pole
-        xi = y[self.sl_xi]
-        dy[self.sl_xi] = A @ xi + b
-        if self.sl_phi is None:
-            return
-        Phi = self.Phi(y)
-        dy[self.sl_phi] = (A @ Phi).ravel()
-        if not self.filters:
-            return
-        c = Phi[3]
-        drive_y = c * (y_m - xi.item(3))
-        drive_om = (c[:, None] * c).ravel()  # np.outer(c, c), without its wrapper
-        for filt in self.filters.values():
-            filt.derivative(dy, y, drive_y, drive_om)
+        xi = y[self.xi.sl]
+        dy[self.xi.sl] = A @ xi + b
+        if self.Phi is None:
+            return dy
+        Phi = y[self.Phi.sl].reshape(self.Phi.shape)
+        dy[self.Phi.sl] = (A @ Phi).ravel()
+        if self.filters:
+            c = Phi[3]
+            drive_y = c * (y_m - xi.item(3))
+            drive_om = (c[:, None] * c).ravel()  # np.outer(c, c), without its wrapper
+            for filt in self.filters.values():
+                filt.derivative(dy, y, drive_y, drive_om)
+        return dy
 
     def reconstruct(self, y, theta):
         """x_hat = xi + Phi theta at one stage."""
-        return gpebo_estimate(self.xi(y), self.Phi(y), theta)
-
-    def record(self, ys):
-        """The sampled copy, as views shared by every estimator reading it."""
-        return {"xi": ys[:, self.sl_xi], "Phi": _stack(ys, self.sl_phi, self.n)}
+        return gpebo_estimate(y[self.xi.sl], y[self.Phi.sl].reshape(self.Phi.shape), theta)
 
 
-class _GpeboRuntime(_Part):
+def _reads_filter(spec: ObserverSpec) -> bool:
+    """Whether an estimator reads a regression filter, and so its lam: the
+    GPEBO kinds and the extended gradient; no other estimator reads lam."""
+    return spec.kind in GPEBO_KINDS or (spec.kind == "gradient" and spec.mode == "extended")
+
+
+class _GpeboRuntime:
     """fct-gpebo and gpebo kinds: read the shared copy and the filter of
     their pole; own the scalar estimator (omega, theta_hat), a row of an
     `_ExactSteps`."""
 
-    def __init__(self, spec: ObserverSpec, bank: _SharedStates):
+    def __init__(self, spec: ObserverSpec, bank: _Bank):
         self.spec = spec
         self.bank = bank
         self.fct = spec.kind == "fct-gpebo"
@@ -579,9 +584,9 @@ class _GpeboRuntime(_Part):
             return fct_combine(theta_hat, self.theta_hat0, omega, self.spec.mu)
         return theta_hat
 
-    def pre_step(self):
-        # refreshed after the sample, so a sampled u of observer feedback
-        # reads the theta of one step earlier (ROADMAP item 5e)
+    def refresh_feed(self):
+        # called once per step after the sample, so a sampled u of observer
+        # feedback reads the theta of one step earlier (ROADMAP item 5e)
         row = self.exact.state[self.row]
         self.theta_feed = self.theta(row[0], row[1:]).copy()
 
@@ -591,12 +596,12 @@ class _GpeboRuntime(_Part):
     def record(self, ys, cols):
         col = cols[self.step_key]
         omega, theta_hat = col[:, 0], col[:, 1:]
-        Omega = _stack(ys, self.filt.sl_om, self.bank.n)
+        Omega = self.filt.Omega(ys)
         rec = {
             "omega": omega,
             "Delta": _adj_det(np.moveaxis(Omega, 0, -1))[1],
-            **self.bank.record(ys),
-            "Y": ys[:, self.filt.sl_y],
+            "xi": self.bank.xi(ys), "Phi": self.bank.Phi(ys),
+            "Y": self.filt.Y(ys),
             "Omega": Omega,
             "theta_hat": theta_hat,
         }
@@ -606,10 +611,10 @@ class _GpeboRuntime(_Part):
         return rec["xi"] + _matvec(rec["Phi"], theta), rec
 
 
-class _EmulatorRuntime(_Part):
+class _EmulatorRuntime:
     """The shared open-loop copy itself, read as the estimate."""
 
-    def __init__(self, spec: ObserverSpec, bank: _SharedStates):
+    def __init__(self, spec: ObserverSpec, bank: _Bank):
         self.spec = spec
         self.bank = bank
         bank.copy(phi=False)
@@ -618,24 +623,19 @@ class _EmulatorRuntime(_Part):
         return self.bank.xi(y)
 
     def record(self, ys, cols):
-        xi = ys[:, self.bank.sl_xi]
+        xi = self.bank.xi(ys)
         return xi, {"xi": xi}
 
 
-class _KbfRuntime(_Part):
-    """The Kalman-Bucy filter, in a block of rows of its own."""
+class _KbfRuntime:
+    """The Kalman-Bucy filter, in a block of rows (x_hat, H) of its own,
+    which the bank reserves, starts (H = H0) and differentiates."""
 
-    def __init__(self, spec: ObserverSpec, bank: _SharedStates):
+    def __init__(self, spec: ObserverSpec, bank: _Bank):
         self.spec = spec
-        self.n = n = bank.n
-        self.sl_x = bank.lay.add(n)
-        self.sl_H = bank.lay.add(n * n)
-        self.S = _as_spd(spec.s, n, "S")
-        self.H0 = _as_spd(spec.h0, n, "H0")
-
-    def init_vector(self, y):
-        y[self.sl_x] = 0.0
-        y[self.sl_H] = self.H0.ravel()
+        self.S = _as_spd(spec.s, bank.n, "S")
+        self.H0 = _as_spd(spec.h0, bank.n, "H0")
+        self.x, self.H = bank.kbf(self)
 
     def derivative(self, dy, y, A, b, y_m):
         # the rows of `observers.kbf_derivatives` at C = [0, 0, 0, 1]: H C' is
@@ -643,41 +643,41 @@ class _KbfRuntime(_Part):
         # H[3].  H is exactly symmetric (H0 and S are, and every Runge-Kutta
         # update acts entry by entry), so H A' is (A H)' bit for bit and the
         # unsymmetrized sum is already the symmetrized one
-        n = self.n
-        H = y[self.sl_H].reshape(n, n)
-        x_hat = y[self.sl_x]
+        H = y[self.H.sl].reshape(self.H.shape)
+        x_hat = y[self.x.sl]
         h_col = H[:, 3]
-        dy[self.sl_x] = A @ x_hat + b + h_col * (y_m - x_hat.item(3))
+        dy[self.x.sl] = A @ x_hat + b + h_col * (y_m - x_hat.item(3))
         P = A @ H
-        dy[self.sl_H] = (P.T + P - h_col[:, None] * H[3] + self.S).ravel()
+        dy[self.H.sl] = (P.T + P - h_col[:, None] * H[3] + self.S).ravel()
 
     def estimate(self, y):
-        return y[self.sl_x]
+        return self.x(y)
 
     def record(self, ys, cols):
-        return ys[:, self.sl_x], {"H": _stack(ys, self.sl_H, self.n)}
+        return self.x(ys), {"H": self.H(ys)}
 
 
-class _GradientRuntime(_Part):
+class _GradientRuntime:
     """A gradient parameter estimator on the shared copy's raw regression
     or on the filter of its pole (extended), stepped by the exact
     exponential with frozen data; its theta is a row of an `_ExactSteps`."""
 
-    def __init__(self, spec: ObserverSpec, bank: _SharedStates):
+    def __init__(self, spec: ObserverSpec, bank: _Bank):
         self.spec = spec
         self.bank = bank
-        self.extended = spec.mode == "extended"
+        self.extended = _reads_filter(spec)
         if self.extended:
             self.filt = bank.filter(spec.lam)
         else:
             bank.copy(phi=True)
-        self.step_key = ("gradient", spec.mode, spec.lam, spec.gamma)
+        # a raw gradient reads no pole, so its lam keys no row
+        self.step_key = ("gradient", spec.mode, spec.lam if self.extended else None, spec.gamma)
 
     def estimate(self, y):
         return self.bank.reconstruct(y, self.exact.state[self.row])
 
     def record(self, ys, cols):
-        rec = {**self.bank.record(ys), "theta_hat": cols[self.step_key]}
+        rec = {"xi": self.bank.xi(ys), "Phi": self.bank.Phi(ys), "theta_hat": cols[self.step_key]}
         return rec["xi"] + _matvec(rec["Phi"], rec["theta_hat"]), rec
 
 
@@ -719,14 +719,13 @@ class _ExactSteps:
     def step(self, y, y_m: float, t: float, h: float):
         """Step every row from t to t + h on the rows y and the measurement
         y_m at t."""
-        rt, st, n = self.rt, self.state, self.rt.bank.n
+        rt, st = self.rt, self.state
         if self.gpebo:
-            filt = rt.filt
-            scriptY, Delta = drem_mix(y[filt.sl_om].reshape(n, n), y[filt.sl_y])
+            scriptY, Delta = drem_mix(rt.filt.Omega(y), rt.filt.Y(y))
             st[:, :1], st[:, 1:] = scalar_update(st[:, :1], st[:, 1:], scriptY, Delta, self.column, h)
         else:
             if rt.extended:
-                frozen = {"Omega": y[rt.filt.sl_om].reshape(n, n), "Y": y[rt.filt.sl_y]}
+                frozen = {"Omega": rt.filt.Omega(y), "Y": rt.filt.Y(y)}
             else:  # C Phi and y_m - C xi at C = [0, 0, 0, 1]
                 frozen = {"CPhi": rt.bank.Phi(y)[3:4], "y_shift": y_m - rt.bank.xi(y).item(3)}
             for e, gamma in enumerate(self.gammas):
@@ -790,11 +789,6 @@ _RUNTIME_BY_KIND = {
 }
 
 
-def _hooked(parts, hook: str):
-    """The parts that override `hook`, so the loop calls no no-op hook."""
-    return [part for part in parts if getattr(type(part), hook) is not getattr(_Part, hook)]
-
-
 def _unique_names(specs) -> list:
     """A distinct name per estimator, without writing to the specs: its
     configured name, else its kind; a repeat gets the first suffix -2, -3,
@@ -844,7 +838,8 @@ class SharedPass:
     """One closed-loop pass, shared by the rows of one key.
 
     The key is the scenario with the name, gamma and mu of every GPEBO-kind
-    and gradient estimator that does not close the loop left out; nothing
+    and gradient estimator that does not close the loop left out, and the
+    lam of every estimator that reads no filter (`_reads_filter`); nothing
     else is, and it holds floats by value and arrays by shape and bytes.
     `groups` keys each row once and makes one pass per key; the pass holds
     its rows (`scenarios`), and `run_scenario(scn, shared=p)` takes only a
@@ -901,11 +896,11 @@ def _lossless(value):
 def _pass_key(scn: Scenario) -> tuple:
     """The key of the closed-loop pass of scn (see `SharedPass`)."""
     feeding = _closes_loop(scn.controller)
-    specs = [
-        spec if (i == 0 and feeding) or spec.kind not in _EXACT_KINDS
-        else replace(spec, name=None, gamma=None, mu=None)
-        for i, spec in enumerate(scn.observers)
-    ]
+    specs = []
+    for i, spec in enumerate(scn.observers):
+        spec = spec if _reads_filter(spec) else replace(spec, lam=None)
+        rides = spec.kind in _EXACT_KINDS and not (i == 0 and feeding)
+        specs.append(replace(spec, name=None, gamma=None, mu=None) if rides else spec)
     return _lossless(replace(scn, observers=specs))
 
 
@@ -964,14 +959,11 @@ def validate_scenario(scn: Scenario) -> int:
         if spec.mode not in ("raw", "extended"):
             raise ScenarioError(f"gradient mode {spec.mode!r} unknown")
         where = f"observer {spec.name or spec.kind!r}"
-        gpebo = spec.kind in GPEBO_KINDS
-        gradient = spec.kind == "gradient"
-        if gpebo and not 0.0 < spec.mu < 1.0:
+        if spec.kind in GPEBO_KINDS and not 0.0 < spec.mu < 1.0:
             raise ScenarioError(f"{where}: mu must lie in (0, 1), got {spec.mu}")
-        if (gpebo or gradient) and not 0.0 < spec.gamma < math.inf:
+        if spec.kind in _EXACT_KINDS and not 0.0 < spec.gamma < math.inf:
             raise ScenarioError(f"{where}: gamma must be positive and finite, got {spec.gamma}")
-        reads_filter = gpebo or (gradient and spec.mode == "extended")
-        if reads_filter and not spec.lam > 0.0:
+        if _reads_filter(spec) and not spec.lam > 0.0:
             raise ScenarioError(f"{where}: lambda must be positive, got {spec.lam}")
         if spec.kind == "kbf":
             _as_spd(spec.s, n, f"{where}: s")
@@ -1080,15 +1072,12 @@ def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
     ctl = scn.controller
     n = len(SIGNALS)
 
-    lay = _Layout()  # the estimator rows y
-    bank = _SharedStates(n, lay)
+    bank = _Bank(n)  # the estimator rows y
     runtimes = [_RUNTIME_BY_KIND[spec.kind](spec, bank) for spec in scn.observers]
     for rt, name in zip(runtimes, _unique_names(scn.observers)):
         rt.name = name
     fb_rt = runtimes[0] if _closes_loop(ctl) else None
-    parts = ([bank] if bank.sl_xi is not None else []) + runtimes
-    # the parts whose per-stage hook, and the feed's per-step hook, do something
-    derivs, pres = _hooked(parts, "derivative"), _hooked([fb_rt] if fb_rt else [], "pre_step")
+    feed = fb_rt if isinstance(fb_rt, _GpeboRuntime) else None  # refreshes its theta per step
 
     # the sample instants
     steps = list(range(0, N + 1, stride))
@@ -1101,9 +1090,7 @@ def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
     ):
         return _assemble(scn, shared.store, runtimes, steps, shared.cols, K, shared.params)
 
-    y = np.zeros(lay.size)
-    for part in parts:
-        part.init_vector(y)
+    y = bank.start()
     # the run's own exact steps and, for a pass, every other gain of its rows
     stacks = _exact_steps(runtimes, [] if shared is None else [row.observers for row in shared.scenarios], K)
 
@@ -1121,7 +1108,7 @@ def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
     x0 = np.linalg.solve(model.Q, np.asarray(scn.x0, dtype=float))
     # the plant rows and the integrator: p = [x1, .., xn, xc] as Python floats
     p = x0.tolist() + [float(ctl.xc0)]
-    store = _Store(K, len(p), lay.size, model.m, model.Q)
+    store = _Store(K, len(p), bank.size, model.m, model.Q)
     u_lo, u_hi = ctl.u_min, ctl.u_max
     ref_now = ctl.x4_star
     pi, law = _epoch(ctl, params, model, ref_now, 0.0)
@@ -1142,14 +1129,9 @@ def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
         u = min(max(u_raw, u_lo), u_hi)
         dp = cache.drift(p, u)
         dp.append(dxc)
-        if not derivs:  # no estimator reads the observer frame
+        if not bank.size:  # no estimator reads the observer frame
             return dp, None
-        dy = np.zeros(lay.size)
-        y_m = cache.c_y * p[3]
-        A_obs = cache.A0_obs + u * cache.A1_obs
-        for part in derivs:
-            part.derivative(dy, y, A_obs, cache.b0_obs, y_m)
-        return dp, dy
+        return dp, bank.derivative(y, cache.A0_obs + u * cache.A1_obs, cache.b0_obs, cache.c_y * p[3])
 
     ps, ys, us, yts, sats, refs, epochs = store.arrays()
     taken = 0
@@ -1183,8 +1165,8 @@ def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
                     break
                 if stacks:  # the exact steps read y and y_m at the start of the step
                     y0, y_m0 = y, cache.c_y * p[3]
-                    for part in pres:  # a GPEBO kind's, so only with a stack
-                        part.pre_step()
+                    if feed is not None:  # a GPEBO kind, so only with a stack
+                        feed.refresh_feed()
                 p, y = _rk4_split_step(stage, t, p, y, h)
                 for stack in stacks:
                     stack.step(y0, y_m0, t, h)

@@ -475,6 +475,54 @@ def test_a_sweep_builds_and_keys_each_row_once(monkeypatch, capsys):
     assert len(built) == 3 + 2
 
 
+def _counting_builds_and_runs(monkeypatch):
+    """Count the scenarios built and record the x0 of each run."""
+    import pbclab.config as configmod
+
+    built, runs = [], []
+    build, run = configmod.scenario_from_config, cli.run_scenario
+
+    def counting_build(cfg):
+        built.append(1)
+        return build(cfg)
+
+    def recording_run(scn, **kwargs):
+        runs.append(scn.x0)
+        return run(scn, **kwargs)
+
+    monkeypatch.setattr(configmod, "scenario_from_config", counting_build)
+    monkeypatch.setattr(cli, "scenario_from_config", counting_build)
+    monkeypatch.setattr(cli, "run_scenario", recording_run)
+    return built, runs
+
+
+def test_simulate_builds_each_variants_scenario_once(monkeypatch, tmp_path, capsys):
+    """fig-initial-conditions: the preset, the overrides and each of the
+    three variants are built once, and each run is its variant's."""
+    built, runs = _counting_builds_and_runs(monkeypatch)
+    argv = ["simulate", "--preset", "fig-initial-conditions", *FAST, "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert len(built) == 2 + 3
+    assert runs == [(0.75, 15.0, -1.5, -18.0), (0.5, 10.0, -1.0, -12.0), (0.25, 5.0, -0.5, -6.0)]
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == [
+        f"fig-initial-conditions-ic-{c}.csv" for c in "abc"
+    ]
+
+
+def test_a_bad_variant_stops_simulate_before_the_first_run(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "variants.yaml"
+    path.write_text(
+        "scenario: {horizon: 0.0005, stride: 20}\n"
+        "variants:\n"
+        "  - {label: good, set: {controller.ki: 5.0}}\n"
+        "  - {label: bad, set: {controller.ki: -1.0}}\n"
+    )
+    _, runs = _counting_builds_and_runs(monkeypatch)
+    assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert runs == []
+    assert "ki > 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("override, key", [
     ("observers.0.gamma=.inf", "gamma"),
     ("scenario.x0=[.nan, 15.0, -1.5, -18.0]", "x0"),

@@ -262,17 +262,36 @@ def _six_estimators():
     ]
 
 
-def test_shared_states_leave_every_estimator_as_it_runs_alone():
+def test_shared_states_leave_every_estimator_as_it_runs_alone(monkeypatch):
     # the open-loop copy and the regression filters are integrated once and
-    # read by every estimator; on the state loop each estimator must log
-    # exactly what it logs when it is the only one
-    together = run_scenario(Scenario(observers=_six_estimators(), horizon=0.002))
-    for spec in _six_estimators():
+    # read by every estimator, and a Kalman-Bucy filter (of a full symmetric
+    # S) keeps a block of its own in the same rows; on the state loop each
+    # estimator must log exactly what it logs when it is the only one.  Run
+    # alone, the Kalman-Bucy filter's bank holds no copy, and the emulator's
+    # a copy without Phi
+    import pbclab.sim as simmod
+
+    specs = [*_six_estimators(), ObserverSpec(name="kbf", kind="kbf", s=_KBF_S, h0=2.0)]
+    banks, start = [], simmod._Bank.start
+
+    def keeping_start(bank):
+        banks.append(bank)
+        return start(bank)
+
+    monkeypatch.setattr(simmod._Bank, "start", keeping_start)
+    together = run_scenario(Scenario(observers=specs, horizon=0.002))
+    for spec in specs:
         alone = run_scenario(Scenario(observers=[spec], horizon=0.002))
         got, want = together.observers[spec.name], alone.observers[spec.name]
         assert got.keys() == want.keys()
         for key in want:
             assert np.array_equal(got[key], want[key], equal_nan=True), (spec.name, key)
+    # per bank: whether it holds xi, whether it holds Phi, its Kalman-Bucy blocks
+    layouts = [(bank.xi is not None, bank.Phi is not None, len(bank.kbfs)) for bank in banks]
+    assert layouts[0] == (True, True, 1)
+    alone = dict(zip((spec.name for spec in specs), layouts[1:], strict=True))
+    assert alone["kbf"] == (False, False, 1)
+    assert alone["emulator"] == (True, False, 0)
 
 
 def test_logged_signals_equal_their_per_sample_evaluation():
@@ -530,16 +549,11 @@ def test_estimator_rows_equal_the_reference_derivatives(monkeypatch):
     k_event = round(1e-4 / scn.h)
     kept, stages, frozen, starts, law_u = {}, [], [], [], {}
     step, stage_law = simmod._rk4_split_step, simmod._stage_law
-    bank_init, kbf_init = simmod._SharedStates.__init__, simmod._KbfRuntime.__init__
-    gradient = simmod.gradient_update
+    bank_init, gradient = simmod._Bank.__init__, simmod.gradient_update
 
     def keeping_bank(self, *args):
         bank_init(self, *args)
         kept["bank"] = self
-
-    def keeping_kbf(self, *args):
-        kbf_init(self, *args)
-        kept["kbf"] = self
 
     def keeping_gradient(theta_hat, gamma, mode, h, **data):
         if mode == "raw":
@@ -569,13 +583,13 @@ def test_estimator_rows_equal_the_reference_derivatives(monkeypatch):
 
         return step(recording, t, p, z, h)
 
-    monkeypatch.setattr(simmod._SharedStates, "__init__", keeping_bank)
-    monkeypatch.setattr(simmod._KbfRuntime, "__init__", keeping_kbf)
+    monkeypatch.setattr(simmod._Bank, "__init__", keeping_bank)
     monkeypatch.setattr(simmod, "gradient_update", keeping_gradient)
     monkeypatch.setattr(simmod, "_stage_law", keeping_law)
     monkeypatch.setattr(simmod, "_rk4_split_step", keeping_step)
     run_scenario(scn)
-    bank, kbf = kept["bank"], kept["kbf"]
+    bank = kept["bank"]
+    (kbf,) = bank.kbfs
     assert sorted(bank.filters) == [3.0, 5.0]
     N = round(scn.horizon / scn.h)
     assert len(stages) == 4 * N and len(frozen) == N
@@ -594,16 +608,14 @@ def test_estimator_rows_equal_the_reference_derivatives(monkeypatch):
         y_m = model.C @ x
         xi, Phi = bank.xi(y), bank.Phi(y)
         for lam, filt in bank.filters.items():
-            Y, Omega = y[filt.sl_y], y[filt.sl_om].reshape(4, 4)
-            dxi, dPhi, dY, dOm = gpebo_matrix_derivatives(A, b, C, xi, Phi, Y, Omega, lam, y_m)
-            assert np.array_equal(dy[bank.sl_xi], dxi), k
-            assert np.array_equal(dy[bank.sl_phi], dPhi.ravel()), k
-            assert np.array_equal(dy[filt.sl_y], dY), (k, lam)
-            assert np.array_equal(dy[filt.sl_om], dOm.ravel()), (k, lam)
-        H = y[kbf.sl_H].reshape(4, 4)
-        dx, dH = kbf_derivatives(A, b, C, S, y[kbf.sl_x], H, y_m)
-        assert np.array_equal(dy[kbf.sl_x], dx), k
-        assert np.array_equal(dy[kbf.sl_H], dH.ravel()), k
+            dxi, dPhi, dY, dOm = gpebo_matrix_derivatives(A, b, C, xi, Phi, filt.Y(y), filt.Omega(y), lam, y_m)
+            assert np.array_equal(bank.xi(dy), dxi), k
+            assert np.array_equal(bank.Phi(dy), dPhi), k
+            assert np.array_equal(filt.Y(dy), dY), (k, lam)
+            assert np.array_equal(filt.Omega(dy), dOm), (k, lam)
+        dx, dH = kbf_derivatives(A, b, C, S, kbf.x(y), kbf.H(y), y_m)
+        assert np.array_equal(kbf.x(dy), dx), k
+        assert np.array_equal(kbf.H(dy), dH), k
     _, _, C, model = frame(20.0, 0.0)  # the sensor is the same in both epochs
     for data, (x, y) in zip(frozen, starts, strict=True):
         y_m = model.C @ x
@@ -909,6 +921,24 @@ def test_a_gradient_gain_sweep_steps_each_gain_once_in_the_first_row(monkeypatch
     assert sorted(first["gradient"]) == sorted([1e8, 1e7, 1e9] * N)
     assert len(later) == 3
     assert all(row["scalar"] == row["stacked"] == row["gradient"] == [] for row in later)
+
+
+def test_a_raw_gradients_unread_pole_splits_no_pass(monkeypatch):
+    # a raw gradient reads no regression filter, so its lambda reaches
+    # nothing but its own meta: rows that differ only there are one pass,
+    # whose first row steps the gradient's one gain and whose later rows
+    # step nothing, and each row logs its own lambda and what it logs alone
+    N = round(2e-4 / 5e-7)
+    lams = [5.0, 3.0, 7.0]
+    scns = [_gradient_riders_on_the_state_loop() for _ in lams]
+    for scn, lam in zip(scns, lams):
+        scn.observers[-1] = replace(scn.observers[-1], lam=lam)
+    assert len(SharedPass.groups(scns)) == 1
+    argv = ["--preset", "fig-observer-compare", "--param", "observers.4.lambda", "--values", "5.0,3.0,7.0"]
+    first, *later = _sweep_runs(monkeypatch, argv)
+    assert first["gradient"] == [1e8] * N
+    assert len(later) == 2 and all(row["gradient"] == row["stacked"] == [] for row in later)
+    assert [row["traj"].meta["lam"]["gradient"] for row in (first, *later)] == lams
 
 
 def test_repeated_names_keep_every_estimator():
