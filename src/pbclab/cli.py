@@ -56,6 +56,7 @@ from .config import (
     scenario_from_config,
     scenario_of,
     set_path,
+    validate_config,
 )
 from .cuk import build_cuk, quadratic_coefficients, solve_equilibrium
 from .phmodel import equilibrium_residual
@@ -102,8 +103,10 @@ def _load_cfg(args) -> dict:
             raise ConfigError(f"config file not found: {path}")
         cfg = load_config(path)
     else:
-        cfg = default_config()
-    return apply_overrides(cfg, getattr(args, "set", None) or [])
+        cfg = validate_config(default_config())
+    # a loaded document is checked once: again only after an assignment
+    assignments = getattr(args, "set", None)
+    return apply_overrides(cfg, assignments) if assignments else cfg
 
 
 def _out_dir(args, cfg) -> Path:

@@ -21,6 +21,17 @@ and `control.classical_pi_step`, which remain the reference.  numpy is
 used only for the estimator rows y, a vector stepped in the same four
 stages when an estimator exists, which reads u and the measurement as
 floats; the bank (`_Bank`) alone lays out, starts and differentiates y.
+It allocates y's buffers once per run: two step rows, used in turn, so
+that a step writes its new rows into the one that does not hold its
+start, which the exact steps read after it; one stage row; four
+stage-derivative rows; and scratch for A_obs and the intermediate
+products.  The bank, each filter, each Kalman-Bucy block and the fed-back
+estimate bind their views of these buffers once, and every per-stage
+numpy call writes its result with `out=`, performing the IEEE operations
+of the allocating expression in its order, so a stage allocates no array.
+Its matrix products call `np.dot`, which runs the BLAS kernel that `@`
+runs on these operands (gemv, gemm) at less cost per call.  No buffer is
+handed out: the sample store copies the rows.
 The matrix states that depend on neither the gain nor the kind are held
 once per run and read by every estimator: the open-loop copy (xi, plus
 Phi when an estimator reads it), driven by u alone, and one regression
@@ -125,7 +136,6 @@ from .observers import (
     _adj_det,
     drem_mix,
     fct_combine,
-    gpebo_estimate,
     gradient_update,
     scalar_update,
 )
@@ -156,6 +166,7 @@ ESTIMATES = ("ihat1", "vhat2", "ihat3", "vhat4")
 _BASE_COLUMNS = ["t", *SIGNALS, "u", "ytilde", "W"]  # then one block per observer:
 _BLOCK = [*ESTIMATES, "err_norm", "omega", "Delta"]  # its columns, each after "<name>_"
 MAX_STEPS = 10**8  # the most grid steps one run may take (horizon / h)
+MAX_STORE_BYTES = 2**30  # the most bytes one run's samples may take (`_Store` and the exact steps)
 
 
 class NonFiniteState(RuntimeError):
@@ -195,27 +206,48 @@ def rk4_step(f, t: float, y, h: float):
     return y_new
 
 
-def _rk4_split_step(stage, t: float, p: list, y, h: float):
+def _rk4_split_step(stage, t: float, p: list, rows, h: float) -> list:
     """The engine's step: `rk4_step` on a vector split into the plant rows
-    and integrator p, a list of Python floats, and the estimator rows y, a
-    numpy vector.  stage(p, y) returns (dp, dy), with dy None when there is
-    no estimator; y is then neither stepped nor checked.  Every entry is
-    combined with rk4_step's stage weights and association, so the new
-    state equals rk4_step's on the joined vector bit for bit."""
+    and integrator p, a list of Python floats, and the estimator rows, held
+    in the buffers of the bank `rows` (`_Bank`), or None when there is no
+    estimator; then only p is stepped and checked.  stage(p, i) returns the
+    derivative of p at stage i = 0..3 and, with estimator rows, writes
+    theirs at the stage row rows.z into the derivative row rows.d[i].  The
+    step forms each stage's rows in rows.z, the first a copy of the step's
+    start rows.y, and writes the new rows into the other step row, which
+    becomes rows.y; the start is left as it was, for the exact steps to
+    read.  Every entry is combined with rk4_step's stage weights and
+    association, so the new state equals rk4_step's on the joined vector
+    bit for bit.  Returns the new p."""
     hh = 0.5 * h
-    k1, m1 = stage(p, y)
-    k2, m2 = stage([v + hh * d for v, d in zip(p, k1)], y if m1 is None else y + hh * m1)
-    k3, m3 = stage([v + hh * d for v, d in zip(p, k2)], y if m2 is None else y + hh * m2)
-    k4, m4 = stage([v + h * d for v, d in zip(p, k3)], y if m3 is None else y + h * m3)
+    if rows is None:
+        k1 = stage(p, 0)
+        k2 = stage([v + hh * d for v, d in zip(p, k1)], 1)
+        k3 = stage([v + hh * d for v, d in zip(p, k2)], 2)
+        k4 = stage([v + h * d for v, d in zip(p, k3)], 3)
+    else:  # each stage row y + c m written in place, as (c m) then y + (c m)
+        y, z, (m1, m2, m3, m4) = rows.y, rows.z, rows.d
+        np.copyto(z, y)
+        k1 = stage(p, 0)
+        np.add(y, np.multiply(m1, hh, out=z), out=z)
+        k2 = stage([v + hh * d for v, d in zip(p, k1)], 1)
+        np.add(y, np.multiply(m2, hh, out=z), out=z)
+        k3 = stage([v + hh * d for v, d in zip(p, k2)], 2)
+        np.add(y, np.multiply(m3, h, out=z), out=z)
+        k4 = stage([v + h * d for v, d in zip(p, k3)], 3)
     h6 = h / 6.0
     p = [v + h6 * (d1 + 2.0 * d2 + 2.0 * d3 + d4) for v, d1, d2, d3, d4 in zip(p, k1, k2, k3, k4)]
     finite = all(map(math.isfinite, p))
-    if m1 is not None:
-        y = y + h6 * (m1 + 2.0 * m2 + 2.0 * m3 + m4)
-        finite = finite and np.isfinite(y).all()
+    if rows is not None:
+        # y + h6 (((m1 + 2 m2) + 2 m3) + m4), summed in m1
+        np.add(m1, np.multiply(m2, 2.0, out=m2), out=m1)
+        np.add(m1, np.multiply(m3, 2.0, out=m3), out=m1)
+        np.add(m1, m4, out=m1)
+        rows.y, rows.y_next = np.add(y, np.multiply(m1, h6, out=m1), out=rows.y_next), y
+        finite = finite and np.isfinite(rows.y).all()
     if not finite:
         raise NonFiniteState(f"non-finite state after step ending at t={t + h:g} s")
-    return p, y
+    return p
 
 
 # -- scenario description ----------------------------------------------------
@@ -364,8 +396,8 @@ def _trajectory_from_table(header, mat) -> Trajectory:
 
 class _Block:
     """A block of the estimator rows that the bank reserved: its slice `sl`
-    of a row and its shape.  Called on a stage row y or on a (K, size)
-    stack ys of sampled rows, it returns each row's block, as a view."""
+    of a row and its shape.  Called on a row or on a (K, size) stack ys of
+    sampled rows, it returns each row's block, as a view."""
 
     __slots__ = ("sl", "shape")
 
@@ -453,19 +485,23 @@ def _stage_law(ctl: ControllerSpec, pi, model: PHModel, v_ref: float):
 
 class _RegressionFilter:
     """One (Y, Omega) regression filter pair with pole lam, in rows the
-    bank reserves."""
+    bank reserves, Omega right after Y."""
 
     def __init__(self, lam: float, bank: "_Bank"):
         self.lam = lam
         self.Y, self.Omega = bank.add(bank.n), bank.add(bank.n, bank.n)
 
-    def derivative(self, dy, y, drive_y, drive_om):
-        """Write dY = lam (drive_y - Y) and dOmega = lam (drive_om - Omega),
-        the drives (C Phi)' (y_m - C xi) and (C Phi)' C Phi being shared by
-        every pole."""
-        lam, sl_y, sl_om = self.lam, self.Y.sl, self.Omega.sl
-        dy[sl_y] = lam * (drive_y - y[sl_y])
-        dy[sl_om] = lam * (drive_om - y[sl_om])
+    def bind(self, bank: "_Bank"):
+        rows = slice(self.Y.sl.start, self.Omega.sl.stop)  # (Y, Omega) as one run of entries
+        self.z, self.d = bank.z[rows], [d[rows] for d in bank.d]
+
+    def derivative(self, i: int, drives):
+        """Write dY = lam (drive_y - Y) and dOmega = lam (drive_om - Omega)
+        into the derivative row i; the drives (C Phi)' (y_m - C xi) and
+        (C Phi)' C Phi, shared by every pole, come in the layout of
+        (Y, Omega)."""
+        d = self.d[i]
+        np.multiply(np.subtract(drives, self.z, out=d), self.lam, out=d)
 
 
 class _Bank:
@@ -474,18 +510,24 @@ class _Bank:
     are the open-loop copy xi (with Phi when an estimator reads it), driven
     by u alone; one `_RegressionFilter` per distinct pole, driven by u, y_m
     and lam; and each Kalman-Bucy filter's block (`_KbfRuntime`).  Each is
-    integrated once, however many estimators read it.  Only these owners
-    slice y, and only per stage; every other reader calls a `_Block`.
+    integrated once, however many estimators read it.
 
-    An estimator runtime only reads the rows.  It gives `estimate(y)`, its
-    estimate at a stage when it closes the loop, and `record(ys, cols)`,
-    its logged arrays from the sampled rows and the sampled columns of the
-    exact steps (`_ExactSteps`) by step key; one stepped exactly names
-    `step_key`, the settings its exact step reads besides the frozen
-    inputs, and is pointed to its row, `exact` and `row`.  `derivative`
-    reads the observer frame as A = A_obs(u) and b = b_obs, and the
-    measurement as the float y_m, read by C_obs = [0, 0, 0, 1], so C z is
-    z[3] (see `_PlantCache`)."""
+    `start` allocates the run's buffers (see the module docstring): the
+    step rows y, at the current step, and y_next; the stage row z; the
+    derivative rows d; and scratch.  The bank, each filter and each
+    Kalman-Bucy block bind their views of z and d once; only they and the
+    fed-back estimate read z and d, and every other reader calls a
+    `_Block`.
+
+    An estimator runtime only reads the rows.  It gives `estimate()`, its
+    estimate at the stage row when it closes the loop, and
+    `record(ys, cols)`, its logged arrays from the sampled rows and the
+    sampled columns of the exact steps (`_ExactSteps`) by step key; one
+    stepped exactly names `step_key`, the settings its exact step reads
+    besides the frozen inputs, and is pointed to its row, `exact` and
+    `row`.  `derivative` reads the observer frame as A = A_obs(u) and
+    b = b_obs, and the measurement as the float y_m, read by
+    C_obs = [0, 0, 0, 1], so C z is z[3] (see `_PlantCache`)."""
 
     def __init__(self, n: int):
         self.n = n
@@ -521,41 +563,58 @@ class _Bank:
         return self.add(self.n), self.add(self.n, self.n)
 
     def start(self):
-        """The rows at t = 0: Phi = I, each H = H0, and zeros elsewhere."""
-        y = np.zeros(self.size)
+        """Allocate the run's buffers, bind every owner's views of them, and
+        set the rows at t = 0: Phi = I, each H = H0, and zeros elsewhere."""
+        n, size = self.n, self.size
+        self.y, self.y_next = np.zeros(size), np.empty(size)  # the step rows
+        self.z, self.d = np.empty(size), list(np.empty((4, size)))  # the stage rows
+        # scratch: A_obs, the estimate, a vector and two n x n products
+        self.A, self.e, self.v = np.empty((n, n)), np.empty(n), np.empty(n)
+        self.P, self.T = np.empty((n, n)), np.empty((n, n))
+        if self.xi is not None:
+            self.z_xi, self.d_xi = self.xi(self.z), [self.xi(d) for d in self.d]
         if self.Phi is not None:
-            y[self.Phi.sl] = np.eye(self.n).ravel()
+            self.Phi(self.y)[:] = np.eye(n)
+            self.z_Phi, self.d_Phi = self.Phi(self.z), [self.Phi(d) for d in self.d]
+            # C Phi is the row Phi[3]; the drives are (C Phi)' (y_m - C xi)
+            # and its outer product with itself, laid out as (Y, Omega)
+            self.c, self.c_col = self.z_Phi[3], self.z_Phi[3][:, None]
+            self.drives = np.empty(n + n * n)
+            self.drive_y, self.drive_om = self.drives[:n], self.drives[n:].reshape(n, n)
+        for filt in self.filters.values():
+            filt.bind(self)
         for kbf in self.kbfs:
-            y[kbf.H.sl] = kbf.H0.ravel()
-        return y
+            kbf.H(self.y)[:] = kbf.H0
+            kbf.bind(self)
 
-    def derivative(self, y, A, b, y_m):
-        """dy at a stage: every Kalman-Bucy block, the copy and every filter."""
-        dy = np.zeros(self.size)
+    def derivative(self, i: int, frame, u: float, y_m: float):
+        """Write dy at the stage row z into the derivative row i: every
+        Kalman-Bucy block, the copy and every filter, with A = A0_obs +
+        u A1_obs and b = b0_obs of `frame` (a `_PlantCache`)."""
+        A = np.add(frame.A0_obs, np.multiply(frame.A1_obs, u, out=self.A), out=self.A)
+        b = frame.b0_obs
         for kbf in self.kbfs:
-            kbf.derivative(dy, y, A, b, y_m)
+            kbf.derivative(i, A, b, y_m)
         if self.xi is None:
-            return dy
+            return
         # the rows of `observers.gpebo_matrix_derivatives` at C = [0, 0, 0, 1]:
         # C Phi is the row Phi[3] and C xi the entry xi[3], and the two
         # filter drives are formed once for every pole
-        xi = y[self.xi.sl]
-        dy[self.xi.sl] = A @ xi + b
+        xi, dxi = self.z_xi, self.d_xi[i]
+        np.add(np.dot(A, xi, out=dxi), b, out=dxi)
         if self.Phi is None:
-            return dy
-        Phi = y[self.Phi.sl].reshape(self.Phi.shape)
-        dy[self.Phi.sl] = (A @ Phi).ravel()
+            return
+        np.dot(A, self.z_Phi, out=self.d_Phi[i])
         if self.filters:
-            c = Phi[3]
-            drive_y = c * (y_m - xi.item(3))
-            drive_om = (c[:, None] * c).ravel()  # np.outer(c, c), without its wrapper
+            c = self.c
+            np.multiply(c, y_m - xi.item(3), out=self.drive_y)
+            np.multiply(self.c_col, c, out=self.drive_om)  # np.outer(c, c), without its wrapper
             for filt in self.filters.values():
-                filt.derivative(dy, y, drive_y, drive_om)
-        return dy
+                filt.derivative(i, self.drives)
 
-    def reconstruct(self, y, theta):
-        """x_hat = xi + Phi theta at one stage."""
-        return gpebo_estimate(y[self.xi.sl], y[self.Phi.sl].reshape(self.Phi.shape), theta)
+    def reconstruct(self, theta):
+        """x_hat = xi + Phi theta at the stage row, in the estimate buffer."""
+        return np.add(self.z_xi, np.dot(self.z_Phi, theta, out=self.e), out=self.e)
 
 
 def _reads_filter(spec: ObserverSpec) -> bool:
@@ -590,8 +649,8 @@ class _GpeboRuntime:
         row = self.exact.state[self.row]
         self.theta_feed = self.theta(row[0], row[1:]).copy()
 
-    def estimate(self, y):
-        return self.bank.reconstruct(y, self.theta_feed)
+    def estimate(self):
+        return self.bank.reconstruct(self.theta_feed)
 
     def record(self, ys, cols):
         col = cols[self.step_key]
@@ -619,8 +678,8 @@ class _EmulatorRuntime:
         self.bank = bank
         bank.copy(phi=False)
 
-    def estimate(self, y):
-        return self.bank.xi(y)
+    def estimate(self):
+        return self.bank.z_xi
 
     def record(self, ys, cols):
         xi = self.bank.xi(ys)
@@ -637,21 +696,30 @@ class _KbfRuntime:
         self.H0 = _as_spd(spec.h0, bank.n, "H0")
         self.x, self.H = bank.kbf(self)
 
-    def derivative(self, dy, y, A, b, y_m):
+    def bind(self, bank: _Bank):
+        self.z_x, H = self.x(bank.z), self.H(bank.z)
+        self.z_H, self.h_col, self.h_col_col, self.h_row = H, H[:, 3], H[:, 3:4], H[3]
+        self.d_x, self.d_H = [self.x(d) for d in bank.d], [self.H(d) for d in bank.d]
+        self.v, self.P, self.PT, self.T = bank.v, bank.P, bank.P.T, bank.T  # the bank's scratch
+
+    def derivative(self, i: int, A, b, y_m: float):
         # the rows of `observers.kbf_derivatives` at C = [0, 0, 0, 1]: H C' is
         # the column H[:, 3] and H C' C H its outer product with the row
         # H[3].  H is exactly symmetric (H0 and S are, and every Runge-Kutta
         # update acts entry by entry), so H A' is (A H)' bit for bit and the
-        # unsymmetrized sum is already the symmetrized one
-        H = y[self.H.sl].reshape(self.H.shape)
-        x_hat = y[self.x.sl]
-        h_col = H[:, 3]
-        dy[self.x.sl] = A @ x_hat + b + h_col * (y_m - x_hat.item(3))
-        P = A @ H
-        dy[self.H.sl] = (P.T + P - h_col[:, None] * H[3] + self.S).ravel()
+        # unsymmetrized sum is already the symmetrized one.  Written into
+        # the derivative row i as ((A x_hat + b) + h_col (y_m - x_hat[3]))
+        # and (((P' + P) - h_col H[3]) + S)
+        x_hat, dx, dH = self.z_x, self.d_x[i], self.d_H[i]
+        np.add(np.dot(A, x_hat, out=dx), b, out=dx)
+        np.add(dx, np.multiply(self.h_col, y_m - x_hat.item(3), out=self.v), out=dx)
+        np.dot(A, self.z_H, out=self.P)
+        np.add(self.PT, self.P, out=dH)
+        np.subtract(dH, np.multiply(self.h_col_col, self.h_row, out=self.T), out=dH)
+        np.add(dH, self.S, out=dH)
 
-    def estimate(self, y):
-        return self.x(y)
+    def estimate(self):
+        return self.z_x
 
     def record(self, ys, cols):
         return self.x(ys), {"H": self.H(ys)}
@@ -673,8 +741,8 @@ class _GradientRuntime:
         # a raw gradient reads no pole, so its lam keys no row
         self.step_key = ("gradient", spec.mode, spec.lam if self.extended else None, spec.gamma)
 
-    def estimate(self, y):
-        return self.bank.reconstruct(y, self.exact.state[self.row])
+    def estimate(self):
+        return self.bank.reconstruct(self.exact.state[self.row])
 
     def record(self, ys, cols):
         rec = {"xi": self.bank.xi(ys), "Phi": self.bank.Phi(ys), "theta_hat": cols[self.step_key]}
@@ -700,6 +768,9 @@ class _ExactSteps:
         self.rt = rt  # the run's first estimator on these inputs
         self.rows = {}  # step key -> row
         self.own = 0  # rows 0 .. own - 1 are the run's own
+        self.gpebo, n = isinstance(rt, _GpeboRuntime), rt.bank.n
+        # a row is (omega, theta_hat) for the GPEBO kinds, theta for a gradient
+        self.slots = 1 + n if self.gpebo else n
 
     def add(self, key) -> int:
         return self.rows.setdefault(key, len(self.rows))
@@ -707,9 +778,7 @@ class _ExactSteps:
     def start(self, K: int):
         """Set every row to its initial state and reserve K samples."""
         self.gammas = [key[-1] for key in self.rows]
-        self.gpebo, n = isinstance(self.rt, _GpeboRuntime), self.rt.bank.n
-        # a row is (omega, theta_hat) for the GPEBO kinds, theta for a gradient
-        self.state = np.zeros((len(self.gammas), 1 + n if self.gpebo else n))
+        self.state = np.zeros((len(self.gammas), self.slots))
         if self.gpebo:
             self.column = np.array(self.gammas, dtype=float)[:, None]
             self.state[:, 0] = 1.0  # omega
@@ -737,12 +806,13 @@ class _ExactSteps:
             self.finite &= finite
 
 
-def _exact_steps(runtimes, rows, K: int) -> list:
+def _exact_steps(runtimes, rows) -> list:
     """The exact steps of a run, one `_ExactSteps` per kind and filter or
     regression, with each of the run's own estimators pointed to its row;
     then a row for every other gain in `rows`, the observer lists of a
     shared pass's rows.  Those have the run's pass key, so they match its
-    estimators place by place in all but the name, gamma and mu."""
+    estimators place by place in all but the name, gamma and mu.  Nothing
+    is allocated before `start`."""
     stacks = {}  # step key without the gain -> _ExactSteps
     for rt in runtimes:
         if rt.spec.kind in _EXACT_KINDS:
@@ -754,8 +824,6 @@ def _exact_steps(runtimes, rows, K: int) -> list:
         for rt, spec in zip(runtimes, specs):
             if spec.kind in _EXACT_KINDS:
                 rt.exact.add((*rt.step_key[:-1], spec.gamma))
-    for stack in stacks.values():
-        stack.start(K)
     return list(stacks.values())
 
 
@@ -821,14 +889,18 @@ class _Store:
     PI-PBC state of every epoch (None for the classical PI) and the
     coenergy weights Q, which no event changes."""
 
-    def __init__(self, K: int, n_p: int, n_y: int, m: int, Q):
-        self.ps, self.ys = np.empty((K, n_p)), np.empty((K, n_y))
-        self.us, self.yts = np.empty((K, m)), np.empty((K, m))
-        self.sats = np.empty(K, dtype=bool)
-        self.refs = np.empty(K)
-        self.epochs = np.empty(K, dtype=int)
+    def __init__(self, K: int, n_p: int, n_y: int, Q):
+        self.ps, self.ys, self.us, self.yts, self.sats, self.refs, self.epochs = (
+            np.empty((K, *shape), dtype=dtype) for shape, dtype in self.row(n_p, n_y)
+        )
         self.pis = []
         self.Q = Q
+
+    @staticmethod
+    def row(n_p: int, n_y: int) -> list:
+        """The shape and dtype of each array's entry at one sample instant,
+        in `arrays` order (build_cuk has one duty ratio)."""
+        return [((n_p,), float), ((n_y,), float), ((1,), float), ((1,), float), ((), bool), ((), float), ((), int)]
 
     def arrays(self):
         return self.ps, self.ys, self.us, self.yts, self.sats, self.refs, self.epochs
@@ -907,6 +979,23 @@ def _pass_key(scn: Scenario) -> tuple:
 # -- the run ------------------------------------------------------------------
 
 
+def _estimators(specs) -> tuple:
+    """The bank of the estimator rows and the runtime of each spec, laid
+    out; no buffer is allocated before `_Bank.start`."""
+    bank = _Bank(len(SIGNALS))
+    return bank, [_RUNTIME_BY_KIND[spec.kind](spec, bank) for spec in specs]
+
+
+def _sample_bytes(scn: Scenario, N: int) -> int:
+    """The bytes of a run's samples: K instants (every stride-th step and
+    the last) of a `_Store` row and of every exact step's rows."""
+    K = -(-N // scn.stride) + 1
+    bank, runtimes = _estimators(scn.observers)
+    floats = sum(len(stack.rows) * stack.slots for stack in _exact_steps(runtimes, []))
+    row = sum(math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in _Store.row(len(SIGNALS) + 1, bank.size))
+    return K * (row + floats * np.dtype(float).itemsize)
+
+
 def validate_scenario(scn: Scenario) -> int:
     """Check every value rule of a scenario and return its step count.
 
@@ -981,6 +1070,10 @@ def validate_scenario(scn: Scenario) -> int:
             raise ScenarioError("reference events must request a negative voltage")
         if ev.kind == "load" and not 0.0 < ev.value < math.inf:
             raise ScenarioError("load events must request a positive finite resistance")
+    size = _sample_bytes(scn, N)
+    if size > MAX_STORE_BYTES:
+        raise ScenarioError(f"h={scn.h!r} s, horizon={scn.horizon!r} s and stride={scn.stride!r} "
+                            f"ask for {size:.3g} bytes of samples, more than the cap of {MAX_STORE_BYTES} bytes")
     return N
 
 
@@ -1072,8 +1165,7 @@ def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
     ctl = scn.controller
     n = len(SIGNALS)
 
-    bank = _Bank(n)  # the estimator rows y
-    runtimes = [_RUNTIME_BY_KIND[spec.kind](spec, bank) for spec in scn.observers]
+    bank, runtimes = _estimators(scn.observers)  # the estimator rows y and their readers
     for rt, name in zip(runtimes, _unique_names(scn.observers)):
         rt.name = name
     fb_rt = runtimes[0] if _closes_loop(ctl) else None
@@ -1090,9 +1182,12 @@ def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
     ):
         return _assemble(scn, shared.store, runtimes, steps, shared.cols, K, shared.params)
 
-    y = bank.start()
+    bank.start()
+    rows = bank if bank.size else None  # the estimator rows the step advances
     # the run's own exact steps and, for a pass, every other gain of its rows
-    stacks = _exact_steps(runtimes, [] if shared is None else [row.observers for row in shared.scenarios], K)
+    stacks = _exact_steps(runtimes, [] if shared is None else [row.observers for row in shared.scenarios])
+    for stack in stacks:
+        stack.start(K)
 
     # event table: each event at its grid instant (validate_scenario
     # rejects times off the grid)
@@ -1108,30 +1203,31 @@ def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
     x0 = np.linalg.solve(model.Q, np.asarray(scn.x0, dtype=float))
     # the plant rows and the integrator: p = [x1, .., xn, xc] as Python floats
     p = x0.tolist() + [float(ctl.xc0)]
-    store = _Store(K, len(p), bank.size, model.m, model.Q)
+    store = _Store(K, len(p), bank.size, model.Q)
     u_lo, u_hi = ctl.u_min, ctl.u_max
     ref_now = ctl.x4_star
     pi, law = _epoch(ctl, params, model, ref_now, 0.0)
     store.pis.append(pi)  # the PI-PBC of each epoch, for W after the loop
     epoch = 0
 
-    def control(p, y):
-        """(u_raw, integrator derivative) at a stage state, as floats."""
+    def control(p):
+        """(u_raw, integrator derivative) at the plant rows p and, on
+        observer feedback, the estimate at the stage row, as floats."""
         if fb_rt is None:
             return law(p, p[n])
         # volts/amps -> stored
-        return law((fb_rt.estimate(y) / cache.qd).tolist(), p[n])
+        return law(np.divide(fb_rt.estimate(), cache.qd, out=bank.e).tolist(), p[n])
 
-    def stage(p, y):
-        """(dp, dy): the derivatives of the plant rows and integrator, and
-        of the estimator rows (None without an estimator)."""
-        u_raw, dxc = control(p, y)
+    def stage(p, i):
+        """The derivatives of the plant rows and integrator at stage i; with
+        an estimator, the bank writes those of the estimator rows."""
+        u_raw, dxc = control(p)
         u = min(max(u_raw, u_lo), u_hi)
         dp = cache.drift(p, u)
         dp.append(dxc)
-        if not bank.size:  # no estimator reads the observer frame
-            return dp, None
-        return dp, bank.derivative(y, cache.A0_obs + u * cache.A1_obs, cache.b0_obs, cache.c_y * p[3])
+        if rows is not None:  # only then does an estimator read the observer frame
+            bank.derivative(i, cache, u, cache.c_y * p[3])
+        return dp
 
     ps, ys, us, yts, sats, refs, epochs = store.arrays()
     taken = 0
@@ -1153,10 +1249,12 @@ def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
                         pi, law = _epoch(ctl, params, model, ref_now, t)
                         store.pis.append(pi)
                 if k == steps[taken]:
-                    u_raw, yts[taken] = control(p, y)
+                    if fb_rt is not None:  # the estimate reads the stage row
+                        np.copyto(bank.z, bank.y)
+                    u_raw, yts[taken] = control(p)
                     us[taken] = u = min(max(u_raw, u_lo), u_hi)
                     sats[taken] = u != u_raw  # the clamp flag, formed only here
-                    ps[taken], ys[taken] = p, y
+                    ps[taken], ys[taken] = p, bank.y
                     refs[taken], epochs[taken] = ref_now, epoch
                     for stack in stacks:
                         stack.samples[taken] = stack.state
@@ -1164,10 +1262,10 @@ def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
                 if k == N:
                     break
                 if stacks:  # the exact steps read y and y_m at the start of the step
-                    y0, y_m0 = y, cache.c_y * p[3]
+                    y0, y_m0 = bank.y, cache.c_y * p[3]
                     if feed is not None:  # a GPEBO kind, so only with a stack
                         feed.refresh_feed()
-                p, y = _rk4_split_step(stage, t, p, y, h)
+                p = _rk4_split_step(stage, t, p, rows, h)
                 for stack in stacks:
                     stack.step(y0, y_m0, t, h)
     except NonFiniteState as exc:

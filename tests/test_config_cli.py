@@ -509,6 +509,33 @@ def test_simulate_builds_each_variants_scenario_once(monkeypatch, tmp_path, caps
     ]
 
 
+@pytest.mark.parametrize("sets, checks, builds", [([], 1, 2), (FAST, 2, 3)])
+def test_a_loaded_document_is_checked_again_only_after_an_assignment(monkeypatch, tmp_path, sets, checks, builds):
+    """fig-observer-compare: loading checks the preset and builds its
+    scenario once; without --set it is not checked again, so its one run
+    adds only simulate's own build.  The run itself is cut short."""
+    import dataclasses
+
+    import pbclab.config as configmod
+
+    built, _ = _counting_builds_and_runs(monkeypatch)
+    checked, check, run = [], configmod.validate_config, cli.run_scenario
+
+    def counting_check(cfg):
+        checked.append(1)
+        return check(cfg)
+
+    def short_run(scn, **kwargs):
+        return run(dataclasses.replace(scn, horizon=5e-5, stride=20), **kwargs)
+
+    monkeypatch.setattr(configmod, "validate_config", counting_check)
+    monkeypatch.setattr(cli, "validate_config", counting_check)
+    monkeypatch.setattr(cli, "run_scenario", short_run)
+    argv = ["simulate", "--preset", "fig-observer-compare", *sets, "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert (len(checked), len(built)) == (checks, builds)
+
+
 def test_a_bad_variant_stops_simulate_before_the_first_run(monkeypatch, tmp_path, capsys):
     path = tmp_path / "variants.yaml"
     path.write_text(
@@ -563,6 +590,33 @@ def test_a_step_count_over_the_cap_is_refused_before_anything_runs(monkeypatch, 
     assert not out.exists()
     # the cap itself is a step count a scenario may ask for
     assert sim.validate_scenario(sim.Scenario(h=1e-9, horizon=0.1)) == sim.MAX_STEPS
+
+
+def test_a_sample_store_over_the_cap_is_refused_before_anything_is_allocated(monkeypatch, tmp_path, capsys):
+    # 2e7 steps are under the step cap, but sampling each of them would
+    # take 1.46e9 bytes (73 per sample without an estimator), more than
+    # MAX_STORE_BYTES: a configuration error that names h, horizon and
+    # stride, raised before any run starts or any sample is allocated
+    import tracemalloc
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a refused scenario must not run")
+
+    monkeypatch.setattr(cli, "run_scenario", no_run)
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        rc = cli.main(["simulate", "--set", "scenario.horizon=10", "--set", "scenario.stride=1", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: ") and all(key in err for key in ("h=", "horizon=", "stride="))
+    assert peak < 2**20 and not out.exists()
+    # one sample fewer than the cap's worth is a store a scenario may ask for
+    steps = sim.MAX_STORE_BYTES // 73 - 1
+    assert sim.validate_scenario(sim.Scenario(horizon=steps * 5e-7, stride=1)) == steps
 
 
 # every exception class pbclab defines, with constructor arguments

@@ -4,10 +4,12 @@ A traced run (``--trace 1``) checks what an untraced one does not: that the
 traced artifacts have the digests of the untraced ones, that the self times
 sum to the wall time within 2%, that ``cli.runs`` equals the
 ``run_scenario`` calls, and that the exact counts agree across traced
-repetitions.  ``regulation-trace`` (no estimator, every step sampled into a
-CSV that is read back) and ``gain-sweep`` (16 runs on one shared pass) each
-take about a second at ``--seconds 0``, which still runs the minimum of
-repetitions.
+repetitions.  ``--seconds 0`` still runs the minimum of repetitions.  Each
+workload exercises another part of the engine: ``observer-shootout`` (five
+estimators on observer feedback, 8 000 steps through the estimator rows'
+buffers) takes about 8 s, ``regulation-trace`` (no estimator, every step
+sampled into a CSV that is read back) and ``gain-sweep`` (16 runs on one
+shared pass) about a second each.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["regulation-trace", "gain-sweep"])
+@pytest.mark.parametrize("workload", ["observer-shootout", "regulation-trace", "gain-sweep"])
 def test_a_traced_benchmark_run_is_correct(tmp_path, workload):
     # the benchmark writes under its checkout, so it runs from a copy of
     # perfbench/ and src/ and leaves nothing in this one

@@ -468,9 +468,9 @@ def _captured_run(monkeypatch, scn):
     ys, pis = [], []
     step, make = simmod._rk4_split_step, simmod.make_pi_pbc
 
-    def keeping_step(stage, t, p, y, h):
+    def keeping_step(stage, t, p, rows, h):
         ys.append(np.array(p))
-        return step(stage, t, p, y, h)
+        return step(stage, t, p, rows, h)
 
     def keeping_make(*args, **kwargs):
         pis.append(make(*args, **kwargs))
@@ -556,8 +556,8 @@ def test_estimator_rows_equal_the_reference_derivatives(monkeypatch):
         kept["bank"] = self
 
     def keeping_gradient(theta_hat, gamma, mode, h, **data):
-        if mode == "raw":
-            frozen.append(data)
+        if mode == "raw":  # CPhi is a view of the engine's step row: keep a copy
+            frozen.append({key: np.copy(value) for key, value in data.items()})
         return gradient(theta_hat, gamma, mode, h, **data)
 
     def keeping_law(*args):
@@ -570,18 +570,18 @@ def test_estimator_rows_equal_the_reference_derivatives(monkeypatch):
 
         return recorded
 
-    def keeping_step(stage, t, p, z, h):
+    def keeping_step(stage, t, p, rows, h):
         # the plant state and the estimator rows at the start of the step,
         # and at every stage the plant state, the estimator rows and their
-        # derivatives
-        starts.append((np.array(p[:4]), z.copy()))
+        # derivatives, copied from the engine's buffers
+        starts.append((np.array(p[:4]), rows.y.copy()))
 
-        def recording(p_stage, z_stage):
-            dp, dz = stage(p_stage, z_stage)
-            stages.append((round(t / h), np.array(p_stage[:4]), z_stage.copy(), dz.copy(), law_u["raw"]))
-            return dp, dz
+        def recording(p_stage, i):
+            dp = stage(p_stage, i)
+            stages.append((round(t / h), np.array(p_stage[:4]), rows.z.copy(), rows.d[i].copy(), law_u["raw"]))
+            return dp
 
-        return step(recording, t, p, z, h)
+        return step(recording, t, p, rows, h)
 
     monkeypatch.setattr(simmod._Bank, "__init__", keeping_bank)
     monkeypatch.setattr(simmod, "gradient_update", keeping_gradient)
@@ -733,6 +733,65 @@ def test_replayed_rows_equal_runs_of_their_own(monkeypatch, make, rows):
     for arr in (replayed.u, replayed.observers["fct-b" if "fct-b" in replayed.observers else "fct"]["xi"]):
         with pytest.raises(ValueError):
             arr[0] = 0.5
+
+
+def _trajectory_arrays(traj):
+    """Every array a trajectory hands out, by name."""
+    arrays = {key: getattr(traj, key) for key in ("t", "signals", "u", "ytilde", "W", "saturated", "ref", "epoch")}
+    for name, rec in traj.observers.items():
+        arrays.update({f"{name}.{key}": value for key, value in rec.items()})
+    return arrays
+
+
+def test_a_run_hands_out_no_view_of_its_buffers(monkeypatch):
+    # the bank's step, stage and derivative rows and its scratch, and the
+    # exact steps' states, are overwritten at every step: nothing a run
+    # hands out (its trajectory, a NonFiniteState's partial, a shared
+    # pass's kept store and columns) may share memory with them, and a
+    # second run in the same process leaves the first run's arrays as
+    # they were
+    import pbclab.sim as simmod
+
+    buffers, bank_start, stack_start = [], simmod._Bank.start, simmod._ExactSteps.start
+
+    def keeping_bank(bank):
+        bank_start(bank)
+        for value in vars(bank).values():
+            buffers.extend(v for v in (value if isinstance(value, list) else [value]) if isinstance(v, np.ndarray))
+
+    def keeping_stack(stack, K):
+        stack_start(stack, K)
+        buffers.append(stack.state)
+
+    def assert_apart(arrays):
+        assert buffers and arrays
+        for key, arr in arrays.items():
+            assert not any(np.shares_memory(arr, buf) for buf in buffers), key
+
+    monkeypatch.setattr(simmod._Bank, "start", keeping_bank)
+    monkeypatch.setattr(simmod._ExactSteps, "start", keeping_stack)
+    (shared,) = SharedPass.groups([_riders_on_observer_feedback(), _riders_on_observer_feedback(gamma=1e12)])
+    first = run_scenario(shared.scenarios[0], shared=shared)
+    assert_apart(_trajectory_arrays(first))
+    store = dict(enumerate(shared.store.arrays()))
+    assert_apart({**store, **shared.cols})
+    kept = {key: arr.copy() for key, arr in {**_trajectory_arrays(first), **store}.items()}
+
+    calls, update = [], simmod.scalar_update
+
+    def failing_update(*args):  # omega turns NaN from the 100th step on
+        calls.append(1)
+        omega, theta_hat = update(*args)
+        return (math.nan if len(calls) >= 100 else omega), theta_hat
+
+    monkeypatch.setattr(simmod, "scalar_update", failing_update)
+    del buffers[:]
+    with pytest.raises(NonFiniteState) as err:  # a run of its own, the second in this process
+        run_scenario(replace(_riders_on_observer_feedback(grad_gamma=1e6), stride=1))
+    assert len(err.value.partial.t) > 1
+    assert_apart(_trajectory_arrays(err.value.partial))
+    for key, arr in {**_trajectory_arrays(first), **store}.items():
+        assert np.array_equal(arr, kept[key], equal_nan=True), key
 
 
 def _gradient_riders_on_the_state_loop(gamma=1e8):
@@ -970,13 +1029,18 @@ def test_aliased_specs_are_named_per_run_without_renaming_them():
         assert spec.name == ""
 
 
-def _joined(stage, n_p):
+def _joined(stage, rows, n_p):
     """The engine's stage function as rk4_step's f(t, y) on the joined
-    vector y = (plant rows and integrator, estimator rows)."""
+    vector y = (plant rows and integrator, estimator rows): the estimator
+    rows are written into the bank's stage row and their derivative is
+    read, as a copy, from its first derivative row."""
 
     def f(t, y):
-        dp, dz = stage(y[:n_p].tolist(), y[n_p:])
-        return np.array(dp) if dz is None else np.concatenate([dp, dz])
+        if rows is None:
+            return np.array(stage(y[:n_p].tolist(), 0))
+        np.copyto(rows.z, y[n_p:])
+        dp = stage(y[:n_p].tolist(), 0)
+        return np.concatenate([dp, rows.d[0]])
 
     return f
 
@@ -990,18 +1054,22 @@ def _checked_steps(monkeypatch, check_stage=None):
 
     step, count = simmod._rk4_split_step, []
 
-    def checking_step(stage, t, p, z, h):
-        def seen(p_stage, z_stage):
-            dp, dz = stage(p_stage, z_stage)
+    def checking_step(stage, t, p, rows, h):
+        def seen(p_stage, i):
+            dp = stage(p_stage, i)
             if check_stage is not None:
                 check_stage(p_stage, dp)
-            return dp, dz
+            return dp
 
-        p_new, z_new = step(seen, t, p, z, h)
-        want = simmod.rk4_step(_joined(stage, len(p)), t, np.concatenate([p, z]), h)
-        assert np.array_equal(np.concatenate([p_new, z_new]), want), t
+        start = [] if rows is None else rows.y.copy()
+        p_new = step(seen, t, p, rows, h)
+        got = np.concatenate([p_new, [] if rows is None else rows.y])
+        # the reference step runs after the engine's, whose new rows it
+        # leaves as they are: it writes only the stage and derivative rows
+        want = simmod.rk4_step(_joined(stage, rows, len(p)), t, np.concatenate([p, start]), h)
+        assert np.array_equal(got, want), t
         count.append(t)
-        return p_new, z_new
+        return p_new
 
     monkeypatch.setattr(simmod, "_rk4_split_step", checking_step)
     return count
