@@ -14,13 +14,10 @@ Subcommands
   ``pbclab.sim.SharedPass.groups`` keys each scenario once and groups
   them: values whose scenarios differ only in the name, gamma or mu of
   GPEBO-kind and gradient estimators that do not close the loop share one
-  closed-loop pass.  They run in value order in one process: the first
-  one in full, with every rider gain of the group a row of its exact-step
-  stacks, so each gain is stepped once; each later one only by
-  assembling its estimators' sampled states from that pass.  Two or more
-  distinct passes fan out over a process pool of min(passes, CPUs)
-  workers; with the ``PBCLAB_SERIAL`` environment variable set (e.g.
-  ``PBCLAB_SERIAL=1``) they run one after another in this process.
+  closed-loop pass, which runs once as one scenario with every rider gain
+  of the group, so each gain is stepped once.  Its values are assembled
+  from that run, in value order, in one process.  Two or more distinct
+  passes fan out over a process pool of min(passes, CPUs) workers.
 * ``presets list`` - list the shipped figure presets.
 
 Configuration comes from ``--config FILE`` or ``--preset NAME`` (else the
@@ -295,7 +292,7 @@ def cmd_compare(args) -> int:
 
 
 def _fan_out(worker, jobs):
-    if len(jobs) <= 1 or os.environ.get("PBCLAB_SERIAL"):
+    if len(jobs) <= 1:
         return [worker(j) for j in jobs]
     from concurrent.futures import ProcessPoolExecutor  # only a pooled sweep pays this import
 

@@ -63,7 +63,7 @@ orders of magnitude stiffer than the grid step allows for an explicit
 scheme, and the exact step is unconditionally contractive.  Their states
 are the rows of one stack per kind and filter or regression
 (`_ExactSteps`), one row per gain: estimators whose exact steps read the
-same settings (`step_key`) share a row.  A stack forms its frozen inputs
+same settings (`_step_key`) share a row.  A stack forms its frozen inputs
 itself, from the estimator rows y at the start of the step, steps its
 rows after the Runge-Kutta step and checks them for finiteness like the
 Runge-Kutta vector.
@@ -77,22 +77,13 @@ views of it, so estimators that read the same copy, filter or row share
 them.
 
 A sweep over the gains of estimators that only ride shares one
-closed-loop pass (`SharedPass`).  The name, gamma and mu of a GPEBO-kind
-or gradient estimator that does not close the loop reach nothing but its
-own exactly stepped row, and an estimator that reads no filter reads no
-lambda, so runs that differ only there have the same plant, integrator,
-copy, filters and Kalman-Bucy rows, and the same frozen inputs to every
-exact step.  `SharedPass.groups` keys each run once and makes one pass
-per key, which holds its runs; a run given its pass is not keyed again.
-In the first run of a pass every gain of the pass's runs is a row of a
-stack, so each gain is stepped once; the run keeps its sample store and
-the sampled columns of every row that stayed finite.  A row's columns
-depend only on its kind, its filter or regression and its gain, so a
-later run whose every exact step the pass holds only assembles its
-trajectory from the kept store and columns; any other run is a full run
-of its own.  No frozen input is kept per step.  The update functions
-act on each row element by element, so an assembled run's arrays are
-those of a run of its own, bit for bit.
+closed-loop pass (`SharedPass`): the name, gamma and mu of an exactly
+stepped estimator that does not close the loop reach nothing but its own
+row, and an estimator that reads no filter reads no lambda.  The pass
+runs once, as one ordinary scenario that steps every gain of its runs,
+and each run assembles its trajectory from what the pass keeps; the
+update functions act on each row element by element, so an assembled
+run's arrays are those of a run of its own, bit for bit.
 
 Scenario events retarget the reference voltage or restep the load at a
 grid instant; the equilibrium pair, the passive output map and the
@@ -523,9 +514,8 @@ class _Bank:
     estimate at the stage row when it closes the loop, and
     `record(ys, cols)`, its logged arrays from the sampled rows and the
     sampled columns of the exact steps (`_ExactSteps`) by step key; one
-    stepped exactly names `step_key`, the settings its exact step reads
-    besides the frozen inputs, and is pointed to its row, `exact` and
-    `row`.  `derivative` reads the observer frame as A = A_obs(u) and
+    stepped exactly holds its `step_key` and is pointed to its row, `exact`
+    and `row`.  `derivative` reads the observer frame as A = A_obs(u) and
     b = b_obs, and the measurement as the float y_m, read by
     C_obs = [0, 0, 0, 1], so C z is z[3] (see `_PlantCache`)."""
 
@@ -623,6 +613,14 @@ def _reads_filter(spec: ObserverSpec) -> bool:
     return spec.kind in GPEBO_KINDS or (spec.kind == "gradient" and spec.mode == "extended")
 
 
+def _step_key(spec: ObserverSpec) -> tuple:
+    """What an exact step reads besides its frozen inputs, the gain last;
+    estimators with one step key share a row (a raw gradient reads no lam)."""
+    if spec.kind in GPEBO_KINDS:
+        return ("gpebo", spec.lam, spec.gamma)
+    return ("gradient", spec.mode, spec.lam if _reads_filter(spec) else None, spec.gamma)
+
+
 class _GpeboRuntime:
     """fct-gpebo and gpebo kinds: read the shared copy and the filter of
     their pole; own the scalar estimator (omega, theta_hat), a row of an
@@ -633,7 +631,7 @@ class _GpeboRuntime:
         self.bank = bank
         self.fct = spec.kind == "fct-gpebo"
         self.filt = bank.filter(spec.lam)
-        self.step_key = ("gpebo", spec.lam, spec.gamma)
+        self.step_key = _step_key(spec)
         self.theta_hat0 = np.zeros(bank.n)  # theta_hat starts at zero with its row
         self.theta_feed = self.theta_hat0.copy()
 
@@ -738,8 +736,7 @@ class _GradientRuntime:
             self.filt = bank.filter(spec.lam)
         else:
             bank.copy(phi=True)
-        # a raw gradient reads no pole, so its lam keys no row
-        self.step_key = ("gradient", spec.mode, spec.lam if self.extended else None, spec.gamma)
+        self.step_key = _step_key(spec)
 
     def estimate(self):
         return self.bank.reconstruct(self.exact.state[self.row])
@@ -751,25 +748,20 @@ class _GradientRuntime:
 
 class _ExactSteps:
     """The exactly stepped states of one kind on one filter or regression,
-    one row per step key (`step_key`: the kind, the filter or regression,
-    and the gain): (omega, theta_hat) for the GPEBO kinds, theta for a
-    gradient estimator.  Rows 0 .. own - 1 are the run's own estimators',
-    which share a row when their step keys agree; the rest are the other
-    gains of a shared pass's rows.  Each step reads inputs frozen at its
-    start, formed here from the estimator rows y: the DREM mix of the
-    filter, for one `scalar_update` call over the column of gains; or a
-    gradient's regression data, for one `gradient_update` call per row,
-    since a stacked rank-one step would sum its phi @ theta in another
-    order.  The rows are sampled at the run's instants.  A non-finite own
-    row raises `NonFiniteState`; a non-finite other row is left out of
-    the sampled columns a run keeps (`_columns`)."""
+    one row per step key (`_step_key`), shared by the run's estimators of
+    that key: (omega, theta_hat) for the GPEBO kinds, theta for a gradient
+    estimator.  Each step reads inputs frozen at its start, formed here
+    from the estimator rows y: the DREM mix of the filter, for one
+    `scalar_update` call over the column of gains; or a gradient's
+    regression data, for one `gradient_update` call per row, since a
+    stacked rank-one step would sum its phi @ theta in another order.  The
+    rows are sampled at the run's instants, and a non-finite row raises
+    `NonFiniteState`."""
 
     def __init__(self, rt):
         self.rt = rt  # the run's first estimator on these inputs
         self.rows = {}  # step key -> row
-        self.own = 0  # rows 0 .. own - 1 are the run's own
         self.gpebo, n = isinstance(rt, _GpeboRuntime), rt.bank.n
-        # a row is (omega, theta_hat) for the GPEBO kinds, theta for a gradient
         self.slots = 1 + n if self.gpebo else n
 
     def add(self, key) -> int:
@@ -783,7 +775,6 @@ class _ExactSteps:
             self.column = np.array(self.gammas, dtype=float)[:, None]
             self.state[:, 0] = 1.0  # omega
         self.samples = np.empty((K, *self.state.shape))
-        self.finite = np.ones(len(self.gammas), dtype=bool)
 
     def step(self, y, y_m: float, t: float, h: float):
         """Step every row from t to t + h on the rows y and the measurement
@@ -800,36 +791,24 @@ class _ExactSteps:
             for e, gamma in enumerate(self.gammas):
                 st[e] = gradient_update(st[e], gamma, rt.spec.mode, h, **frozen)
         if not np.isfinite(st).all():
-            finite = np.isfinite(st).all(axis=1)
-            if not finite[: self.own].all():
-                raise NonFiniteState(f"non-finite estimator state after the step to t={t + h:g} s")
-            self.finite &= finite
+            raise NonFiniteState(f"non-finite estimator state after the step to t={t + h:g} s")
 
 
-def _exact_steps(runtimes, rows) -> list:
+def _exact_steps(runtimes) -> list:
     """The exact steps of a run, one `_ExactSteps` per kind and filter or
-    regression, with each of the run's own estimators pointed to its row;
-    then a row for every other gain in `rows`, the observer lists of a
-    shared pass's rows.  Those have the run's pass key, so they match its
-    estimators place by place in all but the name, gamma and mu.  Nothing
-    is allocated before `start`."""
+    regression, with each estimator pointed to its row.  Nothing is
+    allocated before `start`."""
     stacks = {}  # step key without the gain -> _ExactSteps
     for rt in runtimes:
         if rt.spec.kind in _EXACT_KINDS:
             rt.exact = stacks.get(rt.step_key[:-1]) or stacks.setdefault(rt.step_key[:-1], _ExactSteps(rt))
             rt.row = rt.exact.add(rt.step_key)
-    for stack in stacks.values():
-        stack.own = len(stack.rows)
-    for specs in rows:
-        for rt, spec in zip(runtimes, specs):
-            if spec.kind in _EXACT_KINDS:
-                rt.exact.add((*rt.step_key[:-1], spec.gamma))
     return list(stacks.values())
 
 
 def _columns(stacks) -> dict:
-    """The sampled states of every stack row that stayed finite, by step key."""
-    return {key: st.samples[:, e] for st in stacks for key, e in st.rows.items() if st.finite[e]}
+    """The sampled states of every stack row, by step key."""
+    return {key: st.samples[:, e] for st in stacks for key, e in st.rows.items()}
 
 
 def _as_spd(value, n: int, what: str) -> np.ndarray:
@@ -909,28 +888,23 @@ class _Store:
 class SharedPass:
     """One closed-loop pass, shared by the rows of one key.
 
-    The key is the scenario with the name, gamma and mu of every GPEBO-kind
-    and gradient estimator that does not close the loop left out, and the
-    lam of every estimator that reads no filter (`_reads_filter`); nothing
-    else is, and it holds floats by value and arrays by shape and bytes.
-    `groups` keys each row once and makes one pass per key; the pass holds
-    its rows (`scenarios`), and `run_scenario(scn, shared=p)` takes only a
-    row of p, which it does not key again.  It serves the row from the pass
-    p keeps when p holds the sampled columns of every exact step of the
-    row: it assembles them with the kept store and runs no step.  Any other
-    row runs in full, with a row of its exact-step stacks (`_ExactSteps`)
-    for every gain of p's rows, and, once it completes, leaves its own pass
-    in p: the plant-side sample store, the PI-PBC state of every epoch, the
-    circuit values in force at the end, and the sampled columns of every
-    stack row that stayed finite at every step, by the settings it reads
-    (`step_key`).  So each row whose gains stayed finite is served.  No
-    frozen input is kept per step.  Every row of a pass shares the kept
-    arrays, so they are read-only, and so are the trajectory arrays that
-    are views of them."""
+    The key is the scenario with the name, gamma and mu of every riding
+    estimator (`_rides`) left out, and the lam of every estimator that
+    reads no filter (`_reads_filter`); nothing else is, and it holds floats
+    by value and arrays by shape and bytes.  `groups` keys each row once
+    and makes one pass per key, which holds its rows (`scenarios`) and
+    checks their `union`: the first row with, per step key (`_step_key`)
+    it does not step, the first other row's rider of that key.  The union
+    runs once (`run_scenario`) and keeps in the pass its plant-side sample
+    store, the PI-PBC state of every epoch, the circuit values in force at
+    the end and the sampled columns of its exact-step rows by step key.
+    The rows share these arrays, so they are read-only, and so are the
+    trajectory arrays that are views of them."""
 
-    def __init__(self, key, scenarios):
-        self.key = key  # the pass key of every row
+    def __init__(self, scenarios):
         self.scenarios = scenarios  # the rows the pass serves, in order
+        self.union = _union(scenarios)
+        validate_scenario(self.union)  # so its samples count against the cap
         self.store = None  # the kept pass's _Store, None while none is kept
         self.params = None  # its circuit values at the end
         self.cols = None  # step key -> sampled columns of its row, (K, slots)
@@ -942,7 +916,7 @@ class SharedPass:
         rows = {}
         for scn in scenarios:
             rows.setdefault(_pass_key(scn), []).append(scn)
-        return [cls(key, group) for key, group in rows.items()]
+        return [cls(group) for group in rows.values()]
 
     def keep(self, store: _Store, params: CukParams, cols: dict):
         for arr in [*store.arrays(), *cols.values()]:
@@ -965,15 +939,32 @@ def _lossless(value):
     return (type(value).__name__, value)
 
 
+def _rides(scn: Scenario) -> list:
+    """Per estimator of scn, whether it is stepped exactly and does not
+    close the loop, so that its name, gamma and mu reach its row alone."""
+    feeding = _closes_loop(scn.controller)
+    return [spec.kind in _EXACT_KINDS and not (i == 0 and feeding) for i, spec in enumerate(scn.observers)]
+
+
 def _pass_key(scn: Scenario) -> tuple:
     """The key of the closed-loop pass of scn (see `SharedPass`)."""
-    feeding = _closes_loop(scn.controller)
     specs = []
-    for i, spec in enumerate(scn.observers):
+    for spec, rides in zip(scn.observers, _rides(scn)):
         spec = spec if _reads_filter(spec) else replace(spec, lam=None)
-        rides = spec.kind in _EXACT_KINDS and not (i == 0 and feeding)
         specs.append(replace(spec, name=None, gamma=None, mu=None) if rides else spec)
     return _lossless(replace(scn, observers=specs))
+
+
+def _union(scenarios) -> Scenario:
+    """The one run of a pass's rows (see `SharedPass`); `riders` maps each
+    step key to the rider it appends, None for the first row's own."""
+    first = scenarios[0]
+    riders = dict.fromkeys(_step_key(spec) for spec in first.observers if spec.kind in _EXACT_KINDS)
+    for scn in scenarios[1:]:
+        for spec, rides in zip(scn.observers, _rides(scn)):
+            if rides:
+                riders.setdefault(_step_key(spec), spec)
+    return replace(first, observers=[*first.observers, *filter(None, riders.values())])
 
 
 # -- the run ------------------------------------------------------------------
@@ -986,12 +977,17 @@ def _estimators(specs) -> tuple:
     return bank, [_RUNTIME_BY_KIND[spec.kind](spec, bank) for spec in specs]
 
 
+def _strided(N: int, stride: int) -> range:
+    """The steps before the last, N, at which a run samples (it samples N too)."""
+    return range(0, N, stride)
+
+
 def _sample_bytes(scn: Scenario, N: int) -> int:
-    """The bytes of a run's samples: K instants (every stride-th step and
-    the last) of a `_Store` row and of every exact step's rows."""
-    K = -(-N // scn.stride) + 1
+    """The bytes of a run's samples: K instants of a `_Store` row and of
+    every exact step's rows."""
+    K = len(_strided(N, scn.stride)) + 1
     bank, runtimes = _estimators(scn.observers)
-    floats = sum(len(stack.rows) * stack.slots for stack in _exact_steps(runtimes, []))
+    floats = sum(len(stack.rows) * stack.slots for stack in _exact_steps(runtimes))
     row = sum(math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in _Store.row(len(SIGNALS) + 1, bank.size))
     return K * (row + floats * np.dtype(float).itemsize)
 
@@ -1152,40 +1148,32 @@ def _assemble(scn: Scenario, store: _Store, runtimes, steps, cols: dict, taken: 
 def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
     """Run a scenario and return its sampled trajectory.
 
-    Given `shared`, scn must be one of its rows (`SharedPass.groups`).  A
-    row whose every exact step the kept pass holds is served by the pass:
-    it runs no step, no event and no update call, and assembles its
-    trajectory from the kept store and sampled columns.  Any other row runs
-    in full and leaves its pass in `shared` once it completes (see
-    `SharedPass`).  Without `shared` nothing is kept."""
+    Given `shared`, scn must be one of its rows (`SharedPass.groups`),
+    and is assembled from what the pass keeps; the first row asked for
+    runs the pass's union and keeps it, so a non-finite state of any row
+    of the union raises.  Without `shared` nothing is kept."""
     if shared is not None and not any(scn is row for row in shared.scenarios):
         raise ValueError("the scenario is not one of the rows of the shared pass")
     N = validate_scenario(scn)
-    h, stride = scn.h, scn.stride
+    h = scn.h
     ctl = scn.controller
     n = len(SIGNALS)
 
     bank, runtimes = _estimators(scn.observers)  # the estimator rows y and their readers
     for rt, name in zip(runtimes, _unique_names(scn.observers)):
         rt.name = name
-    fb_rt = runtimes[0] if _closes_loop(ctl) else None
-    feed = fb_rt if isinstance(fb_rt, _GpeboRuntime) else None  # refreshes its theta per step
-
-    # the sample instants
-    steps = list(range(0, N + 1, stride))
-    if steps[-1] != N:
-        steps.append(N)
+    steps = [*_strided(N, scn.stride), N]  # the sample instants
     K = len(steps)
-
-    if shared is not None and shared.store is not None and all(
-        rt.step_key in shared.cols for rt in runtimes if rt.spec.kind in _EXACT_KINDS
-    ):
+    if shared is not None and shared.store is not None:
         return _assemble(scn, shared.store, runtimes, steps, shared.cols, K, shared.params)
+    # the run's estimators; a union adds riders alone, so its rows y are laid out as scn's
+    bank, stepped = (bank, runtimes) if shared is None else _estimators(shared.union.observers)
+    fb_rt = stepped[0] if _closes_loop(ctl) else None
+    feed = fb_rt if isinstance(fb_rt, _GpeboRuntime) else None  # refreshes its theta per step
 
     bank.start()
     rows = bank if bank.size else None  # the estimator rows the step advances
-    # the run's own exact steps and, for a pass, every other gain of its rows
-    stacks = _exact_steps(runtimes, [] if shared is None else [row.observers for row in shared.scenarios])
+    stacks = _exact_steps(stepped)
     for stack in stacks:
         stack.start(K)
 

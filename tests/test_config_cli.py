@@ -347,8 +347,7 @@ def test_compare_rides_every_observer_on_one_run(monkeypatch, tmp_path, capsys):
     assert [row.split(",") for row in csv_rows] == [header] + expected
 
 
-def test_sweep_matrix_and_empty(monkeypatch, capsys):
-    monkeypatch.setenv("PBCLAB_SERIAL", "1")
+def test_sweep_matrix_and_empty(capsys):
     rc = cli.main([
         "sweep", *FAST,
         "--set", "controller.type=classical-pi", "--set", "controller.kp=0.008",
@@ -371,9 +370,8 @@ def _sweep_stdout(capsys, out_dir, extra):
     return text.replace(str(out_dir), "<out>")
 
 
-def test_pooled_sweep_equals_the_serial_sweep(monkeypatch, tmp_path, capsys):
-    """Two values fan out over the process pool; the table and the CSV are
-    the serial run's, byte for byte."""
+def _counting_pools(monkeypatch) -> list:
+    """Count the process pools a sweep starts, with their arguments."""
     import concurrent.futures
 
     pools = []
@@ -384,54 +382,54 @@ def test_pooled_sweep_equals_the_serial_sweep(monkeypatch, tmp_path, capsys):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
-    extra = [*FAST, "--param", "controller.ki", "--values", "4,8"]
-    monkeypatch.delenv("PBCLAB_SERIAL", raising=False)
-    pooled = _sweep_stdout(capsys, tmp_path / "pooled", extra)
+    return pools
+
+
+def test_pooled_sweep_equals_the_serial_sweep(monkeypatch, tmp_path, capsys):
+    """Two values are two passes, which fan out over the process pool; each
+    row of the table and the CSV is that of the value's one-value sweep,
+    which runs in this process, byte for byte."""
+    pools = _counting_pools(monkeypatch)
+    base = [*FAST, "--param", "controller.ki", "--values"]
+    pooled = _sweep_stdout(capsys, tmp_path / "pooled", [*base, "4,8"]).splitlines()
     assert len(pools) == 1
-    monkeypatch.setenv("PBCLAB_SERIAL", "1")
-    serial = _sweep_stdout(capsys, tmp_path / "serial", extra)
+    csv_rows = (tmp_path / "pooled" / "run-sweep.csv").read_bytes().splitlines()
+    assert len(csv_rows) == 3
+    for i, value in enumerate(["4", "8"], start=1):
+        alone = _sweep_stdout(capsys, tmp_path / value, [*base, value]).splitlines()
+        assert [row.split() for row in alone[1:3]] == [pooled[1].split(), pooled[i + 1].split()]
+        assert (tmp_path / value / "run-sweep.csv").read_bytes().splitlines() == [csv_rows[0], csv_rows[i]]
     assert len(pools) == 1
-    assert pooled == serial
-    assert (tmp_path / "pooled" / "run-sweep.csv").read_bytes() == (
-        tmp_path / "serial" / "run-sweep.csv"
-    ).read_bytes()
 
 
 def test_pooled_sweep_reports_an_infeasible_point_as_the_serial_sweep(monkeypatch, capsys):
-    argv = ["sweep", "--set", "scenario.horizon=0.0001",
-            "--param", "controller.x4_star", "--values=-15,-1000"]
-    monkeypatch.delenv("PBCLAB_SERIAL", raising=False)
-    assert cli.main(argv) == 3
+    """The pooled sweep's stderr is that of the infeasible value's one-value
+    sweep, which runs in this process."""
+    pools = _counting_pools(monkeypatch)
+    argv = ["sweep", "--set", "scenario.horizon=0.0001", "--param", "controller.x4_star"]
+    assert cli.main([*argv, "--values=-15,-1000"]) == 3
     pooled = capsys.readouterr().err
-    monkeypatch.setenv("PBCLAB_SERIAL", "1")
-    assert cli.main(argv) == 3
-    serial = capsys.readouterr().err
-    assert serial.startswith("infeasible operating point: ")
-    assert pooled == serial
+    assert len(pools) == 1
+    assert cli.main([*argv, "--values=-1000"]) == 3
+    alone = capsys.readouterr().err
+    assert alone.startswith("infeasible operating point: ")
+    assert pooled == alone
+    assert len(pools) == 1
 
 
 def test_gain_sweep_shares_one_pass_without_a_pool(monkeypatch, tmp_path, capsys):
     """Values of a riding estimator's gain share one closed-loop pass in
     this process; each row is the one-value sweep's, byte for byte."""
-    import concurrent.futures
-
     import pbclab.sim as simmod
 
-    pools, steps = [], []
+    pools, steps = _counting_pools(monkeypatch), []
     step = simmod._rk4_split_step
-
-    class CountingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(kwargs)
-            super().__init__(*args, **kwargs)
 
     def counting_step(*args):
         steps.append(1)
         return step(*args)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     monkeypatch.setattr(simmod, "_rk4_split_step", counting_step)
-    monkeypatch.delenv("PBCLAB_SERIAL", raising=False)
     values = ["1e10", "1e11", "1e12"]
     base = ["--preset", "fig-observer-gains", *FAST, "--param", "observers.0.gamma"]
     swept = _sweep_stdout(capsys, tmp_path / "all", [*base, "--values", ",".join(values)])
@@ -446,6 +444,61 @@ def test_gain_sweep_shares_one_pass_without_a_pool(monkeypatch, tmp_path, capsys
         assert alone_csv == [csv_rows[0], csv_rows[i]]
         assert [row.split() for row in alone[1:3]] == [table[0].split(), table[i].split()]
     assert pools == []
+
+
+def test_a_sweep_whose_later_row_diverges_fails_as_that_row_alone(monkeypatch, tmp_path, capsys):
+    """The third value's rider turns non-finite from step k of a run on:
+    the sweep exits 4 with the stderr of that value's one-value sweep, and
+    neither writes a table."""
+    import pbclab.sim as simmod
+
+    k_nan, gamma_nan = 150, 1e13
+    calls, update, run = [], simmod.scalar_update, cli.run_scenario  # calls: the steps of the row
+
+    def nan_scalar(omega, theta_hat, scriptY, Delta, gamma, h):
+        new_omega, new_theta = update(omega, theta_hat, scriptY, Delta, gamma, h)
+        hit = np.asarray(gamma) == gamma_nan  # a stacked call steps each row once
+        if hit.any():
+            calls.append(1)
+            if len(calls) > k_nan:
+                return np.where(hit, math.nan, new_omega), new_theta
+        return new_omega, new_theta
+
+    def counting_run(*args, **kwargs):
+        calls.clear()
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(simmod, "scalar_update", nan_scalar)
+    monkeypatch.setattr(cli, "run_scenario", counting_run)
+    base = ["sweep", "--preset", "fig-observer-gains", *FAST, "--param", "observers.0.gamma"]
+    errs = []
+    for values in ("1e10,3e12,1e13", "1e13"):
+        assert cli.main([*base, "--out", str(tmp_path / values), "--values", values]) == 4
+        errs.append(capsys.readouterr().err)
+        assert not (tmp_path / values / "fig-observer-gains-sweep.csv").exists()
+    message = f"non-finite estimator state after the step to t={(k_nan + 1) * 5e-7:g} s"
+    assert errs == [f"numerical failure: {message}\n"] * 2
+
+
+def test_a_shared_pass_counts_its_union_against_the_sample_cap(monkeypatch, capsys):
+    """2 000 values of a riding gain at stride 1: each row alone is within
+    the sample cap, but their one pass steps a row per gain, so the sweep is
+    refused before any step."""
+    import pbclab.sim as simmod
+
+    steps = []
+    monkeypatch.setattr(simmod, "_rk4_split_step", lambda *args: steps.append(1))
+    preset = (PRESET_DIR / "fig-observer-gains.yaml").read_text()
+    apply_overrides(loads_config(preset), ["scenario.stride=1", "observers.0.gamma=2.0e+12"])  # one row: valid
+    values = ",".join(f"{i}e9" for i in range(1, 2001))
+    argv = ["sweep", "--preset", "fig-observer-gains", "--set", "scenario.stride=1",
+            "--param", "observers.0.gamma", "--values", values]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    found = re.fullmatch(r"config error: .* ask for (\S+) bytes of samples, more than the cap of (\d+) bytes\n", err)
+    assert found, err
+    assert float(found[1]) > 8e9 and int(found[2]) == sim.MAX_STORE_BYTES
+    assert steps == []
 
 
 def test_a_sweep_builds_and_keys_each_row_once(monkeypatch, capsys):

@@ -520,6 +520,34 @@ def test_sampled_classical_control_equals_the_reference_law(monkeypatch):
         assert (u, err, sat) == (traj.u[k, 0], traj.ytilde[k, 0], traj.saturated[k]), k
 
 
+def test_the_upper_duty_clamp_holds_and_is_flagged(monkeypatch):
+    # a start far above the operating point drives the raw duty ratio over
+    # u_max for its first samples: the plant steps there as the reference
+    # law clamped at u_max, each such sample reads u_max and is flagged, and
+    # the storage count skips exactly the flagged samples
+    from pbclab.control import pi_pbc_step
+    from pbclab.cuk import build_cuk
+    from pbclab.phmodel import dynamics
+
+    scn = Scenario(x0=(2.0, 40.0, -1.0, -5.0), horizon=2e-3, stride=1)
+    traj, ys, (pi,) = _captured_run(monkeypatch, scn)
+    u, u_max = traj.u[:, 0], scn.controller.u_max
+    assert u.max() == u_max and u.min() > scn.controller.u_min
+    assert np.array_equal(np.flatnonzero(traj.saturated), np.arange(7))
+    assert np.array_equal(u == u_max, traj.saturated)
+    model = build_cuk(CukParams())
+
+    def f(t, y):
+        u_k, ytilde, _ = pi_pbc_step(replace(pi, x_c=y[4:]), y[:4])
+        return np.concatenate([dynamics(model, y[:4], u_k), ytilde])
+
+    for k in range(8):  # the seven clamped steps, and the one after them
+        want = rk4_step(f, k * scn.h, ys[k], scn.h)
+        assert np.allclose(ys[k + 1], want, rtol=1e-12, atol=0.0), k
+    rising = replace(traj, W=np.arange(len(u), dtype=float))  # W rises at every pair
+    assert compute_metrics(rising)["w_increase_count"] == len(u) - 1 - 7
+
+
 def test_estimator_rows_equal_the_reference_derivatives(monkeypatch):
     # the engine evaluates the copy, filter and Kalman-Bucy rows on the
     # voltmeter structure C_obs = [0, 0, 0, 1] with the fixed source b0; at
@@ -799,39 +827,39 @@ def _gradient_riders_on_the_state_loop(gamma=1e8):
     return replace(scn, observers=[*scn.observers, ObserverSpec(name="grad", kind="gradient", gamma=gamma)])
 
 
-def _assert_replay_raises_as_a_run_of_its_own(monkeypatch, stacked, rider="gpebo"):
-    """The rider of gain `gamma_nan` (the swept FCT estimator's, or with
-    `rider="gradient"` a raw gradient's) turns non-finite from its step k:
-    its row raises at the same step as a run of its own, with the same
-    message and the same partial samples; the load event after k must not
-    reach the partial's circuit values.  When the gain was `stacked` for
-    the first row's pass, that row completes and the pass keeps no columns
-    for it, so the failing row runs in full.  Without `stacked` the first
-    row runs in a pass of its own, which steps no other gain, and the
-    group's pass keeps what that pass kept, so it holds nothing of the
-    failing row."""
+@pytest.mark.parametrize("rider", ["gpebo", "gradient"])
+def test_a_pass_raises_where_any_of_its_gains_turns_non_finite(monkeypatch, rider):
+    # the swept FCT rider (or with rider="gradient" a raw gradient) of the
+    # third row turns non-finite from its step k on: the first row asked
+    # for runs the union, which raises at that step with the message of the
+    # failing row's own run and keeps nothing; the partial is the asking
+    # row's samples up to that step, which the load event after it does not
+    # reach
     import pbclab.sim as simmod
 
     k_nan = 150
     gpebo = rider == "gpebo"
-    gamma_ok, gamma_nan = (1e10, 1e13) if gpebo else (1e8, 1e9)
+    gammas = (1e10, 3e12, 1e13) if gpebo else (1e8, 3e8, 1e9)
+    gamma_nan = gammas[-1]
     name = "scalar_update" if gpebo else "gradient_update"
     update = getattr(simmod, name)
 
-    def nan_from_step_k(calls):
+    def nan_from_step_k():
+        calls = []  # the steps of the failing gain's row
+
         def nan_scalar(omega, theta_hat, scriptY, Delta, gamma, h):
             hit = np.asarray(gamma) == gamma_nan  # a stacked call steps each row once
+            new_omega, new_theta = update(omega, theta_hat, scriptY, Delta, gamma, h)
             if hit.any():
-                calls.append(np.ndim(gamma))
+                calls.append(1)
                 if len(calls) > k_nan:
-                    new_omega, new_theta = update(omega, theta_hat, scriptY, Delta, gamma, h)
-                    return np.where(hit, math.nan, new_omega), np.where(hit, theta_hat, new_theta)
-            return update(omega, theta_hat, scriptY, Delta, gamma, h)
+                    return np.where(hit, math.nan, new_omega), new_theta
+            return new_omega, new_theta
 
         def nan_gradient(theta_hat, gamma, *args, **kwargs):
             new_theta = update(theta_hat, gamma, *args, **kwargs)
             if gamma == gamma_nan:
-                calls.append(np.ndim(gamma))
+                calls.append(1)
                 if len(calls) > k_nan:
                     return np.full_like(new_theta, math.nan)
             return new_theta
@@ -842,41 +870,22 @@ def _assert_replay_raises_as_a_run_of_its_own(monkeypatch, stacked, rider="gpebo
         scn = _riders_on_the_state_loop(gamma=gamma) if gpebo else _gradient_riders_on_the_state_loop(gamma)
         return replace(scn, events=[EventSpec(time=1e-4, kind="load", value=30.0)])
 
-    (shared,) = SharedPass.groups([make(gamma_ok), make(gamma_nan)])
-    row_ok, row_nan = shared.scenarios
-    first_pass = shared if stacked else SharedPass.groups([row_ok])[0]
-    first_calls = []
-    monkeypatch.setattr(simmod, name, nan_from_step_k(first_calls))
-    first = run_scenario(row_ok, shared=first_pass)
-    if not stacked:
-        shared.keep(first_pass.store, first_pass.params, first_pass.cols)
-    assert first_calls == ([2 if gpebo else 0] * round(2e-4 / 5e-7) if stacked else [])
-    _assert_same_run(first, run_scenario(make(gamma_ok)))
-    assert shared.cols and all(key[-1] != gamma_nan for key in shared.cols)
-    failures = []
-    for kept in (shared, None):
-        monkeypatch.setattr(simmod, name, nan_from_step_k([]))
-        with pytest.raises(NonFiniteState) as err:
-            run_scenario(row_nan, shared=kept)
-        failures.append(err.value)
-    replayed, alone = failures
+    own = _trajectory_arrays(run_scenario(make(gammas[0])))
+    (shared,) = SharedPass.groups([make(gamma) for gamma in gammas])
+    monkeypatch.setattr(simmod, name, nan_from_step_k())
+    with pytest.raises(NonFiniteState) as raised:
+        run_scenario(shared.scenarios[0], shared=shared)
+    assert shared.store is None
+    monkeypatch.setattr(simmod, name, nan_from_step_k())
+    with pytest.raises(NonFiniteState) as alone:
+        run_scenario(make(gamma_nan))
     message = f"non-finite estimator state after the step to t={(k_nan + 1) * 5e-7:g} s"
-    assert str(replayed) == str(alone) == message
-    assert len(replayed.partial.t) == len(alone.partial.t) == k_nan // 30 + 1
-    _assert_same_run(replayed.partial, alone.partial)
-    assert alone.partial.meta["params"]["r"] == 20.0
-
-
-def test_replay_raises_as_a_run_of_its_own(monkeypatch):
-    _assert_replay_raises_as_a_run_of_its_own(monkeypatch, stacked=False)
-
-
-def test_a_stacked_gain_that_turns_non_finite_is_re_stepped_by_its_row(monkeypatch):
-    _assert_replay_raises_as_a_run_of_its_own(monkeypatch, stacked=True)
-
-
-def test_a_gradient_rider_that_turns_non_finite_runs_its_row_in_full(monkeypatch):
-    _assert_replay_raises_as_a_run_of_its_own(monkeypatch, stacked=True, rider="gradient")
+    assert str(raised.value) == str(alone.value) == message
+    partial, taken = raised.value.partial, k_nan // 30 + 1
+    assert len(partial.t) == taken
+    for key, arr in _trajectory_arrays(partial).items():
+        assert np.array_equal(arr, own[key][:taken], equal_nan=True), key
+    assert partial.meta["params"]["r"] == 20.0
 
 
 @pytest.mark.parametrize("base, other", [
