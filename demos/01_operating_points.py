@@ -13,8 +13,8 @@ CLI:  pbclab equilibrium --set controller.x4_star=-15
 import numpy as np
 
 from pbclab.cuk import (
-    CukError,
     CukParams,
+    InfeasibleEquilibrium,
     physical_equilibrium,
     quadratic_coefficients,
     solve_equilibrium,
@@ -30,7 +30,7 @@ for v4 in np.arange(-1.0, -26.0, -1.0):
     disc = a1 * a1 - 4.0 * a2 * a0
     try:
         pair, roots = solve_equilibrium(params, float(v4))
-    except CukError:
+    except InfeasibleEquilibrium:
         if boundary is None:
             boundary = v4
         print(f"{v4:8.1f}  {disc:12.1f}  {'infeasible':>14}")

@@ -23,9 +23,12 @@ Subcommands
 Configuration comes from ``--config FILE`` or ``--preset NAME`` (else the
 built-in defaults), then ``--set path=value`` overrides.  ``--out DIR``
 picks the artifact directory (default: config ``output.dir``, then the
-``PBCLAB_OUT`` environment variable, then ``./pbclab-out``).  Exit codes:
-0 success, 2 configuration error, 3 infeasible operating point,
-4 numerical failure.
+``PBCLAB_OUT`` environment variable, then ``./pbclab-out``).  ``main``
+maps each failure class to one exit code and one stderr line: 2
+configuration error (``ConfigError``, ``ScenarioError``), 3 infeasible
+operating point (``InfeasibleEquilibrium``), 4 numerical failure
+(``NonFiniteState``, ``OracleMismatch``); 0 is success.  Validation refuses
+first whatever would raise a ``CukError`` or a ``ModelError``.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import cuk as cukmod
 from .config import (
     ConfigError,
     _parse_value,
@@ -55,10 +57,9 @@ from .config import (
     set_path,
     validate_config,
 )
-from .cuk import build_cuk, quadratic_coefficients, solve_equilibrium
+from .cuk import InfeasibleEquilibrium, OracleMismatch, build_cuk, quadratic_coefficients, solve_equilibrium
 from .phmodel import equilibrium_residual
 from .sim import (
-    InfeasibleEquilibrium,
     NonFiniteState,
     ScenarioError,
     SharedPass,
@@ -175,7 +176,7 @@ def cmd_equilibrium(args) -> int:
     print(f"discriminant: {disc:.17g}")
     try:
         pair, roots = solve_equilibrium(params, x4_star, root_policy=policy)
-    except cukmod.CukError as exc:
+    except InfeasibleEquilibrium as exc:
         print(f"verdict: infeasible ({exc})")
         return EXIT_INFEASIBLE
     model = build_cuk(params)
@@ -404,15 +405,12 @@ def main(argv=None) -> int:
     except (ConfigError, ScenarioError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (cukmod.InfeasibleEquilibrium, cukmod.NoRootInUnitInterval, InfeasibleEquilibrium) as exc:
+    except InfeasibleEquilibrium as exc:
         print(f"infeasible operating point: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (NonFiniteState, cukmod.OracleMismatch, FloatingPointError) as exc:
+    except (NonFiniteState, OracleMismatch) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except cukmod.CukError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -34,7 +34,7 @@ import numpy as np
 from .phmodel import PHModel
 
 __all__ = [
-    "SingularKIError",
+    "KI_MIN_DET",
     "gn_matrix",
     "passive_output_matrix",
     "shifted_output",
@@ -49,9 +49,7 @@ __all__ = [
 ]
 
 
-class SingularKIError(ValueError):
-    """The integral gain must be invertible to place the integrator
-    equilibrium."""
+KI_MIN_DET = 1e-300  # the least |det Ki| that places -inv(Ki) u_star; validation reads it too
 
 
 def _gain_matrix(k, m: int) -> np.ndarray:
@@ -159,8 +157,8 @@ def integrator_reference(Ki: np.ndarray, u_star: np.ndarray) -> np.ndarray:
     error: x_c_star = -inv(Ki) u_star."""
     Ki = np.atleast_2d(np.asarray(Ki, dtype=float))
     u_star = np.atleast_1d(np.asarray(u_star, dtype=float))
-    if abs(np.linalg.det(Ki)) < 1e-300:
-        raise SingularKIError("integral gain is singular")
+    if abs(np.linalg.det(Ki)) < KI_MIN_DET:
+        raise ValueError("integral gain is singular")
     return -np.linalg.solve(Ki, u_star)
 
 

@@ -19,6 +19,10 @@ solving
 which expands to the quadratic a2 u^2 + a1 u + a0 = 0 solved below.  The
 solver verifies every root against a grid-scan + bisection root finder on
 rho before accepting it: the closed form and the scan must agree.
+
+`CukError` is a request that validation refuses before any solve, its
+subclass `InfeasibleEquilibrium` a target no duty ratio in (0, 1) holds,
+and `OracleMismatch` (a `RuntimeError`) a root the scan does not confirm.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phmodel import PHModel, make_equilibrium_pair, validate_model
+from .phmodel import ModelError, PHModel, make_equilibrium_pair, validate_model
 
 __all__ = [
     "CukParams",
@@ -36,7 +40,6 @@ __all__ = [
     "ROOT_POLICIES",
     "CukError",
     "InfeasibleEquilibrium",
-    "NoRootInUnitInterval",
     "OracleMismatch",
     "check_params",
     "build_cuk",
@@ -48,33 +51,20 @@ __all__ = [
 
 
 class CukError(ValueError):
-    pass
+    """A circuit value or a request the converter refuses."""
 
 
 class InfeasibleEquilibrium(CukError):
-    """The requested output voltage admits no real duty ratio."""
+    """No admissible duty ratio holds the requested output voltage.  A run
+    sets `epoch_time` to the start of the epoch that asked."""
 
-    def __init__(self, x4_star: float, discriminant: float):
-        self.x4_star = x4_star
+    def __init__(self, message: str, discriminant: float = math.nan, epoch_time: float | None = None):
+        super().__init__(message)
         self.discriminant = discriminant
-        super().__init__(
-            f"no equilibrium at x4_star={x4_star:g} V (discriminant {discriminant:g} < 0)"
-        )
-
-    def __reduce__(self):
-        return type(self), (self.x4_star, self.discriminant)
+        self.epoch_time = epoch_time
 
 
-class NoRootInUnitInterval(CukError):
-    def __init__(self, roots):
-        self.roots = list(roots)
-        super().__init__(f"quadratic roots {self.roots} all fall outside (0, 1)")
-
-    def __reduce__(self):
-        return type(self), (self.roots,)
-
-
-class OracleMismatch(CukError):
+class OracleMismatch(RuntimeError):
     """Closed-form root and scan-based root disagree beyond tolerance."""
 
 
@@ -98,12 +88,15 @@ ROOT_POLICIES = ("smallest", "largest")
 
 def check_params(params: CukParams) -> None:
     """Every circuit value must be finite and positive; the series
-    resistances r1 and r2 may also be zero.  NaN fails both bounds."""
+    resistances r1 and r2 may also be zero.  NaN fails both bounds.  A
+    value `build_cuk` divides by needs a finite reciprocal (not 5e-324)."""
     for key, value in vars(params).items():
         may_be_zero = key in ("r1", "r2")
         if not ((value >= 0.0 if may_be_zero else value > 0.0) and value < math.inf):
             bound = "nonnegative" if may_be_zero else "positive"
             raise CukError(f"{key} must be {bound} and finite, got {value}")
+        if key in ("r", "L1", "L2", "C1", "C2") and not 1.0 / value < math.inf:
+            raise CukError(f"{key} must have a finite reciprocal, got {value}")
 
 
 def build_cuk(params: CukParams = TABLE_DEFAULTS) -> PHModel:
@@ -211,10 +204,10 @@ def solve_equilibrium(
     "smallest" (default; the lower duty gives the smaller circulating
     currents) or "largest".
 
-    Raises InfeasibleEquilibrium when the discriminant is negative,
-    NoRootInUnitInterval when no real root lies in (0, 1), and
-    OracleMismatch if the closed-form roots disagree with the independent
-    scan-and-bisect root finder by more than oracle_tol.
+    Raises InfeasibleEquilibrium when no real root lies in (0, 1) or the
+    state at the root overflows the model equations, and OracleMismatch if
+    the closed-form roots disagree with the independent scan-and-bisect
+    root finder by more than oracle_tol.
     """
     if x4_star >= 0.0:
         raise CukError("the converter inverts: x4_star must be negative")
@@ -223,7 +216,7 @@ def solve_equilibrium(
     a2, a1, a0 = quadratic_coefficients(params, x4_star)
     roots, disc = _quadratic_roots(a2, a1, a0)
     if roots is None:
-        raise InfeasibleEquilibrium(x4_star, disc)
+        raise InfeasibleEquilibrium(f"no equilibrium at x4_star={x4_star:g} V (discriminant {disc:g} < 0)", disc)
     # polish with Newton on the quadratic so the state residual reaches
     # rounding level rather than just oracle_tol
     polished = []
@@ -235,7 +228,7 @@ def solve_equilibrium(
         polished.append(u)
     inside = sorted(u for u in polished if 0.0 < u < 1.0)
     if not inside:
-        raise NoRootInUnitInterval(polished)
+        raise InfeasibleEquilibrium(f"quadratic roots {polished} all fall outside (0, 1)", disc)
     scanned = steady_state_oracle(params, x4_star)
     for u in inside:
         if not scanned or min(abs(u - s) for s in scanned) > oracle_tol:
@@ -243,10 +236,14 @@ def solve_equilibrium(
                 f"closed-form root {u!r} not confirmed by scan roots {scanned!r}"
             )
     u_star = inside[0] if root_policy == "smallest" else inside[-1]
-    i1, v2, i3, v4 = _steady_signals(params, x4_star, u_star)
-    x_star = np.array([params.L1 * i1, params.C1 * v2, params.L2 * i3, params.C2 * v4])
-    model = build_cuk(params)
-    pair = make_equilibrium_pair(model, x_star, [u_star], tol=oracle_tol)
+    # an overflow in the state or the model equations shows as a nan residual
+    with np.errstate(over="ignore", invalid="ignore"):
+        i1, v2, i3, v4 = _steady_signals(params, x4_star, u_star)
+        x_star = np.array([params.L1 * i1, params.C1 * v2, params.L2 * i3, params.C2 * v4])
+        try:
+            pair = make_equilibrium_pair(build_cuk(params), x_star, [u_star], tol=oracle_tol)
+        except ModelError as exc:
+            raise InfeasibleEquilibrium(f"no equilibrium at x4_star={x4_star:g} V: {exc}", disc) from exc
     return pair, inside
 
 

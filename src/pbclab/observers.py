@@ -236,25 +236,21 @@ def gradient_update(theta_hat, gamma: float, mode: str, h: float, CPhi=None, y_s
     far too stiff for explicit integration, so the linear ODE is solved in
     closed form instead: decompose along the regressor and decay each mode
     with its own exponential.  theta_hat and the regression data are float
-    arrays, CPhi a p x n matrix; with one measurement (p = 1) y_shift may
-    also be a float."""
-    if mode == "raw":
-        if CPhi.shape[0] == 1:  # single measurement: rank-one exact step
-            phi = CPhi[0]
-            nrm2 = float(phi @ phi)
-            if nrm2 == 0.0:
-                return theta_hat
-            y0 = y_shift if isinstance(y_shift, float) else y_shift[0]
-            s = float(phi @ theta_hat)
-            s_new = y0 + (s - y0) * np.exp(-gamma * nrm2 * h)
-            return theta_hat + phi * ((s_new - s) / nrm2)
-        M = CPhi.T @ CPhi
-        r = CPhi.T @ np.asarray(y_shift, dtype=float)
-    elif mode == "extended":
-        M = Omega @ Omega
-        r = Omega @ Y
-    else:
+    arrays; the raw mode reads one measurement, so CPhi is a 1 x n matrix
+    and y_shift a float or a one-entry array."""
+    if mode == "raw":  # one measurement: a rank-one exact step
+        (phi,) = CPhi
+        nrm2 = float(phi @ phi)
+        if nrm2 == 0.0:
+            return theta_hat
+        y0 = y_shift if isinstance(y_shift, float) else y_shift[0]
+        s = float(phi @ theta_hat)
+        s_new = y0 + (s - y0) * np.exp(-gamma * nrm2 * h)
+        return theta_hat + phi * ((s_new - s) / nrm2)
+    if mode != "extended":
         raise ValueError(f"unknown gradient mode {mode!r}")
+    M = Omega @ Omega
+    r = Omega @ Y
     # dtheta/dt = gamma (r - M theta) with M symmetric psd and r in range(M)
     vals, vecs = np.linalg.eigh(0.5 * (M + M.T))
     tcoef = vecs.T @ theta_hat

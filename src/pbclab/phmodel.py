@@ -13,6 +13,11 @@ than states.
 
 The gradient of the energy, Q x, collects the physical signals (inductor
 currents and capacitor voltages).
+
+Every broken invariant raises the one class `ModelError`, whose message
+names the invariant and its offending value.  A caller does not tell them
+apart: through the CLI none is reached, since `sim.validate_scenario`
+refuses every circuit value that would build a model that fails one.
 """
 
 from __future__ import annotations
@@ -25,11 +30,6 @@ __all__ = [
     "PHModel",
     "EquilibriumPair",
     "ModelError",
-    "NonSkewError",
-    "NonSymmetricRError",
-    "NonPsdRError",
-    "NonPositiveQError",
-    "RankDeficientCError",
     "validate_model",
     "energy",
     "coenergy",
@@ -48,56 +48,12 @@ class ModelError(ValueError):
     """A structural invariant of the converter model is violated."""
 
 
-class NonSkewError(ModelError):
-    def __init__(self, index: int):
-        self.index = index
-        super().__init__(f"interconnection matrix J{index} is not skew-symmetric")
-
-    def __reduce__(self):
-        return type(self), (self.index,)
-
-
-class NonSymmetricRError(ModelError):
-    def __init__(self):
-        super().__init__("dissipation matrix R is not symmetric")
-
-    def __reduce__(self):
-        return type(self), ()
-
-
-class NonPsdRError(ModelError):
-    def __init__(self, min_eig: float):
-        self.min_eig = min_eig
-        super().__init__(f"dissipation matrix R has a negative eigenvalue ({min_eig:.3e})")
-
-    def __reduce__(self):
-        return type(self), (self.min_eig,)
-
-
-class NonPositiveQError(ModelError):
-    def __init__(self):
-        super().__init__("energy matrix Q must be diagonal with positive entries")
-
-    def __reduce__(self):
-        return type(self), ()
-
-
-class RankDeficientCError(ModelError):
-    def __init__(self, rank: int, p: int):
-        self.rank = rank
-        self.p = p
-        super().__init__(f"measurement matrix C has rank {rank} < {p} rows")
-
-    def __reduce__(self):
-        return type(self), (self.rank, self.p)
-
-
 @dataclass
 class PHModel:
     """Constant matrices of the averaged converter model.
 
     J holds m+1 square matrices (J0 plus one per duty ratio), G likewise.
-    Q is stored as the full diagonal matrix; `qdiag` gives the diagonal.
+    Q is stored as the full diagonal matrix.
     """
 
     J: list  # m+1 skew n x n interconnection matrices [J0, J1, ..., Jm]
@@ -116,14 +72,6 @@ class PHModel:
     def m(self) -> int:
         return len(self.J) - 1
 
-    @property
-    def p(self) -> int:
-        return self.C.shape[0]
-
-    @property
-    def qdiag(self) -> np.ndarray:
-        return np.diag(self.Q)
-
 
 @dataclass
 class EquilibriumPair:
@@ -136,8 +84,8 @@ class EquilibriumPair:
 
 
 def validate_model(model: PHModel) -> PHModel:
-    """Check every structural invariant; raise the named error of the first
-    one that fails.  Returns the model with `strictly_dissipative` set to
+    """Check every structural invariant; raise a `ModelError` that names
+    the first one that fails.  Returns the model with `strictly_dissipative` set to
     whether R is positive definite (some converters, e.g. the Cuk, only
     achieve semidefiniteness because a storage element carries no series
     resistance)."""
@@ -151,18 +99,21 @@ def validate_model(model: PHModel) -> PHModel:
             raise ModelError(f"J{i} has shape {Ji.shape}, expected {(n, n)}")
         scale = max(1.0, float(np.abs(Ji).max()))
         if np.abs(Ji + Ji.T).max() > _SYM_TOL * scale:
-            raise NonSkewError(i)
+            raise ModelError(f"interconnection matrix J{i} is not skew-symmetric")
     for i, Gi in enumerate(model.G):
         if Gi.shape != (n, n):
             raise ModelError(f"G{i} has shape {Gi.shape}, expected {(n, n)}")
     scale = max(1.0, float(np.abs(model.R).max()))
     if np.abs(model.R - model.R.T).max() > _SYM_TOL * scale:
-        raise NonSymmetricRError()
-    eigs = np.linalg.eigvalsh(0.5 * (model.R + model.R.T))
-    if eigs.min() < _PSD_TOL * scale:
-        raise NonPsdRError(float(eigs.min()))
+        raise ModelError("dissipation matrix R is not symmetric")
+    # the eigenvalues of R / scale, against tolerances relative to that
+    # scale, so that no entry near the float range overflows the solver
+    Rs = model.R / scale
+    eigs = np.linalg.eigvalsh(0.5 * (Rs + Rs.T))
+    if eigs.min() < _PSD_TOL:
+        raise ModelError(f"dissipation matrix R has a negative eigenvalue ({eigs.min() * scale:.3e})")
     if np.abs(model.Q - np.diag(np.diag(model.Q))).max() != 0.0 or np.diag(model.Q).min() <= 0.0:
-        raise NonPositiveQError()
+        raise ModelError("energy matrix Q must be diagonal with positive entries")
     if model.E.shape != (n,):
         raise ModelError(f"E has shape {model.E.shape}, expected {(n,)}")
     p = model.C.shape[0]
@@ -170,8 +121,8 @@ def validate_model(model: PHModel) -> PHModel:
         raise ModelError(f"C must be p x n with 0 < p < n, got {model.C.shape}")
     rank = int(np.linalg.matrix_rank(model.C))
     if rank < p:
-        raise RankDeficientCError(rank, p)
-    model.strictly_dissipative = bool(eigs.min() > abs(_PSD_TOL) * scale)
+        raise ModelError(f"measurement matrix C has rank {rank} < {p} rows")
+    model.strictly_dissipative = bool(eigs.min() > abs(_PSD_TOL))
     return model
 
 

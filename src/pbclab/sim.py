@@ -120,9 +120,8 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
-from . import cuk as cukmod
-from .control import _storage, make_pi_pbc
-from .cuk import ROOT_POLICIES, CukParams, build_cuk, solve_equilibrium
+from .control import KI_MIN_DET, _storage, make_pi_pbc
+from .cuk import ROOT_POLICIES, CukError, CukParams, InfeasibleEquilibrium, build_cuk, check_params, solve_equilibrium
 from .observers import (
     _adj_det,
     drem_mix,
@@ -162,19 +161,6 @@ MAX_STORE_BYTES = 2**30  # the most bytes one run's samples may take (`_Store` a
 
 class NonFiniteState(RuntimeError):
     """An integration step produced a non-finite entry."""
-
-
-class InfeasibleEquilibrium(RuntimeError):
-    """An event (or the initial targeting) requested an unreachable
-    operating point."""
-
-    def __init__(self, epoch_time: float, cause: Exception):
-        self.epoch_time = epoch_time
-        super().__init__(f"no equilibrium at t={epoch_time:g} s: {cause}")
-
-    def __reduce__(self):
-        # the cause is kept only as its text, which follows the first " s: "
-        return type(self), (self.epoch_time, str(self).partition(" s: ")[2])
 
 
 class ScenarioError(ValueError):
@@ -977,15 +963,16 @@ def _estimators(specs) -> tuple:
     return bank, [_RUNTIME_BY_KIND[spec.kind](spec, bank) for spec in specs]
 
 
-def _strided(N: int, stride: int) -> range:
-    """The steps before the last, N, at which a run samples (it samples N too)."""
-    return range(0, N, stride)
+def _sample_count(N: int, stride: int) -> int:
+    """The instants at which a run of N steps samples: every stride-th step
+    before the last, N, and N."""
+    return len(range(0, N, stride)) + 1
 
 
 def _sample_bytes(scn: Scenario, N: int) -> int:
     """The bytes of a run's samples: K instants of a `_Store` row and of
     every exact step's rows."""
-    K = len(_strided(N, scn.stride)) + 1
+    K = _sample_count(N, scn.stride)
     bank, runtimes = _estimators(scn.observers)
     floats = sum(len(stack.rows) * stack.slots for stack in _exact_steps(runtimes))
     row = sum(math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in _Store.row(len(SIGNALS) + 1, bank.size))
@@ -998,8 +985,8 @@ def validate_scenario(scn: Scenario) -> int:
     This is the single place the rules live: the configuration layer runs
     it on each document it loads, and `run_scenario` on each run."""
     try:
-        cukmod.check_params(scn.params)
-    except cukmod.CukError as exc:
+        check_params(scn.params)
+    except CukError as exc:
         raise ScenarioError(f"model: {exc}") from exc
     for key in ("h", "horizon"):
         value = getattr(scn, key)
@@ -1035,6 +1022,8 @@ def validate_scenario(scn: Scenario) -> int:
             raise ScenarioError(f"pi-pbc needs kp >= 0, got {ctl.kp}")
         if not ctl.ki > 0.0:
             raise ScenarioError(f"pi-pbc needs ki > 0, got {ctl.ki}")
+        if ctl.ki < KI_MIN_DET:  # |det Ki| of the one duty ratio's gain
+            raise ScenarioError(f"pi-pbc needs ki >= {KI_MIN_DET:g} to place its integrator reference, got {ctl.ki}")
     if ctl.feedback == "observer" and not scn.observers:
         raise ScenarioError("observer feedback requested but no observers configured")
     n = len(SIGNALS)
@@ -1062,10 +1051,14 @@ def validate_scenario(scn: Scenario) -> int:
         # move, so it must lie on it to the tolerance of the horizon rule
         if abs(round(ev.time / scn.h) * scn.h - ev.time) > 1e-9 * scn.horizon:
             raise ScenarioError(f"event at t={ev.time!r} s is not a multiple of the step {scn.h!r} s")
-        if ev.kind == "reference" and not ev.value < 0.0:
-            raise ScenarioError("reference events must request a negative voltage")
         if ev.kind == "load" and not 0.0 < ev.value < math.inf:
             raise ScenarioError("load events must request a positive finite resistance")
+    # the converter inverts: the target and every reference event ask for a
+    # negative output voltage, whichever controller runs
+    refs = [(f"reference event at t={ev.time:g} s", ev.value) for ev in scn.events if ev.kind == "reference"]
+    for what, value in [("x4_star", ctl.x4_star), *refs]:
+        if not -math.inf < value < 0.0:
+            raise ScenarioError(f"the converter inverts: {what} must be negative and finite, got {value}")
     size = _sample_bytes(scn, N)
     if size > MAX_STORE_BYTES:
         raise ScenarioError(f"h={scn.h!r} s, horizon={scn.horizon!r} s and stride={scn.stride!r} "
@@ -1075,25 +1068,26 @@ def validate_scenario(scn: Scenario) -> int:
 
 def _epoch(ctl: ControllerSpec, params, model: PHModel, v_ref: float, t: float):
     """The PI-PBC state (None for the classical PI) and the stage law of
-    the epoch that starts at time t with reference v_ref."""
+    the epoch that starts at time t with reference v_ref; an unreachable
+    v_ref raises `InfeasibleEquilibrium` with t as its `epoch_time`."""
     pi = None
     if ctl.type != "classical-pi":
         try:
             pair, _ = solve_equilibrium(params, v_ref, root_policy=ctl.root_policy)
-        except cukmod.CukError as exc:
-            raise InfeasibleEquilibrium(t, exc) from exc
+        except InfeasibleEquilibrium as exc:
+            raise InfeasibleEquilibrium(f"no equilibrium at t={t:g} s: {exc}", exc.discriminant, t) from exc
         pi = make_pi_pbc(
             model, ctl.kp, ctl.ki, pair.x_star, pair.u_star, u_min=ctl.u_min, u_max=ctl.u_max
         )
     return pi, _stage_law(ctl, pi, model, v_ref)
 
 
-def _assemble(scn: Scenario, store: _Store, runtimes, steps, cols: dict, taken: int, params) -> Trajectory:
-    """The trajectory of the first `taken` samples: the plant side read from
-    the store and the exactly stepped states from cols, the sampled columns
-    of each exact step by step key, each estimator's logged arrays derived
-    from them with stacked numpy; params are the circuit values in force at
-    the last step taken."""
+def _assemble(scn: Scenario, store: _Store, runtimes, N: int, cols: dict, taken: int, params) -> Trajectory:
+    """The trajectory of the first `taken` samples of a run of N steps: the
+    plant side read from the store and the exactly stepped states from
+    cols, the sampled columns of each exact step by step key, each
+    estimator's logged arrays derived from them with stacked numpy; params
+    are the circuit values in force at the last step taken."""
     ctl = scn.controller
     n = len(SIGNALS)
     prows, rows, ep = store.ps[:taken], store.ys[:taken], store.epochs[:taken]
@@ -1132,7 +1126,7 @@ def _assemble(scn: Scenario, store: _Store, runtimes, steps, cols: dict, taken: 
         "params": vars(replace(params)),
     }
     return Trajectory(
-        t=np.array(steps[:taken]) * scn.h,
+        t=np.minimum(np.arange(taken) * scn.stride, N) * scn.h,
         signals=signals,
         u=store.us[:taken],
         ytilde=store.yts[:taken],
@@ -1162,10 +1156,9 @@ def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
     bank, runtimes = _estimators(scn.observers)  # the estimator rows y and their readers
     for rt, name in zip(runtimes, _unique_names(scn.observers)):
         rt.name = name
-    steps = [*_strided(N, scn.stride), N]  # the sample instants
-    K = len(steps)
+    K = _sample_count(N, scn.stride)
     if shared is not None and shared.store is not None:
-        return _assemble(scn, shared.store, runtimes, steps, shared.cols, K, shared.params)
+        return _assemble(scn, shared.store, runtimes, N, shared.cols, K, shared.params)
     # the run's estimators; a union adds riders alone, so its rows y are laid out as scn's
     bank, stepped = (bank, runtimes) if shared is None else _estimators(shared.union.observers)
     fb_rt = stepped[0] if _closes_loop(ctl) else None
@@ -1185,7 +1178,8 @@ def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
 
     params = replace(scn.params)
     model = build_cuk(params)
-    cache = _PlantCache(model)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite drift rows fail the first step
+        cache = _PlantCache(model)
     # scenario initial state is physical (i1, v2, i3, v4); stored
     # variables are fluxes and charges, x = Q^-1 (physical)
     x0 = np.linalg.solve(model.Q, np.asarray(scn.x0, dtype=float))
@@ -1218,7 +1212,7 @@ def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
         return dp
 
     ps, ys, us, yts, sats, refs, epochs = store.arrays()
-    taken = 0
+    taken = due = 0  # the samples taken and the step of the next one
     try:
         # an overflow or invalid value shows as a non-finite state, which
         # the step checks raise; numpy's warnings are silenced once here
@@ -1236,7 +1230,7 @@ def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
                             ref_now = ev.value
                         pi, law = _epoch(ctl, params, model, ref_now, t)
                         store.pis.append(pi)
-                if k == steps[taken]:
+                if k == due:
                     if fb_rt is not None:  # the estimate reads the stage row
                         np.copyto(bank.z, bank.y)
                     u_raw, yts[taken] = control(p)
@@ -1247,6 +1241,7 @@ def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
                     for stack in stacks:
                         stack.samples[taken] = stack.state
                     taken += 1
+                    due = min(due + scn.stride, N)
                 if k == N:
                     break
                 if stacks:  # the exact steps read y and y_m at the start of the step
@@ -1258,13 +1253,13 @@ def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
                     stack.step(y0, y_m0, t, h)
     except NonFiniteState as exc:
         # expose whatever was sampled before the blow-up
-        exc.partial = _assemble(scn, store, runtimes, steps, _columns(stacks), taken, params)
+        exc.partial = _assemble(scn, store, runtimes, N, _columns(stacks), taken, params)
         raise
 
     cols = _columns(stacks)
     if shared is not None:
         shared.keep(store, params, cols)
-    return _assemble(scn, store, runtimes, steps, cols, K, params)
+    return _assemble(scn, store, runtimes, N, cols, K, params)
 
 
 # -- metrics ------------------------------------------------------------------
@@ -1313,9 +1308,9 @@ def compute_metrics(traj: Trajectory, band_frac: float = 0.01, checkpoints=()) -
         for tc in checkpoints:
             idx = int(np.argmin(np.abs(t - tc)))
             out[f"err_at_{tc:g}_{name}"] = float(err[idx])
-        omega = rec.get("omega")
-        if omega is not None and np.isfinite(omega).all():
-            mu = traj.meta.get("mu", {}).get(name, ObserverSpec.mu)
+        # a crossing time needs the run's mu, which a reloaded table lacks
+        omega, mu = rec.get("omega"), traj.meta.get("mu", {}).get(name)
+        if omega is not None and mu is not None and np.isfinite(omega).all():
             crossed = np.flatnonzero(omega <= 1.0 - mu)
             out[f"tc_{name}"] = float(t[crossed[0]]) if crossed.size else math.nan
     return out

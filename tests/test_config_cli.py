@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 import pbclab
-from pbclab import cli, control, cuk, phmodel, sim, svgplot
+from pbclab import cli, cuk, phmodel, sim, svgplot
 from pbclab.config import (
     ConfigError,
     apply_overrides,
@@ -89,6 +89,14 @@ def test_type_and_value_errors_rejected():
         "controller: {feedback: observer}",  # no observer to feed back
         "observers: [{kind: gradient, gamma: -1.0}]",
         "scenario: {h: .nan}",
+        "scenario: {stride: 2.5}",  # an int
+        "controller: {type: 3}",  # a str
+        "controller: {kp: [1",  # not YAML
+        "output: {dir: 3}",
+        "output: {csv: 1}",
+        "output: {checkpoints: 0.01}",
+        "variants: [{label: '', set: {}}]",
+        "description: 3",
     ]:
         with pytest.raises(ConfigError):
             loads_config(doc)
@@ -122,7 +130,12 @@ def test_overrides_reach_nested_and_list_paths():
 def test_overrides_reject_unknown_and_bad_paths():
     cfg = default_config()
     for bad in ["controller.nope=3", "observers.5.gamma=1", "model=oops",
-                "controller.kp", "=3"]:
+                "controller.kp", "=3",
+                "controller.kp=[1",  # a value that is not YAML
+                "output.dir.sub=x",  # through a null node
+                "observers.first.gamma=1", "observers.first=1",  # a list index that is not one
+                "observers.7={kind: kbf}",  # more than one past the end
+                "controller.kp.gain=1"]:  # into a scalar
         with pytest.raises(ConfigError):
             apply_overrides(copy.deepcopy(cfg), [bad])
 
@@ -202,6 +215,7 @@ def test_config_and_preset_both_is_an_error(tmp_path):
     path.write_text("controller: {ki: 5}\n")
     assert cli.main(["equilibrium", "--config", str(path), "--preset", "fig-step"]) == 2
     assert cli.main(["equilibrium", "--config", str(tmp_path / "missing.yaml")]) == 2
+    assert cli.main(["equilibrium", "--preset", "fig-nothing"]) == 2
 
 
 def test_simulate_writes_artifacts(tmp_path, capsys):
@@ -626,6 +640,65 @@ def test_a_value_a_run_cannot_use_is_a_config_error(capsys, override, key):
                 compute_metrics(traj, band_frac=bad)
 
 
+_COMMANDS = {
+    "simulate": ["simulate", "--set", "output.svg=false"],
+    "equilibrium": ["equilibrium"],
+    "compare": ["compare"],
+    "sweep": ["sweep", "--param", "observers.1.gamma", "--values", "1e16,1e17"],
+}
+
+
+@pytest.mark.parametrize("command, override, code, prefix, named", [
+    # a ki too small to invert: the rule of control.integrator_reference
+    *((cmd, "controller.ki=1e-301", 2, "config error: ", "ki >= 1e-300") for cmd in ("simulate", "compare", "sweep")),
+    # a value the model divides by, whose reciprocal overflows
+    *((cmd, "model.C2=5e-324", 2, "config error: ", "C2 must have a finite reciprocal")
+      for cmd in ("simulate", "equilibrium", "compare", "sweep")),
+    # a state at the duty root that overflows the model equations
+    *((cmd, "model.C1=1e308", 3, "infeasible operating point: ", "equilibrium residual nan")
+      for cmd in ("simulate", "compare", "sweep")),
+    ("equilibrium", "model.C1=1e308", 3, "verdict: infeasible (", "equilibrium residual nan"),
+    # a dissipation entry near the float range: R is checked at its own scale
+    *((cmd, "model.r2=1e308", 3, "infeasible operating point: ", "all fall outside (0, 1)")
+      for cmd in ("simulate", "compare", "sweep")),
+])
+def test_an_input_that_once_ended_in_a_traceback_exits_with_its_code(tmp_path, capsys, command, override, code,
+                                                                    prefix, named):
+    argv = [*_COMMANDS[command], "--preset", "fig-observer-compare", "--set", "scenario.horizon=2e-5",
+            "--set", override]
+    assert cli.main([*argv, "--out", str(tmp_path)] if command == "simulate" else argv) == code
+    out, err = capsys.readouterr()
+    if command == "equilibrium" and code == 3:  # the verdict is the last line of the report
+        assert err == "" and out.splitlines()[-1].startswith(prefix) and named in out.splitlines()[-1]
+    else:
+        assert err.startswith(prefix) and named in err and err.count("\n") == 1, err
+
+
+def _no_scan_root(monkeypatch):
+    monkeypatch.setattr(cuk, "steady_state_oracle", lambda *args, **kwargs: [])
+
+
+@pytest.mark.parametrize("argv, setup, code, prefix", [
+    (["simulate", "--set", "controller.kp=-1"], None, 2, "config error: "),
+    (["simulate", "--set", "controller.x4_star=-20"], None, 3, "infeasible operating point: no equilibrium at t=0 s: "),
+    (["simulate", "--set", "observers=[{name: kbf, kind: kbf, s: 1.0e+18, h0: 1.0e+18}]"], None, 4,
+     "numerical failure: non-finite state after step ending at t="),
+    (["simulate"], _no_scan_root, 4, "numerical failure: closed-form root "),
+    (["equilibrium"], _no_scan_root, 4, "numerical failure: closed-form root "),
+], ids=["config", "infeasible", "non-finite", "oracle-simulate", "oracle-equilibrium"])
+def test_main_maps_each_failure_class_to_its_exit_code(monkeypatch, tmp_path, capsys, argv, setup, code, prefix):
+    # one clause of main per exit code; a closed-form root that the scan
+    # does not confirm is a numerical failure for every command
+    if setup is not None:
+        setup(monkeypatch)
+    rc = cli.main([*argv, *FAST, "--set", "output.csv=false", "--out", str(tmp_path)] if argv[0] == "simulate" else argv)
+    err = capsys.readouterr().err
+    assert rc == code
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+    if code == 4 and setup is not None:
+        assert err.endswith("not confirmed by scan roots []\n")
+
+
 @pytest.mark.parametrize("override", ["scenario.h=1e-300", "scenario.horizon=1e300", "scenario.h=5e-324"])
 def test_a_step_count_over_the_cap_is_refused_before_anything_runs(monkeypatch, tmp_path, capsys, override):
     # horizon / h is checked against the step cap before it is rounded, so
@@ -675,19 +748,12 @@ def test_a_sample_store_over_the_cap_is_refused_before_anything_is_allocated(mon
 # every exception class pbclab defines, with constructor arguments
 _EXCEPTION_SAMPLES = {
     ConfigError: ("unknown key 'x'",),
-    control.SingularKIError: ("Ki is singular",),
     cuk.CukError: ("bad parameters",),
-    cuk.InfeasibleEquilibrium: (-1000.0, -1.47502e8),
-    cuk.NoRootInUnitInterval: ([1.25, -0.5],),
+    cuk.InfeasibleEquilibrium: ("no equilibrium at t=0.001 s: no equilibrium at x4_star=-1000 V "
+                                "(discriminant -1.47502e+08 < 0)", -1.47502e8, 1e-3),
     cuk.OracleMismatch: ("roots disagree",),
     phmodel.ModelError: ("bad model",),
-    phmodel.NonSkewError: (2,),
-    phmodel.NonSymmetricRError: (),
-    phmodel.NonPsdRError: (-0.125,),
-    phmodel.NonPositiveQError: (),
-    phmodel.RankDeficientCError: (1, 2),
     sim.NonFiniteState: ("non-finite state at t=1e-05 s",),
-    sim.InfeasibleEquilibrium: (1e-3, cuk.InfeasibleEquilibrium(-1000.0, -1.47502e8)),
     sim.ScenarioError: ("stride must be an integer >= 1",),
 }
 

@@ -20,7 +20,6 @@ from pbclab.cuk import (
     CukError,
     CukParams,
     InfeasibleEquilibrium,
-    NoRootInUnitInterval,
     TABLE_DEFAULTS,
     build_cuk,
     physical_equilibrium,
@@ -131,6 +130,10 @@ def test_equilibrium_requests():
     with pytest.raises(InfeasibleEquilibrium) as err:
         solve_equilibrium(CukParams(), -20.0)
     assert err.value.discriminant == pytest.approx(-1424.0, abs=1e-9)
+    # a duty root exists, but the state at it makes the model residual nan
+    for key in ("C1", "C2"):
+        with pytest.raises(InfeasibleEquilibrium, match="equilibrium residual nan exceeds"):
+            solve_equilibrium(CukParams(**{key: 1e308}), -15.0)
 
 
 def test_lossless_case_is_exact():
@@ -170,7 +173,8 @@ def test_random_feasible_draws_respect_oracle():
             continue
         try:
             pair, inside = solve_equilibrium(p, x4)
-        except NoRootInUnitInterval:
+        except InfeasibleEquilibrium as exc:  # a real root, but none in (0, 1)
+            assert str(exc).endswith("all fall outside (0, 1)")
             continue
         feasible += 1
         u = pair.u_star[0]
@@ -193,3 +197,7 @@ def test_rejects_unphysical_parameters():
     ):
         with pytest.raises(CukError):
             build_cuk(bad)
+    # a value the model divides by needs a finite reciprocal
+    for key in ("r", "L1", "L2", "C1", "C2"):
+        with pytest.raises(CukError, match=f"^{key} must have a finite reciprocal, got 5e-324$"):
+            build_cuk(CukParams(**{key: 5e-324}))

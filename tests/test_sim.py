@@ -143,6 +143,31 @@ def test_scenario_validation_errors():
         run_scenario(
             Scenario(controller=ControllerSpec(root_policy="biggest"), horizon=1e-5)
         )
+    with pytest.raises(ScenarioError, match="u_min < u_max"):
+        run_scenario(Scenario(controller=ControllerSpec(u_min=0.5, u_max=0.5), horizon=1e-5))
+    # the least ki is the one that control.integrator_reference can invert
+    for ki in (1e-301, 5e-324):
+        with pytest.raises(ScenarioError, match="ki >= 1e-300"):
+            run_scenario(Scenario(controller=ControllerSpec(ki=ki), horizon=1e-5))
+    # a Kalman-Bucy weight is a scalar or a symmetric positive definite 4x4
+    asymmetric = np.eye(4)
+    asymmetric[0, 1] = 0.5
+    for weight, message in ((np.eye(3), "scalar or 4x4"), (asymmetric, "symmetric"),
+                            (-1.0, "positive definite"), (np.diag([1.0, 1.0, 0.0, 1.0]), "positive definite")):
+        for key in ("s", "h0"):
+            with pytest.raises(ScenarioError, match=f"'kbf': {key} must be (a )?{message}"):
+                run_scenario(Scenario(observers=[ObserverSpec(kind="kbf", **{key: weight})], horizon=1e-5))
+    # the converter inverts: the target and every reference event are
+    # negative, whichever controller runs
+    for ctl, events, what in (
+        (ControllerSpec(x4_star=5.0), [], "x4_star"),
+        (ControllerSpec(type="classical-pi", x4_star=5.0), [], "x4_star"),
+        (ControllerSpec(x4_star=-0.0), [], "x4_star"),
+        (ControllerSpec(), [EventSpec(time=5e-6, kind="reference", value=5.0)], "reference event at t=5e-06 s"),
+        (ControllerSpec(), [EventSpec(time=5e-6, kind="reference", value=-math.inf)], "reference event at t=5e-06 s"),
+    ):
+        with pytest.raises(ScenarioError, match=f"^the converter inverts: {what} must be negative and finite"):
+            run_scenario(Scenario(controller=ctl, events=events, horizon=1e-5))
     with pytest.raises(ScenarioError):
         run_scenario(
             Scenario(events=[EventSpec(time=1.0, kind="load", value=30.0)], horizon=1e-5)
@@ -246,6 +271,17 @@ def test_metrics_report_the_crossing(short_run):
     # re-evaluated from the trajectory alone
     assert short_run.meta["gamma"] == {"fct": 1e12}
     assert short_run.meta["lam"] == {"fct": 5.0}
+
+
+def test_a_reloaded_run_reports_no_crossing_time_without_its_mu(tmp_path):
+    # a table keeps omega but not mu, so the crossing time of omega <= 1 - mu
+    # is reported only for a trajectory that records its estimator's mu
+    scn = Scenario(observers=[ObserverSpec(name="f", kind="fct-gpebo", gamma=1e12, mu=0.3)], horizon=4e-3)
+    traj = run_scenario(scn)
+    assert traj.observers["f"]["omega"].min() > 0.7 and math.isnan(compute_metrics(traj)["tc_f"])
+    traj.to_csv(tmp_path / "run.csv")
+    back = compute_metrics(Trajectory.from_csv(tmp_path / "run.csv"))
+    assert "tc_f" not in back and "err_final_f" in back
 
 
 # -- shared estimator states ------------------------------------------------------
@@ -1117,21 +1153,24 @@ def test_engine_step_equals_rk4_on_the_clamped_stage(monkeypatch):
     assert 0 < sum(clamped) < len(clamped) and 0 < traj.saturated.sum() < len(traj.t)
 
 
-def test_engine_step_equals_rk4_with_every_estimator_kind(monkeypatch):
+@pytest.mark.parametrize("first", ["fct", "emulator", "kbf", "grad-raw"])
+def test_engine_step_equals_rk4_with_every_estimator_kind(monkeypatch, first):
     # the estimator rows ride in the same four stages: on an observer-
     # feedback run with all five kinds and a load event, every step equals
-    # rk4_step on the joined vector
+    # rk4_step on the joined vector, whichever kind closes the loop
     steps = _checked_steps(monkeypatch)
+    observers = [
+        ObserverSpec(name="fct", kind="fct-gpebo", gamma=1e12),
+        ObserverSpec(name="gpebo", kind="gpebo", gamma=1e17),
+        ObserverSpec(name="emulator", kind="emulator"),
+        ObserverSpec(name="kbf", kind="kbf"),
+        ObserverSpec(name="grad-raw", kind="gradient", gamma=1e8, mode="raw"),
+        ObserverSpec(name="grad-ext", kind="gradient", gamma=1e8, mode="extended", lam=3.0),
+    ]
+    observers.sort(key=lambda spec: spec.name != first)  # the first closes the loop
     scn = Scenario(
         controller=ControllerSpec(feedback="observer"),
-        observers=[
-            ObserverSpec(name="fct", kind="fct-gpebo", gamma=1e12),
-            ObserverSpec(name="gpebo", kind="gpebo", gamma=1e17),
-            ObserverSpec(name="emulator", kind="emulator"),
-            ObserverSpec(name="kbf", kind="kbf"),
-            ObserverSpec(name="grad-raw", kind="gradient", gamma=1e8, mode="raw"),
-            ObserverSpec(name="grad-ext", kind="gradient", gamma=1e8, mode="extended", lam=3.0),
-        ],
+        observers=observers,
         events=[EventSpec(time=1e-4, kind="load", value=30.0)],
         horizon=2e-4,
         stride=50,
@@ -1253,7 +1292,10 @@ def test_csv_round_trip_and_byte_determinism(tmp_path):
      "column 15 must be spare_ihat1, not 'spare'"),
     (lambda rows: rows[:1], "no rows"),
     (lambda rows: [[*row, *row[8:]] for row in rows], "column 15 repeats 'fct_ihat1'"),
-], ids=["last-column-dropped", "renamed-column", "trailing-column", "header-only", "repeated-block"])
+    (lambda rows: [["time", *rows[0][1:]], *rows[1:]], "must start with the columns"),
+    (lambda rows: [rows[0][:-1], *rows[1:]], "has 14 columns in its header but 15 in its rows"),
+], ids=["last-column-dropped", "renamed-column", "trailing-column", "header-only", "repeated-block",
+        "renamed-base-column", "header-shorter-than-rows"])
 def test_a_table_of_other_than_the_base_and_whole_blocks_is_refused(tmp_path, edit, message):
     # columns are read by their names: the base columns, then whole blocks
     # <name>_ihat1 ... <name>_Delta, and at least one row
