@@ -218,22 +218,24 @@ def solve_equilibrium(
     if roots is None:
         raise InfeasibleEquilibrium(f"no equilibrium at x4_star={x4_star:g} V (discriminant {disc:g} < 0)", disc)
     # polish with Newton on the quadratic so the state residual reaches
-    # rounding level rather than just oracle_tol
+    # rounding level rather than just oracle_tol; a root that is not
+    # finite turns NaN here, and falls outside (0, 1) without a warning
     polished = []
-    for u in roots:
-        for _ in range(2):
-            d = 2.0 * a2 * u + a1
-            if d != 0.0:
-                u = u - (a2 * u * u + a1 * u + a0) / d
-        polished.append(u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for u in roots:
+            for _ in range(2):
+                d = 2.0 * a2 * u + a1
+                if d != 0.0:
+                    u = u - (a2 * u * u + a1 * u + a0) / d
+            polished.append(u)
     inside = sorted(u for u in polished if 0.0 < u < 1.0)
     if not inside:
-        raise InfeasibleEquilibrium(f"quadratic roots {polished} all fall outside (0, 1)", disc)
+        raise InfeasibleEquilibrium(f"quadratic roots {[float(u) for u in polished]} all fall outside (0, 1)", disc)
     scanned = steady_state_oracle(params, x4_star)
     for u in inside:
         if not scanned or min(abs(u - s) for s in scanned) > oracle_tol:
             raise OracleMismatch(
-                f"closed-form root {u!r} not confirmed by scan roots {scanned!r}"
+                f"closed-form root {float(u)!r} not confirmed by scan roots {scanned!r}"
             )
     u_star = inside[0] if root_policy == "smallest" else inside[-1]
     # an overflow in the state or the model equations shows as a nan residual

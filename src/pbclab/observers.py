@@ -49,11 +49,14 @@ __all__ = [
     "determinant",
     "drem_mix",
     "scalar_update",
+    "scalar_steps",
     "fct_combine",
     "gpebo_estimate",
     "kbf_derivatives",
     "gradient_derivatives",
+    "regressor_norms",
     "gradient_update",
+    "raw_steps",
 ]
 
 
@@ -149,9 +152,38 @@ def determinant(a: np.ndarray) -> float:
 def drem_mix(Omega: np.ndarray, Y: np.ndarray):
     """Decouple the vector regression Y = Omega theta into n scalar ones:
     returns (scriptY, Delta) with scriptY = adj(Omega) Y and Delta =
-    det(Omega), so scriptY = Delta theta.  Omega and Y are float arrays."""
-    adj, det = _adj_det(Omega)
-    return adj @ Y, float(det)
+    det(Omega), so scriptY = Delta theta.  Omega and Y are float arrays.
+
+    Omega may also be a stack (T, 4, 4) with Y (T, 4), such as the frozen
+    inputs of T steps; then row t of (scriptY, Delta) is the call on
+    (Omega[t], Y[t]), bit for bit.  The adjugates are stacked along the
+    last axis and multiplied from a contiguous copy: on the strided view
+    the stacked product sums in another order."""
+    if Omega.ndim == 2:
+        adj, det = _adj_det(Omega)
+        return adj @ Y, float(det)
+    adj, det = _adj_det(np.moveaxis(Omega, 0, -1))
+    adj = np.ascontiguousarray(np.moveaxis(adj, -1, 0))
+    return (adj @ Y[:, :, None])[:, :, 0], det
+
+
+def _scalar_weights(gamma, Delta, h: float):
+    """The weights of the scalar estimator's exact step: the exponent
+    z = gamma Delta^2 h, the decay kappa = exp(-z) of omega and the pull
+    1 - kappa = -expm1(-z) of theta_hat, without cancellation.  Every
+    operation acts element by element, so gamma and Delta may be arrays
+    that broadcast, such as a column of gains against the mixes of many
+    steps, and each entry is the call on its own floats, bit for bit."""
+    z = gamma * Delta * Delta * h
+    return z, np.exp(-z), -np.expm1(-z)
+
+
+def _scalar_theta_step(theta_hat, pull, target, out=None):
+    """theta_hat + pull (target - theta_hat): the exact step of theta_hat
+    toward target = scriptY / Delta with the pull of `_scalar_weights`,
+    written into `out` when given (which may not be theta_hat)."""
+    d = np.subtract(target, theta_hat, out=out)
+    return np.add(theta_hat, np.multiply(pull, d, out=d), out=d)
 
 
 def scalar_update(omega: float, theta_hat: np.ndarray, scriptY: np.ndarray, Delta: float, gamma: float, h: float):
@@ -163,7 +195,8 @@ def scalar_update(omega: float, theta_hat: np.ndarray, scriptY: np.ndarray, Delt
         dtheta_hat/dt =  gamma Delta (scriptY - Delta theta_hat)
 
     so it remains contractive for any gamma (the recursions are stiff for
-    gains of practical interest, up to 1e17).  A step with
+    gains of practical interest, up to 1e17): omega kappa and
+    `_scalar_theta_step` with the weights of `_scalar_weights`.  A step with
     gamma Delta^2 h = 0 (Delta = 0, or an underflow) leaves the state as it
     is.
 
@@ -171,16 +204,40 @@ def scalar_update(omega: float, theta_hat: np.ndarray, scriptY: np.ndarray, Delt
     with omega (E, 1) and theta_hat (E, n) their states.  Every operation
     acts element by element, so row e is the call for gamma[e] alone, bit
     for bit."""
-    z = gamma * Delta * Delta * h
+    z, kappa, pull = _scalar_weights(gamma, Delta, h)
     moving = np.count_nonzero(z)  # the rows with z != 0, NaN included
     if not moving:
         return omega, theta_hat
-    kappa = np.exp(-z)
-    pull = -np.expm1(-z)  # 1 - kappa without cancellation
-    theta_new = theta_hat + pull * (scriptY / Delta - theta_hat)
+    theta_new = _scalar_theta_step(theta_hat, pull, scriptY / Delta)
     if isinstance(z, np.ndarray) and moving < z.size:  # the rows whose z underflowed to 0 hold
         return np.where(z == 0.0, omega, omega * kappa), np.where(z == 0.0, theta_hat, theta_new)
     return omega * kappa, theta_new
+
+
+def scalar_steps(omega, theta_hat, scriptY, Delta, gamma, h: float):
+    """`scalar_update` over T steps, on the mixes (scriptY (T, n), Delta
+    (T,)) of each step: omega (T + 1, E, 1) and theta_hat (T + 1, E, n)
+    hold the states of the gains gamma (a column (E, 1)) before the first
+    step in row 0, and row t + 1 is written with the state after step t,
+    bit for bit the call on step t's mix.  What does not depend on the
+    state is taken for all steps at once: the weights, omega as their
+    running product (kappa = exp(-0) = 1, so a row with z = 0 holds) and
+    the targets scriptY / Delta, which a step with Delta = 0 does not read.
+    theta_hat alone is stepped in turn, holding the rows with z = 0."""
+    z, kappa, pull = _scalar_weights(gamma, Delta[:, None, None], h)
+    omega[1:] = kappa
+    np.multiply.accumulate(omega, axis=0, out=omega)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        target = scriptY / Delta[:, None]
+    held = z == 0.0  # NaN moves, as in scalar_update
+    moves, holds = (~held).any(axis=(1, 2)).tolist(), held.any(axis=(1, 2)).tolist()
+    for th0, th1, p, g, hd, moving, holding in zip(theta_hat[:-1], theta_hat[1:], pull, target, held, moves, holds):
+        if not moving:
+            th1[...] = th0
+            continue
+        _scalar_theta_step(th0, p, g, out=th1)
+        if holding:
+            np.copyto(th1, th0, where=hd)
 
 
 def fct_combine(theta_hat: np.ndarray, theta_hat0: np.ndarray, omega: float, mu: float) -> np.ndarray:
@@ -230,6 +287,30 @@ def gradient_derivatives(theta_hat, gamma: float, mode: str, CPhi=None, y_shift=
     raise ValueError(f"unknown gradient mode {mode!r}")
 
 
+def regressor_norms(phi: np.ndarray) -> np.ndarray:
+    """phi_t . phi_t for each row of a (T, n) stack, each the `phi @ phi`
+    of `gradient_update` bit for bit: a stacked (1, n) @ (n, 1) product of
+    a contiguous copy, which runs the per-row dot kernel (a sum of
+    products written out, or by `einsum`, adds in another order)."""
+    phi = np.ascontiguousarray(phi)
+    return (phi[:, None, :] @ phi[:, :, None])[:, 0, 0]
+
+
+def _raw_weights(gamma, nrm2, h: float):
+    """The decay exp(-gamma |phi|^2 h) of a raw gradient's exact step along
+    phi; element by element, like `_scalar_weights`."""
+    return np.exp(-gamma * nrm2 * h)
+
+
+def _raw_step(theta_hat, phi, y0: float, nrm2: float, weight):
+    """The raw gradient's exact rank-one step: the component s = phi theta
+    relaxes to the measurement y0 with the decay `weight` of `_raw_weights`,
+    and theta moves along phi alone (nrm2 = phi . phi != 0)."""
+    s = float(phi @ theta_hat)
+    s_new = y0 + (s - y0) * weight
+    return theta_hat + phi * ((s_new - s) / nrm2)
+
+
 def gradient_update(theta_hat, gamma: float, mode: str, h: float, CPhi=None, y_shift=None, Omega=None, Y=None):
     """Advance the gradient flow exactly over a step of length h with the
     regression data frozen.  For the gains of interest (1e8) the flow is
@@ -244,9 +325,7 @@ def gradient_update(theta_hat, gamma: float, mode: str, h: float, CPhi=None, y_s
         if nrm2 == 0.0:
             return theta_hat
         y0 = y_shift if isinstance(y_shift, float) else y_shift[0]
-        s = float(phi @ theta_hat)
-        s_new = y0 + (s - y0) * np.exp(-gamma * nrm2 * h)
-        return theta_hat + phi * ((s_new - s) / nrm2)
+        return _raw_step(theta_hat, phi, y0, nrm2, _raw_weights(gamma, nrm2, h))
     if mode != "extended":
         raise ValueError(f"unknown gradient mode {mode!r}")
     M = Omega @ Omega
@@ -260,3 +339,21 @@ def gradient_update(theta_hat, gamma: float, mode: str, h: float, CPhi=None, y_s
             target = rcoef[i] / s
             tcoef[i] = target + (tcoef[i] - target) * np.exp(-gamma * s * h)
     return vecs @ tcoef
+
+
+def raw_steps(theta_hat, phi, y0, gamma, h: float):
+    """`gradient_update` in raw mode over T steps, on the frozen data
+    (phi (T, n), y0 (T,)) of each step: theta_hat (T + 1, E, n) holds the
+    states of the gains gamma (a sequence of E) before the first step in
+    row 0, and row t + 1 is written with the state after step t, bit for
+    bit the call on step t's data.  |phi|^2 (`regressor_norms`) and the
+    decays are taken for all steps at once; phi theta is summed per gain
+    and step, as the one call sums it."""
+    nrm2 = regressor_norms(phi)
+    weights = _raw_weights(np.asarray(gamma, dtype=float), nrm2[:, None], h).tolist()
+    for th0, th1, p, y, n2, w in zip(theta_hat[:-1], theta_hat[1:], phi, y0.tolist(), nrm2.tolist(), weights):
+        if n2 == 0.0:
+            th1[...] = th0
+            continue
+        for a, b, we in zip(th0, th1, w):
+            b[...] = _raw_step(a, p, y, n2, we)

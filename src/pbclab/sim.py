@@ -23,7 +23,7 @@ stages when an estimator exists, which reads u and the measurement as
 floats; the bank (`_Bank`) alone lays out, starts and differentiates y.
 It allocates y's buffers once per run: two step rows, used in turn, so
 that a step writes its new rows into the one that does not hold its
-start, which the exact steps read after it; one stage row; four
+start, which the loop's exact step reads after it; one stage row; four
 stage-derivative rows; and scratch for A_obs and the intermediate
 products.  The bank, each filter, each Kalman-Bucy block and the fed-back
 estimate bind their views of these buffers once, and every per-stage
@@ -63,18 +63,26 @@ orders of magnitude stiffer than the grid step allows for an explicit
 scheme, and the exact step is unconditionally contractive.  Their states
 are the rows of one stack per kind and filter or regression
 (`_ExactSteps`), one row per gain: estimators whose exact steps read the
-same settings (`_step_key`) share a row.  A stack forms its frozen inputs
-itself, from the estimator rows y at the start of the step, steps its
-rows after the Runge-Kutta step and checks them for finiteness like the
-Runge-Kutta vector.
+same settings (`_step_key`) share a row.  Only the stack holding the row
+of the estimator that closes the loop steps in the loop, after the
+Runge-Kutta step, on inputs read from the estimator rows y at the step's
+start, and is checked for finiteness like the Runge-Kutta vector.  Every
+other stack rides: the loop copies its frozen inputs at each step's start
+onto a tape of at most `_CHUNK` steps (a filter's (Y, Omega), or a raw
+gradient's Phi[3] and y_m - xi[3]), stepped with what does not depend on
+the state batched over time (`_ExactSteps.flush`) when it is full, before
+an event, at the end and when a step fails.  So the first failure in step
+order wins as if every stack stepped in the loop (the plant first within
+a step), with its message, the samples up to it and the circuit values
+in force then.
 
-At each sample instant the loop stores the plant rows, y and every
-stack's rows as they stand, with the duty ratio, passive output, clamp
-flag, reference and epoch of that instant.  The plant signals, the
-storage W and every estimator's logged arrays are derived from that
-store after the loop with stacked numpy; the estimators' internals are
-views of it, so estimators that read the same copy, filter or row share
-them.
+At each sample instant the loop stores the plant rows, y and the loop's
+stack rows as they stand, with the duty ratio, passive output, clamp
+flag, reference and epoch of that instant; a riding stack's flush
+samples its own rows.  The plant signals, the storage W and every
+estimator's logged arrays are derived from that store after the loop
+with stacked numpy; the estimators' internals are views of it, so
+estimators that read the same copy, filter or row share them.
 
 A sweep over the gains of estimators that only ride shares one
 closed-loop pass (`SharedPass`): the name, gamma and mu of an exactly
@@ -127,6 +135,8 @@ from .observers import (
     drem_mix,
     fct_combine,
     gradient_update,
+    raw_steps,
+    scalar_steps,
     scalar_update,
 )
 from .phmodel import PHModel
@@ -157,6 +167,7 @@ _BASE_COLUMNS = ["t", *SIGNALS, "u", "ytilde", "W"]  # then one block per observ
 _BLOCK = [*ESTIMATES, "err_norm", "omega", "Delta"]  # its columns, each after "<name>_"
 MAX_STEPS = 10**8  # the most grid steps one run may take (horizon / h)
 MAX_STORE_BYTES = 2**30  # the most bytes one run's samples may take (`_Store` and the exact steps)
+_CHUNK = 256  # the most steps a riding stack's tape holds (`_ExactSteps.flush`)
 
 
 class NonFiniteState(RuntimeError):
@@ -467,10 +478,10 @@ class _RegressionFilter:
     def __init__(self, lam: float, bank: "_Bank"):
         self.lam = lam
         self.Y, self.Omega = bank.add(bank.n), bank.add(bank.n, bank.n)
+        self.rows = slice(self.Y.sl.start, self.Omega.sl.stop)  # (Y, Omega) as one run of entries
 
     def bind(self, bank: "_Bank"):
-        rows = slice(self.Y.sl.start, self.Omega.sl.stop)  # (Y, Omega) as one run of entries
-        self.z, self.d = bank.z[rows], [d[rows] for d in bank.d]
+        self.z, self.d = bank.z[self.rows], [d[self.rows] for d in bank.d]
 
     def derivative(self, i: int, drives):
         """Write dY = lam (drive_y - Y) and dOmega = lam (drive_om - Omega)
@@ -736,31 +747,46 @@ class _ExactSteps:
     """The exactly stepped states of one kind on one filter or regression,
     one row per step key (`_step_key`), shared by the run's estimators of
     that key: (omega, theta_hat) for the GPEBO kinds, theta for a gradient
-    estimator.  Each step reads inputs frozen at its start, formed here
-    from the estimator rows y: the DREM mix of the filter, for one
-    `scalar_update` call over the column of gains; or a gradient's
-    regression data, for one `gradient_update` call per row, since a
-    stacked rank-one step would sum its phi @ theta in another order.  The
-    rows are sampled at the run's instants, and a non-finite row raises
-    `NonFiniteState`."""
+    estimator.  Each step reads inputs frozen at its start from the
+    estimator rows y: the filter's (Y, Omega), which the GPEBO kinds mix by
+    DREM, or a raw gradient's C Phi = Phi[3] and y_m - C xi = y_m - xi[3].
+    The loop's stack takes one `scalar_update` call per step over the
+    column of gains, or one `gradient_update` call per row, since a stacked
+    rank-one step would sum its phi @ theta in another order (`step`); a
+    riding stack keeps its inputs on a tape (`record`), stepped bit for bit
+    alike by `scalar_steps`, `raw_steps` or `gradient_update` (`flush`)."""
 
     def __init__(self, rt):
         self.rt = rt  # the run's first estimator on these inputs
         self.rows = {}  # step key -> row
-        self.gpebo, n = isinstance(rt, _GpeboRuntime), rt.bank.n
+        bank = rt.bank
+        self.gpebo, n = isinstance(rt, _GpeboRuntime), bank.n
         self.slots = 1 + n if self.gpebo else n
+        self.raw = not (self.gpebo or rt.extended)
+        if self.raw:  # the entries of Phi[3], then the index of xi[3]
+            self.read, self.width = (slice(bank.Phi.sl.stop - n, bank.Phi.sl.stop), bank.xi.sl.start + 3), n + 1
+        else:  # the filter's (Y, Omega)
+            self.read, self.width = rt.filt.rows, n + n * n
 
     def add(self, key) -> int:
         return self.rows.setdefault(key, len(self.rows))
 
-    def start(self, K: int):
-        """Set every row to its initial state and reserve K samples."""
+    def start(self, K: int, rides: bool):
+        """Set every row to its initial state and reserve K samples, and
+        the tape if the stack `rides`."""
         self.gammas = [key[-1] for key in self.rows]
         self.state = np.zeros((len(self.gammas), self.slots))
         if self.gpebo:
             self.column = np.array(self.gammas, dtype=float)[:, None]
             self.state[:, 0] = 1.0  # omega
         self.samples = np.empty((K, *self.state.shape))
+        if rides:
+            self.tape = np.empty((_CHUNK, self.width))
+            # the states over a tape (before each step and after the last)
+            # by columns of a row, each contiguous: omega apart from theta
+            E, n = self.state.shape[0], self.rt.bank.n
+            self.parts = [(np.empty((_CHUNK + 1, E, 1)), slice(0, 1))] if self.gpebo else []
+            self.parts.append((np.empty((_CHUNK + 1, E, n)), slice(self.slots - n, None)))
 
     def step(self, y, y_m: float, t: float, h: float):
         """Step every row from t to t + h on the rows y and the measurement
@@ -778,6 +804,45 @@ class _ExactSteps:
                 st[e] = gradient_update(st[e], gamma, rt.spec.mode, h, **frozen)
         if not np.isfinite(st).all():
             raise NonFiniteState(f"non-finite estimator state after the step to t={t + h:g} s")
+
+    def record(self, i: int, y, y_m: float):
+        """Keep as tape row i the frozen inputs of the step that starts at
+        the rows y and the measurement y_m."""
+        if self.raw:
+            phi, xi3 = self.read
+            self.tape[i, :-1] = y[phi]
+            self.tape[i, -1] = y_m - y[xi3]
+        else:
+            self.tape[i] = y[self.read]
+
+    def flush(self, k0: int, T: int, stride: int, h: float):
+        """Step every row over the T taped steps from step k0 on, and
+        sample the rows at the run's instants from k0 to k0 + T.  Returns
+        the first of these steps after which a row is not finite, or
+        None."""
+        n, tape = self.rt.bank.n, self.tape[:T]
+        parts = [(buf[: T + 1], cols) for buf, cols in self.parts]
+        for buf, cols in parts:
+            buf[0] = self.state[:, cols]
+        theta = parts[-1][0]
+        if self.gpebo:
+            scriptY, Delta = drem_mix(tape[:, n:].reshape(T, n, n), tape[:, :n])
+            scalar_steps(parts[0][0], theta, scriptY, Delta, self.column, h)
+        elif self.raw:
+            raw_steps(theta, tape[:, :n], tape[:, n], self.gammas, h)
+        else:
+            for row, th0, th1 in zip(tape, theta[:-1], theta[1:]):
+                frozen = {"Omega": row[n:].reshape(n, n), "Y": row[:n]}
+                for e, gamma in enumerate(self.gammas):
+                    th1[e] = gradient_update(th0[e], gamma, "extended", h, **frozen)
+        first = -k0 % stride  # the first sample instant on the tape
+        s0, bad = (k0 + first) // stride, np.zeros(T, dtype=bool)
+        for buf, cols in parts:
+            at = buf[first : T + 1 : stride]
+            self.samples[s0 : s0 + len(at), :, cols] = at
+            self.state[:, cols] = buf[T]
+            bad |= ~np.isfinite(buf[1:].reshape(T, -1)).all(axis=1)
+        return k0 + int(bad.argmax()) if bad.any() else None
 
 
 def _exact_steps(runtimes) -> list:
@@ -971,12 +1036,16 @@ def _sample_count(N: int, stride: int) -> int:
 
 def _sample_bytes(scn: Scenario, N: int) -> int:
     """The bytes of a run's samples: K instants of a `_Store` row and of
-    every exact step's rows."""
+    every exact step's rows, and the tape of every riding stack."""
     K = _sample_count(N, scn.stride)
     bank, runtimes = _estimators(scn.observers)
-    floats = sum(len(stack.rows) * stack.slots for stack in _exact_steps(runtimes))
+    fb_rt = runtimes[0] if _closes_loop(scn.controller) else None
+    floats = 0
+    for stack in _exact_steps(runtimes):
+        tape = _CHUNK * stack.width + (_CHUNK + 1) * len(stack.rows) * stack.slots if stack.rt is not fb_rt else 0
+        floats += K * len(stack.rows) * stack.slots + tape  # a rider's tape and its states over it
     row = sum(math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in _Store.row(len(SIGNALS) + 1, bank.size))
-    return K * (row + floats * np.dtype(float).itemsize)
+    return K * row + floats * np.dtype(float).itemsize
 
 
 def validate_scenario(scn: Scenario) -> int:
@@ -1167,8 +1236,10 @@ def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
     bank.start()
     rows = bank if bank.size else None  # the estimator rows the step advances
     stacks = _exact_steps(stepped)
+    looped = [stack for stack in stacks if stack.rt is fb_rt]  # the feeding estimator's, stepped in the loop
+    riding = [stack for stack in stacks if stack.rt is not fb_rt]  # stepped from their tapes
     for stack in stacks:
-        stack.start(K)
+        stack.start(K, stack in riding)
 
     # event table: each event at its grid instant (validate_scenario
     # rejects times off the grid)
@@ -1213,6 +1284,21 @@ def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
 
     ps, ys, us, yts, sats, refs, epochs = store.arrays()
     taken = due = 0  # the samples taken and the step of the next one
+    k0 = taped = 0  # the first step on the riding stacks' tapes and the steps taped
+
+    def flush():
+        """Step the riding stacks over their tapes; the first step after
+        which a row is not finite raises, with the samples up to it."""
+        nonlocal taken, k0, taped
+        if not taped:
+            return
+        failed = [j for stack in riding if (j := stack.flush(k0, taped, scn.stride, h)) is not None]
+        k0, taped = k0 + taped, 0
+        if failed:
+            t = min(failed) * h
+            taken = min(failed) // scn.stride + 1
+            raise NonFiniteState(f"non-finite estimator state after the step to t={t + h:g} s")
+
     try:
         # an overflow or invalid value shows as a non-finite state, which
         # the step checks raise; numpy's warnings are silenced once here
@@ -1220,6 +1306,7 @@ def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
             for k in range(N + 1):
                 t = k * h
                 if k in events_at:
+                    flush()  # the riders reach the event before it changes the circuit values
                     for ev in events_at[k]:
                         epoch += 1
                         if ev.kind == "load":
@@ -1238,7 +1325,7 @@ def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
                     sats[taken] = u != u_raw  # the clamp flag, formed only here
                     ps[taken], ys[taken] = p, bank.y
                     refs[taken], epochs[taken] = ref_now, epoch
-                    for stack in stacks:
+                    for stack in looped:
                         stack.samples[taken] = stack.state
                     taken += 1
                     due = min(due + scn.stride, N)
@@ -1246,11 +1333,26 @@ def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
                     break
                 if stacks:  # the exact steps read y and y_m at the start of the step
                     y0, y_m0 = bank.y, cache.c_y * p[3]
+                    if riding:
+                        if taped == _CHUNK:
+                            flush()
+                        for stack in riding:
+                            stack.record(taped, y0, y_m0)
+                        taped += 1
                     if feed is not None:  # a GPEBO kind, so only with a stack
                         feed.refresh_feed()
-                p = _rk4_split_step(stage, t, p, rows, h)
-                for stack in stacks:
-                    stack.step(y0, y_m0, t, h)
+                try:
+                    p = _rk4_split_step(stage, t, p, rows, h)
+                    for stack in looped:
+                        stack.step(y0, y_m0, t, h)
+                except NonFiniteState:
+                    if riding:  # the riders' step k comes after the failing one
+                        taped -= 1
+                        flush()
+                    raise
+            flush()
+            for stack in riding:
+                stack.samples[-1] = stack.state
     except NonFiniteState as exc:
         # expose whatever was sampled before the blow-up
         exc.partial = _assemble(scn, store, runtimes, N, _columns(stacks), taken, params)

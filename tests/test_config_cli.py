@@ -464,25 +464,25 @@ def test_a_sweep_whose_later_row_diverges_fails_as_that_row_alone(monkeypatch, t
     """The third value's rider turns non-finite from step k of a run on:
     the sweep exits 4 with the stderr of that value's one-value sweep, and
     neither writes a table."""
+    import pbclab.observers as obs
     import pbclab.sim as simmod
 
     k_nan, gamma_nan = 150, 1e13
-    calls, update, run = [], simmod.scalar_update, cli.run_scenario  # calls: the steps of the row
+    calls, run = [], cli.run_scenario  # calls: the steps of the row
 
     def nan_scalar(omega, theta_hat, scriptY, Delta, gamma, h):
-        new_omega, new_theta = update(omega, theta_hat, scriptY, Delta, gamma, h)
-        hit = np.asarray(gamma) == gamma_nan  # a stacked call steps each row once
+        # the riders' tape runs, in step order: omega after step k_nan on is NaN
+        obs.scalar_steps(omega, theta_hat, scriptY, Delta, gamma, h)
+        hit = np.ravel(gamma) == gamma_nan  # a stack steps each row once
         if hit.any():
-            calls.append(1)
-            if len(calls) > k_nan:
-                return np.where(hit, math.nan, new_omega), new_theta
-        return new_omega, new_theta
+            omega[1 + min(max(k_nan - len(calls), 0), len(Delta)):, hit] = math.nan
+            calls.extend([1] * len(Delta))
 
     def counting_run(*args, **kwargs):
         calls.clear()
         return run(*args, **kwargs)
 
-    monkeypatch.setattr(simmod, "scalar_update", nan_scalar)
+    monkeypatch.setattr(simmod, "scalar_steps", nan_scalar)
     monkeypatch.setattr(cli, "run_scenario", counting_run)
     base = ["sweep", "--preset", "fig-observer-gains", *FAST, "--param", "observers.0.gamma"]
     errs = []
@@ -659,8 +659,14 @@ _COMMANDS = {
       for cmd in ("simulate", "compare", "sweep")),
     ("equilibrium", "model.C1=1e308", 3, "verdict: infeasible (", "equilibrium residual nan"),
     # a dissipation entry near the float range: R is checked at its own scale
-    *((cmd, "model.r2=1e308", 3, "infeasible operating point: ", "all fall outside (0, 1)")
+    *((cmd, "model.r2=1e308", 3, "infeasible operating point: ", "quadratic roots [nan, nan] all fall outside (0, 1)")
       for cmd in ("simulate", "compare", "sweep")),
+    # a duty root below the oracle's scan grid, closed form confirmed by no scan root
+    *((cmd, "controller.x4_star=-1e-30", 4, "numerical failure: ", "closed-form root 9.041666666666668e-32 not")
+      for cmd in ("simulate", "equilibrium")),
+    # a source whose discriminant overflows: one root is infinite, and its Newton polish NaN
+    *((cmd, "model.E=1e200", 4, "numerical failure: ", "closed-form root 1.6275000000000003e-199 not")
+      for cmd in ("simulate", "equilibrium", "compare", "sweep")),
 ])
 def test_an_input_that_once_ended_in_a_traceback_exits_with_its_code(tmp_path, capsys, command, override, code,
                                                                     prefix, named):
@@ -672,6 +678,7 @@ def test_an_input_that_once_ended_in_a_traceback_exits_with_its_code(tmp_path, c
         assert err == "" and out.splitlines()[-1].startswith(prefix) and named in out.splitlines()[-1]
     else:
         assert err.startswith(prefix) and named in err and err.count("\n") == 1, err
+    assert "np.float64" not in out + err
 
 
 def _no_scan_root(monkeypatch):

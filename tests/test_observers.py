@@ -31,6 +31,9 @@ from pbclab.observers import (
     gradient_derivatives,
     gradient_update,
     kbf_derivatives,
+    raw_steps,
+    regressor_norms,
+    scalar_steps,
     scalar_update,
 )
 
@@ -175,6 +178,83 @@ def test_stacked_scalar_update_equals_per_estimator_calls_bit_for_bit():
                     else "kappa = 0" if np.exp(-z) == 0.0 else "0 < kappa < 1")
             seen[kind] += 1
     assert min(seen.values()) > 1000, seen
+
+
+def _tape(rng, T, width):
+    """T tape rows of `width` floats over 16 decades (a scale per row),
+    with -0.0 entries, read through strided views as a run reads its tape:
+    a wider array of which the rows are a slice."""
+    wide = np.empty((T, width + 3))
+    wide[:, 1 : width + 1] = rng.standard_normal((T, width)) * 10.0 ** rng.uniform(-8.0, 8.0, size=(T, 1))
+    wide[:, 1 : width + 1][rng.random((T, width)) < 0.02] = -0.0
+    return wide[:, 1 : width + 1]
+
+
+def test_the_batched_mix_and_regressor_norms_equal_their_per_step_forms_bit_for_bit():
+    # a tape of T steps mixed at once must give each step's drem_mix, and
+    # the stacked |phi|^2 each step's phi @ phi, over 2 000 draws across 16
+    # decades, with singular rows (Delta = 0) and -0.0 entries; on the
+    # strided view of the stacked adjugates (np.moveaxis without a
+    # contiguous copy) the product sums in another order and fails here
+    rng = np.random.default_rng(2017)
+    T = 2000
+    tape = _tape(rng, T, 20)
+    tape[::9, 4:8] = 0.0  # the first row of Omega: Delta = 0
+    tape[1::9, 4:8] = -0.0
+    scriptY, Delta = drem_mix(tape[:, 4:].reshape(T, 4, 4), tape[:, :4])
+    for t in range(T):
+        want_Y, want_D = drem_mix(tape[t, 4:].reshape(4, 4).copy(), tape[t, :4].copy())
+        assert scriptY[t].tobytes() == want_Y.tobytes(), t
+        assert np.float64(want_D).tobytes() == Delta[t].tobytes(), t
+    assert (Delta == 0.0).sum() >= 2 * T // 9
+    phi = _tape(rng, T, 5)[:, :4]
+    phi[::11] = 0.0
+    nrm2 = regressor_norms(phi)
+    for t in range(T):
+        assert np.float64(float(phi[t] @ phi[t])).tobytes() == nrm2[t].tobytes(), t
+
+
+def test_taped_steps_equal_per_step_calls_bit_for_bit():
+    # scalar_steps and raw_steps take T steps of E gains on a tape at once;
+    # row t + 1 must be the state of T calls of scalar_update (on drem_mix
+    # of the step) or E x T calls of gradient_update, bit for bit.  The
+    # tape holds steps with Delta = 0 (which must not divide by it, under
+    # the suite's warnings-as-errors), rows whose gamma Delta^2 h underflows
+    # with Delta != 0 and -0.0 entries; a raw gradient holds on phi = 0
+    rng = np.random.default_rng(2024)
+    T, E, n, h = 600, 5, 4, 5e-7
+    tape = _tape(rng, T, 20)
+    tape[::7, 4:8] = 0.0  # Delta = 0
+    tape[3::7, 4:] *= 1e-40  # Delta ~ 1e-150: z underflows to 0
+    tape[1:3] = rng.standard_normal((2, 20)) * 1e-4  # Delta ~ 1e-16: the first gain holds, the others move
+    gamma = np.array([[1e-300], [1.0], [1e10], [1e12], [1e17]])
+    states = np.empty((T + 1, E, 1 + n))
+    states[0, :, 0] = rng.uniform(0.0, 1.0, E)
+    states[0, :, 1:] = rng.standard_normal((E, n))
+    states[0, 0, 1:] = -0.0  # held as it is: -0.0 + 0 (target + 0.0) would be 0.0
+    scriptY, Delta = drem_mix(tape[:, 4:].reshape(T, 4, 4), tape[:, :4])
+    scalar_steps(states[:, :, :1], states[:, :, 1:], scriptY, Delta, gamma, h)
+    omega, theta_hat = states[0, :, :1].copy(), states[0, :, 1:].copy()
+    seen = {"Delta = 0": 0, "z = 0, Delta != 0": 0, "z > 0": 0}
+    for t in range(T):
+        sY, D = drem_mix(tape[t, 4:].reshape(4, 4).copy(), tape[t, :4].copy())
+        omega, theta_hat = scalar_update(omega, theta_hat, sY, D, gamma, h)
+        assert states[t + 1, :, :1].tobytes() == np.ascontiguousarray(omega).tobytes(), t
+        assert states[t + 1, :, 1:].tobytes() == np.ascontiguousarray(theta_hat).tobytes(), t
+        z = gamma * D * D * h
+        seen["Delta = 0" if D == 0.0 else "z > 0" if z.all() else "z = 0, Delta != 0"] += 1
+    assert min(seen.values()) >= T // 8, seen
+    data = _tape(rng, T, 5)
+    data[::5, :4] = 0.0  # phi = 0
+    gains = [1e-300, 1.0, 1e6, 1e8, 1e12]
+    thetas = np.empty((T + 1, E, n))
+    thetas[0] = rng.standard_normal((E, n))
+    raw_steps(thetas, data[:, :4], data[:, 4], gains, h)
+    theta = thetas[0].copy()
+    for t in range(T):
+        for e, g in enumerate(gains):
+            theta[e] = gradient_update(theta[e], g, "raw", h, CPhi=data[t, None, :4].copy(), y_shift=float(data[t, 4]))
+        assert thetas[t + 1].tobytes() == theta.tobytes(), t
 
 
 def test_drem_contraction_invariant():

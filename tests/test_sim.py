@@ -23,7 +23,7 @@ import pytest
 from scipy.linalg import expm
 
 from pbclab.cuk import CukParams
-from pbclab.observers import drem_mix, fct_combine, gpebo_estimate
+from pbclab.observers import drem_mix, fct_combine, gpebo_estimate, gradient_update, scalar_update
 from pbclab.sim import (
     ControllerSpec,
     EventSpec,
@@ -298,6 +298,80 @@ def _six_estimators():
     ]
 
 
+def _exact_step_calls(monkeypatch) -> list:
+    """Record every exact step of the engine, in order, as (function,
+    gains, steps): a call of the loop's stack (`scalar_update` over a
+    column of gains, `gradient_update` for one) steps its gains once, and a
+    riding stack's tape run (`scalar_steps`, `raw_steps`, or one
+    `gradient_update` call per extended row and step) over its steps."""
+    import pbclab.observers as obs
+    import pbclab.sim as simmod
+
+    calls = []
+    for name, gains, steps in [("scalar_update", 4, None), ("gradient_update", 1, None),
+                               ("scalar_steps", 4, 3), ("raw_steps", 3, 2)]:
+        def recording(*args, _fn=getattr(obs, name), _name=name, _gains=gains, _steps=steps, **kwargs):
+            count = 1 if _steps is None else len(args[_steps])
+            calls.append((_name, tuple(np.ravel(args[_gains]).tolist()), count))
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(simmod, name, recording)
+    return calls
+
+
+def _steps(calls) -> dict:
+    """The steps of each (function, gains) among recorded calls."""
+    out = {}
+    for name, gains, count in calls:
+        out[name, gains] = out.get((name, gains), 0) + count
+    return out
+
+
+def _nan_from_step(monkeypatch, k: int, gamma: float):
+    """Turn the exact-step row of the gain gamma non-finite from its step k
+    on (counted from 0), whether the loop's stack steps it
+    (`scalar_update`, `gradient_update`) or a riding stack's tape does
+    (`scalar_steps`, `raw_steps`, `gradient_update`); the steps of the
+    row are counted in the order they are taken."""
+    import pbclab.observers as obs
+    import pbclab.sim as simmod
+
+    seen = [0]
+
+    def past_k(steps: int) -> int:
+        """The first of a call's next `steps` steps of the row that is k or later."""
+        start, seen[0] = seen[0], seen[0] + steps
+        return min(max(k - start, 0), steps)
+
+    def nan_scalar(omega, theta_hat, scriptY, Delta, g, h):
+        new_omega, new_theta = obs.scalar_update(omega, theta_hat, scriptY, Delta, g, h)
+        hit = np.asarray(g) == gamma  # a stacked call steps each row once
+        if hit.any() and past_k(1) == 0:
+            return np.where(hit, math.nan, new_omega), new_theta
+        return new_omega, new_theta
+
+    def nan_gradient(theta_hat, g, *args, **kwargs):
+        new_theta = obs.gradient_update(theta_hat, g, *args, **kwargs)
+        return np.full_like(new_theta, math.nan) if g == gamma and past_k(1) == 0 else new_theta
+
+    def nan_scalar_steps(omega, theta_hat, scriptY, Delta, g, h):
+        obs.scalar_steps(omega, theta_hat, scriptY, Delta, g, h)
+        hit = np.ravel(g) == gamma
+        if hit.any():
+            omega[1 + past_k(len(Delta)):, hit] = math.nan
+
+    def nan_raw_steps(theta_hat, phi, y0, g, h):
+        obs.raw_steps(theta_hat, phi, y0, g, h)
+        hit = np.asarray(g) == gamma
+        if hit.any():
+            theta_hat[1 + past_k(len(y0)):, hit] = math.nan
+
+    monkeypatch.setattr(simmod, "scalar_update", nan_scalar)
+    monkeypatch.setattr(simmod, "gradient_update", nan_gradient)
+    monkeypatch.setattr(simmod, "scalar_steps", nan_scalar_steps)
+    monkeypatch.setattr(simmod, "raw_steps", nan_raw_steps)
+
+
 def test_shared_states_leave_every_estimator_as_it_runs_alone(monkeypatch):
     # the open-loop copy and the regression filters are integrated once and
     # read by every estimator, and a Kalman-Bucy filter (of a full symmetric
@@ -351,16 +425,16 @@ def test_logged_signals_equal_their_per_sample_evaluation():
 
 def test_sample_store_shares_views_and_mixes_once_per_step(monkeypatch):
     # riders of one copy log views of the same sampled rows, and the DREM
-    # mix runs once per step per mixed filter (poles 5 and 3), never per
-    # sample or per estimator
+    # mix takes each step once per mixed filter (poles 5 and 3), never per
+    # sample or per estimator: a riding stack mixes its tape's steps at once
     import pbclab.sim as simmod
 
     calls = []
     original = simmod.drem_mix
 
-    def counting(*args):
-        calls.append(1)
-        return original(*args)
+    def counting(Omega, Y):
+        calls.extend([1] * (len(Omega) if Omega.ndim == 3 else 1))
+        return original(Omega, Y)
 
     monkeypatch.setattr(simmod, "drem_mix", counting)
     scn = Scenario(observers=_six_estimators(), horizon=1e-4)
@@ -371,16 +445,18 @@ def test_sample_store_shares_views_and_mixes_once_per_step(monkeypatch):
 
 def test_non_finite_stepped_state_raises_with_partial(monkeypatch):
     # the exactly stepped estimator states live outside the Runge-Kutta
-    # vector; a NaN there must stop the run like a NaN in the vector does
-    import pbclab.sim as simmod
-
-    def nan_update(omega, theta_hat, *args):
-        return math.nan, theta_hat
-
-    monkeypatch.setattr(simmod, "scalar_update", nan_update)
-    with pytest.raises(NonFiniteState) as err:
-        run_scenario(Scenario(observers=[ObserverSpec(name="fct")], horizon=1e-4))
-    assert len(err.value.partial.t) >= 1
+    # vector; a NaN there must stop the run like a NaN in the vector does,
+    # at its step, whether the loop steps the state (FCT feedback) or a
+    # tape does (an FCT rider)
+    for feedback in ("observer", "state"):
+        scn = Scenario(controller=ControllerSpec(feedback=feedback), observers=[ObserverSpec(name="fct")],
+                       horizon=1e-4, stride=30)
+        _nan_from_step(monkeypatch, 40, 1e12)
+        with pytest.raises(NonFiniteState, match=f"after the step to t={41 * 5e-7:g} s") as err:
+            run_scenario(scn)
+        monkeypatch.undo()
+        assert len(err.value.partial.t) == 40 // 30 + 1
+        assert np.isfinite(err.value.partial.observers["fct"]["omega"]).all()
 
 
 def test_one_filter_integration_per_pole(monkeypatch):
@@ -410,26 +486,18 @@ def test_one_filter_integration_per_pole(monkeypatch):
 
 def test_estimators_with_one_step_key_share_a_row(monkeypatch):
     # three FCT estimators on pole 5, the third a copy of the first but for
-    # mu: their two gains are the two rows of one stack, stepped by one
-    # scalar_update call per step, and each estimator logs what it logs in
-    # a run of its own
-    import pbclab.sim as simmod
-
+    # mu: their two gains are the two rows of one stack, stepped together
+    # over every step (a riding stack's tape), and each estimator logs what
+    # it logs in a run of its own
     specs = [
         ObserverSpec(name="a", kind="fct-gpebo", gamma=1e10),
         ObserverSpec(name="b", kind="fct-gpebo", gamma=1e12),
         ObserverSpec(name="a-mu", kind="fct-gpebo", gamma=1e10, mu=0.01),
     ]
     scn = Scenario(observers=specs, horizon=2e-4, stride=30)
-    shapes, scalar = [], simmod.scalar_update
-
-    def counting(*args):
-        shapes.append(np.shape(args[4]))
-        return scalar(*args)
-
-    monkeypatch.setattr(simmod, "scalar_update", counting)
+    calls = _exact_step_calls(monkeypatch)
     together = run_scenario(scn)
-    assert shapes == [(2, 1)] * round(scn.horizon / scn.h)
+    assert _steps(calls) == {("scalar_steps", (1e10, 1e12)): round(scn.horizon / scn.h)}
     monkeypatch.undo()
     a, a_mu = together.observers["a"], together.observers["a-mu"]
     assert np.shares_memory(a["theta_hat"], a_mu["theta_hat"])
@@ -590,7 +658,8 @@ def test_estimator_rows_equal_the_reference_derivatives(monkeypatch):
     # every Runge-Kutta stage of an observer-feedback run with a load event
     # they must equal observers.gpebo_matrix_derivatives and kbf_derivatives
     # at the same (A_obs, b_obs, C_obs, y_m), and the raw gradient's frozen
-    # data must equal C_obs Phi and y_m - C_obs xi, all bit for bit
+    # data on its tape must equal C_obs Phi and y_m - C_obs xi at the start
+    # of each step, all bit for bit
     import pbclab.sim as simmod
     from pbclab.cuk import build_cuk
     from pbclab.observers import gpebo_matrix_derivatives, kbf_derivatives
@@ -613,16 +682,16 @@ def test_estimator_rows_equal_the_reference_derivatives(monkeypatch):
     k_event = round(1e-4 / scn.h)
     kept, stages, frozen, starts, law_u = {}, [], [], [], {}
     step, stage_law = simmod._rk4_split_step, simmod._stage_law
-    bank_init, gradient = simmod._Bank.__init__, simmod.gradient_update
+    bank_init, raw_steps = simmod._Bank.__init__, simmod.raw_steps
 
     def keeping_bank(self, *args):
         bank_init(self, *args)
         kept["bank"] = self
 
-    def keeping_gradient(theta_hat, gamma, mode, h, **data):
-        if mode == "raw":  # CPhi is a view of the engine's step row: keep a copy
-            frozen.append({key: np.copy(value) for key, value in data.items()})
-        return gradient(theta_hat, gamma, mode, h, **data)
+    def keeping_raw(theta_hat, phi, y0, gamma, h):
+        # the rows of the raw gradient's tape, copied: a later step overwrites them
+        frozen.extend({"CPhi": phi[t : t + 1].copy(), "y_shift": float(y0[t])} for t in range(len(y0)))
+        return raw_steps(theta_hat, phi, y0, gamma, h)
 
     def keeping_law(*args):
         law = stage_law(*args)
@@ -648,7 +717,7 @@ def test_estimator_rows_equal_the_reference_derivatives(monkeypatch):
         return step(recording, t, p, rows, h)
 
     monkeypatch.setattr(simmod._Bank, "__init__", keeping_bank)
-    monkeypatch.setattr(simmod, "gradient_update", keeping_gradient)
+    monkeypatch.setattr(simmod, "raw_steps", keeping_raw)
     monkeypatch.setattr(simmod, "_stage_law", keeping_law)
     monkeypatch.setattr(simmod, "_rk4_split_step", keeping_step)
     run_scenario(scn)
@@ -685,6 +754,136 @@ def test_estimator_rows_equal_the_reference_derivatives(monkeypatch):
         y_m = model.C @ x
         assert np.array_equal(data["CPhi"], C @ bank.Phi(y))
         assert np.array_equal(np.atleast_1d(data["y_shift"]), y_m - C @ bank.xi(y))
+
+
+def test_the_riders_tapes_read_the_rows_at_the_start_of_each_step(monkeypatch):
+    # every rider of the state loop steps from its tape after the loop; at
+    # stride 1, over two tapes' worth of steps and a load event, each
+    # sampled row must equal per-step calls of drem_mix and scalar_update,
+    # and of gradient_update, on the rows and measurement at the start of
+    # that step, taken from the engine step itself, bit for bit
+    import pbclab.sim as simmod
+    from pbclab.cuk import build_cuk
+
+    scn = Scenario(
+        observers=[
+            ObserverSpec(name="fct", kind="fct-gpebo", gamma=1e12),
+            ObserverSpec(name="gpebo", kind="gpebo", gamma=1e17, lam=3.0),
+            ObserverSpec(name="grad-raw", kind="gradient", gamma=1e8, mode="raw"),
+            ObserverSpec(name="grad-ext", kind="gradient", gamma=1e8, mode="extended", lam=3.0),
+        ],
+        events=[EventSpec(time=6.005e-4, kind="load", value=30.0)],
+        horizon=1e-3,
+        stride=1,
+    )
+    N = round(scn.horizon / scn.h)
+    assert N > simmod._CHUNK
+    kept, starts = {}, []
+    step, bank_start = simmod._rk4_split_step, simmod._Bank.start
+
+    def keeping_bank(bank):
+        bank_start(bank)
+        kept["bank"] = bank
+
+    def keeping_step(stage, t, p, rows, h):
+        starts.append((p[3], rows.y.copy()))
+        return step(stage, t, p, rows, h)
+
+    monkeypatch.setattr(simmod._Bank, "start", keeping_bank)
+    monkeypatch.setattr(simmod, "_rk4_split_step", keeping_step)
+    traj = run_scenario(scn)
+    monkeypatch.undo()
+    bank, c_y = kept["bank"], build_cuk(CukParams()).C[0, 3]  # the sensor is the same in both epochs
+    assert len(starts) == N and len(traj.t) == N + 1
+    omega, theta = {"fct": 1.0, "gpebo": 1.0}, {name: np.zeros(4) for name in ("fct", "gpebo", "grad-raw", "grad-ext")}
+    for k in range(N + 1):
+        for name, rec in traj.observers.items():
+            if name in omega:
+                assert rec["omega"][k] == omega[name], (name, k)
+            assert rec["theta_hat"][k].tobytes() == theta[name].tobytes(), (name, k)
+        if k == N:
+            break
+        x4, y = starts[k]
+        for name, lam, gamma in (("fct", 5.0, 1e12), ("gpebo", 3.0, 1e17)):
+            filt = bank.filters[lam]
+            scriptY, Delta = drem_mix(filt.Omega(y), filt.Y(y))
+            omega[name], theta[name] = scalar_update(omega[name], theta[name], scriptY, Delta, gamma, scn.h)
+        CPhi, y_shift = bank.Phi(y)[3:4], c_y * x4 - bank.xi(y)[3]
+        theta["grad-raw"] = gradient_update(theta["grad-raw"], 1e8, "raw", scn.h, CPhi=CPhi, y_shift=float(y_shift))
+        filt = bank.filters[3.0]
+        theta["grad-ext"] = gradient_update(theta["grad-ext"], 1e8, "extended", scn.h, Omega=filt.Omega(y), Y=filt.Y(y))
+
+
+def test_a_riders_tape_is_bounded():
+    # a rider's tape holds at most one chunk of steps: from 2 000 to 20 000
+    # steps of the state loop with one FCT rider, the run's peak of traced
+    # memory grows by its sample store's growth alone, within a chunk's
+    # tape, so no array with one entry per step is allocated (a tape of
+    # every step would add 2.9 MB)
+    import tracemalloc
+
+    import pbclab.sim as simmod
+
+    peaks, sizes = [], []
+    for N in (2_000, 20_000):
+        scn = Scenario(observers=[ObserverSpec(name="fct")], horizon=N * 5e-7, stride=100)
+        run_scenario(replace(scn, horizon=5e-5))  # imports and first-call caches outside the trace
+        tracemalloc.start()
+        try:
+            run_scenario(scn)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        sizes.append(simmod._sample_bytes(scn, N))
+    chunk = simmod._CHUNK * 20 * 8  # one tape of a filter's (Y, Omega)
+    assert peaks[1] - peaks[0] < sizes[1] - sizes[0] + chunk, (peaks, sizes)
+
+
+def test_the_first_failure_in_step_order_wins(monkeypatch):
+    # the plant fails at one step and a rider's tape at another, a load
+    # event between them: the earlier step wins as it would if every row
+    # stepped in the loop (the plant first within a step), with its
+    # message, the samples up to it and the circuit values in force then
+    import pbclab.sim as simmod
+
+    h, stride, k_event = 5e-7, 30, 2000
+    scn = _gradient_riders_on_the_state_loop()
+    scn = replace(scn, events=[EventSpec(time=k_event * h, kind="load", value=30.0)], horizon=2400 * h, stride=stride)
+    own = _trajectory_arrays(run_scenario(scn))
+    step = simmod._rk4_split_step
+
+    def failing_plant(k_plant):
+        calls = []
+
+        def failing(stage, t, p, rows, h):
+            calls.append(1)
+            if len(calls) > k_plant:
+                raise NonFiniteState(f"non-finite state after step ending at t={t + h:g} s")
+            return step(stage, t, p, rows, h)
+
+        return failing
+
+    cases = [  # (rider's gain, its first non-finite step, the plant's), the expected failure
+        (1e11, 1500, 2100, "estimator", 1500, 20.0),  # a rider before the event, the plant after it
+        (1e8, 2150, 2100, "plant", 2100, 30.0),  # the plant first, the rider later
+        (1e12, 2100, 2100, "plant", 2100, 30.0),  # one step: the plant steps first
+        (1e8, 1023, 2100, "estimator", 1023, 20.0),  # the last step of a full tape
+    ]
+    for gamma, k_rider, k_plant, which, k, r in cases:
+        _nan_from_step(monkeypatch, k_rider, gamma)
+        monkeypatch.setattr(simmod, "_rk4_split_step", failing_plant(k_plant))
+        with pytest.raises(NonFiniteState) as err:
+            run_scenario(scn)
+        monkeypatch.undo()
+        t = k * h
+        want = (f"non-finite estimator state after the step to t={t + h:g} s" if which == "estimator"
+                else f"non-finite state after step ending at t={t + h:g} s")
+        assert str(err.value) == want, (gamma, k_rider, k_plant)
+        partial, taken = err.value.partial, k // stride + 1
+        assert len(partial.t) == taken
+        for key, arr in _trajectory_arrays(partial).items():
+            assert np.array_equal(arr, own[key][:taken], equal_nan=True), key
+        assert partial.meta["params"]["r"] == r
 
 
 # -- shared closed-loop passes ------------------------------------------------------
@@ -763,34 +962,23 @@ def test_replayed_rows_equal_runs_of_their_own(monkeypatch, make, rows):
     # gain of the rows once (the GPEBO-kind ones stacked); every later row
     # only assembles its trajectory from the pass, and must log what it
     # logs on its own
-    import pbclab.sim as simmod
-
     (shared,) = SharedPass.groups([make(), *(make(**row) for row in rows)])
     first_row, *later_rows = shared.scenarios
     steps = _counting_steps(monkeypatch)
-    gains, grad_gains = [], []
-    scalar, gradient = simmod.scalar_update, simmod.gradient_update
-
-    def counting_scalar(*args):
-        gains.append(args[4])
-        return scalar(*args)
-
-    def counting_gradient(*args, **kwargs):
-        grad_gains.append(args[1])
-        return gradient(*args, **kwargs)
-
-    monkeypatch.setattr(simmod, "scalar_update", counting_scalar)
-    monkeypatch.setattr(simmod, "gradient_update", counting_gradient)
+    calls = _exact_step_calls(monkeypatch)
     first = run_scenario(first_row, shared=shared)
     N = len(steps)
     assert N == round(2e-4 / 5e-7)
-    assert sum(np.ndim(gamma) > 0 for gamma in gains) == N  # one stack
+    stepped = _steps(calls)
+    gpebo = [gains for name, gains in stepped if name in ("scalar_update", "scalar_steps")]
+    assert len(gpebo) == 1 and len(gpebo[0]) > 1  # one stack of every GPEBO-kind gain
+    assert set(stepped.values()) == {N}  # each stack over every step, once
     _assert_same_run(first, run_scenario(make()))
     for row, scn in zip(rows, later_rows):
-        del steps[:], gains[:], grad_gains[:]
+        del steps[:], calls[:]
         replayed = run_scenario(scn, shared=shared)
         # no Runge-Kutta stage, no GPEBO step, no gradient step
-        assert steps == [] and gains == [] and grad_gains == []
+        assert steps == [] and calls == []
         _assert_same_run(replayed, run_scenario(make(**row)))
     # the rows of a pass share its arrays, which therefore cannot be written
     assert np.shares_memory(first.u, replayed.u)
@@ -809,11 +997,11 @@ def _trajectory_arrays(traj):
 
 def test_a_run_hands_out_no_view_of_its_buffers(monkeypatch):
     # the bank's step, stage and derivative rows and its scratch, and the
-    # exact steps' states, are overwritten at every step: nothing a run
-    # hands out (its trajectory, a NonFiniteState's partial, a shared
-    # pass's kept store and columns) may share memory with them, and a
-    # second run in the same process leaves the first run's arrays as
-    # they were
+    # exact steps' states and the riding stacks' tapes and states over
+    # them, are overwritten at every step or tape: nothing a run hands out
+    # (its trajectory, a NonFiniteState's partial, a shared pass's kept
+    # store and columns) may share memory with them, and a second run in
+    # the same process leaves the first run's arrays as they were
     import pbclab.sim as simmod
 
     buffers, bank_start, stack_start = [], simmod._Bank.start, simmod._ExactSteps.start
@@ -823,9 +1011,11 @@ def test_a_run_hands_out_no_view_of_its_buffers(monkeypatch):
         for value in vars(bank).values():
             buffers.extend(v for v in (value if isinstance(value, list) else [value]) if isinstance(v, np.ndarray))
 
-    def keeping_stack(stack, K):
-        stack_start(stack, K)
-        buffers.append(stack.state)
+    def keeping_stack(stack, K, rides):
+        stack_start(stack, K, rides)
+        # every buffer but the sampled states, which the columns are views of
+        buffers.extend(v for key, v in vars(stack).items() if isinstance(v, np.ndarray) and key != "samples")
+        buffers.extend(buf for buf, _ in getattr(stack, "parts", ()))  # a rider's states over its tape
 
     def assert_apart(arrays):
         assert buffers and arrays
@@ -843,7 +1033,7 @@ def test_a_run_hands_out_no_view_of_its_buffers(monkeypatch):
 
     calls, update = [], simmod.scalar_update
 
-    def failing_update(*args):  # omega turns NaN from the 100th step on
+    def failing_update(*args):  # the feed's omega turns NaN from the 100th step on
         calls.append(1)
         omega, theta_hat = update(*args)
         return (math.nan if len(calls) >= 100 else omega), theta_hat
@@ -853,6 +1043,7 @@ def test_a_run_hands_out_no_view_of_its_buffers(monkeypatch):
     with pytest.raises(NonFiniteState) as err:  # a run of its own, the second in this process
         run_scenario(replace(_riders_on_observer_feedback(grad_gamma=1e6), stride=1))
     assert len(err.value.partial.t) > 1
+    assert any(buf.shape[:1] == (simmod._CHUNK,) for buf in buffers)  # the riders' tapes among them
     assert_apart(_trajectory_arrays(err.value.partial))
     for key, arr in {**_trajectory_arrays(first), **store}.items():
         assert np.array_equal(arr, kept[key], equal_nan=True), key
@@ -871,36 +1062,10 @@ def test_a_pass_raises_where_any_of_its_gains_turns_non_finite(monkeypatch, ride
     # failing row's own run and keeps nothing; the partial is the asking
     # row's samples up to that step, which the load event after it does not
     # reach
-    import pbclab.sim as simmod
-
     k_nan = 150
     gpebo = rider == "gpebo"
     gammas = (1e10, 3e12, 1e13) if gpebo else (1e8, 3e8, 1e9)
     gamma_nan = gammas[-1]
-    name = "scalar_update" if gpebo else "gradient_update"
-    update = getattr(simmod, name)
-
-    def nan_from_step_k():
-        calls = []  # the steps of the failing gain's row
-
-        def nan_scalar(omega, theta_hat, scriptY, Delta, gamma, h):
-            hit = np.asarray(gamma) == gamma_nan  # a stacked call steps each row once
-            new_omega, new_theta = update(omega, theta_hat, scriptY, Delta, gamma, h)
-            if hit.any():
-                calls.append(1)
-                if len(calls) > k_nan:
-                    return np.where(hit, math.nan, new_omega), new_theta
-            return new_omega, new_theta
-
-        def nan_gradient(theta_hat, gamma, *args, **kwargs):
-            new_theta = update(theta_hat, gamma, *args, **kwargs)
-            if gamma == gamma_nan:
-                calls.append(1)
-                if len(calls) > k_nan:
-                    return np.full_like(new_theta, math.nan)
-            return new_theta
-
-        return nan_scalar if gpebo else nan_gradient
 
     def make(gamma):
         scn = _riders_on_the_state_loop(gamma=gamma) if gpebo else _gradient_riders_on_the_state_loop(gamma)
@@ -908,11 +1073,11 @@ def test_a_pass_raises_where_any_of_its_gains_turns_non_finite(monkeypatch, ride
 
     own = _trajectory_arrays(run_scenario(make(gammas[0])))
     (shared,) = SharedPass.groups([make(gamma) for gamma in gammas])
-    monkeypatch.setattr(simmod, name, nan_from_step_k())
+    _nan_from_step(monkeypatch, k_nan, gamma_nan)
     with pytest.raises(NonFiniteState) as raised:
         run_scenario(shared.scenarios[0], shared=shared)
     assert shared.store is None
-    monkeypatch.setattr(simmod, name, nan_from_step_k())
+    _nan_from_step(monkeypatch, k_nan, gamma_nan)
     with pytest.raises(NonFiniteState) as alone:
         run_scenario(make(gamma_nan))
     message = f"non-finite estimator state after the step to t={(k_nan + 1) * 5e-7:g} s"
@@ -960,30 +1125,20 @@ def test_a_pass_takes_only_its_own_rows():
 
 def _sweep_runs(monkeypatch, argv):
     """Run `pbclab sweep` in this process and hold every row to a run of
-    its own; per row, the gains of its exact-step calls (a stacked
-    scalar_update's as a column)."""
+    its own; per row, the steps of each of its exact-step functions and
+    gains (`_steps`)."""
     import pbclab.cli as cli
-    import pbclab.sim as simmod
 
     runs, run = [], cli.run_scenario
-    scalar, gradient = simmod.scalar_update, simmod.gradient_update
+    calls = _exact_step_calls(monkeypatch)
 
     def recording_run(scn, **kwargs):
-        runs.append({"scn": scn, "scalar": [], "stacked": [], "gradient": []})
-        runs[-1]["traj"] = run(scn, **kwargs)
-        return runs[-1]["traj"]
-
-    def counting_scalar(*args):
-        runs[-1]["stacked" if np.ndim(args[4]) else "scalar"].append(args[4])
-        return scalar(*args)
-
-    def counting_gradient(*args, **kwargs):
-        runs[-1]["gradient"].append(args[1])
-        return gradient(*args, **kwargs)
+        del calls[:]
+        traj = run(scn, **kwargs)
+        runs.append({"scn": scn, "traj": traj, "steps": _steps(calls)})
+        return traj
 
     monkeypatch.setattr(cli, "run_scenario", recording_run)
-    monkeypatch.setattr(simmod, "scalar_update", counting_scalar)
-    monkeypatch.setattr(simmod, "gradient_update", counting_gradient)
     assert cli.main(["sweep", "--set", "scenario.horizon=0.0002", "--set", "scenario.stride=30", *argv]) == 0
     monkeypatch.undo()
     for row in runs:
@@ -1002,29 +1157,26 @@ _GAINS = ["--preset", "fig-observer-gains", "--param"]  # riders of gains 1e10, 
     ([*_GAINS, "observers.0.mu", "--values", "1e-6,0.01,0.3"], [1e10, 1e11, 1e12]),
 ], ids=["gamma", "repeated-gamma", "mu"])
 def test_a_sweep_steps_each_riders_gain_once(monkeypatch, argv, column):
-    # the first row steps each gain of the sweep once per step, in one
-    # stacked call on the one filter; no later row steps anything
+    # the first row steps each gain of the sweep over every step once, in
+    # one stack on the one filter; no later row steps anything
     N = round(2e-4 / 5e-7)
     first, *later = _sweep_runs(monkeypatch, argv)
-    assert first["scalar"] == []
-    assert len(first["stacked"]) == N
-    assert all(gammas.ravel().tolist() == column for gammas in first["stacked"])
-    assert later and all(row["scalar"] == row["stacked"] == [] for row in later)
+    assert first["steps"] == {("scalar_steps", tuple(column)): N}
+    assert later and all(row["steps"] == {} for row in later)
 
 
 def test_a_gradient_gain_sweep_steps_each_gain_once_in_the_first_row(monkeypatch):
     # FCT feedback with a GPEBO, an emulator, a KBF and a raw gradient
     # riding: the first row steps the FCT and GPEBO gains of the one filter
-    # in one stacked call per step, and every gain of the gradient, one call
-    # per gain and step; no later row steps anything
+    # in one stacked call per step in the loop, and every gain of the
+    # gradient over every step once, from its tape; no later row steps
+    # anything
     N = round(2e-4 / 5e-7)
     argv = ["--preset", "fig-observer-compare", "--param", "observers.4.gamma", "--values", "1e8,1e7,1e8,1e9"]
     first, *later = _sweep_runs(monkeypatch, argv)
-    assert first["scalar"] == [] and len(first["stacked"]) == N
-    assert all(gammas.ravel().tolist() == [1e12, 1e17] for gammas in first["stacked"])
-    assert sorted(first["gradient"]) == sorted([1e8, 1e7, 1e9] * N)
+    assert first["steps"] == {("scalar_update", (1e12, 1e17)): N, ("raw_steps", (1e8, 1e7, 1e9)): N}
     assert len(later) == 3
-    assert all(row["scalar"] == row["stacked"] == row["gradient"] == [] for row in later)
+    assert all(row["steps"] == {} for row in later)
 
 
 def test_a_raw_gradients_unread_pole_splits_no_pass(monkeypatch):
@@ -1040,8 +1192,8 @@ def test_a_raw_gradients_unread_pole_splits_no_pass(monkeypatch):
     assert len(SharedPass.groups(scns)) == 1
     argv = ["--preset", "fig-observer-compare", "--param", "observers.4.lambda", "--values", "5.0,3.0,7.0"]
     first, *later = _sweep_runs(monkeypatch, argv)
-    assert first["gradient"] == [1e8] * N
-    assert len(later) == 2 and all(row["gradient"] == row["stacked"] == [] for row in later)
+    assert first["steps"] == {("scalar_update", (1e12, 1e17)): N, ("raw_steps", (1e8,)): N}
+    assert len(later) == 2 and all(row["steps"] == {} for row in later)
     assert [row["traj"].meta["lam"]["gradient"] for row in (first, *later)] == lams
 
 
