@@ -9,10 +9,11 @@ the fixed grid does not locate, and across one the plant drops to about
 second order or less; events are applied at grid instants.
 
 The vector is held in two parts.  The plant rows and the integrator
-(x1..x4, x_c) are Python floats, advanced by one fused step
-(`_rk4_split_step`) that evaluates per stage, in a fixed left-to-right
-order, the passive output ytilde = sum_j Cmat[0, j] (x_j - x*_j), the raw
-duty ratio and its clamp, and the drift
+(x1..x4, x_c) are Python floats, advanced by one step written out over
+the five floats (`_rk4_split_step`) whose stage, one closure per epoch
+(`_plant_stage`) with the law and the drift constants bound, evaluates in
+a fixed left-to-right order the passive output ytilde = sum_j Cmat[0, j]
+(x_j - x*_j), the raw duty ratio and its clamp, and the drift
 dx_i = sum_j (L0_ij + u L1_ij) x_j + b0_i.  The step uses `rk4_step`'s
 stage weights and association, so its result equals `rk4_step` on the
 joined vector bit for bit; the control law performs the IEEE operations
@@ -196,35 +197,40 @@ def rk4_step(f, t: float, y, h: float):
 
 def _rk4_split_step(stage, t: float, p: list, rows, h: float) -> list:
     """The engine's step: `rk4_step` on a vector split into the plant rows
-    and integrator p, a list of Python floats, and the estimator rows, held
-    in the buffers of the bank `rows` (`_Bank`), or None when there is no
-    estimator; then only p is stepped and checked.  stage(p, i) returns the
-    derivative of p at stage i = 0..3 and, with estimator rows, writes
-    theirs at the stage row rows.z into the derivative row rows.d[i].  The
-    step forms each stage's rows in rows.z, the first a copy of the step's
-    start rows.y, and writes the new rows into the other step row, which
-    becomes rows.y; the start is left as it was, for the exact steps to
-    read.  Every entry is combined with rk4_step's stage weights and
-    association, so the new state equals rk4_step's on the joined vector
-    bit for bit.  Returns the new p."""
-    hh = 0.5 * h
-    if rows is None:
-        k1 = stage(p, 0)
-        k2 = stage([v + hh * d for v, d in zip(p, k1)], 1)
-        k3 = stage([v + hh * d for v, d in zip(p, k2)], 2)
-        k4 = stage([v + h * d for v, d in zip(p, k3)], 3)
-    else:  # each stage row y + c m written in place, as (c m) then y + (c m)
+    and integrator p = [x1, .., x4, xc], five Python floats, and the
+    estimator rows, held in the buffers of the bank `rows` (`_Bank`), or
+    None when there is no estimator; then only p is stepped and checked.
+    stage(p, i), the epoch's `_plant_stage`, returns the derivative of p at
+    stage i = 0..3 as a list and, with estimator rows, writes theirs at the
+    stage row rows.z into the derivative row rows.d[i].  The step forms
+    each stage's rows in rows.z, the first a copy of the step's start
+    rows.y, and writes the new rows into the other step row, which becomes
+    rows.y; the start is left as it was, for the exact steps to read.
+    Every entry is combined with rk4_step's stage weights and association,
+    so the new state equals rk4_step's on the joined vector bit for bit.
+    Returns the new p."""
+    hh, v1, v2, v3, v4, v5 = 0.5 * h, *p
+    if rows is not None:  # each stage row y + c m written in place, as (c m) then y + (c m)
         y, z, (m1, m2, m3, m4) = rows.y, rows.z, rows.d
         np.copyto(z, y)
-        k1 = stage(p, 0)
+    a1, a2, a3, a4, a5 = stage(p, 0)
+    if rows is not None:
         np.add(y, np.multiply(m1, hh, out=z), out=z)
-        k2 = stage([v + hh * d for v, d in zip(p, k1)], 1)
+    b1, b2, b3, b4, b5 = stage([v1 + hh * a1, v2 + hh * a2, v3 + hh * a3, v4 + hh * a4, v5 + hh * a5], 1)
+    if rows is not None:
         np.add(y, np.multiply(m2, hh, out=z), out=z)
-        k3 = stage([v + hh * d for v, d in zip(p, k2)], 2)
+    c1, c2, c3, c4, c5 = stage([v1 + hh * b1, v2 + hh * b2, v3 + hh * b3, v4 + hh * b4, v5 + hh * b5], 2)
+    if rows is not None:
         np.add(y, np.multiply(m3, h, out=z), out=z)
-        k4 = stage([v + h * d for v, d in zip(p, k3)], 3)
+    d1, d2, d3, d4, d5 = stage([v1 + h * c1, v2 + h * c2, v3 + h * c3, v4 + h * c4, v5 + h * c5], 3)
     h6 = h / 6.0
-    p = [v + h6 * (d1 + 2.0 * d2 + 2.0 * d3 + d4) for v, d1, d2, d3, d4 in zip(p, k1, k2, k3, k4)]
+    p = [
+        v1 + h6 * (((a1 + 2.0 * b1) + 2.0 * c1) + d1),
+        v2 + h6 * (((a2 + 2.0 * b2) + 2.0 * c2) + d2),
+        v3 + h6 * (((a3 + 2.0 * b3) + 2.0 * c3) + d3),
+        v4 + h6 * (((a4 + 2.0 * b4) + 2.0 * c4) + d4),
+        v5 + h6 * (((a5 + 2.0 * b5) + 2.0 * c5) + d5),
+    ]
     finite = all(map(math.isfinite, p))
     if rows is not None:
         # y + h6 (((m1 + 2 m2) + 2 m3) + m4), summed in m1
@@ -407,8 +413,8 @@ def _matvec(M, v):
 
 class _PlantCache:
     """Drift and source of the single-duty model, assembled once per model
-    and evaluated per stage on the scalar duty ratio u as
-    Lambda(u) = L0 + u L1 and the fixed source b0."""
+    and read by the stage of each epoch (`_plant_stage`) on the scalar duty
+    ratio u as Lambda(u) = L0 + u L1 and the fixed source b0."""
 
     def __init__(self, model: PHModel):
         self.rebuild(model)
@@ -432,16 +438,6 @@ class _PlantCache:
         assert np.array_equal(C_obs, [[0.0, 0.0, 0.0, 1.0]]), "the sensor must be the load voltmeter"
         # y_m = C x is the single product c_y x4 (C_obs z = z4)
         self.c_y = model.C.item(3)
-
-    def drift(self, x, u: float) -> list:
-        """dx_i = sum_j (L0_ij + u L1_ij) x_j + b0_i on Python floats, the
-        sum taken left to right and b0_i added last; x is read from its
-        first four entries."""
-        x1, x2, x3, x4 = x[:4]
-        return [
-            (a1 + u * c1) * x1 + (a2 + u * c2) * x2 + (a3 + u * c3) * x3 + (a4 + u * c4) * x4 + b
-            for a1, a2, a3, a4, c1, c2, c3, c4, b in self.rows
-        ]
 
 
 def _stage_law(ctl: ControllerSpec, pi, model: PHModel, v_ref: float):
@@ -469,6 +465,33 @@ def _stage_law(ctl: ControllerSpec, pi, model: PHModel, v_ref: float):
         return neg_kp * ytilde - ki * xc, ytilde
 
     return law
+
+
+def _plant_stage(law, cache: _PlantCache, ctl: ControllerSpec, bank: "_Bank"):
+    """The engine's stage(p, i) of one epoch: the derivatives of p = [x1,
+    .., x4, xc] at stage i from (u_raw, dx_c) = law(p, xc), u clamped to
+    [u_min, u_max] and the drift rows of `cache`, read once here, each
+    summed left to right with b0_i last; the bank writes its rows' own."""
+    [(a11, a12, a13, a14, c11, c12, c13, c14, b1), (a21, a22, a23, a24, c21, c22, c23, c24, b2),
+     (a31, a32, a33, a34, c31, c32, c33, c34, b3), (a41, a42, a43, a44, c41, c42, c43, c44, b4)] = cache.rows
+    lo, hi, c_y = ctl.u_min, ctl.u_max, cache.c_y
+    derivative = bank.derivative if bank.size else None  # only rows read the observer frame
+
+    def stage(p, i):
+        x1, x2, x3, x4, xc = p
+        u_raw, dxc = law(p, xc)
+        u = min(max(u_raw, lo), hi)
+        if derivative is not None:
+            derivative(i, cache, u, c_y * x4)
+        return [
+            (a11 + u * c11) * x1 + (a12 + u * c12) * x2 + (a13 + u * c13) * x3 + (a14 + u * c14) * x4 + b1,
+            (a21 + u * c21) * x1 + (a22 + u * c22) * x2 + (a23 + u * c23) * x3 + (a24 + u * c24) * x4 + b2,
+            (a31 + u * c31) * x1 + (a32 + u * c32) * x2 + (a33 + u * c33) * x3 + (a34 + u * c34) * x4 + b3,
+            (a41 + u * c41) * x1 + (a42 + u * c42) * x2 + (a43 + u * c43) * x3 + (a44 + u * c44) * x4 + b4,
+            dxc,
+        ]
+
+    return stage
 
 
 class _RegressionFilter:
@@ -509,8 +532,9 @@ class _Bank:
 
     An estimator runtime only reads the rows.  It gives `estimate()`, its
     estimate at the stage row when it closes the loop, and
-    `record(ys, cols)`, its logged arrays from the sampled rows and the
-    sampled columns of the exact steps (`_ExactSteps`) by step key; one
+    `record(ys, cols, deltas)`, its logged arrays from the sampled rows,
+    the sampled columns of the exact steps (`_ExactSteps`) by step key and
+    the store's sampled Delta by filter pole (`_Store`); one
     stepped exactly holds its `step_key` and is pointed to its row, `exact`
     and `row`.  `derivative` reads the observer frame as A = A_obs(u) and
     b = b_obs, and the measurement as the float y_m, read by
@@ -647,13 +671,16 @@ class _GpeboRuntime:
     def estimate(self):
         return self.bank.reconstruct(self.theta_feed)
 
-    def record(self, ys, cols):
+    def record(self, ys, cols, deltas):
         col = cols[self.step_key]
         omega, theta_hat = col[:, 0], col[:, 1:]
         Omega = self.filt.Omega(ys)
+        if self.filt.lam not in deltas:  # read-only as the rows are, since a pass's rows share it
+            deltas[self.filt.lam] = delta = _adj_det(np.moveaxis(Omega, 0, -1))[1]
+            delta.flags.writeable = ys.flags.writeable
         rec = {
             "omega": omega,
-            "Delta": _adj_det(np.moveaxis(Omega, 0, -1))[1],
+            "Delta": deltas[self.filt.lam],
             "xi": self.bank.xi(ys), "Phi": self.bank.Phi(ys),
             "Y": self.filt.Y(ys),
             "Omega": Omega,
@@ -676,7 +703,7 @@ class _EmulatorRuntime:
     def estimate(self):
         return self.bank.z_xi
 
-    def record(self, ys, cols):
+    def record(self, ys, cols, deltas):
         xi = self.bank.xi(ys)
         return xi, {"xi": xi}
 
@@ -716,7 +743,7 @@ class _KbfRuntime:
     def estimate(self):
         return self.z_x
 
-    def record(self, ys, cols):
+    def record(self, ys, cols, deltas):
         return self.x(ys), {"H": self.H(ys)}
 
 
@@ -738,7 +765,7 @@ class _GradientRuntime:
     def estimate(self):
         return self.bank.reconstruct(self.exact.state[self.row])
 
-    def record(self, ys, cols):
+    def record(self, ys, cols, deltas):
         rec = {"xi": self.bank.xi(ys), "Phi": self.bank.Phi(ys), "theta_hat": cols[self.step_key]}
         return rec["xi"] + _matvec(rec["Phi"], rec["theta_hat"]), rec
 
@@ -925,6 +952,7 @@ class _Store:
         )
         self.pis = []
         self.Q = Q
+        self.deltas = {}  # filter pole -> the sampled Delta of its Omega, taken once for every reader
 
     @staticmethod
     def row(n_p: int, n_y: int) -> list:
@@ -1135,10 +1163,11 @@ def validate_scenario(scn: Scenario) -> int:
     return N
 
 
-def _epoch(ctl: ControllerSpec, params, model: PHModel, v_ref: float, t: float):
-    """The PI-PBC state (None for the classical PI) and the stage law of
-    the epoch that starts at time t with reference v_ref; an unreachable
-    v_ref raises `InfeasibleEquilibrium` with t as its `epoch_time`."""
+def _epoch(ctl: ControllerSpec, params, model: PHModel, v_ref: float, t: float, cache, bank, fb_rt):
+    """The PI-PBC state (None for the classical PI), law(p, xc) on the plant
+    rows or, on observer feedback, on fb_rt's estimate, and the stage of the
+    epoch that starts at time t with reference v_ref; an unreachable v_ref
+    raises `InfeasibleEquilibrium` with t as its `epoch_time`."""
     pi = None
     if ctl.type != "classical-pi":
         try:
@@ -1148,7 +1177,14 @@ def _epoch(ctl: ControllerSpec, params, model: PHModel, v_ref: float, t: float):
         pi = make_pi_pbc(
             model, ctl.kp, ctl.ki, pair.x_star, pair.u_star, u_min=ctl.u_min, u_max=ctl.u_max
         )
-    return pi, _stage_law(ctl, pi, model, v_ref)
+    law = _stage_law(ctl, pi, model, v_ref)
+    if fb_rt is not None:
+        state_law, qd, e = law, cache.qd, bank.e
+
+        def law(p, xc):  # the estimate in volts and amperes, divided to stored units
+            return state_law(np.divide(fb_rt.estimate(), qd, out=e).tolist(), xc)
+
+    return pi, law, _plant_stage(law, cache, ctl, bank)
 
 
 def _assemble(scn: Scenario, store: _Store, runtimes, N: int, cols: dict, taken: int, params) -> Trajectory:
@@ -1170,7 +1206,7 @@ def _assemble(scn: Scenario, store: _Store, runtimes, N: int, cols: dict, taken:
             W[at] = _storage(store.Q, pe.Ki, xs[at], prows[at, n:], pe.x_star, pe.x_c_star)
     observers = {}
     for rt in runtimes:
-        xhat, rec = rt.record(rows, cols)
+        xhat, rec = rt.record(rows, cols, store.deltas)
         d = xhat - signals
         # a GPEBO kind's omega and Delta in rec keep the place set here
         observers[rt.name] = {
@@ -1220,7 +1256,6 @@ def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
     N = validate_scenario(scn)
     h = scn.h
     ctl = scn.controller
-    n = len(SIGNALS)
 
     bank, runtimes = _estimators(scn.observers)  # the estimator rows y and their readers
     for rt, name in zip(runtimes, _unique_names(scn.observers)):
@@ -1257,30 +1292,10 @@ def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
     # the plant rows and the integrator: p = [x1, .., xn, xc] as Python floats
     p = x0.tolist() + [float(ctl.xc0)]
     store = _Store(K, len(p), bank.size, model.Q)
-    u_lo, u_hi = ctl.u_min, ctl.u_max
     ref_now = ctl.x4_star
-    pi, law = _epoch(ctl, params, model, ref_now, 0.0)
+    pi, law, stage = _epoch(ctl, params, model, ref_now, 0.0, cache, bank, fb_rt)
     store.pis.append(pi)  # the PI-PBC of each epoch, for W after the loop
     epoch = 0
-
-    def control(p):
-        """(u_raw, integrator derivative) at the plant rows p and, on
-        observer feedback, the estimate at the stage row, as floats."""
-        if fb_rt is None:
-            return law(p, p[n])
-        # volts/amps -> stored
-        return law(np.divide(fb_rt.estimate(), cache.qd, out=bank.e).tolist(), p[n])
-
-    def stage(p, i):
-        """The derivatives of the plant rows and integrator at stage i; with
-        an estimator, the bank writes those of the estimator rows."""
-        u_raw, dxc = control(p)
-        u = min(max(u_raw, u_lo), u_hi)
-        dp = cache.drift(p, u)
-        dp.append(dxc)
-        if rows is not None:  # only then does an estimator read the observer frame
-            bank.derivative(i, cache, u, cache.c_y * p[3])
-        return dp
 
     ps, ys, us, yts, sats, refs, epochs = store.arrays()
     taken = due = 0  # the samples taken and the step of the next one
@@ -1315,13 +1330,13 @@ def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
                             cache.rebuild(model)
                         else:
                             ref_now = ev.value
-                        pi, law = _epoch(ctl, params, model, ref_now, t)
+                        pi, law, stage = _epoch(ctl, params, model, ref_now, t, cache, bank, fb_rt)
                         store.pis.append(pi)
                 if k == due:
                     if fb_rt is not None:  # the estimate reads the stage row
                         np.copyto(bank.z, bank.y)
-                    u_raw, yts[taken] = control(p)
-                    us[taken] = u = min(max(u_raw, u_lo), u_hi)
+                    u_raw, yts[taken] = law(p, p[-1])
+                    us[taken] = u = min(max(u_raw, ctl.u_min), ctl.u_max)
                     sats[taken] = u != u_raw  # the clamp flag, formed only here
                     ps[taken], ys[taken] = p, bank.y
                     refs[taken], epochs[taken] = ref_now, epoch

@@ -178,7 +178,7 @@ def line_plot(
     # curves
     for i, (label, x, y) in enumerate(prepared):
         color = _PALETTE[i % len(_PALETTE)]
-        pts = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(x, y))
+        pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(sx(x).tolist(), sy(y).tolist()))
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.4"/>'
         )

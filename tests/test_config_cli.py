@@ -460,6 +460,38 @@ def test_gain_sweep_shares_one_pass_without_a_pool(monkeypatch, tmp_path, capsys
     assert pools == []
 
 
+def test_a_gain_sweep_takes_its_filters_delta_once(monkeypatch, capsys):
+    """16 values of a riding gain share one pass and its one filter: the
+    sampled Delta is taken by one adjugate call for all 48 estimators of
+    the rows, and each one's Delta column is still the determinant of its
+    own sampled Omega, read-only since the rows share it."""
+    from pbclab.observers import _adj_det
+
+    calls, trajs, run = [], [], cli.run_scenario
+
+    def counting_adj_det(a):
+        calls.append(a.shape)
+        return _adj_det(a)
+
+    def keeping_run(*args, **kwargs):
+        trajs.append(run(*args, **kwargs))
+        return trajs[-1]
+
+    monkeypatch.setattr(sim, "_adj_det", counting_adj_det)
+    monkeypatch.setattr(cli, "run_scenario", keeping_run)
+    values = ",".join(f"{k}e11" for k in range(1, 17))
+    argv = ["sweep", "--preset", "fig-observer-gains", *FAST, "--param", "observers.0.gamma", "--values", values]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert len(trajs) == 16 and calls == [(4, 4, round(0.0005 / 5.0e-7 / 20) + 1)]
+    for traj in trajs:
+        assert len(traj.observers) == 3
+        for rec in traj.observers.values():
+            assert rec["Delta"].tobytes() == _adj_det(np.moveaxis(rec["Omega"], 0, -1))[1].tobytes()
+            with pytest.raises(ValueError):
+                rec["Delta"][0] = 0.0
+
+
 def test_a_sweep_whose_later_row_diverges_fails_as_that_row_alone(monkeypatch, tmp_path, capsys):
     """The third value's rider turns non-finite from step k of a run on:
     the sweep exits 4 with the stderr of that value's one-value sweep, and
@@ -817,6 +849,30 @@ def test_svg_text_nodes_are_escaped_as_saxutils_escapes_them():
     for label in (" title", " x", " y", " v4"):
         assert escape(nasty + label) in texts
     assert escape(nasty) == "a&lt;b &amp; c&gt;d \"q\" 'r'"
+
+
+def test_svg_curves_are_projected_as_each_point_alone(monkeypatch):
+    """A curve is projected as one array; every point must be sx and sy on
+    that point alone, as numpy scalars, which the same plot computes when
+    its thinned curves hold their points as objects.  Seeded series with
+    NaNs, long enough to be thinned, on a linear and a log axis."""
+    rng = np.random.default_rng(7)
+    series = []
+    for k in range(3):
+        x = np.sort(rng.uniform(0.0, 0.05, 2500 + 700 * k))
+        y = np.exp(rng.normal(0.0, 3.0, x.size)) * 10.0**-k
+        y[rng.choice(x.size, 40, replace=False)] = np.nan
+        y[:5] = -1.0  # nonpositive: off the log axis
+        series.append((f"s{k}", x, y))
+    thin = svgplot._thin
+    for ylog in (False, True):
+        svg = svgplot.line_plot(series, ylog=ylog)
+        monkeypatch.setattr(svgplot, "_thin", lambda x, y: tuple(v.astype(object) for v in thin(x, y)))
+        per_point = svgplot.line_plot(series, ylog=ylog)
+        monkeypatch.undo()
+        curves = re.findall(r'<polyline points="([^"]*)"', svg)
+        assert [len(c.split()) for c in curves] == [svgplot._MAX_POINTS] * 3
+        assert svg == per_point
 
 
 def test_sweep_bad_or_nonscalar_path_exit2(capsys):

@@ -982,7 +982,8 @@ def test_replayed_rows_equal_runs_of_their_own(monkeypatch, make, rows):
         _assert_same_run(replayed, run_scenario(make(**row)))
     # the rows of a pass share its arrays, which therefore cannot be written
     assert np.shares_memory(first.u, replayed.u)
-    for arr in (replayed.u, replayed.observers["fct-b" if "fct-b" in replayed.observers else "fct"]["xi"]):
+    rec = replayed.observers["fct-b" if "fct-b" in replayed.observers else "fct"]
+    for arr in (replayed.u, rec["xi"], rec["Delta"]):
         with pytest.raises(ValueError):
             arr[0] = 0.5
 
@@ -1272,36 +1273,62 @@ def _checked_steps(monkeypatch, check_stage=None):
     return count
 
 
-def test_engine_step_equals_rk4_on_the_clamped_stage(monkeypatch):
+def _drift(rows, x, u: float) -> list:
+    """The plant drift dx_i = sum_j (L0_ij + u L1_ij) x_j + b0_i on Python
+    floats from the rows (L0_i1..L0_i4, L1_i1..L1_i4, b0_i) of a
+    `_PlantCache`, the sum taken left to right and b0_i added last; x is
+    read from its first four entries."""
+    x1, x2, x3, x4 = x[:4]
+    return [
+        (a1 + u * c1) * x1 + (a2 + u * c2) * x2 + (a3 + u * c3) * x3 + (a4 + u * c4) * x4 + b
+        for a1, a2, a3, a4, c1, c2, c3, c4, b in rows
+    ]
+
+
+_CLAMPED_LOOPS = {  # (controller, event) of a state loop that hits the clamp and crosses an event
+    "pi-pbc-reference": (ControllerSpec(), EventSpec(time=2e-4, kind="reference", value=-12.0)),
+    "pi-pbc-load": (ControllerSpec(), EventSpec(time=2e-4, kind="load", value=30.0)),
+    "classical-reference": (
+        ControllerSpec(type="classical-pi", kp=0.008, ki=8.0), EventSpec(time=2e-4, kind="reference", value=-25.0)
+    ),
+}
+
+
+@pytest.mark.parametrize("loop", list(_CLAMPED_LOOPS))
+def test_engine_step_equals_rk4_on_the_clamped_stage(monkeypatch, loop):
     # on a state loop that hits the clamp and crosses an event, every step
     # equals rk4_step on the joined vector, and every stage's derivative is
-    # the plant drift at the duty ratio control.pi_pbc_step clamps, with
-    # the integrator derivative ytilde
+    # the drift of the epoch's circuit at the duty ratio the reference law
+    # (control.pi_pbc_step or control.classical_pi_step) clamps, with the
+    # integrator derivative ytilde or the voltage error
     import pbclab.sim as simmod
-    from pbclab.control import pi_pbc_step
-    from pbclab.cuk import build_cuk
+    from pbclab.control import ClassicalPiState, classical_pi_step, pi_pbc_step
 
-    pis, make = [], simmod.make_pi_pbc
+    ctl, event = _CLAMPED_LOOPS[loop]
+    epochs, stage_law = [], simmod._stage_law
 
-    def keeping_make(*args, **kwargs):
-        pis.append(make(*args, **kwargs))
-        return pis[-1]
+    def keeping_law(ctl, pi, model, v_ref):
+        epochs.append((pi, simmod._PlantCache(model).rows, float(model.Q[3, 3]), v_ref))
+        return stage_law(ctl, pi, model, v_ref)
 
-    cache = simmod._PlantCache(build_cuk(CukParams()))  # a reference event keeps the plant
     clamped = []
 
     def check_stage(p, dp):
-        u, ytilde, sat = pi_pbc_step(replace(pis[-1], x_c=np.array(p[4:])), np.array(p[:4]))
+        pi, rows, q4, v_ref = epochs[-1]
+        if pi is None:
+            state = ClassicalPiState(ctl.kp, ctl.ki, v_ref, p[4], ctl.u_min, ctl.u_max)
+            u, err, sat = classical_pi_step(state, q4 * p[3])
+        else:
+            u, err, sat = pi_pbc_step(replace(pi, x_c=np.array(p[4:])), np.array(p[:4]))
+            u, err = u.item(), err.item()
         clamped.append(sat)
-        assert dp == cache.drift(p, u.item()) + [ytilde.item()]
+        assert dp == _drift(rows, p, u) + [err]
 
-    monkeypatch.setattr(simmod, "make_pi_pbc", keeping_make)
+    monkeypatch.setattr(simmod, "_stage_law", keeping_law)
     steps = _checked_steps(monkeypatch, check_stage)
-    scn = Scenario(
-        events=[EventSpec(time=2e-4, kind="reference", value=-12.0)], horizon=4e-4, stride=10
-    )
+    scn = Scenario(controller=ctl, events=[event], horizon=4e-4, stride=10)
     traj = run_scenario(scn)
-    assert len(steps) == round(scn.horizon / scn.h) and len(pis) == 2
+    assert len(steps) == round(scn.horizon / scn.h) and len(epochs) == 2
     assert 0 < sum(clamped) < len(clamped) and 0 < traj.saturated.sum() < len(traj.t)
 
 
@@ -1333,7 +1360,8 @@ def test_engine_step_equals_rk4_with_every_estimator_kind(monkeypatch, first):
 
 
 def test_float_drift_rows_agree_with_the_model_dynamics():
-    # the plant stage sums each row left to right on Python floats; at
+    # the plant stage sums each row left to right on Python floats, as
+    # `_drift` does, to which the clamped-stage test holds it bit for bit; at
     # random states and duty ratios it must agree with phmodel.dynamics
     # within that sum's rounding bound, n eps sum |terms|, the terms being
     # the products L0_ij x_j and u L1_ij x_j and the source b0_i
@@ -1350,7 +1378,7 @@ def test_float_drift_rows_agree_with_the_model_dynamics():
         for _ in range(500):
             x = rng.uniform(-1.0, 1.0, 4) * [5.0, 60.0, 5.0, 60.0] / qd  # amps and volts
             u = rng.uniform(0.0, 1.0)
-            got, want = cache.drift(x.tolist(), u), dynamics(model, x, [u])
+            got, want = _drift(cache.rows, x.tolist(), u), dynamics(model, x, [u])
             for i, row in enumerate(cache.rows):
                 a, c, b = np.array(row[:4]), np.array(row[4:8]), row[8]
                 terms = np.abs(a * x).sum() + np.abs(u * c * x).sum() + abs(b)
