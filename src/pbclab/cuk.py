@@ -27,6 +27,7 @@ and `OracleMismatch` (a `RuntimeError`) a root the scan does not confirm.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -150,9 +151,9 @@ def steady_state_oracle(
     params: CukParams, x4_star: float, grid: int = 10_000, tol: float = 1e-12
 ) -> list:
     """Roots of rho in the open interval (0, 1), found without the closed
-    form: scan a uniform grid for sign changes, then bisect each bracket
-    down to `tol`.  Returns the sorted roots (0, 1 or 2 of them)."""
-    us = np.linspace(0.0, 1.0, grid + 1)[1:-1]
+    form: scan a grid (`_scan_points`) for sign changes, then bisect each
+    bracket down to `tol`.  Returns the sorted roots (0, 1 or 2 of them)."""
+    us = _scan_points(grid)
     vals = _rho(params, x4_star, us)
     roots = []
     exact = np.flatnonzero(vals == 0.0)
@@ -175,6 +176,22 @@ def steady_state_oracle(
                 hi = mid
         roots.append(0.5 * (lo + hi))
     return sorted(roots)
+
+
+@functools.lru_cache(maxsize=None)
+def _scan_points(grid: int) -> np.ndarray:
+    """The oracle's scan points, read-only: a uniform grid of `grid`
+    intervals, and beyond its inner points 400 points graded geometrically
+    toward 0 and 400 toward 1, down to the least double above 0 and the
+    greatest below 1, so a root as close to either end as a double can be
+    is bracketed too."""
+    uniform = np.linspace(0.0, 1.0, grid + 1)[1:-1]
+    ends = np.geomspace(np.finfo(float).smallest_subnormal, uniform[0], 400, endpoint=False)
+    tops = np.geomspace(np.finfo(float).epsneg, 1.0 - uniform[-1], 400, endpoint=False)
+    us = np.concatenate([ends, uniform, 1.0 - tops[::-1]])
+    us = us[np.diff(us, prepend=0.0) > 0.0]  # 1 - tops repeats a double where tops are finer than its spacing
+    us.flags.writeable = False
+    return us
 
 
 def _quadratic_roots(a2: float, a1: float, a0: float):

@@ -8,31 +8,19 @@ is fourth order only where it is smooth: a clamp entry or exit is a kink
 the fixed grid does not locate, and across one the plant drops to about
 second order or less; events are applied at grid instants.
 
-The vector is held in two parts.  The plant rows and the integrator
-(x1..x4, x_c) are Python floats, advanced by one step written out over
-the five floats (`_rk4_split_step`) whose stage, one closure per epoch
-(`_plant_stage`) with the law and the drift constants bound, evaluates in
-a fixed left-to-right order the passive output ytilde = sum_j Cmat[0, j]
-(x_j - x*_j), the raw duty ratio and its clamp, and the drift
-dx_i = sum_j (L0_ij + u L1_ij) x_j + b0_i.  The step uses `rk4_step`'s
-stage weights and association, so its result equals `rk4_step` on the
-joined vector bit for bit; the control law performs the IEEE operations
-of `control.pi_pbc_step` (whose `shifted_output` sums in the same order)
-and `control.classical_pi_step`, which remain the reference.  numpy is
-used only for the estimator rows y, a vector stepped in the same four
-stages when an estimator exists, which reads u and the measurement as
-floats; the bank (`_Bank`) alone lays out, starts and differentiates y.
-It allocates y's buffers once per run: two step rows, used in turn, so
-that a step writes its new rows into the one that does not hold its
-start, which the loop's exact step reads after it; one stage row; four
-stage-derivative rows; and scratch for A_obs and the intermediate
-products.  The bank, each filter, each Kalman-Bucy block and the fed-back
-estimate bind their views of these buffers once, and every per-stage
-numpy call writes its result with `out=`, performing the IEEE operations
-of the allocating expression in its order, so a stage allocates no array.
-Its matrix products call `np.dot`, which runs the BLAS kernel that `@`
-runs on these operands (gemv, gemm) at less cost per call.  No buffer is
-handed out: the sample store copies the rows.
+The vector is one list of Python floats: the plant rows and the
+integrator (x1..x4, x_c), then the estimator rows y, if any.  Its stage,
+one closure per epoch (`_plant_stage`) with the law and the drift
+constants bound, evaluates in a fixed left-to-right order the passive
+output ytilde = sum_j Cmat[0, j] (x_j - x*_j), the raw duty ratio and its
+clamp, and the drift dx_i = sum_j (L0_ij + u L1_ij) x_j + b0_i; the
+control law performs the IEEE operations of `control.pi_pbc_step` (whose
+`shifted_output` sums in the same order) and `control.classical_pi_step`,
+which remain the reference.  The step (`_rk4_split_step`) uses
+`rk4_step`'s stage weights and association, so its result equals
+`rk4_step` on the vector bit for bit.  numpy enters only between steps:
+the exact steps read a numpy copy of y at each step's start, and the
+sample store copies the rows.
 The matrix states that depend on neither the gain nor the kind are held
 once per run and read by every estimator: the open-loop copy (xi, plus
 Phi when an estimator reads it), driven by u alone, and one regression
@@ -50,11 +38,18 @@ output map is exactly C_obs = [0, 0, 0, 1] and the measurement is the
 single product y_m = C[0, 3] x4.  The copy, filter and Kalman-Bucy rows
 are therefore evaluated with C Phi = Phi[3], C xi = xi[3] and
 H C' = H[:, 3], the filter drives formed once per stage for every pole,
-and the Riccati derivative as P' + P - H[:, 3] H[3] + S with P = A H,
-with no symmetrization: H stays exactly symmetric, so H A' equals (A H)'
-bit for bit.  Every remaining matrix product keeps its shape, so each row
-equals `observers.gpebo_matrix_derivatives` and
-`observers.kbf_derivatives`, which remain the reference, bit for bit.
+and the Riccati derivative as (P' + P) - H[:, 3] H[3] + S with P = A H.
+Omega and H are read from their upper triangle and each mirrored entry
+is written as the same float, so both stay exactly symmetric and need no
+symmetrization.  The rows are straight-line float code: each entry one
+expression summed left to right, in the association of
+`observers.gpebo_matrix_derivatives` and `observers.kbf_derivatives`,
+which remain the reference; they differ from its BLAS products only by
+rounding.  The code is generated from the bank's layout once per process
+(`_Bank.source`, and `_unrolled_step` for the step), since which blocks
+exist and where they lie is the run's; straight-line code reads every
+entry from a local name, at two thirds of the cost of code written over
+the blocks' slices, and nothing is generated at import.
 
 Two estimator recursions are deliberately kept out of the Runge-Kutta
 block and advanced by their exact exponential solutions with per-step
@@ -123,8 +118,10 @@ finite-time crossing are exact per step and insensitive to this choice.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
+import types
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
@@ -195,53 +192,57 @@ def rk4_step(f, t: float, y, h: float):
     return y_new
 
 
-def _rk4_split_step(stage, t: float, p: list, rows, h: float) -> list:
-    """The engine's step: `rk4_step` on a vector split into the plant rows
-    and integrator p = [x1, .., x4, xc], five Python floats, and the
-    estimator rows, held in the buffers of the bank `rows` (`_Bank`), or
-    None when there is no estimator; then only p is stepped and checked.
-    stage(p, i), the epoch's `_plant_stage`, returns the derivative of p at
-    stage i = 0..3 as a list and, with estimator rows, writes theirs at the
-    stage row rows.z into the derivative row rows.d[i].  The step forms
-    each stage's rows in rows.z, the first a copy of the step's start
-    rows.y, and writes the new rows into the other step row, which becomes
-    rows.y; the start is left as it was, for the exact steps to read.
-    Every entry is combined with rk4_step's stage weights and association,
-    so the new state equals rk4_step's on the joined vector bit for bit.
-    Returns the new p."""
-    hh, v1, v2, v3, v4, v5 = 0.5 * h, *p
-    if rows is not None:  # each stage row y + c m written in place, as (c m) then y + (c m)
-        y, z, (m1, m2, m3, m4) = rows.y, rows.z, rows.d
-        np.copyto(z, y)
-    a1, a2, a3, a4, a5 = stage(p, 0)
-    if rows is not None:
-        np.add(y, np.multiply(m1, hh, out=z), out=z)
-    b1, b2, b3, b4, b5 = stage([v1 + hh * a1, v2 + hh * a2, v3 + hh * a3, v4 + hh * a4, v5 + hh * a5], 1)
-    if rows is not None:
-        np.add(y, np.multiply(m2, hh, out=z), out=z)
-    c1, c2, c3, c4, c5 = stage([v1 + hh * b1, v2 + hh * b2, v3 + hh * b3, v4 + hh * b4, v5 + hh * b5], 2)
-    if rows is not None:
-        np.add(y, np.multiply(m3, h, out=z), out=z)
-    d1, d2, d3, d4, d5 = stage([v1 + h * c1, v2 + h * c2, v3 + h * c3, v4 + h * c4, v5 + h * c5], 3)
-    h6 = h / 6.0
-    p = [
-        v1 + h6 * (((a1 + 2.0 * b1) + 2.0 * c1) + d1),
-        v2 + h6 * (((a2 + 2.0 * b2) + 2.0 * c2) + d2),
-        v3 + h6 * (((a3 + 2.0 * b3) + 2.0 * c3) + d3),
-        v4 + h6 * (((a4 + 2.0 * b4) + 2.0 * c4) + d4),
-        v5 + h6 * (((a5 + 2.0 * b5) + 2.0 * c5) + d5),
-    ]
-    finite = all(map(math.isfinite, p))
-    if rows is not None:
-        # y + h6 (((m1 + 2 m2) + 2 m3) + m4), summed in m1
-        np.add(m1, np.multiply(m2, 2.0, out=m2), out=m1)
-        np.add(m1, np.multiply(m3, 2.0, out=m3), out=m1)
-        np.add(m1, m4, out=m1)
-        rows.y, rows.y_next = np.add(y, np.multiply(m1, h6, out=m1), out=rows.y_next), y
-        finite = finite and np.isfinite(rows.y).all()
-    if not finite:
+def _rk4_split_step(stage, t: float, p: list, h: float) -> list:
+    """The engine's step: `rk4_step` on the Runge-Kutta vector p, a list of
+    Python floats, the plant rows and integrator [x1, .., x4, xc] first and
+    the estimator rows of the bank (`_Bank`) after them, if any.  stage(p),
+    the epoch's `_plant_stage`, returns the derivative of p as a list.  The
+    step is written out over the entries of p (`_unrolled_step`), each
+    combined with rk4_step's stage weights and association, so the new
+    state equals rk4_step's bit for bit.  Returns the new p."""
+    p = _unrolled_step(len(p))(stage, p, h)
+    if not all(map(math.isfinite, p)):
         raise NonFiniteState(f"non-finite state after step ending at t={t + h:g} s")
     return p
+
+
+@functools.lru_cache(maxsize=None)
+def _unrolled_step(width: int):
+    """step(stage, p, h) written out over the `width` entries of p, the
+    stage states y_i + c k_i (c = h/2, h/2, h) and the result y_i + (h/6)
+    (((k1_i + 2 k2_i) + 2 k3_i) + k4_i); generated since the width is the
+    run's.  At 65 entries it takes two thirds of the time of comprehensions
+    over zip."""
+    R = range(width)
+    names = lambda k: "".join(f"{k}{i}, " for i in R)
+    state = lambda c, k: "stage([" + ", ".join(f"y{i} + {c} * {k}{i}" for i in R) + "])"
+    result = ", ".join(f"y{i} + h6 * (((a{i} + 2.0 * b{i}) + 2.0 * c{i}) + d{i})" for i in R)
+    return _compiled("\n".join([
+        "def step(stage, p, h):",
+        "    hh, h6 = 0.5 * h, h / 6.0",
+        f"    {names('y')}= p",
+        f"    {names('a')}= stage(p)",
+        f"    {names('b')}= {state('hh', 'a')}",
+        f"    {names('c')}= {state('hh', 'b')}",
+        f"    {names('d')}= {state('h', 'c')}",
+        f"    return [{result}]",
+    ]), "step")
+
+
+@functools.lru_cache(maxsize=64)
+def _compiled(source: str, name: str):
+    """The function `name` that `source` defines, compiled once per source
+    in a process, without a line table (it has no source file): the lookup
+    tracemalloc makes at every traced allocation scans that table, which
+    made a traced run 17 times slower."""
+
+    def lineless(code):
+        consts = tuple(lineless(c) if isinstance(c, types.CodeType) else c for c in code.co_consts)
+        return code.replace(co_linetable=b"", co_consts=consts)
+
+    scope = {}
+    exec(lineless(compile(source, f"<pbclab.sim {name}>", "exec")), scope)
+    return scope[name]
 
 
 # -- scenario description ----------------------------------------------------
@@ -399,7 +400,7 @@ class _Block:
         self.sl, self.shape = sl, shape
 
     def __call__(self, rows):
-        if rows.ndim == 1:  # a stage row
+        if rows.ndim == 1:  # one row
             return rows[self.sl].reshape(self.shape)
         return rows[:, self.sl].reshape(len(rows), *self.shape)
 
@@ -468,28 +469,31 @@ def _stage_law(ctl: ControllerSpec, pi, model: PHModel, v_ref: float):
 
 
 def _plant_stage(law, cache: _PlantCache, ctl: ControllerSpec, bank: "_Bank"):
-    """The engine's stage(p, i) of one epoch: the derivatives of p = [x1,
-    .., x4, xc] at stage i from (u_raw, dx_c) = law(p, xc), u clamped to
-    [u_min, u_max] and the drift rows of `cache`, read once here, each
-    summed left to right with b0_i last; the bank writes its rows' own."""
+    """The engine's stage(v) of one epoch: the derivative of the
+    Runge-Kutta vector v = [x1, .., x4, xc, *estimator rows], from (u_raw,
+    dx_c) = law(v, xc), u clamped to [u_min, u_max] and the drift rows of
+    `cache`, read once here, each summed left to right with b0_i last; the
+    estimator rows' derivative follows, from the bank's straight-line code
+    bound to this epoch's observer frame (`_Bank.stage`)."""
     [(a11, a12, a13, a14, c11, c12, c13, c14, b1), (a21, a22, a23, a24, c21, c22, c23, c24, b2),
      (a31, a32, a33, a34, c31, c32, c33, c34, b3), (a41, a42, a43, a44, c41, c42, c43, c44, b4)] = cache.rows
     lo, hi, c_y = ctl.u_min, ctl.u_max, cache.c_y
-    derivative = bank.derivative if bank.size else None  # only rows read the observer frame
+    derivative = bank.stage(cache) if bank.size else None  # only rows read the observer frame
 
-    def stage(p, i):
-        x1, x2, x3, x4, xc = p
-        u_raw, dxc = law(p, xc)
+    def stage(v):
+        x1, x2, x3, x4, xc = v[0], v[1], v[2], v[3], v[4]
+        u_raw, dxc = law(v, xc)
         u = min(max(u_raw, lo), hi)
-        if derivative is not None:
-            derivative(i, cache, u, c_y * x4)
-        return [
+        dv = [
             (a11 + u * c11) * x1 + (a12 + u * c12) * x2 + (a13 + u * c13) * x3 + (a14 + u * c14) * x4 + b1,
             (a21 + u * c21) * x1 + (a22 + u * c22) * x2 + (a23 + u * c23) * x3 + (a24 + u * c24) * x4 + b2,
             (a31 + u * c31) * x1 + (a32 + u * c32) * x2 + (a33 + u * c33) * x3 + (a34 + u * c34) * x4 + b3,
             (a41 + u * c41) * x1 + (a42 + u * c42) * x2 + (a43 + u * c43) * x3 + (a44 + u * c44) * x4 + b4,
             dxc,
         ]
+        if derivative is not None:
+            dv += derivative(v, u, c_y * x4)
+        return dv
 
     return stage
 
@@ -503,49 +507,38 @@ class _RegressionFilter:
         self.Y, self.Omega = bank.add(bank.n), bank.add(bank.n, bank.n)
         self.rows = slice(self.Y.sl.start, self.Omega.sl.stop)  # (Y, Omega) as one run of entries
 
-    def bind(self, bank: "_Bank"):
-        self.z, self.d = bank.z[self.rows], [d[self.rows] for d in bank.d]
-
-    def derivative(self, i: int, drives):
-        """Write dY = lam (drive_y - Y) and dOmega = lam (drive_om - Omega)
-        into the derivative row i; the drives (C Phi)' (y_m - C xi) and
-        (C Phi)' C Phi, shared by every pole, come in the layout of
-        (Y, Omega)."""
-        d = self.d[i]
-        np.multiply(np.subtract(drives, self.z, out=d), self.lam, out=d)
-
 
 class _Bank:
-    """The estimator rows y of the Runge-Kutta vector and their one owner,
+    """The estimator rows of the Runge-Kutta vector and their one owner,
     which lays them out, starts them and differentiates them.  Its blocks
     are the open-loop copy xi (with Phi when an estimator reads it), driven
     by u alone; one `_RegressionFilter` per distinct pole, driven by u, y_m
     and lam; and each Kalman-Bucy filter's block (`_KbfRuntime`).  Each is
-    integrated once, however many estimators read it.
+    integrated once, however many estimators read it.  The rows follow the
+    plant rows and the integrator in the vector, from entry `base` on.
 
-    `start` allocates the run's buffers (see the module docstring): the
-    step rows y, at the current step, and y_next; the stage row z; the
-    derivative rows d; and scratch.  The bank, each filter and each
-    Kalman-Bucy block bind their views of z and d once; only they and the
-    fed-back estimate read z and d, and every other reader calls a
-    `_Block`.
+    The rows are Python floats, and `stage` differentiates them in
+    straight-line code (see the module docstring), which `source` writes
+    out for the bank's layout.  Every other reader takes the rows from a
+    numpy copy of them, a row or a (K, size) stack of sampled rows, through
+    a `_Block`.
 
-    An estimator runtime only reads the rows.  It gives `estimate()`, its
-    estimate at the stage row when it closes the loop, and
-    `record(ys, cols, deltas)`, its logged arrays from the sampled rows,
-    the sampled columns of the exact steps (`_ExactSteps`) by step key and
-    the store's sampled Delta by filter pole (`_Store`); one
-    stepped exactly holds its `step_key` and is pointed to its row, `exact`
-    and `row`.  `derivative` reads the observer frame as A = A_obs(u) and
-    b = b_obs, and the measurement as the float y_m, read by
-    C_obs = [0, 0, 0, 1], so C z is z[3] (see `_PlantCache`)."""
+    An estimator runtime only reads the rows.  It gives `estimate(v)`, its
+    estimate in volts and amperes from the Runge-Kutta vector v when it
+    closes the loop, and `record(ys, cols, deltas)`, its logged arrays from
+    the sampled rows, the sampled columns of the exact steps
+    (`_ExactSteps`) by step key and the store's sampled Delta by filter pole
+    (`_Store`); one stepped exactly holds its `step_key` and is pointed to
+    its row, `exact` and `row`."""
 
     def __init__(self, n: int):
         self.n = n
+        self.base = n + 1  # the rows' first entry in the Runge-Kutta vector
         self.size = 0  # the number of rows reserved
         self.xi = self.Phi = None  # the copy's blocks, once reserved
         self.filters = {}  # lam -> _RegressionFilter
         self.kbfs = []  # the Kalman-Bucy filters, in run order
+        self.make = None  # the layout's compiled stage code (`source`), from `start`
 
     def add(self, *shape) -> _Block:
         """Reserve the next rows, for a block of `shape`."""
@@ -573,59 +566,103 @@ class _Bank:
         self.kbfs.append(kbf)
         return self.add(self.n), self.add(self.n, self.n)
 
-    def start(self):
-        """Allocate the run's buffers, bind every owner's views of them, and
-        set the rows at t = 0: Phi = I, each H = H0, and zeros elsewhere."""
-        n, size = self.n, self.size
-        self.y, self.y_next = np.zeros(size), np.empty(size)  # the step rows
-        self.z, self.d = np.empty(size), list(np.empty((4, size)))  # the stage rows
-        # scratch: A_obs, the estimate, a vector and two n x n products
-        self.A, self.e, self.v = np.empty((n, n)), np.empty(n), np.empty(n)
-        self.P, self.T = np.empty((n, n)), np.empty((n, n))
-        if self.xi is not None:
-            self.z_xi, self.d_xi = self.xi(self.z), [self.xi(d) for d in self.d]
+    def start(self) -> list:
+        """The rows at t = 0 as floats, Phi = I, each H = H0 and zeros
+        elsewhere; the layout's stage code is compiled here."""
+        y = np.zeros(self.size)
         if self.Phi is not None:
-            self.Phi(self.y)[:] = np.eye(n)
-            self.z_Phi, self.d_Phi = self.Phi(self.z), [self.Phi(d) for d in self.d]
-            # C Phi is the row Phi[3]; the drives are (C Phi)' (y_m - C xi)
-            # and its outer product with itself, laid out as (Y, Omega)
-            self.c, self.c_col = self.z_Phi[3], self.z_Phi[3][:, None]
-            self.drives = np.empty(n + n * n)
-            self.drive_y, self.drive_om = self.drives[:n], self.drives[n:].reshape(n, n)
-        for filt in self.filters.values():
-            filt.bind(self)
+            self.Phi(y)[:] = np.eye(self.n)
         for kbf in self.kbfs:
-            kbf.H(self.y)[:] = kbf.H0
-            kbf.bind(self)
+            kbf.H(y)[:] = kbf.H0
+        if self.size:
+            self.make = _compiled(self.source(), "make")
+        return y.tolist()
 
-    def derivative(self, i: int, frame, u: float, y_m: float):
-        """Write dy at the stage row z into the derivative row i: every
-        Kalman-Bucy block, the copy and every filter, with A = A0_obs +
-        u A1_obs and b = b0_obs of `frame` (a `_PlantCache`)."""
-        A = np.add(frame.A0_obs, np.multiply(frame.A1_obs, u, out=self.A), out=self.A)
-        b = frame.b0_obs
-        for kbf in self.kbfs:
-            kbf.derivative(i, A, b, y_m)
-        if self.xi is None:
-            return
-        # the rows of `observers.gpebo_matrix_derivatives` at C = [0, 0, 0, 1]:
-        # C Phi is the row Phi[3] and C xi the entry xi[3], and the two
-        # filter drives are formed once for every pole
-        xi, dxi = self.z_xi, self.d_xi[i]
-        np.add(np.dot(A, xi, out=dxi), b, out=dxi)
-        if self.Phi is None:
-            return
-        np.dot(A, self.z_Phi, out=self.d_Phi[i])
+    def stage(self, frame):
+        """derivative(v, u, y_m), the rows' derivative at the vector v, duty
+        ratio u and measurement y_m, bound to the observer frame of `frame`
+        (a `_PlantCache`; A = A0_obs + u A1_obs and b = b0_obs), the poles
+        and the upper triangle of each Kalman-Bucy filter's S."""
+        upper = np.triu_indices(self.n)
+        return self.make(frame.A0_obs.ravel().tolist(), frame.A1_obs.ravel().tolist(), frame.b0_obs.tolist(),
+                         list(self.filters), [kbf.S[upper].tolist() for kbf in self.kbfs])
+
+    def source(self) -> str:
+        """The source of make(A0, A1, b, lams, Ss), which returns
+        derivative(v, u, y_m) (`stage`) for this layout: the rows of
+        `observers.gpebo_matrix_derivatives` and `kbf_derivatives` at
+        C_obs = [0, 0, 0, 1], one float expression per entry, each sum
+        taken left to right in the association those functions state.  The
+        copy is A xi + b and A Phi; the filter drives (C Phi)' (y_m - C xi)
+        and (C Phi)' C Phi, formed from C Phi = Phi[3] for every pole, give
+        lam (drive - Y) and lam (drive - Omega); each Kalman-Bucy filter
+        gives ((A x_hat + b) + H[:, 3] (y_m - x_hat[3])) and, with P = A H,
+        ((P' + P) - H[:, 3] H[3]) + S.  Omega and H are read from their
+        upper triangle and each mirrored entry is the same float, so both
+        stay exactly symmetric and no symmetrization is needed."""
+        n, R = self.n, range(self.n)
+        rows, lines = [None] * self.size, []  # each row's expression; the statements before them
+
+        def at(block, i, j=None):  # the name of block[i] or block[i, j] in v
+            return f"v{self.base + block.sl.start + (i if j is None else i * n + j)}"
+
+        def upper(block, i, j):  # a symmetric block's entry, read from its upper triangle
+            return at(block, min(i, j), max(i, j))
+
+        def put(block, exprs, i=None):  # row i of a matrix block, or a vector block
+            first = block.sl.start + (0 if i is None else i * n)
+            rows[first : first + n] = exprs
+
+        def Ax(block):  # (A x)_i + b_i for the vector block x
+            return [" + ".join(f"a{i}{k} * {at(block, k)}" for k in R) + f" + b{i}" for i in R]
+
+        def mirrored(block, name):  # a symmetric block, entry (i, j) and (j, i) both name(min, max)
+            for i in R:
+                put(block, [name(min(i, j), max(i, j)) for j in R], i)
+
+        if self.xi is not None:
+            put(self.xi, Ax(self.xi))
+        if self.Phi is not None:
+            for i in R:
+                put(self.Phi, [" + ".join(f"a{i}{k} * {at(self.Phi, k, j)}" for k in R) for j in R], i)
         if self.filters:
-            c = self.c
-            np.multiply(c, y_m - xi.item(3), out=self.drive_y)
-            np.multiply(self.c_col, c, out=self.drive_om)  # np.outer(c, c), without its wrapper
-            for filt in self.filters.values():
-                filt.derivative(i, self.drives)
+            c = [at(self.Phi, 3, j) for j in R]  # C Phi
+            lines.append(f"e = y_m - {at(self.xi, 3)}")
+        for f, filt in enumerate(self.filters.values()):
+            put(filt.Y, [f"l{f} * ({c[i]} * e - {at(filt.Y, i)})" for i in R])
+            lines += [f"o{f}_{i}{j} = l{f} * ({c[i]} * {c[j]} - {at(filt.Omega, i, j)})"
+                      for i in R for j in R if i <= j]
+            mirrored(filt.Omega, lambda i, j: f"o{f}_{i}{j}")
+        for g, kbf in enumerate(self.kbfs):
+            lines.append(f"e{g} = y_m - {at(kbf.x, 3)}")
+            put(kbf.x, [f"({ax}) + {upper(kbf.H, i, 3)} * e{g}" for i, ax in enumerate(Ax(kbf.x))])
+            lines += [f"p{i}{j} = " + " + ".join(f"a{i}{k} * {upper(kbf.H, k, j)}" for k in R) for i in R for j in R]
+            lines += [f"h{g}_{i}{j} = ((p{j}{i} + p{i}{j}) - {upper(kbf.H, i, 3)} * {upper(kbf.H, 3, j)})"
+                      f" + s{g}_{i}{j}" for i in R for j in R if i <= j]
+            mirrored(kbf.H, lambda i, j: f"h{g}_{i}{j}")
+        ij = [(i, j) for i in R for j in R]
+        binds = [", ".join(f"A0_{i}{j}" for i, j in ij) + " = A0", ", ".join(f"A1_{i}{j}" for i, j in ij) + " = A1",
+                 ", ".join(f"b{i}" for i in R) + " = b"]
+        binds += ["".join(f"l{f}, " for f in range(len(self.filters))) + "= lams"] if self.filters else []
+        binds += [", ".join(f"s{g}_{i}{j}" for i, j in ij if i <= j) + f" = Ss[{g}]" for g in range(len(self.kbfs))]
+        body = [", ".join(f"v{k}" for k in range(self.base + self.size)) + " = v",
+                *(f"a{i}{j} = A0_{i}{j} + u * A1_{i}{j}" for i, j in ij), *lines, f"return [{', '.join(rows)}]"]
+        head = ["def make(A0, A1, b, lams, Ss):", *("    " + s for s in binds), "    def derivative(v, u, y_m):"]
+        return "\n".join([*head, *("        " + s for s in body), "    return derivative", ""])
 
-    def reconstruct(self, theta):
-        """x_hat = xi + Phi theta at the stage row, in the estimate buffer."""
-        return np.add(self.z_xi, np.dot(self.z_Phi, theta, out=self.e), out=self.e)
+    def reconstruct(self, v, theta) -> list:
+        """x_hat = xi + Phi theta from the rows of the vector v, on floats:
+        xi_i + (Phi_i1 theta_1 + .. + Phi_i4 theta_4), summed left to right."""
+        i, j = self.base + self.xi.sl.start, self.base + self.Phi.sl.start
+        x1, x2, x3, x4 = v[i : i + 4]
+        p11, p12, p13, p14, p21, p22, p23, p24, p31, p32, p33, p34, p41, p42, p43, p44 = v[j : j + 16]
+        t1, t2, t3, t4 = theta
+        return [
+            x1 + (p11 * t1 + p12 * t2 + p13 * t3 + p14 * t4),
+            x2 + (p21 * t1 + p22 * t2 + p23 * t3 + p24 * t4),
+            x3 + (p31 * t1 + p32 * t2 + p33 * t3 + p34 * t4),
+            x4 + (p41 * t1 + p42 * t2 + p43 * t3 + p44 * t4),
+        ]
 
 
 def _reads_filter(spec: ObserverSpec) -> bool:
@@ -654,7 +691,7 @@ class _GpeboRuntime:
         self.filt = bank.filter(spec.lam)
         self.step_key = _step_key(spec)
         self.theta_hat0 = np.zeros(bank.n)  # theta_hat starts at zero with its row
-        self.theta_feed = self.theta_hat0.copy()
+        self.theta_feed = self.theta_hat0.tolist()
 
     def theta(self, omega, theta_hat):
         """The estimate of theta: the finite-time combination, or theta_hat."""
@@ -666,10 +703,10 @@ class _GpeboRuntime:
         # called once per step after the sample, so a sampled u of observer
         # feedback reads the theta of one step earlier (ROADMAP item 5e)
         row = self.exact.state[self.row]
-        self.theta_feed = self.theta(row[0], row[1:]).copy()
+        self.theta_feed = self.theta(row[0], row[1:]).tolist()
 
-    def estimate(self):
-        return self.bank.reconstruct(self.theta_feed)
+    def estimate(self, v):
+        return self.bank.reconstruct(v, self.theta_feed)
 
     def record(self, ys, cols, deltas):
         col = cols[self.step_key]
@@ -700,8 +737,9 @@ class _EmulatorRuntime:
         self.bank = bank
         bank.copy(phi=False)
 
-    def estimate(self):
-        return self.bank.z_xi
+    def estimate(self, v):
+        i = self.bank.base + self.bank.xi.sl.start
+        return v[i : i + self.bank.n]
 
     def record(self, ys, cols, deltas):
         xi = self.bank.xi(ys)
@@ -714,34 +752,14 @@ class _KbfRuntime:
 
     def __init__(self, spec: ObserverSpec, bank: _Bank):
         self.spec = spec
+        self.bank = bank
         self.S = _as_spd(spec.s, bank.n, "S")
         self.H0 = _as_spd(spec.h0, bank.n, "H0")
         self.x, self.H = bank.kbf(self)
 
-    def bind(self, bank: _Bank):
-        self.z_x, H = self.x(bank.z), self.H(bank.z)
-        self.z_H, self.h_col, self.h_col_col, self.h_row = H, H[:, 3], H[:, 3:4], H[3]
-        self.d_x, self.d_H = [self.x(d) for d in bank.d], [self.H(d) for d in bank.d]
-        self.v, self.P, self.PT, self.T = bank.v, bank.P, bank.P.T, bank.T  # the bank's scratch
-
-    def derivative(self, i: int, A, b, y_m: float):
-        # the rows of `observers.kbf_derivatives` at C = [0, 0, 0, 1]: H C' is
-        # the column H[:, 3] and H C' C H its outer product with the row
-        # H[3].  H is exactly symmetric (H0 and S are, and every Runge-Kutta
-        # update acts entry by entry), so H A' is (A H)' bit for bit and the
-        # unsymmetrized sum is already the symmetrized one.  Written into
-        # the derivative row i as ((A x_hat + b) + h_col (y_m - x_hat[3]))
-        # and (((P' + P) - h_col H[3]) + S)
-        x_hat, dx, dH = self.z_x, self.d_x[i], self.d_H[i]
-        np.add(np.dot(A, x_hat, out=dx), b, out=dx)
-        np.add(dx, np.multiply(self.h_col, y_m - x_hat.item(3), out=self.v), out=dx)
-        np.dot(A, self.z_H, out=self.P)
-        np.add(self.PT, self.P, out=dH)
-        np.subtract(dH, np.multiply(self.h_col_col, self.h_row, out=self.T), out=dH)
-        np.add(dH, self.S, out=dH)
-
-    def estimate(self):
-        return self.z_x
+    def estimate(self, v):
+        i = self.bank.base + self.x.sl.start
+        return v[i : i + self.bank.n]
 
     def record(self, ys, cols, deltas):
         return self.x(ys), {"H": self.H(ys)}
@@ -762,8 +780,8 @@ class _GradientRuntime:
             bank.copy(phi=True)
         self.step_key = _step_key(spec)
 
-    def estimate(self):
-        return self.bank.reconstruct(self.exact.state[self.row])
+    def estimate(self, v):
+        return self.bank.reconstruct(v, self.exact.state[self.row].tolist())
 
     def record(self, ys, cols, deltas):
         rec = {"xi": self.bank.xi(ys), "Phi": self.bank.Phi(ys), "theta_hat": cols[self.step_key]}
@@ -940,25 +958,27 @@ def _closes_loop(ctl: ControllerSpec) -> bool:
 
 
 class _Store:
-    """The plant side of a run's samples: at each sample instant the plant
-    rows and integrator p, the estimator rows y, the clamped duty ratio, the
+    """The plant side of a run's samples: at each sample instant the
+    Runge-Kutta vector (`vs`, whose columns `ps` and `ys` are the plant rows
+    and integrator and the estimator rows), the clamped duty ratio, the
     passive output, the clamp flag, the reference and the epoch; with the
     PI-PBC state of every epoch (None for the classical PI) and the
     coenergy weights Q, which no event changes."""
 
     def __init__(self, K: int, n_p: int, n_y: int, Q):
-        self.ps, self.ys, self.us, self.yts, self.sats, self.refs, self.epochs = (
-            np.empty((K, *shape), dtype=dtype) for shape, dtype in self.row(n_p, n_y)
+        self.vs, self.us, self.yts, self.sats, self.refs, self.epochs = (
+            np.empty((K, *shape), dtype=dtype) for shape, dtype in self.row(n_p + n_y)
         )
+        self.ps, self.ys = self.vs[:, :n_p], self.vs[:, n_p:]
         self.pis = []
         self.Q = Q
         self.deltas = {}  # filter pole -> the sampled Delta of its Omega, taken once for every reader
 
     @staticmethod
-    def row(n_p: int, n_y: int) -> list:
+    def row(n_v: int) -> list:
         """The shape and dtype of each array's entry at one sample instant,
-        in `arrays` order (build_cuk has one duty ratio)."""
-        return [((n_p,), float), ((n_y,), float), ((1,), float), ((1,), float), ((), bool), ((), float), ((), int)]
+        vs first (build_cuk has one duty ratio)."""
+        return [((n_v,), float), ((1,), float), ((1,), float), ((), bool), ((), float), ((), int)]
 
     def arrays(self):
         return self.ps, self.ys, self.us, self.yts, self.sats, self.refs, self.epochs
@@ -1072,7 +1092,7 @@ def _sample_bytes(scn: Scenario, N: int) -> int:
     for stack in _exact_steps(runtimes):
         tape = _CHUNK * stack.width + (_CHUNK + 1) * len(stack.rows) * stack.slots if stack.rt is not fb_rt else 0
         floats += K * len(stack.rows) * stack.slots + tape  # a rider's tape and its states over it
-    row = sum(math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in _Store.row(len(SIGNALS) + 1, bank.size))
+    row = sum(math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in _Store.row(bank.base + bank.size))
     return K * row + floats * np.dtype(float).itemsize
 
 
@@ -1164,10 +1184,11 @@ def validate_scenario(scn: Scenario) -> int:
 
 
 def _epoch(ctl: ControllerSpec, params, model: PHModel, v_ref: float, t: float, cache, bank, fb_rt):
-    """The PI-PBC state (None for the classical PI), law(p, xc) on the plant
-    rows or, on observer feedback, on fb_rt's estimate, and the stage of the
-    epoch that starts at time t with reference v_ref; an unreachable v_ref
-    raises `InfeasibleEquilibrium` with t as its `epoch_time`."""
+    """The PI-PBC state (None for the classical PI), law(v, xc) on the plant
+    rows of the Runge-Kutta vector v or, on observer feedback, on fb_rt's
+    estimate from its rows, and the stage of the epoch that starts at time
+    t with reference v_ref; an unreachable v_ref raises
+    `InfeasibleEquilibrium` with t as its `epoch_time`."""
     pi = None
     if ctl.type != "classical-pi":
         try:
@@ -1179,10 +1200,11 @@ def _epoch(ctl: ControllerSpec, params, model: PHModel, v_ref: float, t: float, 
         )
     law = _stage_law(ctl, pi, model, v_ref)
     if fb_rt is not None:
-        state_law, qd, e = law, cache.qd, bank.e
+        state_law, estimate, (q1, q2, q3, q4) = law, fb_rt.estimate, cache.qd.tolist()
 
-        def law(p, xc):  # the estimate in volts and amperes, divided to stored units
-            return state_law(np.divide(fb_rt.estimate(), qd, out=e).tolist(), xc)
+        def law(v, xc):  # the estimate in volts and amperes, divided to stored units
+            x1, x2, x3, x4 = estimate(v)
+            return state_law((x1 / q1, x2 / q2, x3 / q3, x4 / q4), xc)
 
     return pi, law, _plant_stage(law, cache, ctl, bank)
 
@@ -1268,8 +1290,7 @@ def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
     fb_rt = stepped[0] if _closes_loop(ctl) else None
     feed = fb_rt if isinstance(fb_rt, _GpeboRuntime) else None  # refreshes its theta per step
 
-    bank.start()
-    rows = bank if bank.size else None  # the estimator rows the step advances
+    y = bank.start()  # the estimator rows at t = 0
     stacks = _exact_steps(stepped)
     looped = [stack for stack in stacks if stack.rt is fb_rt]  # the feeding estimator's, stepped in the loop
     riding = [stack for stack in stacks if stack.rt is not fb_rt]  # stepped from their tapes
@@ -1289,15 +1310,17 @@ def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
     # scenario initial state is physical (i1, v2, i3, v4); stored
     # variables are fluxes and charges, x = Q^-1 (physical)
     x0 = np.linalg.solve(model.Q, np.asarray(scn.x0, dtype=float))
-    # the plant rows and the integrator: p = [x1, .., xn, xc] as Python floats
-    p = x0.tolist() + [float(ctl.xc0)]
-    store = _Store(K, len(p), bank.size, model.Q)
+    # the Runge-Kutta vector as Python floats: the plant rows, the
+    # integrator and the estimator rows, v = [x1, .., xn, xc, *y]
+    v = x0.tolist() + [float(ctl.xc0)] + y
+    base = bank.base
+    store = _Store(K, base, bank.size, model.Q)
     ref_now = ctl.x4_star
     pi, law, stage = _epoch(ctl, params, model, ref_now, 0.0, cache, bank, fb_rt)
     store.pis.append(pi)  # the PI-PBC of each epoch, for W after the loop
     epoch = 0
 
-    ps, ys, us, yts, sats, refs, epochs = store.arrays()
+    vs, us, yts, sats, refs, epochs = store.vs, store.us, store.yts, store.sats, store.refs, store.epochs
     taken = due = 0  # the samples taken and the step of the next one
     k0 = taped = 0  # the first step on the riding stacks' tapes and the steps taped
 
@@ -1333,12 +1356,10 @@ def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
                         pi, law, stage = _epoch(ctl, params, model, ref_now, t, cache, bank, fb_rt)
                         store.pis.append(pi)
                 if k == due:
-                    if fb_rt is not None:  # the estimate reads the stage row
-                        np.copyto(bank.z, bank.y)
-                    u_raw, yts[taken] = law(p, p[-1])
+                    u_raw, yts[taken] = law(v, v[base - 1])  # xc precedes the estimator rows
                     us[taken] = u = min(max(u_raw, ctl.u_min), ctl.u_max)
                     sats[taken] = u != u_raw  # the clamp flag, formed only here
-                    ps[taken], ys[taken] = p, bank.y
+                    vs[taken] = v
                     refs[taken], epochs[taken] = ref_now, epoch
                     for stack in looped:
                         stack.samples[taken] = stack.state
@@ -1346,8 +1367,8 @@ def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
                     due = min(due + scn.stride, N)
                 if k == N:
                     break
-                if stacks:  # the exact steps read y and y_m at the start of the step
-                    y0, y_m0 = bank.y, cache.c_y * p[3]
+                if stacks:  # the exact steps read a copy of y, and y_m, at the start of the step
+                    y0, y_m0 = np.array(v[base:]), cache.c_y * v[3]
                     if riding:
                         if taped == _CHUNK:
                             flush()
@@ -1357,7 +1378,7 @@ def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
                     if feed is not None:  # a GPEBO kind, so only with a stack
                         feed.refresh_feed()
                 try:
-                    p = _rk4_split_step(stage, t, p, rows, h)
+                    v = _rk4_split_step(stage, t, v, h)
                     for stack in looped:
                         stack.step(y0, y_m0, t, h)
                 except NonFiniteState:

@@ -693,12 +693,11 @@ _COMMANDS = {
     # a dissipation entry near the float range: R is checked at its own scale
     *((cmd, "model.r2=1e308", 3, "infeasible operating point: ", "quadratic roots [nan, nan] all fall outside (0, 1)")
       for cmd in ("simulate", "compare", "sweep")),
-    # a duty root below the oracle's scan grid, closed form confirmed by no scan root
-    *((cmd, "controller.x4_star=-1e-30", 4, "numerical failure: ", "closed-form root 9.041666666666668e-32 not")
-      for cmd in ("simulate", "equilibrium")),
-    # a source whose discriminant overflows: one root is infinite, and its Newton polish NaN
-    *((cmd, "model.E=1e200", 4, "numerical failure: ", "closed-form root 1.6275000000000003e-199 not")
-      for cmd in ("simulate", "equilibrium", "compare", "sweep")),
+    # a source whose discriminant overflows: one root is infinite, and its Newton polish NaN; the
+    # other, 1.6e-199, lies below the uniform scan grid, and the state at it overflows
+    *((cmd, "model.E=1e200", 3, "infeasible operating point: ", "equilibrium residual inf exceeds")
+      for cmd in ("simulate", "compare", "sweep")),
+    ("equilibrium", "model.E=1e200", 3, "verdict: infeasible (", "equilibrium residual inf exceeds"),
 ])
 def test_an_input_that_once_ended_in_a_traceback_exits_with_its_code(tmp_path, capsys, command, override, code,
                                                                     prefix, named):
@@ -711,6 +710,19 @@ def test_an_input_that_once_ended_in_a_traceback_exits_with_its_code(tmp_path, c
     else:
         assert err.startswith(prefix) and named in err and err.count("\n") == 1, err
     assert "np.float64" not in out + err
+
+
+@pytest.mark.parametrize("x4_star, roots", [
+    ("-1e-30", "9.0416666666666679e-32"),  # 1e27 times below the uniform grid's first point
+    ("-1e-12", "9.041666666665849e-14, 0.99999999999999301"),  # and one 7e-15 below 1, beyond its last
+])
+def test_a_duty_root_near_either_end_is_confirmed_by_the_scan(capsys, x4_star, roots):
+    # the closed-form roots lie beyond the scan's uniform grid, toward 0 and
+    # toward 1; its graded points bracket them, so the operating point is
+    # feasible where it once was a numerical failure (exit 4)
+    assert cli.main(["equilibrium", "--set", f"controller.x4_star={x4_star}"]) == 0
+    out = capsys.readouterr().out
+    assert f"candidates in (0,1): {roots}\n" in out and "verdict: feasible\n" in out
 
 
 def _no_scan_root(monkeypatch):

@@ -460,28 +460,39 @@ def test_non_finite_stepped_state_raises_with_partial(monkeypatch):
 
 
 def test_one_filter_integration_per_pole(monkeypatch):
-    # every evaluation of a pole's (Y, Omega) rows is counted: three
-    # estimators on pole 5 and one on pole 3 make two filters, each
-    # evaluated once per Runge-Kutta stage, not once per estimator
+    # three estimators on pole 5 and one on pole 3 make two filters: the
+    # bank reserves one (Y, Omega) block per pole, and every Runge-Kutta
+    # stage returns the derivative of the plant rows, the copy and those
+    # two blocks, each once, not once per estimator
     import pbclab.sim as simmod
 
-    calls = []
-    original = simmod._RegressionFilter.derivative
+    banks, lengths = [], []
+    start, step = simmod._Bank.start, simmod._rk4_split_step
 
-    def counting(self, *args):
-        calls.append(self.lam)
-        return original(self, *args)
+    def keeping_start(bank):
+        banks.append(bank)
+        return start(bank)
 
-    monkeypatch.setattr(simmod._RegressionFilter, "derivative", counting)
+    def counting_step(stage, t, p, h):
+        def counted(v):
+            dv = stage(v)
+            lengths.append(len(dv))
+            return dv
+
+        return step(counted, t, p, h)
+
+    monkeypatch.setattr(simmod._Bank, "start", keeping_start)
+    monkeypatch.setattr(simmod, "_rk4_split_step", counting_step)
     scn = Scenario(
         observers=[ObserverSpec(kind="fct-gpebo", gamma=g) for g in (1e10, 1e11, 1e12)]
         + [ObserverSpec(kind="fct-gpebo", lam=3.0)],
         horizon=1e-4,
     )
     run_scenario(scn)
-    stages = 4 * round(scn.horizon / scn.h)
-    assert len(calls) == 2 * stages
-    assert calls.count(5.0) == calls.count(3.0) == stages
+    (bank,) = banks
+    assert list(bank.filters) == [5.0, 3.0]
+    assert bank.size == 4 + 16 + 2 * (4 + 16)
+    assert lengths == [5 + bank.size] * (4 * round(scn.horizon / scn.h))
 
 
 def test_estimators_with_one_step_key_share_a_row(monkeypatch):
@@ -511,7 +522,8 @@ def test_estimators_with_one_step_key_share_a_row(monkeypatch):
 
 
 class _CountingArray(np.ndarray):
-    """An array that counts the numpy operations it takes part in."""
+    """An array that counts the numpy operations it takes part in, and
+    every read of it as Python floats."""
 
     ops = 0
 
@@ -519,6 +531,10 @@ class _CountingArray(np.ndarray):
         type(self).ops += 1
         inputs = [np.asarray(x) for x in inputs]
         return getattr(ufunc, method)(*inputs, **kwargs)
+
+    def tolist(self):
+        type(self).ops += 1
+        return np.asarray(self).tolist()
 
 
 def test_storage_reference_once_per_epoch_and_no_unread_observer_frame(monkeypatch):
@@ -553,12 +569,11 @@ def test_storage_reference_once_per_epoch_and_no_unread_observer_frame(monkeypat
     assert traj.epoch[-1] == 1 and np.isfinite(traj.W).all()
     assert calls == {"integrator_reference": 2}
     assert _CountingArray.ops == 0
-    # the counter sees the frame as soon as an estimator reads it: three
-    # operations per Runge-Kutta stage, u * A1_obs and A0_obs + (u * A1_obs)
-    # for the drift, and (A xi) + b0_obs in the emulator's copy row (the
-    # source does not switch, so nothing is added to b0_obs)
+    # the counter sees the frame as soon as an estimator reads it: once per
+    # epoch, when the bank's stage code binds A0_obs, A1_obs and b0_obs as
+    # floats, and in no numpy operation at any stage
     run_scenario(replace(scn, observers=[ObserverSpec(kind="emulator")]))
-    assert _CountingArray.ops == 4 * 3 * round(scn.horizon / scn.h)
+    assert _CountingArray.ops == 3 * 2
 
 
 def _captured_run(monkeypatch, scn):
@@ -572,9 +587,9 @@ def _captured_run(monkeypatch, scn):
     ys, pis = [], []
     step, make = simmod._rk4_split_step, simmod.make_pi_pbc
 
-    def keeping_step(stage, t, p, rows, h):
+    def keeping_step(stage, t, p, h):
         ys.append(np.array(p))
-        return step(stage, t, p, rows, h)
+        return step(stage, t, p, h)
 
     def keeping_make(*args, **kwargs):
         pis.append(make(*args, **kwargs))
@@ -653,25 +668,26 @@ def test_the_upper_duty_clamp_holds_and_is_flagged(monkeypatch):
 
 
 def test_estimator_rows_equal_the_reference_derivatives(monkeypatch):
-    # the engine evaluates the copy, filter and Kalman-Bucy rows on the
-    # voltmeter structure C_obs = [0, 0, 0, 1] with the fixed source b0; at
-    # every Runge-Kutta stage of an observer-feedback run with a load event
-    # they must equal observers.gpebo_matrix_derivatives and kbf_derivatives
-    # at the same (A_obs, b_obs, C_obs, y_m), and the raw gradient's frozen
-    # data on its tape must equal C_obs Phi and y_m - C_obs xi at the start
-    # of each step, all bit for bit
+    # the engine evaluates the copy, filter and Kalman-Bucy rows on Python
+    # floats, on the voltmeter structure C_obs = [0, 0, 0, 1] with the fixed
+    # source b0; at every Runge-Kutta stage of an observer-feedback run with
+    # a load event they must equal the float oracle `_estimator_rows` at the
+    # epoch's frame, duty ratio and y_m (and the plant rows `_drift`), and
+    # the raw gradient's frozen data on its tape must equal C_obs Phi and
+    # y_m - C_obs xi at the start of each step, all bit for bit.  The
+    # oracle reads Omega and H from their upper triangle, which the
+    # engine's code must do too: at random rows, neither symmetric, its
+    # stage still equals the oracle bit for bit
     import pbclab.sim as simmod
     from pbclab.cuk import build_cuk
-    from pbclab.observers import gpebo_matrix_derivatives, kbf_derivatives
 
-    S = np.array([[2.0, 0.3, 0.0, 0.0], [0.3, 1.0, 0.0, 0.1], [0.0, 0.0, 1.5, 0.2], [0.0, 0.1, 0.2, 0.5]])
     scn = Scenario(
         controller=ControllerSpec(feedback="observer"),
         observers=[
             ObserverSpec(name="fct", kind="fct-gpebo", gamma=1e12),
             ObserverSpec(name="gpebo", kind="gpebo", gamma=1e17),
             ObserverSpec(name="emulator", kind="emulator"),
-            ObserverSpec(name="kbf", kind="kbf", s=S, h0=2.0),
+            ObserverSpec(name="kbf", kind="kbf", s=_KBF_S, h0=2.0),
             ObserverSpec(name="grad-raw", kind="gradient", gamma=1e8, mode="raw"),
             ObserverSpec(name="grad-ext", kind="gradient", gamma=1e8, mode="extended", lam=3.0),
         ],
@@ -703,57 +719,98 @@ def test_estimator_rows_equal_the_reference_derivatives(monkeypatch):
 
         return recorded
 
-    def keeping_step(stage, t, p, rows, h):
-        # the plant state and the estimator rows at the start of the step,
-        # and at every stage the plant state, the estimator rows and their
-        # derivatives, copied from the engine's buffers
-        starts.append((np.array(p[:4]), rows.y.copy()))
+    def keeping_step(stage, t, p, h):
+        # the vector at the start of the step, and at every stage the
+        # vector and its derivative
+        starts.append(list(p))
 
-        def recording(p_stage, i):
-            dp = stage(p_stage, i)
-            stages.append((round(t / h), np.array(p_stage[:4]), rows.z.copy(), rows.d[i].copy(), law_u["raw"]))
-            return dp
+        def recording(v):
+            dv = stage(v)
+            stages.append((round(t / h), v, dv, law_u["raw"]))
+            return dv
 
-        return step(recording, t, p, rows, h)
+        return step(recording, t, p, h)
 
     monkeypatch.setattr(simmod._Bank, "__init__", keeping_bank)
     monkeypatch.setattr(simmod, "raw_steps", keeping_raw)
     monkeypatch.setattr(simmod, "_stage_law", keeping_law)
     monkeypatch.setattr(simmod, "_rk4_split_step", keeping_step)
     run_scenario(scn)
+    monkeypatch.undo()
     bank = kept["bank"]
-    (kbf,) = bank.kbfs
-    assert sorted(bank.filters) == [3.0, 5.0]
+    assert sorted(bank.filters) == [3.0, 5.0] and len(bank.kbfs) == 1
     N = round(scn.horizon / scn.h)
     assert len(stages) == 4 * N and len(frozen) == N
-
-    def frame(r, u):
-        """(A_obs, b_obs, C_obs) of the model with load r at duty ratio u."""
-        model = build_cuk(CukParams(r=r))
-        (J0, J1), (G0, G1), Q = model.J, model.G, model.Q
-        A = Q @ (J0 - model.R) + u * (Q @ J1)
-        b = Q @ (G0 @ model.E) + u * (Q @ (G1 @ model.E))
-        return A, b, model.C / np.diag(Q)[None, :], model
-
-    for k, x, y, dy, u_raw in stages:
+    caches = {r: simmod._PlantCache(build_cuk(CukParams(r=r))) for r in (20.0, 30.0)}
+    for k, v, dv, u_raw in stages:
         u = min(max(u_raw, scn.controller.u_min), scn.controller.u_max)
-        A, b, C, model = frame(30.0 if k >= k_event else 20.0, u)
-        y_m = model.C @ x
-        xi, Phi = bank.xi(y), bank.Phi(y)
-        for lam, filt in bank.filters.items():
-            dxi, dPhi, dY, dOm = gpebo_matrix_derivatives(A, b, C, xi, Phi, filt.Y(y), filt.Omega(y), lam, y_m)
-            assert np.array_equal(bank.xi(dy), dxi), k
-            assert np.array_equal(bank.Phi(dy), dPhi), k
-            assert np.array_equal(filt.Y(dy), dY), (k, lam)
-            assert np.array_equal(filt.Omega(dy), dOm), (k, lam)
-        dx, dH = kbf_derivatives(A, b, C, S, kbf.x(y), kbf.H(y), y_m)
-        assert np.array_equal(kbf.x(dy), dx), k
-        assert np.array_equal(kbf.H(dy), dH), k
-    _, _, C, model = frame(20.0, 0.0)  # the sensor is the same in both epochs
-    for data, (x, y) in zip(frozen, starts, strict=True):
-        y_m = model.C @ x
-        assert np.array_equal(data["CPhi"], C @ bank.Phi(y))
-        assert np.array_equal(np.atleast_1d(data["y_shift"]), y_m - C @ bank.xi(y))
+        cache = caches[30.0 if k >= k_event else 20.0]
+        y_m = cache.c_y * v[3]
+        assert dv[:4] == _drift(cache.rows, v, u), k
+        assert dv[5:] == _estimator_rows(bank, cache, v, u, y_m), k
+    c_y = caches[20.0].c_y  # the sensor is the same in both epochs
+    for data, v in zip(frozen, starts, strict=True):
+        y = np.array(v[5:])
+        assert np.array_equal(data["CPhi"], bank.Phi(y)[3:4])
+        assert np.array_equal(np.atleast_1d(data["y_shift"]), c_y * v[3] - bank.xi(y)[3:])
+    rng = np.random.default_rng(5)
+    for cache in caches.values():
+        derivative = bank.stage(cache)
+        for _ in range(20):
+            v, u = rng.normal(size=5 + bank.size).tolist(), rng.uniform(0.0, 1.0)
+            assert derivative(v, u, v[3]) == _estimator_rows(bank, cache, v, u, v[3])
+
+
+def test_the_estimator_row_oracle_agrees_with_the_reference_derivatives():
+    # the float oracle `_estimator_rows`, to which the engine's stage is held
+    # bit for bit, sums each row left to right; at random rows (Omega and H
+    # symmetric, as the engine keeps them), duty ratios and three loads it
+    # must agree with observers.gpebo_matrix_derivatives and kbf_derivatives
+    # within the rounding bound of those sums, n eps sum |terms| per entry
+    # (measured worst: 1.87 eps sum |terms|)
+    import pbclab.sim as simmod
+    from pbclab.cuk import build_cuk
+    from pbclab.observers import gpebo_matrix_derivatives, kbf_derivatives
+
+    rng = np.random.default_rng(29)
+    eps, n = np.finfo(float).eps, 4
+    specs = [ObserverSpec(kind="fct-gpebo"), ObserverSpec(kind="fct-gpebo", lam=3.0),
+             ObserverSpec(kind="kbf", s=_KBF_S, h0=2.0)]
+    bank, _ = simmod._estimators(specs)
+    (kbf,) = bank.kbfs
+    C = np.array([[0.0, 0.0, 0.0, 1.0]])
+    worst = 0.0
+    for r in (20.0, 30.0, 5.0):
+        cache = simmod._PlantCache(build_cuk(CukParams(r=r)))
+        for _ in range(300):
+            y = rng.normal(size=bank.size) * rng.choice([1e-3, 1.0, 1e3], size=bank.size)
+            for block in [filt.Omega for filt in bank.filters.values()] + [kbf.H]:
+                M = block(y)
+                M[:] = M + M.T  # a view of y: Omega and H symmetric
+            v, u = rng.normal(size=5).tolist() + y.tolist(), rng.uniform(0.0, 1.0)
+            y_m = v[3]
+            got = np.array(_estimator_rows(bank, cache, v, u, y_m))
+            A, b = cache.A0_obs + u * cache.A1_obs, cache.b0_obs
+            xi, Phi, c = bank.xi(y), bank.Phi(y), bank.Phi(y)[3]
+            want, terms = np.empty(bank.size), np.empty(bank.size)
+            want[bank.xi.sl], want[bank.Phi.sl] = [d.ravel() for d in gpebo_matrix_derivatives(
+                A, b, C, xi, Phi, np.zeros(n), np.zeros((n, n)), 1.0, y_m)[:2]]
+            terms[bank.xi.sl] = np.abs(A) @ np.abs(xi) + np.abs(b)
+            terms[bank.Phi.sl] = (np.abs(A) @ np.abs(Phi)).ravel()
+            for lam, filt in bank.filters.items():
+                _, _, dY, dOm = gpebo_matrix_derivatives(A, b, C, xi, Phi, filt.Y(y), filt.Omega(y), lam, y_m)
+                want[filt.Y.sl], want[filt.Omega.sl] = dY, dOm.ravel()
+                terms[filt.Y.sl] = lam * (np.abs(c * (y_m - xi[3])) + np.abs(filt.Y(y)))
+                terms[filt.Omega.sl] = lam * (np.abs(np.outer(c, c)) + np.abs(filt.Omega(y))).ravel()
+            x, H = kbf.x(y), kbf.H(y)
+            dx, dH = kbf_derivatives(A, b, C, kbf.S, x, H, y_m)
+            want[kbf.x.sl], want[kbf.H.sl] = dx, dH.ravel()
+            terms[kbf.x.sl] = np.abs(A) @ np.abs(x) + np.abs(b) + np.abs(H[:, 3] * (y_m - x[3]))
+            AH = np.abs(A) @ np.abs(H)
+            terms[kbf.H.sl] = (AH + AH.T + np.abs(np.outer(H[:, 3], H[3])) + np.abs(kbf.S)).ravel()
+            assert (np.abs(got - want) <= n * eps * terms).all(), r
+            worst = max(worst, (np.abs(got - want) / (eps * terms)).max())
+    assert worst > 0.0  # the float sums and the BLAS products do round apart
 
 
 def test_the_riders_tapes_read_the_rows_at_the_start_of_each_step(monkeypatch):
@@ -782,12 +839,12 @@ def test_the_riders_tapes_read_the_rows_at_the_start_of_each_step(monkeypatch):
     step, bank_start = simmod._rk4_split_step, simmod._Bank.start
 
     def keeping_bank(bank):
-        bank_start(bank)
         kept["bank"] = bank
+        return bank_start(bank)
 
-    def keeping_step(stage, t, p, rows, h):
-        starts.append((p[3], rows.y.copy()))
-        return step(stage, t, p, rows, h)
+    def keeping_step(stage, t, p, h):
+        starts.append((p[3], np.array(p[5:])))
+        return step(stage, t, p, h)
 
     monkeypatch.setattr(simmod._Bank, "start", keeping_bank)
     monkeypatch.setattr(simmod, "_rk4_split_step", keeping_step)
@@ -855,11 +912,11 @@ def test_the_first_failure_in_step_order_wins(monkeypatch):
     def failing_plant(k_plant):
         calls = []
 
-        def failing(stage, t, p, rows, h):
+        def failing(stage, t, p, h):
             calls.append(1)
             if len(calls) > k_plant:
                 raise NonFiniteState(f"non-finite state after step ending at t={t + h:g} s")
-            return step(stage, t, p, rows, h)
+            return step(stage, t, p, h)
 
         return failing
 
@@ -997,20 +1054,15 @@ def _trajectory_arrays(traj):
 
 
 def test_a_run_hands_out_no_view_of_its_buffers(monkeypatch):
-    # the bank's step, stage and derivative rows and its scratch, and the
-    # exact steps' states and the riding stacks' tapes and states over
-    # them, are overwritten at every step or tape: nothing a run hands out
+    # the exact steps' states and the riding stacks' tapes and states over
+    # them are overwritten at every step or tape (the bank's rows are
+    # Python floats, and hold no buffer): nothing a run hands out
     # (its trajectory, a NonFiniteState's partial, a shared pass's kept
     # store and columns) may share memory with them, and a second run in
     # the same process leaves the first run's arrays as they were
     import pbclab.sim as simmod
 
-    buffers, bank_start, stack_start = [], simmod._Bank.start, simmod._ExactSteps.start
-
-    def keeping_bank(bank):
-        bank_start(bank)
-        for value in vars(bank).values():
-            buffers.extend(v for v in (value if isinstance(value, list) else [value]) if isinstance(v, np.ndarray))
+    buffers, stack_start = [], simmod._ExactSteps.start
 
     def keeping_stack(stack, K, rides):
         stack_start(stack, K, rides)
@@ -1023,7 +1075,6 @@ def test_a_run_hands_out_no_view_of_its_buffers(monkeypatch):
         for key, arr in arrays.items():
             assert not any(np.shares_memory(arr, buf) for buf in buffers), key
 
-    monkeypatch.setattr(simmod._Bank, "start", keeping_bank)
     monkeypatch.setattr(simmod._ExactSteps, "start", keeping_stack)
     (shared,) = SharedPass.groups([_riders_on_observer_feedback(), _riders_on_observer_feedback(gamma=1e12)])
     first = run_scenario(shared.scenarios[0], shared=shared)
@@ -1227,45 +1278,31 @@ def test_aliased_specs_are_named_per_run_without_renaming_them():
         assert spec.name == ""
 
 
-def _joined(stage, rows, n_p):
-    """The engine's stage function as rk4_step's f(t, y) on the joined
-    vector y = (plant rows and integrator, estimator rows): the estimator
-    rows are written into the bank's stage row and their derivative is
-    read, as a copy, from its first derivative row."""
-
-    def f(t, y):
-        if rows is None:
-            return np.array(stage(y[:n_p].tolist(), 0))
-        np.copyto(rows.z, y[n_p:])
-        dp = stage(y[:n_p].tolist(), 0)
-        return np.concatenate([dp, rows.d[0]])
-
-    return f
+def _joined(stage):
+    """The engine's stage function as rk4_step's f(t, y) on the Runge-Kutta
+    vector y (the plant rows and integrator, then the estimator rows)."""
+    return lambda t, y: np.array(stage(y.tolist()))
 
 
 def _checked_steps(monkeypatch, check_stage=None):
     """Make every engine step check itself against rk4_step applied to the
-    same stage function on the joined vector, bit for bit; check_stage(p,
-    dp) sees every stage of the engine's own step.  Returns the list of the
+    same stage function on the same vector, bit for bit; check_stage(p, dp)
+    sees every stage of the engine's own step.  Returns the list of the
     checked steps' start times."""
     import pbclab.sim as simmod
 
     step, count = simmod._rk4_split_step, []
 
-    def checking_step(stage, t, p, rows, h):
-        def seen(p_stage, i):
-            dp = stage(p_stage, i)
+    def checking_step(stage, t, p, h):
+        def seen(p_stage):
+            dp = stage(p_stage)
             if check_stage is not None:
                 check_stage(p_stage, dp)
             return dp
 
-        start = [] if rows is None else rows.y.copy()
-        p_new = step(seen, t, p, rows, h)
-        got = np.concatenate([p_new, [] if rows is None else rows.y])
-        # the reference step runs after the engine's, whose new rows it
-        # leaves as they are: it writes only the stage and derivative rows
-        want = simmod.rk4_step(_joined(stage, rows, len(p)), t, np.concatenate([p, start]), h)
-        assert np.array_equal(got, want), t
+        p_new = step(seen, t, p, h)
+        want = simmod.rk4_step(_joined(stage), t, np.array(p), h)
+        assert np.array_equal(np.array(p_new), want), t
         count.append(t)
         return p_new
 
@@ -1283,6 +1320,62 @@ def _drift(rows, x, u: float) -> list:
         (a1 + u * c1) * x1 + (a2 + u * c2) * x2 + (a3 + u * c3) * x3 + (a4 + u * c4) * x4 + b
         for a1, a2, a3, a4, c1, c2, c3, c4, b in rows
     ]
+
+
+def _left_sum(terms):
+    """terms[0] + terms[1] + ..., added left to right."""
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
+
+
+def _estimator_rows(bank, frame, v, u: float, y_m: float) -> list:
+    """The derivative of the estimator rows of the Runge-Kutta vector v on
+    Python floats, for the bank's layout: A = A0_obs + u A1_obs and b =
+    b0_obs of `frame` (a `_PlantCache`), then the rows of
+    gpebo_matrix_derivatives and kbf_derivatives at C_obs = [0, 0, 0, 1].
+    Each product row by column is summed left to right, b_i added after it;
+    Omega and H are read from their upper triangle."""
+    n, R = bank.n, range(bank.n)
+    A = [[a + u * c for a, c in zip(r0, r1)] for r0, r1 in zip(frame.A0_obs.tolist(), frame.A1_obs.tolist())]
+    b, y, out = frame.b0_obs.tolist(), v[bank.base :], [None] * bank.size
+
+    def entry(block, i, j=None, symmetric=False):
+        if symmetric:
+            i, j = min(i, j), max(i, j)
+        return block.sl.start + (i if j is None else i * n + j)
+
+    def row_times(i, column):  # sum_k A_ik column[k]
+        return _left_sum([A[i][k] * column[k] for k in R])
+
+    if bank.xi is not None:
+        xi = [y[entry(bank.xi, k)] for k in R]
+        for i in R:
+            out[entry(bank.xi, i)] = row_times(i, xi) + b[i]
+    if bank.Phi is not None:
+        Phi = [[y[entry(bank.Phi, i, j)] for j in R] for i in R]
+        for i in R:
+            for j in R:
+                out[entry(bank.Phi, i, j)] = row_times(i, [Phi[k][j] for k in R])
+    for lam, filt in bank.filters.items():
+        c, e = Phi[3], y_m - xi[3]  # C Phi and y_m - C xi
+        for i in R:
+            out[entry(filt.Y, i)] = lam * (c[i] * e - y[entry(filt.Y, i)])
+            for j in R:
+                lo, hi = min(i, j), max(i, j)
+                out[entry(filt.Omega, i, j)] = lam * (c[lo] * c[hi] - y[entry(filt.Omega, lo, hi)])
+    for kbf in bank.kbfs:
+        x = [y[entry(kbf.x, k)] for k in R]
+        H = [[y[entry(kbf.H, i, j, symmetric=True)] for j in R] for i in R]
+        P, S = [[row_times(i, [H[k][j] for k in R]) for j in R] for i in R], kbf.S.tolist()
+        e = y_m - x[3]
+        for i in R:
+            out[entry(kbf.x, i)] = (row_times(i, x) + b[i]) + H[i][3] * e
+            for j in R:
+                lo, hi = min(i, j), max(i, j)
+                out[entry(kbf.H, i, j)] = ((P[hi][lo] + P[lo][hi]) - H[lo][3] * H[3][hi]) + S[lo][hi]
+    return out
 
 
 _CLAMPED_LOOPS = {  # (controller, event) of a state loop that hits the clamp and crosses an event
@@ -1398,6 +1491,30 @@ def test_kbf_riccati_state_stays_exactly_symmetric():
     H = traj.observers["kbf"]["H"]
     assert np.array_equal(H, np.swapaxes(H, 1, 2))
     assert not np.array_equal(H[-1], H[0])  # H moved
+
+
+def test_every_filter_poles_omega_stays_exactly_symmetric():
+    # the stage code reads Omega and H from their upper triangle and writes
+    # each mirrored entry as the same float: on observer feedback across a
+    # load event, every sampled Omega of both poles and every sampled H is
+    # exactly symmetric, and each moved
+    scn = Scenario(
+        controller=ControllerSpec(feedback="observer"),
+        observers=[
+            ObserverSpec(name="fct", kind="fct-gpebo", gamma=1e12),
+            ObserverSpec(name="gpebo", kind="gpebo", gamma=1e17, lam=3.0),
+            ObserverSpec(name="kbf", kind="kbf", s=_KBF_S, h0=2.0),
+        ],
+        events=[EventSpec(time=1e-4, kind="load", value=30.0)],
+        horizon=2e-4,
+        stride=10,
+    )
+    traj = run_scenario(scn)
+    assert traj.epoch[-1] == 1
+    for name, key in (("fct", "Omega"), ("gpebo", "Omega"), ("kbf", "H")):
+        M = traj.observers[name][key]
+        assert np.array_equal(M, np.swapaxes(M, 1, 2)), name
+        assert not np.array_equal(M[-1], M[0]), name
 
 
 # -- events ---------------------------------------------------------------------
