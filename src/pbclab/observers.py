@@ -198,20 +198,11 @@ def scalar_update(omega: float, theta_hat: np.ndarray, scriptY: np.ndarray, Delt
     gains of practical interest, up to 1e17): omega kappa and
     `_scalar_theta_step` with the weights of `_scalar_weights`.  A step with
     gamma Delta^2 h = 0 (Delta = 0, or an underflow) leaves the state as it
-    is.
-
-    Stacked estimators on one mix: gamma may be a column (E, 1) of gains,
-    with omega (E, 1) and theta_hat (E, n) their states.  Every operation
-    acts element by element, so row e is the call for gamma[e] alone, bit
-    for bit."""
+    is."""
     z, kappa, pull = _scalar_weights(gamma, Delta, h)
-    moving = np.count_nonzero(z)  # the rows with z != 0, NaN included
-    if not moving:
+    if z == 0.0:  # NaN moves
         return omega, theta_hat
-    theta_new = _scalar_theta_step(theta_hat, pull, scriptY / Delta)
-    if isinstance(z, np.ndarray) and moving < z.size:  # the rows whose z underflowed to 0 hold
-        return np.where(z == 0.0, omega, omega * kappa), np.where(z == 0.0, theta_hat, theta_new)
-    return omega * kappa, theta_new
+    return omega * kappa, _scalar_theta_step(theta_hat, pull, scriptY / Delta)
 
 
 def scalar_steps(omega, theta_hat, scriptY, Delta, gamma, h: float):
@@ -219,7 +210,7 @@ def scalar_steps(omega, theta_hat, scriptY, Delta, gamma, h: float):
     (T,)) of each step: omega (T + 1, E, 1) and theta_hat (T + 1, E, n)
     hold the states of the gains gamma (a column (E, 1)) before the first
     step in row 0, and row t + 1 is written with the state after step t,
-    bit for bit the call on step t's mix.  What does not depend on the
+    bit for bit each gain's call on step t's mix.  What does not depend on the
     state is taken for all steps at once: the weights, omega as their
     running product (kappa = exp(-0) = 1, so a row with z = 0 holds) and
     the targets scriptY / Delta, which a step with Delta = 0 does not read.

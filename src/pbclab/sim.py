@@ -18,9 +18,8 @@ control law performs the IEEE operations of `control.pi_pbc_step` (whose
 `shifted_output` sums in the same order) and `control.classical_pi_step`,
 which remain the reference.  The step (`_rk4_split_step`) uses
 `rk4_step`'s stage weights and association, so its result equals
-`rk4_step` on the vector bit for bit.  numpy enters only between steps:
-the exact steps read a numpy copy of y at each step's start, and the
-sample store copies the rows.
+`rk4_step` on the vector bit for bit.  numpy enters only between steps,
+in the exact steps and the sample store.
 The matrix states that depend on neither the gain nor the kind are held
 once per run and read by every estimator: the open-loop copy (xi, plus
 Phi when an estimator reads it), driven by u alone, and one regression
@@ -57,23 +56,20 @@ frozen coefficients: the decoupled-regression scalar estimator
 (gain up to 1e17) and the plain gradient estimators (gain 1e8).  Both are
 orders of magnitude stiffer than the grid step allows for an explicit
 scheme, and the exact step is unconditionally contractive.  Their states
-are the rows of one stack per kind and filter or regression
-(`_ExactSteps`), one row per gain: estimators whose exact steps read the
-same settings (`_step_key`) share a row.  Only the stack holding the row
-of the estimator that closes the loop steps in the loop, after the
-Runge-Kutta step, on inputs read from the estimator rows y at the step's
-start, and is checked for finiteness like the Runge-Kutta vector.  Every
-other stack rides: the loop copies its frozen inputs at each step's start
-onto a tape of at most `_CHUNK` steps (a filter's (Y, Omega), or a raw
-gradient's Phi[3] and y_m - xi[3]), stepped with what does not depend on
-the state batched over time (`_ExactSteps.flush`) when it is full, before
-an event, at the end and when a step fails.  So the first failure in step
-order wins as if every stack stepped in the loop (the plant first within
-a step), with its message, the samples up to it and the circuit values
-in force then.
+are rows of stacks (`_ExactSteps`), one row per gain (`_step_key`), and a
+step's frozen inputs are one tape row read from the vector at its start.
+The feeding estimator's gain is a stack of its own, stepped in the loop
+after the Runge-Kutta step and checked for finiteness like the vector.
+Every other gain rides, one stack per kind and filter or regression,
+stepped from a tape of at most `_CHUNK` steps with what does not depend
+on the state batched over time (`_ExactSteps.flush`) when it is full,
+before an event, at the end and when a step fails.  So the first failure
+in step order wins as if every stack stepped in the loop (the plant first
+within a step), with its message, the samples up to it and the circuit
+values in force then.
 
-At each sample instant the loop stores the plant rows, y and the loop's
-stack rows as they stand, with the duty ratio, passive output, clamp
+At each sample instant the loop stores the plant rows, y and the feed's
+exact-step row as they stand, with the duty ratio, passive output, clamp
 flag, reference and epoch of that instant; a riding stack's flush
 samples its own rows.  The plant signals, the storage W and every
 estimator's logged arrays are derived from that store after the loop
@@ -505,7 +501,6 @@ class _RegressionFilter:
     def __init__(self, lam: float, bank: "_Bank"):
         self.lam = lam
         self.Y, self.Omega = bank.add(bank.n), bank.add(bank.n, bank.n)
-        self.rows = slice(self.Y.sl.start, self.Omega.sl.stop)  # (Y, Omega) as one run of entries
 
 
 class _Bank:
@@ -519,9 +514,9 @@ class _Bank:
 
     The rows are Python floats, and `stage` differentiates them in
     straight-line code (see the module docstring), which `source` writes
-    out for the bank's layout.  Every other reader takes the rows from a
-    numpy copy of them, a row or a (K, size) stack of sampled rows, through
-    a `_Block`.
+    out for the bank's layout.  The exact steps read them from the list
+    (`_ExactSteps.inputs`), every other reader from a (K, size) stack of
+    sampled rows, through a `_Block`.
 
     An estimator runtime only reads the rows.  It gives `estimate(v)`, its
     estimate in volts and amperes from the Runge-Kutta vector v when it
@@ -792,14 +787,13 @@ class _ExactSteps:
     """The exactly stepped states of one kind on one filter or regression,
     one row per step key (`_step_key`), shared by the run's estimators of
     that key: (omega, theta_hat) for the GPEBO kinds, theta for a gradient
-    estimator.  Each step reads inputs frozen at its start from the
-    estimator rows y: the filter's (Y, Omega), which the GPEBO kinds mix by
-    DREM, or a raw gradient's C Phi = Phi[3] and y_m - C xi = y_m - xi[3].
-    The loop's stack takes one `scalar_update` call per step over the
-    column of gains, or one `gradient_update` call per row, since a stacked
-    rank-one step would sum its phi @ theta in another order (`step`); a
-    riding stack keeps its inputs on a tape (`record`), stepped bit for bit
-    alike by `scalar_steps`, `raw_steps` or `gradient_update` (`flush`)."""
+    estimator.  Each step reads inputs frozen at its start, one tape row
+    (`inputs`): the filter's (Y, Omega), which the GPEBO kinds mix by DREM,
+    or a raw gradient's C Phi = Phi[3] and y_m - C xi = y_m - xi[3].  The
+    loop's stack, the feeding estimator's gain alone, steps once per step
+    (`step`) by `advance`; a riding stack keeps the tape rows of its steps,
+    stepped bit for bit alike by `scalar_steps`, `raw_steps` or, for an
+    extended gradient, `advance` (`flush`)."""
 
     def __init__(self, rt):
         self.rt = rt  # the run's first estimator on these inputs
@@ -808,96 +802,102 @@ class _ExactSteps:
         self.gpebo, n = isinstance(rt, _GpeboRuntime), bank.n
         self.slots = 1 + n if self.gpebo else n
         self.raw = not (self.gpebo or rt.extended)
-        if self.raw:  # the entries of Phi[3], then the index of xi[3]
-            self.read, self.width = (slice(bank.Phi.sl.stop - n, bank.Phi.sl.stop), bank.xi.sl.start + 3), n + 1
-        else:  # the filter's (Y, Omega)
-            self.read, self.width = rt.filt.rows, n + n * n
+        if self.raw:  # the entries of Phi[3] in the Runge-Kutta vector, then the index of xi[3]
+            first, self.width = bank.base + bank.Phi.sl.stop - n, n + 1
+            self.read = slice(first, first + n), bank.base + bank.xi.sl.start + 3
+        else:  # the filter's (Y, Omega), one run of entries
+            first, self.width = bank.base + rt.filt.Y.sl.start, n + n * n
+            self.read = slice(first, first + self.width)
 
     def add(self, key) -> int:
         return self.rows.setdefault(key, len(self.rows))
 
+    def buffers(self, K: int, rides: bool) -> dict:
+        """The shape of each array `start` reserves: the rows' samples at K
+        instants and, if the stack rides, its tape and the states over it
+        (before each step and after the last)."""
+        E = len(self.rows)
+        shapes = {"samples": (K, E, self.slots)}
+        if rides:
+            shapes.update(tape=(_CHUNK, self.width), states=(_CHUNK + 1, E, self.slots))
+        return shapes
+
     def start(self, K: int, rides: bool):
-        """Set every row to its initial state and reserve K samples, and
-        the tape if the stack `rides`."""
+        """Set every row to its initial state and reserve its `buffers`."""
+        for name, shape in self.buffers(K, rides).items():
+            setattr(self, name, np.empty(shape))
         self.gammas = [key[-1] for key in self.rows]
         self.state = np.zeros((len(self.gammas), self.slots))
         if self.gpebo:
             self.column = np.array(self.gammas, dtype=float)[:, None]
             self.state[:, 0] = 1.0  # omega
-        self.samples = np.empty((K, *self.state.shape))
-        if rides:
-            self.tape = np.empty((_CHUNK, self.width))
-            # the states over a tape (before each step and after the last)
-            # by columns of a row, each contiguous: omega apart from theta
-            E, n = self.state.shape[0], self.rt.bank.n
-            self.parts = [(np.empty((_CHUNK + 1, E, 1)), slice(0, 1))] if self.gpebo else []
-            self.parts.append((np.empty((_CHUNK + 1, E, n)), slice(self.slots - n, None)))
 
-    def step(self, y, y_m: float, t: float, h: float):
-        """Step every row from t to t + h on the rows y and the measurement
-        y_m at t."""
-        rt, st = self.rt, self.state
-        if self.gpebo:
-            scriptY, Delta = drem_mix(rt.filt.Omega(y), rt.filt.Y(y))
-            st[:, :1], st[:, 1:] = scalar_update(st[:, :1], st[:, 1:], scriptY, Delta, self.column, h)
-        else:
-            if rt.extended:
-                frozen = {"Omega": rt.filt.Omega(y), "Y": rt.filt.Y(y)}
-            else:  # C Phi and y_m - C xi at C = [0, 0, 0, 1]
-                frozen = {"CPhi": rt.bank.Phi(y)[3:4], "y_shift": y_m - rt.bank.xi(y).item(3)}
-            for e, gamma in enumerate(self.gammas):
-                st[e] = gradient_update(st[e], gamma, rt.spec.mode, h, **frozen)
-        if not np.isfinite(st).all():
-            raise NonFiniteState(f"non-finite estimator state after the step to t={t + h:g} s")
-
-    def record(self, i: int, y, y_m: float):
-        """Keep as tape row i the frozen inputs of the step that starts at
-        the rows y and the measurement y_m."""
+    def inputs(self, v: list, y_m: float) -> list:
+        """The tape row of the step that starts at the Runge-Kutta vector v
+        and the measurement y_m."""
         if self.raw:
             phi, xi3 = self.read
-            self.tape[i, :-1] = y[phi]
-            self.tape[i, -1] = y_m - y[xi3]
+            return [*v[phi], y_m - v[xi3]]
+        return v[self.read]
+
+    def advance(self, row, before, after, h: float):
+        """Step every gain once, on the tape row `row`, from the states
+        `before` to `after` (which may be one array): the DREM mix and one
+        `scalar_update` call per gain, or one `gradient_update` call per
+        gain (a stacked rank-one step would sum phi @ theta in another
+        order)."""
+        n = self.rt.bank.n
+        frozen = ({"CPhi": row[None, :n], "y_shift": row[n]} if self.raw
+                  else {"Omega": row[n:].reshape(n, n), "Y": row[:n]})
+        if self.gpebo:
+            scriptY, Delta = drem_mix(**frozen)
+            for e, gamma in enumerate(self.gammas):
+                after[e, 0], after[e, 1:] = scalar_update(before[e, 0], before[e, 1:], scriptY, Delta, gamma, h)
         else:
-            self.tape[i] = y[self.read]
+            for e, gamma in enumerate(self.gammas):
+                after[e] = gradient_update(before[e], gamma, self.rt.spec.mode, h, **frozen)
+
+    def step(self, v: list, y_m: float, t: float, h: float):
+        """Step every row from t to t + h on the vector v and the
+        measurement y_m at t."""
+        self.advance(np.array(self.inputs(v, y_m)), self.state, self.state, h)
+        if not np.isfinite(self.state).all():
+            raise NonFiniteState(f"non-finite estimator state after the step to t={t + h:g} s")
 
     def flush(self, k0: int, T: int, stride: int, h: float):
         """Step every row over the T taped steps from step k0 on, and
         sample the rows at the run's instants from k0 to k0 + T.  Returns
         the first of these steps after which a row is not finite, or
         None."""
-        n, tape = self.rt.bank.n, self.tape[:T]
-        parts = [(buf[: T + 1], cols) for buf, cols in self.parts]
-        for buf, cols in parts:
-            buf[0] = self.state[:, cols]
-        theta = parts[-1][0]
+        n, tape, states = self.rt.bank.n, self.tape[:T], self.states[: T + 1]
+        states[0] = self.state
         if self.gpebo:
             scriptY, Delta = drem_mix(tape[:, n:].reshape(T, n, n), tape[:, :n])
-            scalar_steps(parts[0][0], theta, scriptY, Delta, self.column, h)
+            scalar_steps(states[:, :, :1], states[:, :, 1:], scriptY, Delta, self.column, h)
         elif self.raw:
-            raw_steps(theta, tape[:, :n], tape[:, n], self.gammas, h)
+            raw_steps(states, tape[:, :n], tape[:, n], self.gammas, h)
         else:
-            for row, th0, th1 in zip(tape, theta[:-1], theta[1:]):
-                frozen = {"Omega": row[n:].reshape(n, n), "Y": row[:n]}
-                for e, gamma in enumerate(self.gammas):
-                    th1[e] = gradient_update(th0[e], gamma, "extended", h, **frozen)
+            for row, before, after in zip(tape, states[:-1], states[1:]):
+                self.advance(row, before, after, h)
         first = -k0 % stride  # the first sample instant on the tape
-        s0, bad = (k0 + first) // stride, np.zeros(T, dtype=bool)
-        for buf, cols in parts:
-            at = buf[first : T + 1 : stride]
-            self.samples[s0 : s0 + len(at), :, cols] = at
-            self.state[:, cols] = buf[T]
-            bad |= ~np.isfinite(buf[1:].reshape(T, -1)).all(axis=1)
+        s0, at = (k0 + first) // stride, states[first::stride]
+        self.samples[s0 : s0 + len(at)] = at
+        self.state[:] = states[T]
+        bad = ~np.isfinite(states[1:].reshape(T, -1)).all(axis=1)
         return k0 + int(bad.argmax()) if bad.any() else None
 
 
-def _exact_steps(runtimes) -> list:
+def _exact_steps(runtimes, fb_rt) -> list:
     """The exact steps of a run, one `_ExactSteps` per kind and filter or
-    regression, with each estimator pointed to its row.  Nothing is
-    allocated before `start`."""
-    stacks = {}  # step key without the gain -> _ExactSteps
+    regression, with each estimator pointed to its row; the feeding
+    estimator fb_rt's gain is a stack of its own, and every other gain,
+    one on its filter included, rides.  Nothing is allocated before
+    `start`."""
+    stacks, feed_key = {}, getattr(fb_rt, "step_key", None)
     for rt in runtimes:
         if rt.spec.kind in _EXACT_KINDS:
-            rt.exact = stacks.get(rt.step_key[:-1]) or stacks.setdefault(rt.step_key[:-1], _ExactSteps(rt))
+            key = rt.step_key if rt.step_key == feed_key else rt.step_key[:-1]  # without the gain
+            rt.exact = stacks.get(key) or stacks.setdefault(key, _ExactSteps(rt))
             rt.row = rt.exact.add(rt.step_key)
     return list(stacks.values())
 
@@ -1083,15 +1083,13 @@ def _sample_count(N: int, stride: int) -> int:
 
 
 def _sample_bytes(scn: Scenario, N: int) -> int:
-    """The bytes of a run's samples: K instants of a `_Store` row and of
-    every exact step's rows, and the tape of every riding stack."""
+    """The bytes of a run's samples: K instants of a `_Store` row, and the
+    `buffers` of every exact step."""
     K = _sample_count(N, scn.stride)
     bank, runtimes = _estimators(scn.observers)
     fb_rt = runtimes[0] if _closes_loop(scn.controller) else None
-    floats = 0
-    for stack in _exact_steps(runtimes):
-        tape = _CHUNK * stack.width + (_CHUNK + 1) * len(stack.rows) * stack.slots if stack.rt is not fb_rt else 0
-        floats += K * len(stack.rows) * stack.slots + tape  # a rider's tape and its states over it
+    floats = sum(math.prod(shape) for stack in _exact_steps(runtimes, fb_rt)
+                 for shape in stack.buffers(K, stack.rt is not fb_rt).values())
     row = sum(math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in _Store.row(bank.base + bank.size))
     return K * row + floats * np.dtype(float).itemsize
 
@@ -1150,11 +1148,11 @@ def validate_scenario(scn: Scenario) -> int:
         if spec.mode not in ("raw", "extended"):
             raise ScenarioError(f"gradient mode {spec.mode!r} unknown")
         where = f"observer {spec.name or spec.kind!r}"
-        if spec.kind in GPEBO_KINDS and not 0.0 < spec.mu < 1.0:
+        if not 0.0 < spec.mu < 1.0:
             raise ScenarioError(f"{where}: mu must lie in (0, 1), got {spec.mu}")
-        if spec.kind in _EXACT_KINDS and not 0.0 < spec.gamma < math.inf:
+        if not 0.0 < spec.gamma < math.inf:
             raise ScenarioError(f"{where}: gamma must be positive and finite, got {spec.gamma}")
-        if _reads_filter(spec) and not spec.lam > 0.0:
+        if not spec.lam > 0.0:
             raise ScenarioError(f"{where}: lambda must be positive, got {spec.lam}")
         if spec.kind == "kbf":
             _as_spd(spec.s, n, f"{where}: s")
@@ -1291,11 +1289,11 @@ def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
     feed = fb_rt if isinstance(fb_rt, _GpeboRuntime) else None  # refreshes its theta per step
 
     y = bank.start()  # the estimator rows at t = 0
-    stacks = _exact_steps(stepped)
-    looped = [stack for stack in stacks if stack.rt is fb_rt]  # the feeding estimator's, stepped in the loop
-    riding = [stack for stack in stacks if stack.rt is not fb_rt]  # stepped from their tapes
+    stacks = _exact_steps(stepped, fb_rt)
+    loop = next((stack for stack in stacks if stack.rt is fb_rt), None)  # the feed's gain, stepped in the loop
+    riding = [stack for stack in stacks if stack is not loop]  # stepped from their tapes
     for stack in stacks:
-        stack.start(K, stack in riding)
+        stack.start(K, stack is not loop)
 
     # event table: each event at its grid instant (validate_scenario
     # rejects times off the grid)
@@ -1361,26 +1359,26 @@ def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
                     sats[taken] = u != u_raw  # the clamp flag, formed only here
                     vs[taken] = v
                     refs[taken], epochs[taken] = ref_now, epoch
-                    for stack in looped:
-                        stack.samples[taken] = stack.state
+                    if loop is not None:
+                        loop.samples[taken] = loop.state
                     taken += 1
                     due = min(due + scn.stride, N)
                 if k == N:
                     break
-                if stacks:  # the exact steps read a copy of y, and y_m, at the start of the step
-                    y0, y_m0 = np.array(v[base:]), cache.c_y * v[3]
+                if stacks:  # the exact steps read v, and y_m, at the start of the step
+                    y_m = cache.c_y * v[3]
                     if riding:
                         if taped == _CHUNK:
                             flush()
                         for stack in riding:
-                            stack.record(taped, y0, y_m0)
+                            stack.tape[taped] = stack.inputs(v, y_m)
                         taped += 1
                     if feed is not None:  # a GPEBO kind, so only with a stack
                         feed.refresh_feed()
                 try:
-                    v = _rk4_split_step(stage, t, v, h)
-                    for stack in looped:
-                        stack.step(y0, y_m0, t, h)
+                    v0, v = v, _rk4_split_step(stage, t, v, h)
+                    if loop is not None:
+                        loop.step(v0, y_m, t, h)
                 except NonFiniteState:
                     if riding:  # the riders' step k comes after the failing one
                         taped -= 1

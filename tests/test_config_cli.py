@@ -649,6 +649,18 @@ def test_a_bad_variant_stops_simulate_before_the_first_run(monkeypatch, tmp_path
     assert "ki > 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override, key", [("observers.2.gamma=-1", "gamma"), ("observers.3.mu=2", "mu")],
+                         ids=["emulator-gamma", "kbf-mu"])
+def test_each_estimator_setting_has_one_rule_whatever_the_kind(capsys, override, key):
+    # gamma, mu and lambda are checked on every estimator, also on a kind
+    # that never reads them (observer 2 is the emulator, 3 the KBF)
+    rc = cli.main(["simulate", "--preset", "fig-observer-compare", "--set", "scenario.horizon=0.00005",
+                   "--set", override])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f": {key} must" in err, err
+
+
 @pytest.mark.parametrize("override, key", [
     ("observers.0.gamma=.inf", "gamma"),
     ("scenario.x0=[.nan, 15.0, -1.5, -18.0]", "x0"),

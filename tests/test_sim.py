@@ -300,10 +300,10 @@ def _six_estimators():
 
 def _exact_step_calls(monkeypatch) -> list:
     """Record every exact step of the engine, in order, as (function,
-    gains, steps): a call of the loop's stack (`scalar_update` over a
-    column of gains, `gradient_update` for one) steps its gains once, and a
-    riding stack's tape run (`scalar_steps`, `raw_steps`, or one
-    `gradient_update` call per extended row and step) over its steps."""
+    gains, steps): a call of the loop's stack (`scalar_update` or
+    `gradient_update`, one per gain) steps its gain once, and a riding
+    stack's tape run (`scalar_steps`, `raw_steps`, or one `gradient_update`
+    call per extended row, gain and step) over its steps."""
     import pbclab.observers as obs
     import pbclab.sim as simmod
 
@@ -896,6 +896,40 @@ def test_a_riders_tape_is_bounded():
     assert peaks[1] - peaks[0] < sizes[1] - sizes[0] + chunk, (peaks, sizes)
 
 
+def test_the_sample_cap_counts_what_a_run_reserves(monkeypatch):
+    # a feeding FCT, a GPEBO rider on its filter and a raw-gradient rider:
+    # the cap's byte count must be the sample store's arrays and each
+    # stack's samples, tape and states over the tape, as the run reserves
+    # them; the loop's stack, the feed's gain alone, has no tape
+    import pbclab.sim as simmod
+
+    scn = Scenario(controller=ControllerSpec(feedback="observer"), horizon=2e-4, stride=30, observers=[
+        ObserverSpec(name="fct", kind="fct-gpebo", gamma=1e12),
+        ObserverSpec(name="gpebo", kind="gpebo", gamma=1e17),
+        ObserverSpec(name="grad-raw", kind="gradient", gamma=1e8, mode="raw"),
+    ])
+    reserved, stacks = [], []
+    store_init, stack_start = simmod._Store.__init__, simmod._ExactSteps.start
+
+    def keeping_store(store, *args):
+        store_init(store, *args)
+        reserved.extend([store.vs, store.us, store.yts, store.sats, store.refs, store.epochs])
+
+    def keeping_stack(stack, K, rides):
+        stack_start(stack, K, rides)
+        buffers = {key: v for key, v in vars(stack).items() if isinstance(v, np.ndarray)}
+        stacks.append((len(stack.rows), sorted(buffers)))
+        reserved.extend(v for key, v in buffers.items() if key not in ("state", "column"))
+
+    monkeypatch.setattr(simmod._Store, "__init__", keeping_store)
+    monkeypatch.setattr(simmod._ExactSteps, "start", keeping_stack)
+    run_scenario(scn)
+    assert stacks == [(1, ["column", "samples", "state"]), (1, ["column", "samples", "state", "states", "tape"]),
+                      (1, ["samples", "state", "states", "tape"])]
+    N = round(scn.horizon / scn.h)
+    assert sum(arr.nbytes for arr in reserved) == simmod._sample_bytes(scn, N)
+
+
 def test_the_first_failure_in_step_order_wins(monkeypatch):
     # the plant fails at one step and a rider's tape at another, a load
     # event between them: the earlier step wins as it would if every row
@@ -1016,9 +1050,9 @@ def _riders_on_observer_feedback(gamma=1e17, mu=1e-6, name="gpebo", grad_gamma=1
 ], ids=["state-loop-fct-riders", "fct-feedback-mixed-riders"])
 def test_replayed_rows_equal_runs_of_their_own(monkeypatch, make, rows):
     # the first run of a pass integrates the loop and steps every rider
-    # gain of the rows once (the GPEBO-kind ones stacked); every later row
-    # only assembles its trajectory from the pass, and must log what it
-    # logs on its own
+    # gain of the rows once (the GPEBO-kind ones stacked), and the loop
+    # the feed's gain alone; every later row only assembles its trajectory
+    # from the pass, and must log what it logs on its own
     (shared,) = SharedPass.groups([make(), *(make(**row) for row in rows)])
     first_row, *later_rows = shared.scenarios
     steps = _counting_steps(monkeypatch)
@@ -1027,8 +1061,10 @@ def test_replayed_rows_equal_runs_of_their_own(monkeypatch, make, rows):
     N = len(steps)
     assert N == round(2e-4 / 5e-7)
     stepped = _steps(calls)
-    gpebo = [gains for name, gains in stepped if name in ("scalar_update", "scalar_steps")]
-    assert len(gpebo) == 1 and len(gpebo[0]) > 1  # one stack of every GPEBO-kind gain
+    looped = [gains for name, gains in stepped if name == "scalar_update"]
+    assert looped == ([(first_row.observers[0].gamma,)] if first_row.controller.feedback == "observer" else [])
+    riding = [gains for name, gains in stepped if name == "scalar_steps"]
+    assert len(riding) == 1 and len(riding[0]) > 1  # one stack of every riding GPEBO-kind gain
     assert set(stepped.values()) == {N}  # each stack over every step, once
     _assert_same_run(first, run_scenario(make()))
     for row, scn in zip(rows, later_rows):
@@ -1219,16 +1255,29 @@ def test_a_sweep_steps_each_riders_gain_once(monkeypatch, argv, column):
 
 def test_a_gradient_gain_sweep_steps_each_gain_once_in_the_first_row(monkeypatch):
     # FCT feedback with a GPEBO, an emulator, a KBF and a raw gradient
-    # riding: the first row steps the FCT and GPEBO gains of the one filter
-    # in one stacked call per step in the loop, and every gain of the
-    # gradient over every step once, from its tape; no later row steps
-    # anything
+    # riding: the first row steps the FCT gain in the loop, one call per
+    # step, and the GPEBO gain of its filter and every gain of the gradient
+    # over every step once, from their tapes; no later row steps anything
     N = round(2e-4 / 5e-7)
     argv = ["--preset", "fig-observer-compare", "--param", "observers.4.gamma", "--values", "1e8,1e7,1e8,1e9"]
     first, *later = _sweep_runs(monkeypatch, argv)
-    assert first["steps"] == {("scalar_update", (1e12, 1e17)): N, ("raw_steps", (1e8, 1e7, 1e9)): N}
+    assert first["steps"] == {("scalar_update", (1e12,)): N, ("scalar_steps", (1e17,)): N,
+                              ("raw_steps", (1e8, 1e7, 1e9)): N}
     assert len(later) == 3
     assert all(row["steps"] == {} for row in later)
+
+
+def test_the_loop_steps_the_feeds_gain_alone(monkeypatch):
+    # FCT feedback with GPEBO riders on the feed's filter: the loop makes
+    # one scalar_update call per step, with the feed's gain, and every
+    # other gain of that filter steps once, in one riding stack; the value
+    # 1e12, the feed's own gain, is the feed's row
+    N = round(2e-4 / 5e-7)
+    argv = ["--preset", "fig-observer-compare", "--param", "observers.1.gamma", "--values", "1e17,1e15,1e12,1e13"]
+    first, *later = _sweep_runs(monkeypatch, argv)
+    assert first["steps"] == {("scalar_update", (1e12,)): N, ("scalar_steps", (1e17, 1e15, 1e13)): N,
+                              ("raw_steps", (1e8,)): N}
+    assert len(later) == 3 and all(row["steps"] == {} for row in later)
 
 
 def test_a_raw_gradients_unread_pole_splits_no_pass(monkeypatch):
@@ -1244,7 +1293,7 @@ def test_a_raw_gradients_unread_pole_splits_no_pass(monkeypatch):
     assert len(SharedPass.groups(scns)) == 1
     argv = ["--preset", "fig-observer-compare", "--param", "observers.4.lambda", "--values", "5.0,3.0,7.0"]
     first, *later = _sweep_runs(monkeypatch, argv)
-    assert first["steps"] == {("scalar_update", (1e12, 1e17)): N, ("raw_steps", (1e8,)): N}
+    assert first["steps"] == {("scalar_update", (1e12,)): N, ("scalar_steps", (1e17,)): N, ("raw_steps", (1e8,)): N}
     assert len(later) == 2 and all(row["steps"] == {} for row in later)
     assert [row["traj"].meta["lam"]["gradient"] for row in (first, *later)] == lams
 
