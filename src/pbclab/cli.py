@@ -12,12 +12,12 @@ Subcommands
   scalar config entry and print a metrics matrix.  Each value's document
   is validated and its scenario built once (``config.scenario_of``), and
   ``pbclab.sim.SharedPass.groups`` keys each scenario once and groups
-  them: values whose scenarios differ only in the name, gamma or mu of
-  GPEBO-kind and gradient estimators that do not close the loop share one
-  closed-loop pass, which runs once as one scenario with every rider gain
-  of the group, so each gain is stepped once.  Its values are assembled
-  from that run, in value order, in one process.  Two or more distinct
-  passes fan out over a process pool of min(passes, CPUs) workers.
+  them: values whose scenarios differ only in estimators' names, or in
+  the gamma or mu of those that do not close the loop, share one pass,
+  which runs once as one scenario with every exactly stepped gain of the
+  group.  Its values are assembled from that run, in value order, in one
+  process.  Two or more distinct passes fan out over a process pool of
+  min(passes, CPUs) workers.
 * ``presets list`` - list the shipped figure presets.
 
 Configuration comes from ``--config FILE`` or ``--preset NAME`` (else the

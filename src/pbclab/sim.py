@@ -68,22 +68,25 @@ in step order wins as if every stack stepped in the loop (the plant first
 within a step), with its message, the samples up to it and the circuit
 values in force then.
 
-At each sample instant the loop stores the plant rows, y and the feed's
-exact-step row as they stand, with the duty ratio, passive output, clamp
-flag, reference and epoch of that instant; a riding stack's flush
-samples its own rows.  The plant signals, the storage W and every
-estimator's logged arrays are derived from that store after the loop
+The run's record (`_Store`) is one float matrix with one row per sample
+instant, written once there: the Runge-Kutta vector as it stands, then
+the duty ratio, passive output, clamp flag and epoch of that instant;
+and one table entry per epoch, its PI-PBC state, reference and circuit
+values.  The loop also samples the feed's exact-step row, and a riding
+stack's flush its own rows.  The plant signals, the storage W and every
+estimator's logged arrays are derived from the record after the loop
 with stacked numpy; the estimators' internals are views of it, so
 estimators that read the same copy, filter or row share them.
 
-A sweep over the gains of estimators that only ride shares one
-closed-loop pass (`SharedPass`): the name, gamma and mu of an exactly
-stepped estimator that does not close the loop reach nothing but its own
-row, and an estimator that reads no filter reads no lambda.  The pass
-runs once, as one ordinary scenario that steps every gain of its runs,
-and each run assembles its trajectory from what the pass keeps; the
-update functions act on each row element by element, so an assembled
-run's arrays are those of a run of its own, bit for bit.
+A sweep over what the plant cannot see shares one closed-loop pass
+(`SharedPass`), under one rule: no estimator's name reaches the loop, nor
+does the gamma or mu of any estimator but the feed (only an exactly
+stepped one reads them, in a row of its own), nor the lambda of one that
+reads no filter.  The pass runs once, as one ordinary scenario that
+steps every gain of its runs, and each run assembles its trajectory from
+what the pass keeps; the update functions act on each row element by
+element, so an assembled run's arrays are those of a run of its own, bit
+for bit.
 
 Scenario events retarget the reference voltage or restep the load at a
 grid instant; the equilibrium pair, the passive output map and the
@@ -958,54 +961,43 @@ def _closes_loop(ctl: ControllerSpec) -> bool:
 
 
 class _Store:
-    """The plant side of a run's samples: at each sample instant the
-    Runge-Kutta vector (`vs`, whose columns `ps` and `ys` are the plant rows
-    and integrator and the estimator rows), the clamped duty ratio, the
-    passive output, the clamp flag, the reference and the epoch; with the
-    PI-PBC state of every epoch (None for the classical PI) and the
-    coenergy weights Q, which no event changes."""
+    """The record of a run: `rows`, one float row per sample instant, the
+    Runge-Kutta vector of `width` entries (the plant rows and integrator,
+    then the estimator rows) followed by the clamped duty ratio, the
+    passive output, the clamp flag and the epoch (build_cuk has one duty
+    ratio); `epochs`, per epoch the PI-PBC state (None for the classical
+    PI), the reference and the circuit values in force; and the coenergy
+    weights Q, which no event changes."""
 
-    def __init__(self, K: int, n_p: int, n_y: int, Q):
-        self.vs, self.us, self.yts, self.sats, self.refs, self.epochs = (
-            np.empty((K, *shape), dtype=dtype) for shape, dtype in self.row(n_p + n_y)
-        )
-        self.ps, self.ys = self.vs[:, :n_p], self.vs[:, n_p:]
-        self.pis = []
+    def __init__(self, K: int, width: int, Q):
+        self.rows = np.empty((K, width + 4))
+        self.epochs = []  # (pi, ref, params) per epoch
         self.Q = Q
         self.deltas = {}  # filter pole -> the sampled Delta of its Omega, taken once for every reader
-
-    @staticmethod
-    def row(n_v: int) -> list:
-        """The shape and dtype of each array's entry at one sample instant,
-        vs first (build_cuk has one duty ratio)."""
-        return [((n_v,), float), ((1,), float), ((1,), float), ((), bool), ((), float), ((), int)]
-
-    def arrays(self):
-        return self.ps, self.ys, self.us, self.yts, self.sats, self.refs, self.epochs
 
 
 class SharedPass:
     """One closed-loop pass, shared by the rows of one key.
 
-    The key is the scenario with the name, gamma and mu of every riding
-    estimator (`_rides`) left out, and the lam of every estimator that
-    reads no filter (`_reads_filter`); nothing else is, and it holds floats
-    by value and arrays by shape and bytes.  `groups` keys each row once
-    and makes one pass per key, which holds its rows (`scenarios`) and
-    checks their `union`: the first row with, per step key (`_step_key`)
-    it does not step, the first other row's rider of that key.  The union
-    runs once (`run_scenario`) and keeps in the pass its plant-side sample
-    store, the PI-PBC state of every epoch, the circuit values in force at
-    the end and the sampled columns of its exact-step rows by step key.
-    The rows share these arrays, so they are read-only, and so are the
-    trajectory arrays that are views of them."""
+    The key is the scenario with what the pass may ignore left out: the
+    name of every estimator, the gamma and mu of every estimator but the
+    feed (the one that closes the loop), and the lam of every estimator
+    that reads no filter (`_reads_filter`); nothing else is, and it holds
+    floats by value and arrays by shape and bytes.  Only the exactly
+    stepped estimators read gamma or mu, each in a row of its own step key
+    (`_step_key`).  `groups` keys each row once and makes one pass per key,
+    which holds its rows (`scenarios`) and checks their `union`: the first
+    row with, per step key it lacks, the first other row's exactly stepped
+    estimator of that key.  The union runs once (`run_scenario`) and keeps
+    in the pass its record (`_Store`) and the sampled columns of its
+    exact-step rows by step key.  The rows share these arrays, so they are
+    read-only, and so are the trajectory arrays that are views of them."""
 
     def __init__(self, scenarios):
         self.scenarios = scenarios  # the rows the pass serves, in order
         self.union = _union(scenarios)
         validate_scenario(self.union)  # so its samples count against the cap
         self.store = None  # the kept pass's _Store, None while none is kept
-        self.params = None  # its circuit values at the end
         self.cols = None  # step key -> sampled columns of its row, (K, slots)
 
     @classmethod
@@ -1017,10 +1009,10 @@ class SharedPass:
             rows.setdefault(_pass_key(scn), []).append(scn)
         return [cls(group) for group in rows.values()]
 
-    def keep(self, store: _Store, params: CukParams, cols: dict):
-        for arr in [*store.arrays(), *cols.values()]:
+    def keep(self, store: _Store, cols: dict):
+        for arr in [store.rows, *cols.values()]:
             arr.flags.writeable = False
-        self.store, self.params, self.cols = store, params, cols
+        self.store, self.cols = store, cols
 
 
 def _lossless(value):
@@ -1038,30 +1030,25 @@ def _lossless(value):
     return (type(value).__name__, value)
 
 
-def _rides(scn: Scenario) -> list:
-    """Per estimator of scn, whether it is stepped exactly and does not
-    close the loop, so that its name, gamma and mu reach its row alone."""
-    feeding = _closes_loop(scn.controller)
-    return [spec.kind in _EXACT_KINDS and not (i == 0 and feeding) for i, spec in enumerate(scn.observers)]
-
-
 def _pass_key(scn: Scenario) -> tuple:
     """The key of the closed-loop pass of scn (see `SharedPass`)."""
+    feed = 0 if _closes_loop(scn.controller) else None
     specs = []
-    for spec, rides in zip(scn.observers, _rides(scn)):
-        spec = spec if _reads_filter(spec) else replace(spec, lam=None)
-        specs.append(replace(spec, name=None, gamma=None, mu=None) if rides else spec)
+    for i, spec in enumerate(scn.observers):
+        spec = replace(spec, name=None, lam=spec.lam if _reads_filter(spec) else None)
+        specs.append(spec if i == feed else replace(spec, gamma=None, mu=None))
     return _lossless(replace(scn, observers=specs))
 
 
 def _union(scenarios) -> Scenario:
     """The one run of a pass's rows (see `SharedPass`); `riders` maps each
-    step key to the rider it appends, None for the first row's own."""
+    step key to the estimator it appends, None for the first row's own,
+    the feed's among them."""
     first = scenarios[0]
     riders = dict.fromkeys(_step_key(spec) for spec in first.observers if spec.kind in _EXACT_KINDS)
     for scn in scenarios[1:]:
-        for spec, rides in zip(scn.observers, _rides(scn)):
-            if rides:
+        for spec in scn.observers:
+            if spec.kind in _EXACT_KINDS:
                 riders.setdefault(_step_key(spec), spec)
     return replace(first, observers=[*first.observers, *filter(None, riders.values())])
 
@@ -1083,15 +1070,14 @@ def _sample_count(N: int, stride: int) -> int:
 
 
 def _sample_bytes(scn: Scenario, N: int) -> int:
-    """The bytes of a run's samples: K instants of a `_Store` row, and the
-    `buffers` of every exact step."""
+    """The bytes of a run's samples: K rows of the `_Store`, and the
+    `buffers` of every exact step, all floats."""
     K = _sample_count(N, scn.stride)
     bank, runtimes = _estimators(scn.observers)
     fb_rt = runtimes[0] if _closes_loop(scn.controller) else None
     floats = sum(math.prod(shape) for stack in _exact_steps(runtimes, fb_rt)
                  for shape in stack.buffers(K, stack.rt is not fb_rt).values())
-    row = sum(math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in _Store.row(bank.base + bank.size))
-    return K * row + floats * np.dtype(float).itemsize
+    return (K * (bank.base + bank.size + 4) + floats) * np.dtype(float).itemsize
 
 
 def validate_scenario(scn: Scenario) -> int:
@@ -1181,11 +1167,12 @@ def validate_scenario(scn: Scenario) -> int:
     return N
 
 
-def _epoch(ctl: ControllerSpec, params, model: PHModel, v_ref: float, t: float, cache, bank, fb_rt):
-    """The PI-PBC state (None for the classical PI), law(v, xc) on the plant
-    rows of the Runge-Kutta vector v or, on observer feedback, on fb_rt's
-    estimate from its rows, and the stage of the epoch that starts at time
-    t with reference v_ref; an unreachable v_ref raises
+def _epoch(store: _Store, ctl: ControllerSpec, params, model: PHModel, v_ref: float, t: float, cache, bank, fb_rt):
+    """law(v, xc) on the plant rows of the Runge-Kutta vector v or, on
+    observer feedback, on fb_rt's estimate from its rows, and the stage of
+    the epoch that starts at time t with reference v_ref and the circuit
+    values params, which the store's epoch table gains with the PI-PBC
+    state (None for the classical PI); an unreachable v_ref raises
     `InfeasibleEquilibrium` with t as its `epoch_time`."""
     pi = None
     if ctl.type != "classical-pi":
@@ -1204,29 +1191,33 @@ def _epoch(ctl: ControllerSpec, params, model: PHModel, v_ref: float, t: float, 
             x1, x2, x3, x4 = estimate(v)
             return state_law((x1 / q1, x2 / q2, x3 / q3, x4 / q4), xc)
 
-    return pi, law, _plant_stage(law, cache, ctl, bank)
+    store.epochs.append((pi, v_ref, params))
+    return law, _plant_stage(law, cache, ctl, bank)
 
 
-def _assemble(scn: Scenario, store: _Store, runtimes, N: int, cols: dict, taken: int, params) -> Trajectory:
+@np.errstate(over="ignore", invalid="ignore")  # a run that overflows assembles as it stands
+def _assemble(scn: Scenario, store: _Store, runtimes, N: int, cols: dict, taken: int) -> Trajectory:
     """The trajectory of the first `taken` samples of a run of N steps: the
     plant side read from the store and the exactly stepped states from
     cols, the sampled columns of each exact step by step key, each
-    estimator's logged arrays derived from them with stacked numpy; params
-    are the circuit values in force at the last step taken."""
+    estimator's logged arrays derived from them with stacked numpy; the
+    circuit values are those of the last epoch the store holds."""
     ctl = scn.controller
     n = len(SIGNALS)
-    prows, rows, ep = store.ps[:taken], store.ys[:taken], store.epochs[:taken]
+    rows = store.rows[:taken]
+    ep = rows[:, -1].astype(int)
+    pis, refs, circuits = zip(*store.epochs)
     cols = {key: col[:taken] for key, col in cols.items()}
-    xs = prows[:, :n]
+    xs = rows[:, :n]
     signals = _matvec(store.Q, xs)  # physical; events change r, never Q
     W = np.full(taken, np.nan)
     if ctl.type != "classical-pi":
-        for e, pe in enumerate(store.pis):
+        for e, pe in enumerate(pis):
             at = ep == e
-            W[at] = _storage(store.Q, pe.Ki, xs[at], prows[at, n:], pe.x_star, pe.x_c_star)
+            W[at] = _storage(store.Q, pe.Ki, xs[at], rows[at, n : n + 1], pe.x_star, pe.x_c_star)
     observers = {}
     for rt in runtimes:
-        xhat, rec = rt.record(rows, cols, store.deltas)
+        xhat, rec = rt.record(rows[:, n + 1 : -4], cols, store.deltas)
         d = xhat - signals
         # a GPEBO kind's omega and Delta in rec keep the place set here
         observers[rt.name] = {
@@ -1248,16 +1239,16 @@ def _assemble(scn: Scenario, store: _Store, runtimes, N: int, cols: dict, taken:
         "mu": {rt.name: rt.spec.mu for rt in runtimes},
         "gamma": {rt.name: rt.spec.gamma for rt in runtimes},
         "lam": {rt.name: rt.spec.lam for rt in runtimes},
-        "params": vars(replace(params)),
+        "params": vars(replace(circuits[-1])),
     }
     return Trajectory(
         t=np.minimum(np.arange(taken) * scn.stride, N) * scn.h,
         signals=signals,
-        u=store.us[:taken],
-        ytilde=store.yts[:taken],
+        u=rows[:, -4:-3],
+        ytilde=rows[:, -3:-2],
         W=W,
-        saturated=store.sats[:taken],
-        ref=store.refs[:taken],
+        saturated=rows[:, -2].astype(bool),
+        ref=np.array(refs, dtype=float)[ep],
         epoch=ep,
         observers=observers,
         meta=meta,
@@ -1282,7 +1273,7 @@ def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
         rt.name = name
     K = _sample_count(N, scn.stride)
     if shared is not None and shared.store is not None:
-        return _assemble(scn, shared.store, runtimes, N, shared.cols, K, shared.params)
+        return _assemble(scn, shared.store, runtimes, N, shared.cols, K)
     # the run's estimators; a union adds riders alone, so its rows y are laid out as scn's
     bank, stepped = (bank, runtimes) if shared is None else _estimators(shared.union.observers)
     fb_rt = stepped[0] if _closes_loop(ctl) else None
@@ -1311,14 +1302,12 @@ def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
     # the Runge-Kutta vector as Python floats: the plant rows, the
     # integrator and the estimator rows, v = [x1, .., xn, xc, *y]
     v = x0.tolist() + [float(ctl.xc0)] + y
-    base = bank.base
-    store = _Store(K, base, bank.size, model.Q)
+    store = _Store(K, len(v), model.Q)
     ref_now = ctl.x4_star
-    pi, law, stage = _epoch(ctl, params, model, ref_now, 0.0, cache, bank, fb_rt)
-    store.pis.append(pi)  # the PI-PBC of each epoch, for W after the loop
+    law, stage = _epoch(store, ctl, params, model, ref_now, 0.0, cache, bank, fb_rt)
     epoch = 0
 
-    vs, us, yts, sats, refs, epochs = store.vs, store.us, store.yts, store.sats, store.refs, store.epochs
+    rows = store.rows
     taken = due = 0  # the samples taken and the step of the next one
     k0 = taped = 0  # the first step on the riding stacks' tapes and the steps taped
 
@@ -1346,19 +1335,16 @@ def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
                     for ev in events_at[k]:
                         epoch += 1
                         if ev.kind == "load":
-                            params.r = ev.value
+                            params = replace(params, r=ev.value)
                             model = build_cuk(params)
                             cache.rebuild(model)
                         else:
                             ref_now = ev.value
-                        pi, law, stage = _epoch(ctl, params, model, ref_now, t, cache, bank, fb_rt)
-                        store.pis.append(pi)
+                        law, stage = _epoch(store, ctl, params, model, ref_now, t, cache, bank, fb_rt)
                 if k == due:
-                    u_raw, yts[taken] = law(v, v[base - 1])  # xc precedes the estimator rows
-                    us[taken] = u = min(max(u_raw, ctl.u_min), ctl.u_max)
-                    sats[taken] = u != u_raw  # the clamp flag, formed only here
-                    vs[taken] = v
-                    refs[taken], epochs[taken] = ref_now, epoch
+                    u_raw, ytilde = law(v, v[4])  # xc follows the plant rows
+                    u = min(max(u_raw, ctl.u_min), ctl.u_max)
+                    rows[taken] = [*v, u, ytilde, u != u_raw, epoch]  # the clamp flag, formed only here
                     if loop is not None:
                         loop.samples[taken] = loop.state
                     taken += 1
@@ -1389,13 +1375,13 @@ def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
                 stack.samples[-1] = stack.state
     except NonFiniteState as exc:
         # expose whatever was sampled before the blow-up
-        exc.partial = _assemble(scn, store, runtimes, N, _columns(stacks), taken, params)
+        exc.partial = _assemble(scn, store, runtimes, N, _columns(stacks), taken)
         raise
 
     cols = _columns(stacks)
     if shared is not None:
-        shared.keep(store, params, cols)
-    return _assemble(scn, store, runtimes, N, cols, K, params)
+        shared.keep(store, cols)
+    return _assemble(scn, store, runtimes, N, cols, K)
 
 
 # -- metrics ------------------------------------------------------------------
@@ -1436,7 +1422,8 @@ def compute_metrics(traj: Trajectory, band_frac: float = 0.01, checkpoints=()) -
     k = np.flatnonzero(free[:-1] & free[1:] & (traj.epoch[:-1] == traj.epoch[1:]))
     out["w_increase_count"] = int((W[k + 1] > W[k] + 1e-8 * np.abs(W[k]) + 1e-15).sum())
     out["samples"] = len(t)
-    xnorm = np.linalg.norm(traj.signals, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed run's norm is inf, as it stands
+        xnorm = np.linalg.norm(traj.signals, axis=1)
     for name, rec in traj.observers.items():
         err = rec["err_norm"]
         out[f"err_final_{name}"] = float(err[-1])

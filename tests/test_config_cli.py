@@ -281,6 +281,29 @@ def test_simulate_numeric_failure_exit4_with_partial(tmp_path, capsys):
     assert Trajectory.from_csv(partials[0]).t.shape[0] >= 1
 
 
+def test_an_overflowing_run_prints_no_numpy_warning(tmp_path):
+    # in a fresh process, where numpy's RuntimeWarnings print once each: a
+    # run whose storage W and state norms overflow, and a failing run
+    # whose partial's sampled Delta overflows, print on stderr what the
+    # command reports and nothing else
+    env = {**os.environ, "PYTHONPATH": str(Path(pbclab.__file__).resolve().parents[1]), "PYTHONWARNINGS": "default"}
+
+    def simulate(*overrides):
+        argv = [sys.executable, "-m", "pbclab.cli", "simulate", "--out", str(tmp_path)]
+        return subprocess.run([*argv, *(arg for o in overrides for arg in ("--set", o))], env=env,
+                              capture_output=True, text=True)
+
+    done = simulate("scenario.x0=[1.0e+160, 0.0, 0.0, 0.0]", "scenario.horizon=0.0005")
+    assert (done.returncode, done.stderr) == (0, "")
+    done = simulate("scenario.h=0.004", "scenario.horizon=4.0", "scenario.stride=3",
+                    "observers=[{name: fct, kind: fct-gpebo, gamma: 1.0e+12}]")
+    lines = done.stderr.splitlines()
+    assert done.returncode == 4 and len(lines) == 2, done.stderr
+    message = lines[1].removeprefix("numerical failure: ")
+    assert message.startswith("non-finite estimator state after the step to t=")
+    assert lines[0] == f"run: diverged ({message}); partial samples in {tmp_path / 'run-run-partial.csv'}"
+
+
 def test_out_env_var_is_honored(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("PBCLAB_OUT", str(tmp_path / "envout"))
     rc = cli.main(["simulate", *FAST])
@@ -783,7 +806,7 @@ def test_a_step_count_over_the_cap_is_refused_before_anything_runs(monkeypatch, 
 
 def test_a_sample_store_over_the_cap_is_refused_before_anything_is_allocated(monkeypatch, tmp_path, capsys):
     # 2e7 steps are under the step cap, but sampling each of them would
-    # take 1.46e9 bytes (73 per sample without an estimator), more than
+    # take 1.44e9 bytes (72 per sample without an estimator), more than
     # MAX_STORE_BYTES: a configuration error that names h, horizon and
     # stride, raised before any run starts or any sample is allocated
     import tracemalloc
@@ -804,7 +827,7 @@ def test_a_sample_store_over_the_cap_is_refused_before_anything_is_allocated(mon
     assert err.startswith("config error: ") and all(key in err for key in ("h=", "horizon=", "stride="))
     assert peak < 2**20 and not out.exists()
     # one sample fewer than the cap's worth is a store a scenario may ask for
-    steps = sim.MAX_STORE_BYTES // 73 - 1
+    steps = sim.MAX_STORE_BYTES // 72 - 1
     assert sim.validate_scenario(sim.Scenario(horizon=steps * 5e-7, stride=1)) == steps
 
 

@@ -345,7 +345,7 @@ def _nan_from_step(monkeypatch, k: int, gamma: float):
 
     def nan_scalar(omega, theta_hat, scriptY, Delta, g, h):
         new_omega, new_theta = obs.scalar_update(omega, theta_hat, scriptY, Delta, g, h)
-        hit = np.asarray(g) == gamma  # a stacked call steps each row once
+        hit = np.asarray(g) == gamma  # one call steps one gain (the feed's, in the loop) once
         if hit.any() and past_k(1) == 0:
             return np.where(hit, math.nan, new_omega), new_theta
         return new_omega, new_theta
@@ -898,7 +898,7 @@ def test_a_riders_tape_is_bounded():
 
 def test_the_sample_cap_counts_what_a_run_reserves(monkeypatch):
     # a feeding FCT, a GPEBO rider on its filter and a raw-gradient rider:
-    # the cap's byte count must be the sample store's arrays and each
+    # the cap's byte count must be the sample store's rows and each
     # stack's samples, tape and states over the tape, as the run reserves
     # them; the loop's stack, the feed's gain alone, has no tape
     import pbclab.sim as simmod
@@ -913,7 +913,7 @@ def test_the_sample_cap_counts_what_a_run_reserves(monkeypatch):
 
     def keeping_store(store, *args):
         store_init(store, *args)
-        reserved.extend([store.vs, store.us, store.yts, store.sats, store.refs, store.epochs])
+        reserved.append(store.rows)
 
     def keeping_stack(stack, K, rides):
         stack_start(stack, K, rides)
@@ -1026,7 +1026,7 @@ _KBF_S = np.array([[2.0, 0.3, 0.0, 0.0], [0.3, 1.0, 0.0, 0.1], [0.0, 0.0, 1.5, 0
 
 
 def _riders_on_observer_feedback(gamma=1e17, mu=1e-6, name="gpebo", grad_gamma=1e8, fct_gamma=1e12,
-                                 lam=5.0, s=_KBF_S, event_time=1e-4):
+                                 lam=5.0, s=_KBF_S, event_time=1e-4, kbf_gamma=1e12, kbf_mu=1e-6):
     return Scenario(
         controller=ControllerSpec(feedback="observer"),
         observers=[
@@ -1034,7 +1034,7 @@ def _riders_on_observer_feedback(gamma=1e17, mu=1e-6, name="gpebo", grad_gamma=1
             ObserverSpec(name=name, kind="gpebo", gamma=gamma, mu=mu, lam=lam),
             ObserverSpec(name="grad-raw", kind="gradient", gamma=grad_gamma, mode="raw"),
             ObserverSpec(name="grad-ext", kind="gradient", gamma=grad_gamma, mode="extended", lam=3.0),
-            ObserverSpec(name="kbf", kind="kbf", s=s, h0=2.0),
+            ObserverSpec(name="kbf", kind="kbf", s=s, h0=2.0, gamma=kbf_gamma, mu=kbf_mu),
         ],
         events=[EventSpec(time=event_time, kind="load", value=30.0)],
         horizon=2e-4,
@@ -1046,7 +1046,8 @@ def _riders_on_observer_feedback(gamma=1e17, mu=1e-6, name="gpebo", grad_gamma=1
     (_riders_on_the_state_loop,
      [dict(gamma=3e12), dict(gamma=1e10, mu=0.3, name="swept"), dict(gamma=1e14)]),
     (_riders_on_observer_feedback,
-     [dict(gamma=1e12), dict(gamma=1e15, mu=0.01, name="swept", grad_gamma=1e6)]),
+     [dict(gamma=1e12), dict(gamma=1e15, mu=0.01, name="swept", grad_gamma=1e6),
+      dict(kbf_gamma=3e5, kbf_mu=0.4)]),  # a KBF reads neither its gamma nor its mu
 ], ids=["state-loop-fct-riders", "fct-feedback-mixed-riders"])
 def test_replayed_rows_equal_runs_of_their_own(monkeypatch, make, rows):
     # the first run of a pass integrates the loop and steps every rider
@@ -1104,7 +1105,6 @@ def test_a_run_hands_out_no_view_of_its_buffers(monkeypatch):
         stack_start(stack, K, rides)
         # every buffer but the sampled states, which the columns are views of
         buffers.extend(v for key, v in vars(stack).items() if isinstance(v, np.ndarray) and key != "samples")
-        buffers.extend(buf for buf, _ in getattr(stack, "parts", ()))  # a rider's states over its tape
 
     def assert_apart(arrays):
         assert buffers and arrays
@@ -1115,7 +1115,7 @@ def test_a_run_hands_out_no_view_of_its_buffers(monkeypatch):
     (shared,) = SharedPass.groups([_riders_on_observer_feedback(), _riders_on_observer_feedback(gamma=1e12)])
     first = run_scenario(shared.scenarios[0], shared=shared)
     assert_apart(_trajectory_arrays(first))
-    store = dict(enumerate(shared.store.arrays()))
+    store = {"rows": shared.store.rows}
     assert_apart({**store, **shared.cols})
     kept = {key: arr.copy() for key, arr in {**_trajectory_arrays(first), **store}.items()}
 

@@ -9,8 +9,9 @@ snapshots of two checkouts (run each with its own `src` on the path) are
 the same bit for bit exactly when `diff -r` of them is empty, on one
 machine under one BLAS kernel.  The set covers every preset at full
 horizon, a `compare`, sweeps of a riding gain on the state loop at stride
-1 and on observer feedback, and raw- and extended-gradient feeds with
-riders at stride 1.
+1 and on observer feedback, a sweep of a gain no estimator of the loop
+reads, raw- and extended-gradient feeds with riders at stride 1, and a
+run that fails after two events (its partial CSV, epochs and exit 4).
 """
 
 import contextlib
@@ -43,6 +44,12 @@ COMMANDS = {
                        "--param", "observers.1.gamma", "--values", "1e17,1e15,1e12,1e13"],
     "feed-raw-gradient": _feed("raw"),
     "feed-extended-gradient": _feed("extended"),
+    "fail-after-events": ["simulate", "--set", "scenario.h=0.004", "--set", "scenario.horizon=4.0",
+                          "--set", "scenario.stride=3", "--set", "scenario.events=[{time: 0.02, kind: load, "
+                          "value: 30.0}, {time: 0.04, kind: reference, value: -10.0}]",
+                          "--set", "observers=[{name: fct, kind: fct-gpebo, gamma: 1.0e+12}]"],
+    "sweep-unread-gain": ["sweep", "--preset", "fig-observer-compare", *SHORT,
+                          "--param", "observers.2.gamma", "--values", "1e12,3e12,1e13"],
 }
 
 
