@@ -49,6 +49,7 @@ __all__ = [
     "determinant",
     "drem_mix",
     "scalar_update",
+    "drem_scalar_step",
     "scalar_steps",
     "fct_combine",
     "gpebo_estimate",
@@ -77,51 +78,44 @@ def gpebo_matrix_derivatives(A, b, C, xi, Phi, Y, Omega, lam: float, y_m):
 # The cofactor expansion keeps adj and det mutually consistent and exact in
 # exact arithmetic.  It is written for the converter's state dimension, 4,
 # and no other size is taken.
+#
+# adj Y on floats (`drem_scalar_step`) sums each row as numpy's 4 x 4 gemv
+# sums `adj @ Y` in `drem_mix`, pairwise: (a0 y0 + a2 y2) + (a1 y1 + a3 y3).
+# That order matched the product in 20 000 of 20 000 seeded draws on
+# OpenBLAS 0.3.31 (Haswell kernel), while left to right differed in
+# 14 944.  adj Y / Delta is ill-conditioned before excitation: summed left
+# to right, it moved the final FCT error of an 8 000-step five-estimator
+# observer-feedback run by 5e-7 of itself.
 
 
 def _adj_det_4(a):
-    # a is indexed a[i][j]: a list of row lists of floats (the fast path for
-    # one matrix) or an array, which may stack matrices along axis 2
+    # a is a list of row lists of floats (one matrix) or an array, which may
+    # stack matrices along axis 2; adj is nested lists of such entries
+    (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), (a30, a31, a32, a33) = a
     # 2 x 2 minors of the top and bottom row pairs
-    s0 = a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    s1 = a[0][0] * a[1][2] - a[0][2] * a[1][0]
-    s2 = a[0][0] * a[1][3] - a[0][3] * a[1][0]
-    s3 = a[0][1] * a[1][2] - a[0][2] * a[1][1]
-    s4 = a[0][1] * a[1][3] - a[0][3] * a[1][1]
-    s5 = a[0][2] * a[1][3] - a[0][3] * a[1][2]
-    c5 = a[2][2] * a[3][3] - a[2][3] * a[3][2]
-    c4 = a[2][1] * a[3][3] - a[2][3] * a[3][1]
-    c3 = a[2][1] * a[3][2] - a[2][2] * a[3][1]
-    c2 = a[2][0] * a[3][3] - a[2][3] * a[3][0]
-    c1 = a[2][0] * a[3][2] - a[2][2] * a[3][0]
-    c0 = a[2][0] * a[3][1] - a[2][1] * a[3][0]
+    s0 = a00 * a11 - a01 * a10
+    s1 = a00 * a12 - a02 * a10
+    s2 = a00 * a13 - a03 * a10
+    s3 = a01 * a12 - a02 * a11
+    s4 = a01 * a13 - a03 * a11
+    s5 = a02 * a13 - a03 * a12
+    c5 = a22 * a33 - a23 * a32
+    c4 = a21 * a33 - a23 * a31
+    c3 = a21 * a32 - a22 * a31
+    c2 = a20 * a33 - a23 * a30
+    c1 = a20 * a32 - a22 * a30
+    c0 = a20 * a31 - a21 * a30
     det = s0 * c5 - s1 * c4 + s2 * c3 + s3 * c2 - s4 * c1 + s5 * c0
-    adj = np.array([
-        [
-            a[1][1] * c5 - a[1][2] * c4 + a[1][3] * c3,
-            -a[0][1] * c5 + a[0][2] * c4 - a[0][3] * c3,
-            a[3][1] * s5 - a[3][2] * s4 + a[3][3] * s3,
-            -a[2][1] * s5 + a[2][2] * s4 - a[2][3] * s3,
-        ],
-        [
-            -a[1][0] * c5 + a[1][2] * c2 - a[1][3] * c1,
-            a[0][0] * c5 - a[0][2] * c2 + a[0][3] * c1,
-            -a[3][0] * s5 + a[3][2] * s2 - a[3][3] * s1,
-            a[2][0] * s5 - a[2][2] * s2 + a[2][3] * s1,
-        ],
-        [
-            a[1][0] * c4 - a[1][1] * c2 + a[1][3] * c0,
-            -a[0][0] * c4 + a[0][1] * c2 - a[0][3] * c0,
-            a[3][0] * s4 - a[3][1] * s2 + a[3][3] * s0,
-            -a[2][0] * s4 + a[2][1] * s2 - a[2][3] * s0,
-        ],
-        [
-            -a[1][0] * c3 + a[1][1] * c1 - a[1][2] * c0,
-            a[0][0] * c3 - a[0][1] * c1 + a[0][2] * c0,
-            -a[3][0] * s3 + a[3][1] * s1 - a[3][2] * s0,
-            a[2][0] * s3 - a[2][1] * s1 + a[2][2] * s0,
-        ],
-    ])
+    adj = [
+        [a11 * c5 - a12 * c4 + a13 * c3, -a01 * c5 + a02 * c4 - a03 * c3,
+         a31 * s5 - a32 * s4 + a33 * s3, -a21 * s5 + a22 * s4 - a23 * s3],
+        [-a10 * c5 + a12 * c2 - a13 * c1, a00 * c5 - a02 * c2 + a03 * c1,
+         -a30 * s5 + a32 * s2 - a33 * s1, a20 * s5 - a22 * s2 + a23 * s1],
+        [a10 * c4 - a11 * c2 + a13 * c0, -a00 * c4 + a01 * c2 - a03 * c0,
+         a30 * s4 - a31 * s2 + a33 * s0, -a20 * s4 + a21 * s2 - a23 * s0],
+        [-a10 * c3 + a11 * c1 - a12 * c0, a00 * c3 - a01 * c1 + a02 * c0,
+         -a30 * s3 + a31 * s1 - a32 * s0, a20 * s3 - a21 * s1 + a22 * s0],
+    ]
     return adj, det
 
 
@@ -130,7 +124,8 @@ def _adj_det(a):
     axis 2."""
     if a.shape[:2] != (4, 4):
         raise ValueError(f"the adjugate is taken of 4 x 4 matrices, got shape {a.shape}")
-    return _adj_det_4(a.tolist() if a.ndim == 2 else a)
+    adj, det = _adj_det_4(a.tolist() if a.ndim == 2 else a)
+    return np.array(adj), det
 
 
 def adjugate(a: np.ndarray) -> np.ndarray:
@@ -203,6 +198,29 @@ def scalar_update(omega: float, theta_hat: np.ndarray, scriptY: np.ndarray, Delt
     if z == 0.0:  # NaN moves
         return omega, theta_hat
     return omega * kappa, _scalar_theta_step(theta_hat, pull, scriptY / Delta)
+
+
+def drem_scalar_step(state: list, row: list, gamma: float, h: float) -> list:
+    """`drem_mix` then `scalar_update` on Python floats, bit for bit: the
+    state [omega, *theta_hat] after one step of length h on the frozen
+    tape row [*Y, *Omega] (Omega row-major).  adj Y is summed in the order
+    of the numpy product (see `_adj_det_4`), and the weights are numpy's
+    exp and expm1 of `_scalar_weights`; a held step returns state."""
+    y0, y1, y2, y3 = row[:4]
+    adj, Delta = _adj_det_4([row[4:8], row[8:12], row[12:16], row[16:20]])
+    z, kappa, pull = _scalar_weights(gamma, Delta, h)
+    if z == 0.0:  # NaN moves, as in scalar_update
+        return state
+    kappa, pull = float(kappa), float(pull)
+    (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), (a30, a31, a32, a33) = adj
+    omega, t0, t1, t2, t3 = state
+    return [
+        omega * kappa,
+        t0 + pull * (((a00 * y0 + a02 * y2) + (a01 * y1 + a03 * y3)) / Delta - t0),
+        t1 + pull * (((a10 * y0 + a12 * y2) + (a11 * y1 + a13 * y3)) / Delta - t1),
+        t2 + pull * (((a20 * y0 + a22 * y2) + (a21 * y1 + a23 * y3)) / Delta - t2),
+        t3 + pull * (((a30 * y0 + a32 * y2) + (a31 * y1 + a33 * y3)) / Delta - t3),
+    ]
 
 
 def scalar_steps(omega, theta_hat, scriptY, Delta, gamma, h: float):

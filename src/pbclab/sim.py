@@ -19,7 +19,8 @@ control law performs the IEEE operations of `control.pi_pbc_step` (whose
 which remain the reference.  The step (`_rk4_split_step`) uses
 `rk4_step`'s stage weights and association, so its result equals
 `rk4_step` on the vector bit for bit.  numpy enters only between steps,
-in the exact steps and the sample store.
+in a gradient feed's exact step, the riders' flushes and the sample
+store.
 The matrix states that depend on neither the gain nor the kind are held
 once per run and read by every estimator: the open-loop copy (xi, plus
 Phi when an estimator reads it), driven by u alone, and one regression
@@ -58,8 +59,11 @@ orders of magnitude stiffer than the grid step allows for an explicit
 scheme, and the exact step is unconditionally contractive.  Their states
 are rows of stacks (`_ExactSteps`), one row per gain (`_step_key`), and a
 step's frozen inputs are one tape row read from the vector at its start.
-The feeding estimator's gain is a stack of its own, stepped in the loop
-after the Runge-Kutta step and checked for finiteness like the vector.
+The feeding estimator's gain is a stack of its own, one row of floats
+stepped in the loop after the Runge-Kutta step and checked for finiteness
+like the vector; a GPEBO kind's step (`observers.drem_scalar_step`) and
+fed-back theta are straight-line float code, bit for bit the reference
+`drem_mix`, `scalar_update` and `fct_combine`.
 Every other gain rides, one stack per kind and filter or regression,
 stepped from a tape of at most `_CHUNK` steps with what does not depend
 on the state batched over time (`_ExactSteps.flush`) when it is full,
@@ -130,11 +134,11 @@ from .cuk import ROOT_POLICIES, CukError, CukParams, InfeasibleEquilibrium, buil
 from .observers import (
     _adj_det,
     drem_mix,
+    drem_scalar_step,
     fct_combine,
     gradient_update,
     raw_steps,
     scalar_steps,
-    scalar_update,
 )
 from .phmodel import PHModel
 
@@ -527,7 +531,7 @@ class _Bank:
     the sampled rows, the sampled columns of the exact steps
     (`_ExactSteps`) by step key and the store's sampled Delta by filter pole
     (`_Store`); one stepped exactly holds its `step_key` and is pointed to
-    its row, `exact` and `row`."""
+    the stack that holds its row, `exact`."""
 
     def __init__(self, n: int):
         self.n = n
@@ -688,8 +692,8 @@ class _GpeboRuntime:
         self.fct = spec.kind == "fct-gpebo"
         self.filt = bank.filter(spec.lam)
         self.step_key = _step_key(spec)
-        self.theta_hat0 = np.zeros(bank.n)  # theta_hat starts at zero with its row
-        self.theta_feed = self.theta_hat0.tolist()
+        self.theta_hat0 = [0.0] * bank.n  # theta_hat starts at zero with its row
+        self.theta_feed = self.theta_hat0
 
     def theta(self, omega, theta_hat):
         """The estimate of theta: the finite-time combination, or theta_hat."""
@@ -699,9 +703,13 @@ class _GpeboRuntime:
 
     def refresh_feed(self):
         # called once per step after the sample, so a sampled u of observer
-        # feedback reads the theta of one step earlier (ROADMAP item 5e)
-        row = self.exact.state[self.row]
-        self.theta_feed = self.theta(row[0], row[1:]).tolist()
+        # feedback reads the theta of one step earlier (ROADMAP item 5e);
+        # `theta` on the loop's row of floats
+        omega, *theta_hat = self.exact.state
+        if self.fct:
+            omega_c = min(omega, 1.0 - self.spec.mu)
+            theta_hat = [(th - omega_c * th0) / (1.0 - omega_c) for th, th0 in zip(theta_hat, self.theta_hat0)]
+        self.theta_feed = theta_hat
 
     def estimate(self, v):
         return self.bank.reconstruct(v, self.theta_feed)
@@ -779,7 +787,7 @@ class _GradientRuntime:
         self.step_key = _step_key(spec)
 
     def estimate(self, v):
-        return self.bank.reconstruct(v, self.exact.state[self.row].tolist())
+        return self.bank.reconstruct(v, self.exact.state)
 
     def record(self, ys, cols, deltas):
         rec = {"xi": self.bank.xi(ys), "Phi": self.bank.Phi(ys), "theta_hat": cols[self.step_key]}
@@ -793,8 +801,10 @@ class _ExactSteps:
     estimator.  Each step reads inputs frozen at its start, one tape row
     (`inputs`): the filter's (Y, Omega), which the GPEBO kinds mix by DREM,
     or a raw gradient's C Phi = Phi[3] and y_m - C xi = y_m - xi[3].  The
-    loop's stack, the feeding estimator's gain alone, steps once per step
-    (`step`) by `advance`; a riding stack keeps the tape rows of its steps,
+    loop's stack, the feeding estimator's gain alone, holds its one row as
+    a list of floats and steps it once per step (`step`): a GPEBO kind by
+    `drem_scalar_step` on floats, a gradient by `advance`.  A riding stack
+    holds its rows as an array and keeps the tape rows of its steps,
     stepped bit for bit alike by `scalar_steps`, `raw_steps` or, for an
     extended gradient, `advance` (`flush`)."""
 
@@ -812,9 +822,6 @@ class _ExactSteps:
             first, self.width = bank.base + rt.filt.Y.sl.start, n + n * n
             self.read = slice(first, first + self.width)
 
-    def add(self, key) -> int:
-        return self.rows.setdefault(key, len(self.rows))
-
     def buffers(self, K: int, rides: bool) -> dict:
         """The shape of each array `start` reserves: the rows' samples at K
         instants and, if the stack rides, its tape and the states over it
@@ -826,14 +833,15 @@ class _ExactSteps:
         return shapes
 
     def start(self, K: int, rides: bool):
-        """Set every row to its initial state and reserve its `buffers`."""
+        """Set every row to its initial state, omega = 1 and zeros, and
+        reserve its `buffers`; the loop's one row is a list of floats."""
         for name, shape in self.buffers(K, rides).items():
             setattr(self, name, np.empty(shape))
         self.gammas = [key[-1] for key in self.rows]
-        self.state = np.zeros((len(self.gammas), self.slots))
-        if self.gpebo:
+        first = [1.0] * self.gpebo + [0.0] * self.rt.bank.n
+        self.state = np.array([first] * len(self.gammas)) if rides else first
+        if self.gpebo and rides:  # the gains of `scalar_steps`
             self.column = np.array(self.gammas, dtype=float)[:, None]
-            self.state[:, 0] = 1.0  # omega
 
     def inputs(self, v: list, y_m: float) -> list:
         """The tape row of the step that starts at the Runge-Kutta vector v
@@ -843,28 +851,25 @@ class _ExactSteps:
             return [*v[phi], y_m - v[xi3]]
         return v[self.read]
 
-    def advance(self, row, before, after, h: float):
-        """Step every gain once, on the tape row `row`, from the states
-        `before` to `after` (which may be one array): the DREM mix and one
-        `scalar_update` call per gain, or one `gradient_update` call per
-        gain (a stacked rank-one step would sum phi @ theta in another
-        order)."""
+    def advance(self, row, theta, gamma, h: float):
+        """A gradient's theta after one step of the gain gamma on the tape
+        row `row`, an array: one `gradient_update` call per gain and step
+        (a stacked rank-one step would sum phi @ theta in another order)."""
         n = self.rt.bank.n
         frozen = ({"CPhi": row[None, :n], "y_shift": row[n]} if self.raw
                   else {"Omega": row[n:].reshape(n, n), "Y": row[:n]})
-        if self.gpebo:
-            scriptY, Delta = drem_mix(**frozen)
-            for e, gamma in enumerate(self.gammas):
-                after[e, 0], after[e, 1:] = scalar_update(before[e, 0], before[e, 1:], scriptY, Delta, gamma, h)
-        else:
-            for e, gamma in enumerate(self.gammas):
-                after[e] = gradient_update(before[e], gamma, self.rt.spec.mode, h, **frozen)
+        return gradient_update(theta, gamma, self.rt.spec.mode, h, **frozen)
 
     def step(self, v: list, y_m: float, t: float, h: float):
-        """Step every row from t to t + h on the vector v and the
+        """Step the loop's one row from t to t + h on the vector v and the
         measurement y_m at t."""
-        self.advance(np.array(self.inputs(v, y_m)), self.state, self.state, h)
-        if not np.isfinite(self.state).all():
+        (gamma,) = self.gammas
+        row = self.inputs(v, y_m)
+        if self.gpebo:
+            self.state = drem_scalar_step(self.state, row, gamma, h)
+        else:
+            self.state = self.advance(np.array(row), np.array(self.state), gamma, h).tolist()
+        if not all(map(math.isfinite, self.state)):
             raise NonFiniteState(f"non-finite estimator state after the step to t={t + h:g} s")
 
     def flush(self, k0: int, T: int, stride: int, h: float):
@@ -881,7 +886,7 @@ class _ExactSteps:
             raw_steps(states, tape[:, :n], tape[:, n], self.gammas, h)
         else:
             for row, before, after in zip(tape, states[:-1], states[1:]):
-                self.advance(row, before, after, h)
+                after[:] = [self.advance(row, theta, gamma, h) for theta, gamma in zip(before, self.gammas)]
         first = -k0 % stride  # the first sample instant on the tape
         s0, at = (k0 + first) // stride, states[first::stride]
         self.samples[s0 : s0 + len(at)] = at
@@ -892,7 +897,7 @@ class _ExactSteps:
 
 def _exact_steps(runtimes, fb_rt) -> list:
     """The exact steps of a run, one `_ExactSteps` per kind and filter or
-    regression, with each estimator pointed to its row; the feeding
+    regression, with each estimator's step key a row of it; the feeding
     estimator fb_rt's gain is a stack of its own, and every other gain,
     one on its filter included, rides.  Nothing is allocated before
     `start`."""
@@ -901,7 +906,7 @@ def _exact_steps(runtimes, fb_rt) -> list:
         if rt.spec.kind in _EXACT_KINDS:
             key = rt.step_key if rt.step_key == feed_key else rt.step_key[:-1]  # without the gain
             rt.exact = stacks.get(key) or stacks.setdefault(key, _ExactSteps(rt))
-            rt.row = rt.exact.add(rt.step_key)
+            rt.exact.rows.setdefault(rt.step_key, len(rt.exact.rows))
     return list(stacks.values())
 
 

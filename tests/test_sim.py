@@ -16,6 +16,7 @@ owns the conversion to stored flux/charge coordinates.
 """
 
 import math
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -300,7 +301,7 @@ def _six_estimators():
 
 def _exact_step_calls(monkeypatch) -> list:
     """Record every exact step of the engine, in order, as (function,
-    gains, steps): a call of the loop's stack (`scalar_update` or
+    gains, steps): a call of the loop's stack (`drem_scalar_step` or
     `gradient_update`, one per gain) steps its gain once, and a riding
     stack's tape run (`scalar_steps`, `raw_steps`, or one `gradient_update`
     call per extended row, gain and step) over its steps."""
@@ -308,7 +309,7 @@ def _exact_step_calls(monkeypatch) -> list:
     import pbclab.sim as simmod
 
     calls = []
-    for name, gains, steps in [("scalar_update", 4, None), ("gradient_update", 1, None),
+    for name, gains, steps in [("drem_scalar_step", 2, None), ("gradient_update", 1, None),
                                ("scalar_steps", 4, 3), ("raw_steps", 3, 2)]:
         def recording(*args, _fn=getattr(obs, name), _name=name, _gains=gains, _steps=steps, **kwargs):
             count = 1 if _steps is None else len(args[_steps])
@@ -330,7 +331,7 @@ def _steps(calls) -> dict:
 def _nan_from_step(monkeypatch, k: int, gamma: float):
     """Turn the exact-step row of the gain gamma non-finite from its step k
     on (counted from 0), whether the loop's stack steps it
-    (`scalar_update`, `gradient_update`) or a riding stack's tape does
+    (`drem_scalar_step`, `gradient_update`) or a riding stack's tape does
     (`scalar_steps`, `raw_steps`, `gradient_update`); the steps of the
     row are counted in the order they are taken."""
     import pbclab.observers as obs
@@ -343,12 +344,11 @@ def _nan_from_step(monkeypatch, k: int, gamma: float):
         start, seen[0] = seen[0], seen[0] + steps
         return min(max(k - start, 0), steps)
 
-    def nan_scalar(omega, theta_hat, scriptY, Delta, g, h):
-        new_omega, new_theta = obs.scalar_update(omega, theta_hat, scriptY, Delta, g, h)
-        hit = np.asarray(g) == gamma  # one call steps one gain (the feed's, in the loop) once
-        if hit.any() and past_k(1) == 0:
-            return np.where(hit, math.nan, new_omega), new_theta
-        return new_omega, new_theta
+    def nan_scalar(state, row, g, h):
+        new_omega, *new_theta = obs.drem_scalar_step(state, row, g, h)
+        if g == gamma and past_k(1) == 0:  # one call steps one gain (the feed's, in the loop) once
+            return [math.nan, *new_theta]
+        return [new_omega, *new_theta]
 
     def nan_gradient(theta_hat, g, *args, **kwargs):
         new_theta = obs.gradient_update(theta_hat, g, *args, **kwargs)
@@ -366,7 +366,7 @@ def _nan_from_step(monkeypatch, k: int, gamma: float):
         if hit.any():
             theta_hat[1 + past_k(len(y0)):, hit] = math.nan
 
-    monkeypatch.setattr(simmod, "scalar_update", nan_scalar)
+    monkeypatch.setattr(simmod, "drem_scalar_step", nan_scalar)
     monkeypatch.setattr(simmod, "gradient_update", nan_gradient)
     monkeypatch.setattr(simmod, "scalar_steps", nan_scalar_steps)
     monkeypatch.setattr(simmod, "raw_steps", nan_raw_steps)
@@ -457,6 +457,107 @@ def test_non_finite_stepped_state_raises_with_partial(monkeypatch):
         monkeypatch.undo()
         assert len(err.value.partial.t) == 40 // 30 + 1
         assert np.isfinite(err.value.partial.observers["fct"]["omega"]).all()
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _numpy_step(state, row, gamma, h) -> list:
+    """The loop's exact step on arrays, as the loop took it before its float
+    step: drem_mix of the tape row, then scalar_update."""
+    r = np.array(row)
+    scriptY, Delta = drem_mix(r[4:].reshape(4, 4), r[:4])
+    omega, theta_hat = scalar_update(state[0], np.array(state[1:]), scriptY, Delta, gamma, h)
+    return [omega, *theta_hat]
+
+
+def _numpy_refresh(fct: bool, state, mu) -> list:
+    """The fed-back theta of the row state on arrays: fct_combine, or theta_hat."""
+    theta_hat = np.array(state[1:])
+    return list(fct_combine(theta_hat, np.zeros(4), state[0], mu) if fct else theta_hat)
+
+
+@pytest.mark.parametrize("kind, gamma", [("fct-gpebo", 1e12), ("gpebo", 1e17)], ids=["fct", "gpebo"])
+def test_the_feeds_float_step_and_refresh_equal_their_numpy_oracles(monkeypatch, kind, gamma):
+    # the loop steps the feed's one row on floats (`drem_scalar_step`) and
+    # refreshes the fed-back theta on floats (`refresh_feed`): on every tape
+    # row of a 2 000-step observer-feedback run each must equal drem_mix,
+    # then scalar_update, then fct_combine (theta_hat for a gpebo kind) on
+    # arrays, bit for bit
+    import pbclab.sim as simmod
+
+    steps, refreshes = [], []
+    step, refresh = simmod.drem_scalar_step, simmod._GpeboRuntime.refresh_feed
+
+    def recording_step(state, row, g, h):
+        new = step(state, row, g, h)
+        steps.append((list(state), list(row), g, h, new))
+        return new
+
+    def recording_refresh(rt):
+        refresh(rt)
+        refreshes.append((list(rt.exact.state), rt.theta_feed))
+
+    monkeypatch.setattr(simmod, "drem_scalar_step", recording_step)
+    monkeypatch.setattr(simmod._GpeboRuntime, "refresh_feed", recording_refresh)
+    scn = Scenario(controller=ControllerSpec(feedback="observer"),
+                   observers=[ObserverSpec(name="feed", kind=kind, gamma=gamma)], horizon=1e-3, stride=100)
+    run_scenario(scn)
+    assert len(steps) == len(refreshes) == round(scn.horizon / scn.h) == 2000
+    assert any(new[1:] != state[1:] for state, _, _, _, new in steps)  # theta_hat moves
+    for k, (state, row, g, h, new) in enumerate(steps):
+        assert g == gamma and len(row) == 20
+        assert _bits(new) == _bits(_numpy_step(state, row, g, h)), k
+    for k, (state, theta) in enumerate(refreshes):
+        assert _bits(theta) == _bits(_numpy_refresh(kind == "fct-gpebo", state, 1e-6)), k
+
+
+def test_the_float_step_holds_and_saturates_as_its_oracle_does():
+    # Delta = 0 exactly and Delta = 1e-180 (z = gamma Delta^2 h underflows)
+    # hold the state; z >> 1 takes omega to 0 and theta_hat to the target.
+    # Each step and the refresh of its state, at mu = 0.5 and 1e-6, equal
+    # their numpy oracles bit for bit
+    import pbclab.sim as simmod
+    from pbclab.observers import drem_scalar_step
+
+    Y, state = [1.0, -2.0, 3.0, 0.5], [0.7, 0.1, -0.2, 0.3, -0.4]
+    for Omega, held in [(np.diag([1.0, 2.0, 3.0, 0.0]), True), (np.diag([1e-180, 1.0, 1.0, 1.0]), True),
+                        (2.0 * np.eye(4) + 0.1, False)]:
+        row = [*Y, *Omega.ravel().tolist()]
+        new = drem_scalar_step(state, row, 1e17, 1e-6)
+        assert _bits(new) == _bits(_numpy_step(state, row, 1e17, 1e-6))
+        assert (new == state) is held
+        for mu in (0.5, 1e-6):
+            rt = simmod._GpeboRuntime(ObserverSpec(kind="fct-gpebo", mu=mu), simmod._Bank(4))
+            for st in (state, new):
+                rt.exact = types.SimpleNamespace(state=st)
+                rt.refresh_feed()
+                assert _bits(rt.theta_feed) == _bits(_numpy_refresh(True, st, mu))
+    assert new[0] == 0.0 and new != state  # omega -> 0 after z >> 1
+    nan = drem_scalar_step(state, [math.nan] * 20, 1e17, 1e-6)
+    assert np.isnan(nan).all() and np.isnan(_numpy_step(state, [math.nan] * 20, 1e17, 1e-6)).all()
+
+
+def test_a_non_finite_tape_row_of_the_feed_raises_with_partial(monkeypatch):
+    # a NaN in the feed's tape row at step 40 turns its float row
+    # non-finite, which raises at that step with the samples before it
+    import pbclab.sim as simmod
+
+    inputs, calls = simmod._ExactSteps.inputs, []
+
+    def nan_inputs(stack, v, y_m):
+        row = inputs(stack, v, y_m)
+        calls.append(1)
+        return [math.nan] * len(row) if len(calls) == 41 else row
+
+    monkeypatch.setattr(simmod._ExactSteps, "inputs", nan_inputs)
+    scn = Scenario(controller=ControllerSpec(feedback="observer"), observers=[ObserverSpec(name="fct")],
+                   horizon=1e-4, stride=30)
+    with pytest.raises(NonFiniteState, match=f"after the step to t={41 * 5e-7:g} s") as err:
+        run_scenario(scn)
+    assert len(err.value.partial.t) == 40 // 30 + 1
+    assert np.isfinite(err.value.partial.observers["fct"]["omega"]).all()
 
 
 def test_one_filter_integration_per_pole(monkeypatch):
@@ -900,7 +1001,8 @@ def test_the_sample_cap_counts_what_a_run_reserves(monkeypatch):
     # a feeding FCT, a GPEBO rider on its filter and a raw-gradient rider:
     # the cap's byte count must be the sample store's rows and each
     # stack's samples, tape and states over the tape, as the run reserves
-    # them; the loop's stack, the feed's gain alone, has no tape
+    # them; the loop's stack, the feed's gain alone, has no tape, and its
+    # one row is a list of floats
     import pbclab.sim as simmod
 
     scn = Scenario(controller=ControllerSpec(feedback="observer"), horizon=2e-4, stride=30, observers=[
@@ -924,7 +1026,7 @@ def test_the_sample_cap_counts_what_a_run_reserves(monkeypatch):
     monkeypatch.setattr(simmod._Store, "__init__", keeping_store)
     monkeypatch.setattr(simmod._ExactSteps, "start", keeping_stack)
     run_scenario(scn)
-    assert stacks == [(1, ["column", "samples", "state"]), (1, ["column", "samples", "state", "states", "tape"]),
+    assert stacks == [(1, ["samples"]), (1, ["column", "samples", "state", "states", "tape"]),
                       (1, ["samples", "state", "states", "tape"])]
     N = round(scn.horizon / scn.h)
     assert sum(arr.nbytes for arr in reserved) == simmod._sample_bytes(scn, N)
@@ -1062,7 +1164,7 @@ def test_replayed_rows_equal_runs_of_their_own(monkeypatch, make, rows):
     N = len(steps)
     assert N == round(2e-4 / 5e-7)
     stepped = _steps(calls)
-    looped = [gains for name, gains in stepped if name == "scalar_update"]
+    looped = [gains for name, gains in stepped if name == "drem_scalar_step"]
     assert looped == ([(first_row.observers[0].gamma,)] if first_row.controller.feedback == "observer" else [])
     riding = [gains for name, gains in stepped if name == "scalar_steps"]
     assert len(riding) == 1 and len(riding[0]) > 1  # one stack of every riding GPEBO-kind gain
@@ -1119,14 +1221,14 @@ def test_a_run_hands_out_no_view_of_its_buffers(monkeypatch):
     assert_apart({**store, **shared.cols})
     kept = {key: arr.copy() for key, arr in {**_trajectory_arrays(first), **store}.items()}
 
-    calls, update = [], simmod.scalar_update
+    calls, update = [], simmod.drem_scalar_step
 
     def failing_update(*args):  # the feed's omega turns NaN from the 100th step on
         calls.append(1)
-        omega, theta_hat = update(*args)
-        return (math.nan if len(calls) >= 100 else omega), theta_hat
+        omega, *theta_hat = update(*args)
+        return [math.nan if len(calls) >= 100 else omega, *theta_hat]
 
-    monkeypatch.setattr(simmod, "scalar_update", failing_update)
+    monkeypatch.setattr(simmod, "drem_scalar_step", failing_update)
     del buffers[:]
     with pytest.raises(NonFiniteState) as err:  # a run of its own, the second in this process
         run_scenario(replace(_riders_on_observer_feedback(grad_gamma=1e6), stride=1))
@@ -1261,7 +1363,7 @@ def test_a_gradient_gain_sweep_steps_each_gain_once_in_the_first_row(monkeypatch
     N = round(2e-4 / 5e-7)
     argv = ["--preset", "fig-observer-compare", "--param", "observers.4.gamma", "--values", "1e8,1e7,1e8,1e9"]
     first, *later = _sweep_runs(monkeypatch, argv)
-    assert first["steps"] == {("scalar_update", (1e12,)): N, ("scalar_steps", (1e17,)): N,
+    assert first["steps"] == {("drem_scalar_step", (1e12,)): N, ("scalar_steps", (1e17,)): N,
                               ("raw_steps", (1e8, 1e7, 1e9)): N}
     assert len(later) == 3
     assert all(row["steps"] == {} for row in later)
@@ -1269,13 +1371,13 @@ def test_a_gradient_gain_sweep_steps_each_gain_once_in_the_first_row(monkeypatch
 
 def test_the_loop_steps_the_feeds_gain_alone(monkeypatch):
     # FCT feedback with GPEBO riders on the feed's filter: the loop makes
-    # one scalar_update call per step, with the feed's gain, and every
+    # one drem_scalar_step call per step, with the feed's gain, and every
     # other gain of that filter steps once, in one riding stack; the value
     # 1e12, the feed's own gain, is the feed's row
     N = round(2e-4 / 5e-7)
     argv = ["--preset", "fig-observer-compare", "--param", "observers.1.gamma", "--values", "1e17,1e15,1e12,1e13"]
     first, *later = _sweep_runs(monkeypatch, argv)
-    assert first["steps"] == {("scalar_update", (1e12,)): N, ("scalar_steps", (1e17, 1e15, 1e13)): N,
+    assert first["steps"] == {("drem_scalar_step", (1e12,)): N, ("scalar_steps", (1e17, 1e15, 1e13)): N,
                               ("raw_steps", (1e8,)): N}
     assert len(later) == 3 and all(row["steps"] == {} for row in later)
 
@@ -1293,7 +1395,7 @@ def test_a_raw_gradients_unread_pole_splits_no_pass(monkeypatch):
     assert len(SharedPass.groups(scns)) == 1
     argv = ["--preset", "fig-observer-compare", "--param", "observers.4.lambda", "--values", "5.0,3.0,7.0"]
     first, *later = _sweep_runs(monkeypatch, argv)
-    assert first["steps"] == {("scalar_update", (1e12,)): N, ("scalar_steps", (1e17,)): N, ("raw_steps", (1e8,)): N}
+    assert first["steps"] == {("drem_scalar_step", (1e12,)): N, ("scalar_steps", (1e17,)): N, ("raw_steps", (1e8,)): N}
     assert len(later) == 2 and all(row["steps"] == {} for row in later)
     assert [row["traj"].meta["lam"]["gradient"] for row in (first, *later)] == lams
 
