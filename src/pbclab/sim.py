@@ -9,18 +9,28 @@ the fixed grid does not locate, and across one the plant drops to about
 second order or less; events are applied at grid instants.
 
 The vector is one list of Python floats: the plant rows and the
-integrator (x1..x4, x_c), then the estimator rows y, if any.  Its stage,
-one closure per epoch (`_plant_stage`) with the law and the drift
-constants bound, evaluates in a fixed left-to-right order the passive
-output ytilde = sum_j Cmat[0, j] (x_j - x*_j), the raw duty ratio and its
-clamp, and the drift dx_i = sum_j (L0_ij + u L1_ij) x_j + b0_i; the
-control law performs the IEEE operations of `control.pi_pbc_step` (whose
-`shifted_output` sums in the same order) and `control.classical_pi_step`,
-which remain the reference.  The step (`_rk4_split_step`) uses
-`rk4_step`'s stage weights and association, so its result equals
-`rk4_step` on the vector bit for bit.  numpy enters only between steps,
-in a gradient feed's exact step, the riders' flushes and the sample
-store.
+integrator (x1..x4, x_c), then the estimator rows y, if any.  Each epoch
+(t = 0, and each event) has one generated step (`_epoch_step`), a loop of
+one straight-line stage block over rk4_step's four stage weights.  The
+block evaluates, on local names and in a fixed order, the fed-back state
+(the plant rows, or the closing estimator's xi + Phi theta, xi or x_hat
+in stored units), the passive output ytilde = sum_j Cmat[0, j] (x_j -
+x*_j) (the classical PI: its voltage error), the raw duty ratio and its
+clamp, the drift dx_i = sum_j (L0_ij + u L1_ij) x_j + b0_i and the
+estimator rows.  The law performs the IEEE operations of
+`control.pi_pbc_step` (whose `shifted_output` sums in the same order) and
+`control.classical_pi_step`, which remain the reference.  Per stage the
+step forms acc_i = acc_i + w k_i from acc_i = -0.0 and v_i = y_i + c k_i,
+and returns y_i + (h/6) acc_i: rk4_step's ((k1 + 2 k2) + 2 k3) + k4 term
+by term, signed zeros included, so the step equals `rk4_step` on the
+block's `stage` bit for bit.  It also returns stage 0's raw duty ratio and
+ytilde, the law at the step's start, which the sample of that instant
+reads (observer feedback samples with a law call of its own, before its
+theta is refreshed: ROADMAP item 5e).  The four stages unrolled ran no
+faster, from 34 KB of source instead of 15 (five estimators), which
+raised a process's peak memory by 1.8 MB more.  numpy enters only
+between steps, in a gradient feed's exact step, the riders' flushes and
+the sample store.
 The matrix states that depend on neither the gain nor the kind are held
 once per run and read by every estimator: the open-loop copy (xi, plus
 Phi when an estimator reads it), driven by u alone, and one regression
@@ -30,7 +40,7 @@ is exact: Runge-Kutta acts entry by entry, and per-estimator copies would
 come from the same expressions on the same inputs, so each estimator's
 output is bit-identical to a run in which it is alone.
 
-The estimator stage rests on two structural facts of `cuk.build_cuk`,
+The estimator rows rest on two structural facts of `cuk.build_cuk`,
 checked whenever the model is assembled (`_PlantCache.rebuild`).  The
 source does not switch (G1 = 0), so b(u) = b0 for every duty ratio.  The
 one sensor is the load voltmeter, so in the coenergy realization the
@@ -38,18 +48,22 @@ output map is exactly C_obs = [0, 0, 0, 1] and the measurement is the
 single product y_m = C[0, 3] x4.  The copy, filter and Kalman-Bucy rows
 are therefore evaluated with C Phi = Phi[3], C xi = xi[3] and
 H C' = H[:, 3], the filter drives formed once per stage for every pole,
-and the Riccati derivative as (P' + P) - H[:, 3] H[3] + S with P = A H.
-Omega and H are read from their upper triangle and each mirrored entry
-is written as the same float, so both stay exactly symmetric and need no
-symmetrization.  The rows are straight-line float code: each entry one
-expression summed left to right, in the association of
+and the Riccati derivative as (P' + P) - H[:, 3] H[3] + S with P = A H,
+each entry summed left to right in the association of
 `observers.gpebo_matrix_derivatives` and `observers.kbf_derivatives`,
 which remain the reference; they differ from its BLAS products only by
-rounding.  The code is generated from the bank's layout once per process
-(`_Bank.source`, and `_unrolled_step` for the step), since which blocks
-exist and where they lie is the run's; straight-line code reads every
-entry from a local name, at two thirds of the cost of code written over
-the blocks' slices, and nothing is generated at import.
+rounding.  Omega and H are read from their upper triangle: a mirrored
+entry is neither staged nor accumulated, and its upper twin's float fills
+both slots of the result, so both stay exactly symmetric (H0 is
+symmetrized exactly).  A term whose coefficient is exactly zero in both
+parts of the model (L0_ij and L1_ij, A0_obs and A1_obs, or the source b0)
+is dropped: for a finite state and duty ratio it adds a zero, which
+changes no sum but the sign of an exactly-zero one, and the estimator rows
+start at +0, which adding a signed zero leaves +0; a non-finite entry
+fails the step either way.  The zero pattern, read from each epoch's
+model, and the layout shape the source, and every value is an argument of
+its `make`, so one source per layout, pattern and feed is compiled in a
+process; nothing is generated at import.
 
 Two estimator recursions are deliberately kept out of the Runge-Kutta
 block and advanced by their exact exponential solutions with per-step
@@ -195,41 +209,18 @@ def rk4_step(f, t: float, y, h: float):
     return y_new
 
 
-def _rk4_split_step(stage, t: float, p: list, h: float) -> list:
+def _rk4_split_step(step, t: float, p: list, h: float, theta) -> tuple:
     """The engine's step: `rk4_step` on the Runge-Kutta vector p, a list of
     Python floats, the plant rows and integrator [x1, .., x4, xc] first and
-    the estimator rows of the bank (`_Bank`) after them, if any.  stage(p),
-    the epoch's `_plant_stage`, returns the derivative of p as a list.  The
-    step is written out over the entries of p (`_unrolled_step`), each
-    combined with rk4_step's stage weights and association, so the new
-    state equals rk4_step's bit for bit.  Returns the new p."""
-    p = _unrolled_step(len(p))(stage, p, h)
+    the estimator rows of the bank (`_Bank`) after them, if any.  step is
+    the epoch's generated step (`_epoch_step`) and theta the fed-back
+    parameter estimate it reads, if any.  Returns the new p, equal to
+    rk4_step's on step.stage bit for bit, then stage 0's raw duty ratio and
+    integrator derivative."""
+    p, u_raw, d = step(p, h, theta)
     if not all(map(math.isfinite, p)):
         raise NonFiniteState(f"non-finite state after step ending at t={t + h:g} s")
-    return p
-
-
-@functools.lru_cache(maxsize=None)
-def _unrolled_step(width: int):
-    """step(stage, p, h) written out over the `width` entries of p, the
-    stage states y_i + c k_i (c = h/2, h/2, h) and the result y_i + (h/6)
-    (((k1_i + 2 k2_i) + 2 k3_i) + k4_i); generated since the width is the
-    run's.  At 65 entries it takes two thirds of the time of comprehensions
-    over zip."""
-    R = range(width)
-    names = lambda k: "".join(f"{k}{i}, " for i in R)
-    state = lambda c, k: "stage([" + ", ".join(f"y{i} + {c} * {k}{i}" for i in R) + "])"
-    result = ", ".join(f"y{i} + h6 * (((a{i} + 2.0 * b{i}) + 2.0 * c{i}) + d{i})" for i in R)
-    return _compiled("\n".join([
-        "def step(stage, p, h):",
-        "    hh, h6 = 0.5 * h, h / 6.0",
-        f"    {names('y')}= p",
-        f"    {names('a')}= stage(p)",
-        f"    {names('b')}= {state('hh', 'a')}",
-        f"    {names('c')}= {state('hh', 'b')}",
-        f"    {names('d')}= {state('h', 'c')}",
-        f"    return [{result}]",
-    ]), "step")
+    return p, u_raw, d
 
 
 @functools.lru_cache(maxsize=64)
@@ -417,7 +408,7 @@ def _matvec(M, v):
 
 class _PlantCache:
     """Drift and source of the single-duty model, assembled once per model
-    and read by the stage of each epoch (`_plant_stage`) on the scalar duty
+    and read by the step of each epoch (`_epoch_step`) on the scalar duty
     ratio u as Lambda(u) = L0 + u L1 and the fixed source b0."""
 
     def __init__(self, model: PHModel):
@@ -444,61 +435,128 @@ class _PlantCache:
         self.c_y = model.C.item(3)
 
 
-def _stage_law(ctl: ControllerSpec, pi, model: PHModel, v_ref: float):
-    """The control law of one epoch on Python floats: maps the fed-back
-    state x (read from its first four entries) and the integrator value xc
-    to (u_raw, dx_c), the duty ratio before the clamp and the integrator
-    derivative.  Each operation is the one `control.pi_pbc_step` or
-    `control.classical_pi_step` performs (ytilde summed left to right as in
-    `control.shifted_output`, a 1 x 1 matmul as the float product), so the
-    results are theirs bit for bit; the gains and the operating point are
-    read once per epoch."""
+def _epoch_step(bank: "_Bank", cache: _PlantCache, ctl: ControllerSpec, pi, v_ref: float, fb_rt):
+    """The generated step of one epoch, step(p, h, theta) -> (p_new,
+    u_raw, d), and on it step.stage(v, theta) -> (dv, u_raw, d), both from
+    one stage block (see the module docstring): the fed-back state (the
+    plant rows, or fb_rt's estimate in stored units, theta its parameter),
+    the law of ctl, pi and v_ref (u_raw, and d, the integrator derivative),
+    the clamp, the drift of cache, then y_m and the rows of the bank, the
+    terms of zero coefficients dropped and every constant an argument of
+    make(...).  Each source is compiled once in a process (`_compiled`)."""
+    n, R, W = bank.n, range(bank.n), bank.base + bank.size
+    qd = cache.qd.tolist()
+    consts, lines, twin = {}, [], {}  # make's arguments; the block; a mirrored entry's upper twin
+
+    def bound(name, value):  # a constant of the epoch, bound by make(...)
+        consts[name] = value
+        return name
+
+    def nonzero(name, value):  # a source term, unless it is exactly zero
+        return [bound(name, value)] if value != 0.0 else []
+
+    def total(terms):  # summed left to right
+        return " + ".join(terms) or "0.0"
+
+    def ix(block, i, j=None):  # the index of block[i] or block[i, j] in the vector
+        return bank.base + block.sl.start + (i if j is None else i * n + j)
+
+    def sym(block, i, j):  # a symmetric block's entry, read from its upper triangle
+        return f"v{ix(block, min(i, j), max(i, j))}"
+
+    def put(k, expr):  # entry k of the derivative
+        lines.append(f"k{k} = {expr}")
+
+    def mirrored(block, expr):  # a symmetric block: (i, j) for i <= j staged, (j, i) its twin
+        for i in R:
+            for j in R[i:]:
+                put(ix(block, i, j), expr(i, j))
+                if i < j:
+                    twin[ix(block, j, i)] = ix(block, i, j)
+
     if pi is None:  # classical PI on the output-voltage error
-        kp, ki, q4 = ctl.kp, ctl.ki, float(model.Q[-1, -1])
+        put(n, f"{bound('v_ref', v_ref)} - {bound('q3', qd[3])} * v3")
+        nk, ki = -ctl.kp, ctl.ki
+    else:
+        x = [f"v{i}" for i in R]
+        if fb_rt is not None:  # the estimate (xi + Phi theta, or x_hat) in stored units
+            est, Phi = fb_rt.estimate
+            for i in R:
+                e = f"v{ix(est, i)}"
+                if Phi is not None:
+                    e = f"({e} + ({' + '.join(f'v{ix(Phi, i, j)} * t{j}' for j in R)}))"
+                lines.append(f"x{i} = {e} / {bound(f'q{i}', qd[i])}")
+            x = [f"x{i}" for i in R]
+        cmat, x_star = pi.Cmat[0].tolist(), pi.x_star.tolist()
+        put(n, " + ".join(f"{bound(f'c{i}', cmat[i])} * ({x[i]} - {bound(f's{i}', x_star[i])})" for i in R))
+        nk, ki = -pi.Kp.item(), pi.Ki.item()
+    # u = min(max(u_raw, lo), hi) by the comparisons those builtins make, at a tenth of their cost
+    lines += [f"u_raw = {bound('nk', nk)} * k{n} - {bound('ki', ki)} * v{n}",
+              f"u = {bound('lo', ctl.u_min)} if lo > u_raw else u_raw",
+              f"u = {bound('hi', ctl.u_max)} if hi < u else u"]
+    for i, row in enumerate(cache.rows):  # (L0_i1..L0_i4, L1_i1..L1_i4, b0_i)
+        put(i, total([f"({bound(f'L0_{i}{j}', row[j])} + u * {bound(f'L1_{i}{j}', row[n + j])}) * v{j}"
+                      for j in R if row[j] != 0.0 or row[n + j] != 0.0] + nonzero(f"b{i}", row[2 * n])))
+    if bank.size:
+        A0, A1, bo = (m.ravel().tolist() for m in (cache.A0_obs, cache.A1_obs, cache.b0_obs))
+        live = [(i, j) for i in R for j in R if A0[i * n + j] != 0.0 or A1[i * n + j] != 0.0]
+        lines.append(f"y_m = {bound('c_y', cache.c_y)} * v3")
+        lines += [f"a{i}{j} = {bound(f'A0_{i}{j}', A0[i * n + j])} + u * {bound(f'A1_{i}{j}', A1[i * n + j])}"
+                  for i, j in live]
 
-        def law(x, xc):
-            err = v_ref - q4 * x[3]
-            return -kp * err - ki * xc, err
+        def times(i, column):  # the terms of (A column)_i
+            return [f"a{i}{k} * {column[k]}" for k in R if (i, k) in live]
 
-        return law
-    (c1, c2, c3, c4), (s1, s2, s3, s4) = pi.Cmat[0].tolist(), pi.x_star.tolist()
-    neg_kp, ki = -pi.Kp.item(), pi.Ki.item()
+        def Ax(block, i):  # (A x)_i + b_i for the vector block x
+            return total(times(i, [f"v{ix(block, k)}" for k in R]) + nonzero(f"bo{i}", bo[i]))
 
-    def law(x, xc):
-        ytilde = c1 * (x[0] - s1) + c2 * (x[1] - s2) + c3 * (x[2] - s3) + c4 * (x[3] - s4)
-        return neg_kp * ytilde - ki * xc, ytilde
-
-    return law
-
-
-def _plant_stage(law, cache: _PlantCache, ctl: ControllerSpec, bank: "_Bank"):
-    """The engine's stage(v) of one epoch: the derivative of the
-    Runge-Kutta vector v = [x1, .., x4, xc, *estimator rows], from (u_raw,
-    dx_c) = law(v, xc), u clamped to [u_min, u_max] and the drift rows of
-    `cache`, read once here, each summed left to right with b0_i last; the
-    estimator rows' derivative follows, from the bank's straight-line code
-    bound to this epoch's observer frame (`_Bank.stage`)."""
-    [(a11, a12, a13, a14, c11, c12, c13, c14, b1), (a21, a22, a23, a24, c21, c22, c23, c24, b2),
-     (a31, a32, a33, a34, c31, c32, c33, c34, b3), (a41, a42, a43, a44, c41, c42, c43, c44, b4)] = cache.rows
-    lo, hi, c_y = ctl.u_min, ctl.u_max, cache.c_y
-    derivative = bank.stage(cache) if bank.size else None  # only rows read the observer frame
-
-    def stage(v):
-        x1, x2, x3, x4, xc = v[0], v[1], v[2], v[3], v[4]
-        u_raw, dxc = law(v, xc)
-        u = min(max(u_raw, lo), hi)
-        dv = [
-            (a11 + u * c11) * x1 + (a12 + u * c12) * x2 + (a13 + u * c13) * x3 + (a14 + u * c14) * x4 + b1,
-            (a21 + u * c21) * x1 + (a22 + u * c22) * x2 + (a23 + u * c23) * x3 + (a24 + u * c24) * x4 + b2,
-            (a31 + u * c31) * x1 + (a32 + u * c32) * x2 + (a33 + u * c33) * x3 + (a34 + u * c34) * x4 + b3,
-            (a41 + u * c41) * x1 + (a42 + u * c42) * x2 + (a43 + u * c43) * x3 + (a44 + u * c44) * x4 + b4,
-            dxc,
-        ]
-        if derivative is not None:
-            dv += derivative(v, u, c_y * x4)
-        return dv
-
-    return stage
+        if bank.xi is not None:
+            for i in R:
+                put(ix(bank.xi, i), Ax(bank.xi, i))
+        if bank.Phi is not None:
+            for i in R:
+                for j in R:
+                    put(ix(bank.Phi, i, j), total(times(i, [f"v{ix(bank.Phi, k, j)}" for k in R])))
+        if bank.filters:
+            c = [f"v{ix(bank.Phi, 3, j)}" for j in R]  # C Phi
+            lines.append(f"e = y_m - v{ix(bank.xi, 3)}")
+        for f, (lam, filt) in enumerate(bank.filters.items()):
+            lam = bound(f"lam{f}", lam)
+            for i in R:
+                put(ix(filt.Y, i), f"{lam} * ({c[i]} * e - v{ix(filt.Y, i)})")
+            mirrored(filt.Omega, lambda i, j: f"{lam} * ({c[i]} * {c[j]} - v{ix(filt.Omega, i, j)})")
+        for g, kbf in enumerate(bank.kbfs):
+            S = kbf.S.tolist()
+            lines.append(f"e{g} = y_m - v{ix(kbf.x, 3)}")
+            for i in R:
+                put(ix(kbf.x, i), f"({Ax(kbf.x, i)}) + {sym(kbf.H, i, 3)} * e{g}")
+            lines += [f"p{i}{j} = " + total(times(i, [sym(kbf.H, k, j) for k in R])) for i in R for j in R]
+            mirrored(kbf.H, lambda i, j: f"((p{j}{i} + p{i}{j}) - {sym(kbf.H, i, 3)} * {sym(kbf.H, 3, j)})"
+                                         f" + {bound(f's{g}_{i}{j}', S[i][j])}")
+    staged, uppers = [k for k in range(W) if k not in twin], sorted(set(twin.values()))
+    unpack = lambda name: ", ".join(f"{name}{k}" if k not in twin else "_" for k in range(W))
+    result = lambda expr: "[" + ", ".join(expr(twin.get(k, k)) for k in range(W)) + "]"
+    theta = [", ".join(f"t{j}" for j in R) + " = theta"] if fb_rt is not None and fb_rt.estimate[1] else []
+    source = [
+        f"def make({', '.join(consts)}):",
+        "    def stage(v, theta):",
+        *(f"        {s}" for s in [*theta, f"{unpack('v')} = v", *lines]),
+        f"        return {result(lambda k: f'k{k}')}, u_raw, k{n}",
+        "    def step(p, h, theta):",
+        *(f"        {s}" for s in [*theta, f"{unpack('y')} = p", f"{unpack('v')} = p",
+                                   " = ".join(f"acc{k}" for k in staged) + " = -0.0",
+                                   "hh, first = 0.5 * h, None"]),
+        "        for w, c in ((1.0, hh), (2.0, hh), (2.0, h), (1.0, 0.0)):",
+        *(f"            {s}" for s in [*lines, "if first is None:", f"    first = u_raw, k{n}"]),
+        *(f"            acc{k} = acc{k} + w * k{k}\n            v{k} = y{k} + c * k{k}" for k in staged),
+        "        h6 = h / 6.0",
+        *(f"        r{k} = y{k} + h6 * acc{k}" for k in uppers),
+        f"        return {result(lambda k: f'r{k}' if k in uppers else f'y{k} + h6 * acc{k}')}, *first",
+        "    step.stage = stage",
+        "    return step",
+        "",
+    ]
+    return _compiled("\n".join(source), "make")(*consts.values())
 
 
 class _RegressionFilter:
@@ -512,26 +570,25 @@ class _RegressionFilter:
 
 class _Bank:
     """The estimator rows of the Runge-Kutta vector and their one owner,
-    which lays them out, starts them and differentiates them.  Its blocks
-    are the open-loop copy xi (with Phi when an estimator reads it), driven
-    by u alone; one `_RegressionFilter` per distinct pole, driven by u, y_m
-    and lam; and each Kalman-Bucy filter's block (`_KbfRuntime`).  Each is
-    integrated once, however many estimators read it.  The rows follow the
-    plant rows and the integrator in the vector, from entry `base` on.
+    which lays them out and starts them.  Its blocks are the open-loop copy
+    xi (with Phi when an estimator reads it), driven by u alone; one
+    `_RegressionFilter` per distinct pole, driven by u, y_m and lam; and
+    each Kalman-Bucy filter's block (`_KbfRuntime`).  Each is integrated
+    once, however many estimators read it.  The rows follow the plant rows
+    and the integrator in the vector, from entry `base` on.
 
-    The rows are Python floats, and `stage` differentiates them in
-    straight-line code (see the module docstring), which `source` writes
-    out for the bank's layout.  The exact steps read them from the list
-    (`_ExactSteps.inputs`), every other reader from a (K, size) stack of
-    sampled rows, through a `_Block`.
+    The rows are Python floats, differentiated in the epoch's generated
+    step (`_epoch_step`) for the bank's layout.  The exact steps read them
+    from the list (`_ExactSteps.inputs`), every other reader from a (K,
+    size) stack of sampled rows, through a `_Block`.
 
-    An estimator runtime only reads the rows.  It gives `estimate(v)`, its
-    estimate in volts and amperes from the Runge-Kutta vector v when it
-    closes the loop, and `record(ys, cols, deltas)`, its logged arrays from
-    the sampled rows, the sampled columns of the exact steps
-    (`_ExactSteps`) by step key and the store's sampled Delta by filter pole
-    (`_Store`); one stepped exactly holds its `step_key` and is pointed to
-    the stack that holds its row, `exact`."""
+    An estimator runtime only reads the rows.  It gives `estimate`, the
+    blocks of its estimate in volts and amperes when it closes the loop (x,
+    or xi and Phi for xi + Phi theta_feed), and `record(ys, cols, deltas)`,
+    its logged arrays from the sampled rows, the sampled columns of the
+    exact steps (`_ExactSteps`) by step key and the store's sampled Delta
+    by filter pole (`_Store`); one stepped exactly holds its `step_key` and
+    is pointed to the stack that holds its row, `exact`."""
 
     def __init__(self, n: int):
         self.n = n
@@ -540,7 +597,6 @@ class _Bank:
         self.xi = self.Phi = None  # the copy's blocks, once reserved
         self.filters = {}  # lam -> _RegressionFilter
         self.kbfs = []  # the Kalman-Bucy filters, in run order
-        self.make = None  # the layout's compiled stage code (`source`), from `start`
 
     def add(self, *shape) -> _Block:
         """Reserve the next rows, for a block of `shape`."""
@@ -570,101 +626,13 @@ class _Bank:
 
     def start(self) -> list:
         """The rows at t = 0 as floats, Phi = I, each H = H0 and zeros
-        elsewhere; the layout's stage code is compiled here."""
+        elsewhere."""
         y = np.zeros(self.size)
         if self.Phi is not None:
             self.Phi(y)[:] = np.eye(self.n)
         for kbf in self.kbfs:
             kbf.H(y)[:] = kbf.H0
-        if self.size:
-            self.make = _compiled(self.source(), "make")
         return y.tolist()
-
-    def stage(self, frame):
-        """derivative(v, u, y_m), the rows' derivative at the vector v, duty
-        ratio u and measurement y_m, bound to the observer frame of `frame`
-        (a `_PlantCache`; A = A0_obs + u A1_obs and b = b0_obs), the poles
-        and the upper triangle of each Kalman-Bucy filter's S."""
-        upper = np.triu_indices(self.n)
-        return self.make(frame.A0_obs.ravel().tolist(), frame.A1_obs.ravel().tolist(), frame.b0_obs.tolist(),
-                         list(self.filters), [kbf.S[upper].tolist() for kbf in self.kbfs])
-
-    def source(self) -> str:
-        """The source of make(A0, A1, b, lams, Ss), which returns
-        derivative(v, u, y_m) (`stage`) for this layout: the rows of
-        `observers.gpebo_matrix_derivatives` and `kbf_derivatives` at
-        C_obs = [0, 0, 0, 1], one float expression per entry, each sum
-        taken left to right in the association those functions state.  The
-        copy is A xi + b and A Phi; the filter drives (C Phi)' (y_m - C xi)
-        and (C Phi)' C Phi, formed from C Phi = Phi[3] for every pole, give
-        lam (drive - Y) and lam (drive - Omega); each Kalman-Bucy filter
-        gives ((A x_hat + b) + H[:, 3] (y_m - x_hat[3])) and, with P = A H,
-        ((P' + P) - H[:, 3] H[3]) + S.  Omega and H are read from their
-        upper triangle and each mirrored entry is the same float, so both
-        stay exactly symmetric and no symmetrization is needed."""
-        n, R = self.n, range(self.n)
-        rows, lines = [None] * self.size, []  # each row's expression; the statements before them
-
-        def at(block, i, j=None):  # the name of block[i] or block[i, j] in v
-            return f"v{self.base + block.sl.start + (i if j is None else i * n + j)}"
-
-        def upper(block, i, j):  # a symmetric block's entry, read from its upper triangle
-            return at(block, min(i, j), max(i, j))
-
-        def put(block, exprs, i=None):  # row i of a matrix block, or a vector block
-            first = block.sl.start + (0 if i is None else i * n)
-            rows[first : first + n] = exprs
-
-        def Ax(block):  # (A x)_i + b_i for the vector block x
-            return [" + ".join(f"a{i}{k} * {at(block, k)}" for k in R) + f" + b{i}" for i in R]
-
-        def mirrored(block, name):  # a symmetric block, entry (i, j) and (j, i) both name(min, max)
-            for i in R:
-                put(block, [name(min(i, j), max(i, j)) for j in R], i)
-
-        if self.xi is not None:
-            put(self.xi, Ax(self.xi))
-        if self.Phi is not None:
-            for i in R:
-                put(self.Phi, [" + ".join(f"a{i}{k} * {at(self.Phi, k, j)}" for k in R) for j in R], i)
-        if self.filters:
-            c = [at(self.Phi, 3, j) for j in R]  # C Phi
-            lines.append(f"e = y_m - {at(self.xi, 3)}")
-        for f, filt in enumerate(self.filters.values()):
-            put(filt.Y, [f"l{f} * ({c[i]} * e - {at(filt.Y, i)})" for i in R])
-            lines += [f"o{f}_{i}{j} = l{f} * ({c[i]} * {c[j]} - {at(filt.Omega, i, j)})"
-                      for i in R for j in R if i <= j]
-            mirrored(filt.Omega, lambda i, j: f"o{f}_{i}{j}")
-        for g, kbf in enumerate(self.kbfs):
-            lines.append(f"e{g} = y_m - {at(kbf.x, 3)}")
-            put(kbf.x, [f"({ax}) + {upper(kbf.H, i, 3)} * e{g}" for i, ax in enumerate(Ax(kbf.x))])
-            lines += [f"p{i}{j} = " + " + ".join(f"a{i}{k} * {upper(kbf.H, k, j)}" for k in R) for i in R for j in R]
-            lines += [f"h{g}_{i}{j} = ((p{j}{i} + p{i}{j}) - {upper(kbf.H, i, 3)} * {upper(kbf.H, 3, j)})"
-                      f" + s{g}_{i}{j}" for i in R for j in R if i <= j]
-            mirrored(kbf.H, lambda i, j: f"h{g}_{i}{j}")
-        ij = [(i, j) for i in R for j in R]
-        binds = [", ".join(f"A0_{i}{j}" for i, j in ij) + " = A0", ", ".join(f"A1_{i}{j}" for i, j in ij) + " = A1",
-                 ", ".join(f"b{i}" for i in R) + " = b"]
-        binds += ["".join(f"l{f}, " for f in range(len(self.filters))) + "= lams"] if self.filters else []
-        binds += [", ".join(f"s{g}_{i}{j}" for i, j in ij if i <= j) + f" = Ss[{g}]" for g in range(len(self.kbfs))]
-        body = [", ".join(f"v{k}" for k in range(self.base + self.size)) + " = v",
-                *(f"a{i}{j} = A0_{i}{j} + u * A1_{i}{j}" for i, j in ij), *lines, f"return [{', '.join(rows)}]"]
-        head = ["def make(A0, A1, b, lams, Ss):", *("    " + s for s in binds), "    def derivative(v, u, y_m):"]
-        return "\n".join([*head, *("        " + s for s in body), "    return derivative", ""])
-
-    def reconstruct(self, v, theta) -> list:
-        """x_hat = xi + Phi theta from the rows of the vector v, on floats:
-        xi_i + (Phi_i1 theta_1 + .. + Phi_i4 theta_4), summed left to right."""
-        i, j = self.base + self.xi.sl.start, self.base + self.Phi.sl.start
-        x1, x2, x3, x4 = v[i : i + 4]
-        p11, p12, p13, p14, p21, p22, p23, p24, p31, p32, p33, p34, p41, p42, p43, p44 = v[j : j + 16]
-        t1, t2, t3, t4 = theta
-        return [
-            x1 + (p11 * t1 + p12 * t2 + p13 * t3 + p14 * t4),
-            x2 + (p21 * t1 + p22 * t2 + p23 * t3 + p24 * t4),
-            x3 + (p31 * t1 + p32 * t2 + p33 * t3 + p34 * t4),
-            x4 + (p41 * t1 + p42 * t2 + p43 * t3 + p44 * t4),
-        ]
 
 
 def _reads_filter(spec: ObserverSpec) -> bool:
@@ -691,6 +659,7 @@ class _GpeboRuntime:
         self.bank = bank
         self.fct = spec.kind == "fct-gpebo"
         self.filt = bank.filter(spec.lam)
+        self.estimate = bank.xi, bank.Phi
         self.step_key = _step_key(spec)
         self.theta_hat0 = [0.0] * bank.n  # theta_hat starts at zero with its row
         self.theta_feed = self.theta_hat0
@@ -710,9 +679,6 @@ class _GpeboRuntime:
             omega_c = min(omega, 1.0 - self.spec.mu)
             theta_hat = [(th - omega_c * th0) / (1.0 - omega_c) for th, th0 in zip(theta_hat, self.theta_hat0)]
         self.theta_feed = theta_hat
-
-    def estimate(self, v):
-        return self.bank.reconstruct(v, self.theta_feed)
 
     def record(self, ys, cols, deltas):
         col = cols[self.step_key]
@@ -742,10 +708,8 @@ class _EmulatorRuntime:
         self.spec = spec
         self.bank = bank
         bank.copy(phi=False)
-
-    def estimate(self, v):
-        i = self.bank.base + self.bank.xi.sl.start
-        return v[i : i + self.bank.n]
+        self.estimate = bank.xi, None
+        self.theta_feed = ()  # reads no theta
 
     def record(self, ys, cols, deltas):
         xi = self.bank.xi(ys)
@@ -762,10 +726,8 @@ class _KbfRuntime:
         self.S = _as_spd(spec.s, bank.n, "S")
         self.H0 = _as_spd(spec.h0, bank.n, "H0")
         self.x, self.H = bank.kbf(self)
-
-    def estimate(self, v):
-        i = self.bank.base + self.x.sl.start
-        return v[i : i + self.bank.n]
+        self.estimate = self.x, None
+        self.theta_feed = ()  # reads no theta
 
     def record(self, ys, cols, deltas):
         return self.x(ys), {"H": self.H(ys)}
@@ -784,10 +746,13 @@ class _GradientRuntime:
             self.filt = bank.filter(spec.lam)
         else:
             bank.copy(phi=True)
+        self.estimate = bank.xi, bank.Phi
         self.step_key = _step_key(spec)
 
-    def estimate(self, v):
-        return self.bank.reconstruct(v, self.exact.state)
+    @property
+    def theta_feed(self):
+        """The fed-back theta: its row, read as it stands."""
+        return self.exact.state
 
     def record(self, ys, cols, deltas):
         rec = {"xi": self.bank.xi(ys), "Phi": self.bank.Phi(ys), "theta_hat": cols[self.step_key]}
@@ -1173,12 +1138,12 @@ def validate_scenario(scn: Scenario) -> int:
 
 
 def _epoch(store: _Store, ctl: ControllerSpec, params, model: PHModel, v_ref: float, t: float, cache, bank, fb_rt):
-    """law(v, xc) on the plant rows of the Runge-Kutta vector v or, on
-    observer feedback, on fb_rt's estimate from its rows, and the stage of
-    the epoch that starts at time t with reference v_ref and the circuit
-    values params, which the store's epoch table gains with the PI-PBC
-    state (None for the classical PI); an unreachable v_ref raises
-    `InfeasibleEquilibrium` with t as its `epoch_time`."""
+    """The generated step (`_epoch_step`) of the epoch that starts at time
+    t with reference v_ref and the circuit values params, its law on the
+    plant rows or, on observer feedback, on fb_rt's estimate; the store's
+    epoch table gains the PI-PBC state (None for the classical PI).  An
+    unreachable v_ref raises `InfeasibleEquilibrium` with t as its
+    `epoch_time`."""
     pi = None
     if ctl.type != "classical-pi":
         try:
@@ -1188,16 +1153,8 @@ def _epoch(store: _Store, ctl: ControllerSpec, params, model: PHModel, v_ref: fl
         pi = make_pi_pbc(
             model, ctl.kp, ctl.ki, pair.x_star, pair.u_star, u_min=ctl.u_min, u_max=ctl.u_max
         )
-    law = _stage_law(ctl, pi, model, v_ref)
-    if fb_rt is not None:
-        state_law, estimate, (q1, q2, q3, q4) = law, fb_rt.estimate, cache.qd.tolist()
-
-        def law(v, xc):  # the estimate in volts and amperes, divided to stored units
-            x1, x2, x3, x4 = estimate(v)
-            return state_law((x1 / q1, x2 / q2, x3 / q3, x4 / q4), xc)
-
     store.epochs.append((pi, v_ref, params))
-    return law, _plant_stage(law, cache, ctl, bank)
+    return _epoch_step(bank, cache, ctl, pi, v_ref, fb_rt)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a run that overflows assembles as it stands
@@ -1309,12 +1266,23 @@ def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
     v = x0.tolist() + [float(ctl.xc0)] + y
     store = _Store(K, len(v), model.Q)
     ref_now = ctl.x4_star
-    law, stage = _epoch(store, ctl, params, model, ref_now, 0.0, cache, bank, fb_rt)
+    step = _epoch(store, ctl, params, model, ref_now, 0.0, cache, bank, fb_rt)
     epoch = 0
 
-    rows = store.rows
+    rows, lo, hi = store.rows, ctl.u_min, ctl.u_max
     taken = due = 0  # the samples taken and the step of the next one
     k0 = taped = 0  # the first step on the riding stacks' tapes and the steps taped
+
+    def sample(x: list, u_raw: float, d: float):
+        """Take the sample instant due at the vector x, with the law's raw
+        duty ratio u_raw and integrator derivative d there."""
+        nonlocal taken, due
+        u = min(max(u_raw, lo), hi)
+        rows[taken] = [*x, u, d, u != u_raw, epoch]  # the clamp flag, formed only here
+        if loop is not None:
+            loop.samples[taken] = loop.state
+        taken += 1
+        due = min(due + scn.stride, N)
 
     def flush():
         """Step the riding stacks over their tapes; the first step after
@@ -1345,15 +1313,9 @@ def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
                             cache.rebuild(model)
                         else:
                             ref_now = ev.value
-                        law, stage = _epoch(store, ctl, params, model, ref_now, t, cache, bank, fb_rt)
-                if k == due:
-                    u_raw, ytilde = law(v, v[4])  # xc follows the plant rows
-                    u = min(max(u_raw, ctl.u_min), ctl.u_max)
-                    rows[taken] = [*v, u, ytilde, u != u_raw, epoch]  # the clamp flag, formed only here
-                    if loop is not None:
-                        loop.samples[taken] = loop.state
-                    taken += 1
-                    due = min(due + scn.stride, N)
+                        step = _epoch(store, ctl, params, model, ref_now, t, cache, bank, fb_rt)
+                if k == due and (fb_rt is not None or k == N):  # a law call of its own; else stage 0's
+                    sample(v, *step.stage(v, fb_rt.theta_feed if fb_rt else ())[1:])
                 if k == N:
                     break
                 if stacks:  # the exact steps read v, and y_m, at the start of the step
@@ -1364,17 +1326,22 @@ def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
                         for stack in riding:
                             stack.tape[taped] = stack.inputs(v, y_m)
                         taped += 1
-                    if feed is not None:  # a GPEBO kind, so only with a stack
-                        feed.refresh_feed()
+                if feed is not None:
+                    feed.refresh_feed()
+                theta = fb_rt.theta_feed if fb_rt else ()  # the fed-back theta the step reads
                 try:
-                    v0, v = v, _rk4_split_step(stage, t, v, h)
+                    v0, (v, u_raw, d) = v, _rk4_split_step(step, t, v, h, theta)
                     if loop is not None:
                         loop.step(v0, y_m, t, h)
                 except NonFiniteState:
+                    if k == due:  # not yet taken: the step failed before its stage 0 was read
+                        sample(v, *step.stage(v, theta)[1:])
                     if riding:  # the riders' step k comes after the failing one
                         taped -= 1
                         flush()
                     raise
+                if k == due:
+                    sample(v0, u_raw, d)
             flush()
             for stack in riding:
                 stack.samples[-1] = stack.state

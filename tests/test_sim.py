@@ -562,9 +562,9 @@ def test_a_non_finite_tape_row_of_the_feed_raises_with_partial(monkeypatch):
 
 def test_one_filter_integration_per_pole(monkeypatch):
     # three estimators on pole 5 and one on pole 3 make two filters: the
-    # bank reserves one (Y, Omega) block per pole, and every Runge-Kutta
-    # stage returns the derivative of the plant rows, the copy and those
-    # two blocks, each once, not once per estimator
+    # bank reserves one (Y, Omega) block per pole, and every step and its
+    # stage return the plant rows, the copy and those two blocks, each
+    # once, not once per estimator
     import pbclab.sim as simmod
 
     banks, lengths = [], []
@@ -574,13 +574,11 @@ def test_one_filter_integration_per_pole(monkeypatch):
         banks.append(bank)
         return start(bank)
 
-    def counting_step(stage, t, p, h):
-        def counted(v):
-            dv = stage(v)
-            lengths.append(len(dv))
-            return dv
-
-        return step(counted, t, p, h)
+    def counting_step(epoch_step, t, p, h, theta):
+        lengths.append(len(epoch_step.stage(p, theta)[0]))
+        out = step(epoch_step, t, p, h, theta)
+        lengths.append(len(out[0]))
+        return out
 
     monkeypatch.setattr(simmod._Bank, "start", keeping_start)
     monkeypatch.setattr(simmod, "_rk4_split_step", counting_step)
@@ -593,7 +591,7 @@ def test_one_filter_integration_per_pole(monkeypatch):
     (bank,) = banks
     assert list(bank.filters) == [5.0, 3.0]
     assert bank.size == 4 + 16 + 2 * (4 + 16)
-    assert lengths == [5 + bank.size] * (4 * round(scn.horizon / scn.h))
+    assert lengths == [5 + bank.size] * (2 * round(scn.horizon / scn.h))
 
 
 def test_estimators_with_one_step_key_share_a_row(monkeypatch):
@@ -671,8 +669,8 @@ def test_storage_reference_once_per_epoch_and_no_unread_observer_frame(monkeypat
     assert calls == {"integrator_reference": 2}
     assert _CountingArray.ops == 0
     # the counter sees the frame as soon as an estimator reads it: once per
-    # epoch, when the bank's stage code binds A0_obs, A1_obs and b0_obs as
-    # floats, and in no numpy operation at any stage
+    # epoch, when the epoch's step is generated and reads A0_obs, A1_obs and
+    # b0_obs as floats, and in no numpy operation at any stage
     run_scenario(replace(scn, observers=[ObserverSpec(kind="emulator")]))
     assert _CountingArray.ops == 3 * 2
 
@@ -688,9 +686,9 @@ def _captured_run(monkeypatch, scn):
     ys, pis = [], []
     step, make = simmod._rk4_split_step, simmod.make_pi_pbc
 
-    def keeping_step(stage, t, p, h):
+    def keeping_step(epoch_step, t, p, h, theta):
         ys.append(np.array(p))
-        return step(stage, t, p, h)
+        return step(epoch_step, t, p, h, theta)
 
     def keeping_make(*args, **kwargs):
         pis.append(make(*args, **kwargs))
@@ -775,10 +773,8 @@ def test_estimator_rows_equal_the_reference_derivatives(monkeypatch):
     # a load event they must equal the float oracle `_estimator_rows` at the
     # epoch's frame, duty ratio and y_m (and the plant rows `_drift`), and
     # the raw gradient's frozen data on its tape must equal C_obs Phi and
-    # y_m - C_obs xi at the start of each step, all bit for bit.  The
-    # oracle reads Omega and H from their upper triangle, which the
-    # engine's code must do too: at random rows, neither symmetric, its
-    # stage still equals the oracle bit for bit
+    # y_m - C_obs xi at the start of each step, all bit for bit (zero sums
+    # up to their sign: see `test_the_generated_stage_equals_the_oracles`)
     import pbclab.sim as simmod
     from pbclab.cuk import build_cuk
 
@@ -797,8 +793,7 @@ def test_estimator_rows_equal_the_reference_derivatives(monkeypatch):
         stride=50,
     )
     k_event = round(1e-4 / scn.h)
-    kept, stages, frozen, starts, law_u = {}, [], [], [], {}
-    step, stage_law = simmod._rk4_split_step, simmod._stage_law
+    kept, stages, frozen = {}, [], []
     bank_init, raw_steps = simmod._Bank.__init__, simmod.raw_steps
 
     def keeping_bank(self, *args):
@@ -810,32 +805,9 @@ def test_estimator_rows_equal_the_reference_derivatives(monkeypatch):
         frozen.extend({"CPhi": phi[t : t + 1].copy(), "y_shift": float(y0[t])} for t in range(len(y0)))
         return raw_steps(theta_hat, phi, y0, gamma, h)
 
-    def keeping_law(*args):
-        law = stage_law(*args)
-
-        def recorded(x, xc):
-            out = law(x, xc)
-            law_u["raw"] = out[0]
-            return out
-
-        return recorded
-
-    def keeping_step(stage, t, p, h):
-        # the vector at the start of the step, and at every stage the
-        # vector and its derivative
-        starts.append(list(p))
-
-        def recording(v):
-            dv = stage(v)
-            stages.append((round(t / h), v, dv, law_u["raw"]))
-            return dv
-
-        return step(recording, t, p, h)
-
     monkeypatch.setattr(simmod._Bank, "__init__", keeping_bank)
     monkeypatch.setattr(simmod, "raw_steps", keeping_raw)
-    monkeypatch.setattr(simmod, "_stage_law", keeping_law)
-    monkeypatch.setattr(simmod, "_rk4_split_step", keeping_step)
+    starts = _checked_steps(monkeypatch, lambda t, v, dv, u_raw: stages.append((round(t / scn.h), v, dv, u_raw)))
     run_scenario(scn)
     monkeypatch.undo()
     bank = kept["bank"]
@@ -850,16 +822,10 @@ def test_estimator_rows_equal_the_reference_derivatives(monkeypatch):
         assert dv[:4] == _drift(cache.rows, v, u), k
         assert dv[5:] == _estimator_rows(bank, cache, v, u, y_m), k
     c_y = caches[20.0].c_y  # the sensor is the same in both epochs
-    for data, v in zip(frozen, starts, strict=True):
+    for data, (_, v) in zip(frozen, starts, strict=True):
         y = np.array(v[5:])
         assert np.array_equal(data["CPhi"], bank.Phi(y)[3:4])
         assert np.array_equal(np.atleast_1d(data["y_shift"]), c_y * v[3] - bank.xi(y)[3:])
-    rng = np.random.default_rng(5)
-    for cache in caches.values():
-        derivative = bank.stage(cache)
-        for _ in range(20):
-            v, u = rng.normal(size=5 + bank.size).tolist(), rng.uniform(0.0, 1.0)
-            assert derivative(v, u, v[3]) == _estimator_rows(bank, cache, v, u, v[3])
 
 
 def test_the_estimator_row_oracle_agrees_with_the_reference_derivatives():
@@ -943,9 +909,9 @@ def test_the_riders_tapes_read_the_rows_at_the_start_of_each_step(monkeypatch):
         kept["bank"] = bank
         return bank_start(bank)
 
-    def keeping_step(stage, t, p, h):
+    def keeping_step(epoch_step, t, p, h, theta):
         starts.append((p[3], np.array(p[5:])))
-        return step(stage, t, p, h)
+        return step(epoch_step, t, p, h, theta)
 
     monkeypatch.setattr(simmod._Bank, "start", keeping_bank)
     monkeypatch.setattr(simmod, "_rk4_split_step", keeping_step)
@@ -1048,11 +1014,11 @@ def test_the_first_failure_in_step_order_wins(monkeypatch):
     def failing_plant(k_plant):
         calls = []
 
-        def failing(stage, t, p, h):
+        def failing(epoch_step, t, p, h, theta):
             calls.append(1)
             if len(calls) > k_plant:
                 raise NonFiniteState(f"non-finite state after step ending at t={t + h:g} s")
-            return step(stage, t, p, h)
+            return step(epoch_step, t, p, h, theta)
 
         return failing
 
@@ -1429,33 +1395,30 @@ def test_aliased_specs_are_named_per_run_without_renaming_them():
         assert spec.name == ""
 
 
-def _joined(stage):
-    """The engine's stage function as rk4_step's f(t, y) on the Runge-Kutta
-    vector y (the plant rows and integrator, then the estimator rows)."""
-    return lambda t, y: np.array(stage(y.tolist()))
-
-
 def _checked_steps(monkeypatch, check_stage=None):
-    """Make every engine step check itself against rk4_step applied to the
-    same stage function on the same vector, bit for bit; check_stage(p, dp)
-    sees every stage of the engine's own step.  Returns the list of the
-    checked steps' start times."""
+    """Make every engine step check itself, bit for bit, against rk4_step
+    applied to the epoch's generated stage on the same vector and theta,
+    and its stage 0's raw duty ratio and integrator derivative against the
+    stage's at that vector; check_stage(t, v, dv, u_raw) sees every stage
+    of that rk4_step, t the step's start.  Returns the (t, p) each checked
+    step starts from."""
     import pbclab.sim as simmod
 
     step, count = simmod._rk4_split_step, []
 
-    def checking_step(stage, t, p, h):
-        def seen(p_stage):
-            dp = stage(p_stage)
+    def checking_step(epoch_step, t, p, h, theta):
+        def f(t_stage, y):
+            dv, u_raw, _ = epoch_step.stage(y.tolist(), theta)
             if check_stage is not None:
-                check_stage(p_stage, dp)
-            return dp
+                check_stage(t, y.tolist(), dv, u_raw)
+            return np.array(dv)
 
-        p_new = step(seen, t, p, h)
-        want = simmod.rk4_step(_joined(stage), t, np.array(p), h)
-        assert np.array_equal(np.array(p_new), want), t
-        count.append(t)
-        return p_new
+        want = simmod.rk4_step(f, t, np.array(p), h)
+        p_new, u_raw, d = step(epoch_step, t, p, h, theta)
+        assert np.array(p_new).tobytes() == want.tobytes(), t
+        assert (u_raw.hex(), d.hex()) == tuple(x.hex() for x in epoch_step.stage(p, theta)[1:]), t
+        count.append((t, list(p)))
+        return p_new, u_raw, d
 
     monkeypatch.setattr(simmod, "_rk4_split_step", checking_step)
     return count
@@ -1471,6 +1434,31 @@ def _drift(rows, x, u: float) -> list:
         (a1 + u * c1) * x1 + (a2 + u * c2) * x2 + (a3 + u * c3) * x3 + (a4 + u * c4) * x4 + b
         for a1, a2, a3, a4, c1, c2, c3, c4, b in rows
     ]
+
+
+def _stage_law(ctl: ControllerSpec, pi, model, v_ref: float):
+    """The control law of one epoch on Python floats: maps the fed-back
+    state x (read from its first four entries) and the integrator value xc
+    to (u_raw, dx_c), the duty ratio before the clamp and the integrator
+    derivative.  Each operation is the one `control.pi_pbc_step` or
+    `control.classical_pi_step` performs (ytilde summed left to right as in
+    `control.shifted_output`, a 1 x 1 matmul as the float product)."""
+    if pi is None:  # classical PI on the output-voltage error
+        kp, ki, q4 = ctl.kp, ctl.ki, float(model.Q[-1, -1])
+
+        def law(x, xc):
+            err = v_ref - q4 * x[3]
+            return -kp * err - ki * xc, err
+
+        return law
+    (c1, c2, c3, c4), (s1, s2, s3, s4) = pi.Cmat[0].tolist(), pi.x_star.tolist()
+    neg_kp, ki = -pi.Kp.item(), pi.Ki.item()
+
+    def law(x, xc):
+        ytilde = c1 * (x[0] - s1) + c2 * (x[1] - s2) + c3 * (x[2] - s3) + c4 * (x[3] - s4)
+        return neg_kp * ytilde - ki * xc, ytilde
+
+    return law
 
 
 def _left_sum(terms):
@@ -1549,15 +1537,15 @@ def test_engine_step_equals_rk4_on_the_clamped_stage(monkeypatch, loop):
     from pbclab.control import ClassicalPiState, classical_pi_step, pi_pbc_step
 
     ctl, event = _CLAMPED_LOOPS[loop]
-    epochs, stage_law = [], simmod._stage_law
+    epochs, epoch_step = [], simmod._epoch_step
 
-    def keeping_law(ctl, pi, model, v_ref):
-        epochs.append((pi, simmod._PlantCache(model).rows, float(model.Q[3, 3]), v_ref))
-        return stage_law(ctl, pi, model, v_ref)
+    def keeping_epoch_step(bank, cache, ctl, pi, v_ref, fb_rt):
+        epochs.append((pi, cache.rows, cache.qd.tolist()[3], v_ref))
+        return epoch_step(bank, cache, ctl, pi, v_ref, fb_rt)
 
     clamped = []
 
-    def check_stage(p, dp):
+    def check_stage(t, p, dp, u_raw):
         pi, rows, q4, v_ref = epochs[-1]
         if pi is None:
             state = ClassicalPiState(ctl.kp, ctl.ki, v_ref, p[4], ctl.u_min, ctl.u_max)
@@ -1568,7 +1556,7 @@ def test_engine_step_equals_rk4_on_the_clamped_stage(monkeypatch, loop):
         clamped.append(sat)
         assert dp == _drift(rows, p, u) + [err]
 
-    monkeypatch.setattr(simmod, "_stage_law", keeping_law)
+    monkeypatch.setattr(simmod, "_epoch_step", keeping_epoch_step)
     steps = _checked_steps(monkeypatch, check_stage)
     scn = Scenario(controller=ctl, events=[event], horizon=4e-4, stride=10)
     traj = run_scenario(scn)
@@ -1576,11 +1564,22 @@ def test_engine_step_equals_rk4_on_the_clamped_stage(monkeypatch, loop):
     assert 0 < sum(clamped) < len(clamped) and 0 < traj.saturated.sum() < len(traj.t)
 
 
-@pytest.mark.parametrize("first", ["fct", "emulator", "kbf", "grad-raw"])
+@pytest.mark.parametrize("first", ["fct", "gpebo", "emulator", "kbf", "grad-raw", "grad-ext"])
 def test_engine_step_equals_rk4_with_every_estimator_kind(monkeypatch, first):
     # the estimator rows ride in the same four stages: on an observer-
     # feedback run with all five kinds and a load event, every step equals
-    # rk4_step on the joined vector, whichever kind closes the loop
+    # rk4_step on the generated stage, whichever kind closes the loop, and
+    # every mirrored Omega or H entry of every step's result is the float
+    # of its upper twin
+    import pbclab.sim as simmod
+
+    banks, start = [], simmod._Bank.start
+
+    def keeping_start(bank):
+        banks.append(bank)
+        return start(bank)
+
+    monkeypatch.setattr(simmod._Bank, "start", keeping_start)
     steps = _checked_steps(monkeypatch)
     observers = [
         ObserverSpec(name="fct", kind="fct-gpebo", gamma=1e12),
@@ -1601,6 +1600,149 @@ def test_engine_step_equals_rk4_with_every_estimator_kind(monkeypatch, first):
     traj = run_scenario(scn)
     assert len(steps) == round(scn.horizon / scn.h)
     assert traj.saturated.any()
+    (bank,) = banks
+    twins = _twins(bank)
+    assert len(twins) == 3 * 6  # two poles' Omega and the H
+    for _, p in steps[1:]:
+        assert all(p[lower].hex() == p[upper].hex() for lower, upper in twins.items())
+
+
+def _twins(bank) -> dict:
+    """Each mirrored entry of the bank's Omega and H blocks in the
+    Runge-Kutta vector, mapped to its upper twin's."""
+    n = bank.n
+    at = lambda block, i, j: bank.base + block.sl.start + i * n + j
+    blocks = [filt.Omega for filt in bank.filters.values()] + [kbf.H for kbf in bank.kbfs]
+    return {at(M, j, i): at(M, i, j) for M in blocks for i in range(n) for j in range(i + 1, n)}
+
+
+_STAGE_LOOPS = {  # (controller type, the estimator that closes the loop or None)
+    "state": ("pi-pbc", None),
+    "classical": ("classical-pi", None),
+    **{f"feed-{name}": ("pi-pbc", name) for name in ("fct", "gpebo", "emulator", "kbf", "grad-raw", "grad-ext")},
+}
+
+
+@pytest.mark.parametrize("loop", list(_STAGE_LOOPS))
+def test_the_generated_stage_equals_the_oracles(loop):
+    # an epoch's generated stage, at seeded random vectors with exact 0.0
+    # and -0.0 entries, at loads 20 and 30 ohm, with the duty ratio inside
+    # and on both clamp bounds, equals the float oracles: `_stage_law` on
+    # the plant rows or on the feed's estimate in stored units, `_drift`
+    # and `_estimator_rows`.  The generated sums drop every term whose
+    # coefficient is zero in both parts of the model (L0 and L1, A0_obs
+    # and A1_obs, b0), which can change only the sign of an exactly-zero
+    # sum, so the rows compare with ==; the law's outputs compare as
+    # float.hex.  The step from a vector whose Omega and H are symmetric
+    # equals rk4_step on the stage byte for byte, and each mirrored entry
+    # of its result is the float of its upper twin
+    import pbclab.sim as simmod
+    from pbclab.cuk import build_cuk
+
+    kind, feed = _STAGE_LOOPS[loop]
+    specs = [*_six_estimators(), ObserverSpec(name="kbf", kind="kbf", s=_KBF_S, h0=2.0)]
+    specs.sort(key=lambda spec: spec.name != feed)  # the first closes the loop
+    bank, runtimes = simmod._estimators(specs)
+    fb_rt = runtimes[0] if feed else None
+    ctl = ControllerSpec(type=kind, kp=0.008 if kind == "classical-pi" else 10.0, ki=8.0,
+                         feedback="observer" if feed else "state")
+    n, W, twins = bank.n, bank.base + bank.size, _twins(bank)
+    rng = np.random.default_rng(31)
+    bounds = {"lo": 0, "inside": 0, "hi": 0}
+    for r in (20.0, 30.0):
+        params = CukParams(r=r)
+        model = build_cuk(params)
+        cache = simmod._PlantCache(model)
+        store = types.SimpleNamespace(epochs=[])
+        step = simmod._epoch(store, ctl, params, model, -12.0, 0.0, cache, bank, fb_rt)
+        law = _stage_law(ctl, store.epochs[-1][0], model, -12.0)
+        qd = cache.qd.tolist()
+        for _ in range(30):
+            v = (rng.normal(size=W) * rng.choice([1e-3, 1.0, 1e3], size=W)).tolist()
+            for i in rng.choice(W, size=W // 4, replace=False):
+                v[i] = float(rng.choice([0.0, -0.0]))
+            theta = rng.normal(size=n).tolist()
+            y = np.array(v[bank.base :])
+            if feed in ("emulator", None):
+                x = bank.xi(y).tolist() if feed else v[:n]
+            elif feed == "kbf":
+                x = bank.kbfs[0].x(y).tolist()
+            else:  # xi + Phi theta, each product row summed left to right
+                x = [xi + _left_sum([p * t for p, t in zip(row, theta)])
+                     for xi, row in zip(bank.xi(y).tolist(), bank.Phi(y).tolist())]
+            if feed:
+                x = [x_i / q for x_i, q in zip(x, qd)]
+            u0 = law(x, 0.0)[0]
+            for where, u_target in (("inside", 0.5), ("lo", -1.0), ("hi", 2.0)):
+                v[n] = (u0 - u_target) / ctl.ki  # xc, so that u_raw = u0 - ki xc is near u_target
+                dv, u_raw, d = step.stage(v, theta)
+                want_u, want_d = law(x, v[n])
+                assert (u_raw.hex(), d.hex()) == (want_u.hex(), want_d.hex())
+                u = min(max(u_raw, ctl.u_min), ctl.u_max)
+                lo, hi = ctl.u_min, ctl.u_max
+                bounds[where] += {"lo": u == lo, "inside": lo < u < hi, "hi": u == hi}[where]
+                assert dv[:n] == _drift(cache.rows, v, u), (r, where)
+                assert dv[n] == d
+                assert dv[bank.base :] == _estimator_rows(bank, cache, v, u, cache.c_y * v[3]), (r, where)
+            for lower, upper in twins.items():
+                v[lower] = v[upper]
+            p, u_raw, d = step(v, 5e-7, theta)
+            f = lambda t, z: np.array(step.stage(z.tolist(), theta)[0])
+            assert np.array(p).tobytes() == rk4_step(f, 0.0, np.array(v), 5e-7).tobytes()
+            assert (u_raw.hex(), d.hex()) == tuple(x.hex() for x in step.stage(v, theta)[1:])
+            assert all(p[lower].hex() == p[upper].hex() for lower, upper in twins.items())
+    assert bounds == {"lo": 60, "inside": 60, "hi": 60}
+
+
+def test_the_generated_step_keeps_the_sign_of_a_zero_sum():
+    # the step accumulates each entry from -0.0, (((-0.0 + 1.0 k1) + 2.0 k2)
+    # + 2.0 k3) + 1.0 k4, which is rk4_step's ((k1 + 2 k2) + 2 k3) + k4 bit
+    # for bit, the sign of a zero sum included: on a stand-in plant dx = x,
+    # entries that start at -0.0 stay -0.0, in the step as in rk4_step
+    import pbclab.sim as simmod
+
+    bank, _ = simmod._estimators([])
+    cache = types.SimpleNamespace(rows=[(*row, 0.0, 0.0, 0.0, 0.0, 0.0) for row in np.eye(4).tolist()], qd=np.ones(4))
+    step = simmod._epoch_step(bank, cache, ControllerSpec(type="classical-pi", kp=0.008, ki=8.0), None, -12.0, None)
+    v = [-0.0, 1.0, -0.0, 2.0, 0.0]
+    p, _, _ = step(v, 0.5, ())
+    want = rk4_step(lambda t, y: np.array(step.stage(y.tolist(), ())[0]), 0.0, np.array(v), 0.5)
+    assert np.array(p).tobytes() == want.tobytes()
+    assert [p[0].hex(), p[2].hex()] == [(-0.0).hex()] * 2
+
+
+def test_a_stride_1_state_loop_evaluates_the_law_outside_the_step_only_at_the_end(monkeypatch):
+    # the law runs inside each of a step's four stages, and a sample of
+    # the state loop or the classical PI reads stage 0 of the step that
+    # follows it: at stride 1 across an event, only the last sample (after
+    # the last step) calls the generated stage, and each sample's u, ytilde
+    # and clamp flag are those of a call at its own instant.  On observer
+    # feedback each sample keeps its own call
+    import pbclab.sim as simmod
+
+    calls, epoch_step = [], simmod._epoch_step
+
+    def counting_epoch_step(*args):
+        step = epoch_step(*args)
+        stage = step.stage
+
+        def counted(v, theta):
+            calls.append(1)
+            return stage(v, theta)
+
+        step.stage = counted
+        return step
+
+    monkeypatch.setattr(simmod, "_epoch_step", counting_epoch_step)
+    for ctl, event in _CLAMPED_LOOPS.values():
+        calls.clear()
+        scn = Scenario(controller=ctl, events=[event], horizon=4e-4, stride=1)
+        traj = run_scenario(scn)
+        assert len(traj.t) == 801 and traj.epoch[-1] == 1 and calls == [1]
+    calls.clear()
+    scn = Scenario(controller=ControllerSpec(feedback="observer"), observers=[ObserverSpec(name="fct")],
+                   horizon=1e-4, stride=10)
+    assert len(run_scenario(scn).t) == len(calls) == 21
 
 
 def test_float_drift_rows_agree_with_the_model_dynamics():

@@ -10,9 +10,10 @@ the same bit for bit exactly when `diff -r` of them is empty, on one
 machine under one BLAS kernel.  The set covers every preset at full
 horizon, a `compare`, sweeps of a riding gain on the state loop at stride
 1 and on observer feedback, a sweep of a gain no estimator of the loop
-reads, raw- and extended-gradient feeds and a GPEBO feed with riders at
-stride 1, and a run that fails after two events (its partial CSV, epochs
-and exit 4), on the state loop and on observer feedback.
+reads, raw- and extended-gradient, GPEBO, emulator and Kalman-Bucy feeds
+with riders at stride 1, a classical PI at stride 1 across a reference
+event, and a run that fails after two events (its partial CSV, epochs and
+exit 4), on the state loop and on observer feedback.
 """
 
 import contextlib
@@ -56,6 +57,11 @@ COMMANDS = {
     "feed-raw-gradient": _gradient_feed("raw"),
     "feed-extended-gradient": _gradient_feed("extended"),
     "feed-gpebo": _feed("name: g, kind: gpebo, gamma: 1.0e+17"),
+    "feed-emulator": _feed("name: e, kind: emulator"),
+    "feed-kbf": _feed("name: k, kind: kbf, s: 1.0, h0: 2.0"),
+    "classical-pi-event": ["simulate", "--set", "controller.type=classical-pi", "--set", "controller.kp=0.008",
+                           "--set", "controller.ki=8.0", *SHORT, "--set", "scenario.stride=1", "--set",
+                           "scenario.events=[{time: 0.001, kind: reference, value: -25.0}]"],
     "fail-after-events": FAIL_AFTER_EVENTS,
     "feed-fails": [*FAIL_AFTER_EVENTS, "--set", "controller.feedback=observer"],
     "sweep-unread-gain": ["sweep", "--preset", "fig-observer-compare", *SHORT,
