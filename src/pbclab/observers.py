@@ -202,12 +202,12 @@ def scalar_update(omega: float, theta_hat: np.ndarray, scriptY: np.ndarray, Delt
 
 def drem_scalar_step(state: list, row: list, gamma: float, h: float) -> list:
     """`drem_mix` then `scalar_update` on Python floats, bit for bit: the
-    state [omega, *theta_hat] after one step of length h on the frozen
-    tape row [*Y, *Omega] (Omega row-major).  adj Y is summed in the order
-    of the numpy product (see `_adj_det_4`), and the weights are numpy's
-    exp and expm1 of `_scalar_weights`; a held step returns state."""
-    y0, y1, y2, y3 = row[:4]
-    adj, Delta = _adj_det_4([row[4:8], row[8:12], row[12:16], row[16:20]])
+    state [omega, *theta_hat] after one step of length h on the frozen tape
+    row of 20 floats [*Y, *Omega] (Omega row-major).  adj Y is summed in the
+    order of the numpy product (see `_adj_det_4`), and the weights are
+    numpy's exp and expm1 of `_scalar_weights`; a held step returns state."""
+    y0, y1, y2, y3, o00, o01, o02, o03, o10, o11, o12, o13, o20, o21, o22, o23, o30, o31, o32, o33 = row
+    adj, Delta = _adj_det_4(((o00, o01, o02, o03), (o10, o11, o12, o13), (o20, o21, o22, o23), (o30, o31, o32, o33)))
     z, kappa, pull = _scalar_weights(gamma, Delta, h)
     if z == 0.0:  # NaN moves, as in scalar_update
         return state

@@ -10,8 +10,10 @@ second order or less; events are applied at grid instants.
 
 The vector is one list of Python floats: the plant rows and the
 integrator (x1..x4, x_c), then the estimator rows y, if any.  Each epoch
-(t = 0, and each event) has one generated step (`_epoch_step`), a loop of
-one straight-line stage block over rk4_step's four stage weights.  The
+(t = 0, and each event) has one generated segment (`_epoch_step`): the
+steps up to the next event, riders' flush (every `_CHUNK` steps) or end,
+on local names.  A step loops one straight-line stage block over
+rk4_step's first three stage weights, then runs it for the fourth.  The
 block evaluates, on local names and in a fixed order, the fed-back state
 (the plant rows, or the closing estimator's xi + Phi theta, xi or x_hat
 in stored units), the passive output ytilde = sum_j Cmat[0, j] (x_j -
@@ -20,17 +22,17 @@ clamp, the drift dx_i = sum_j (L0_ij + u L1_ij) x_j + b0_i and the
 estimator rows.  The law performs the IEEE operations of
 `control.pi_pbc_step` (whose `shifted_output` sums in the same order) and
 `control.classical_pi_step`, which remain the reference.  Per stage the
-step forms acc_i = acc_i + w k_i from acc_i = -0.0 and v_i = y_i + c k_i,
-and returns y_i + (h/6) acc_i: rk4_step's ((k1 + 2 k2) + 2 k3) + k4 term
-by term, signed zeros included, so the step equals `rk4_step` on the
-block's `stage` bit for bit.  It also returns stage 0's raw duty ratio and
-ytilde, the law at the step's start, which the sample of that instant
-reads (observer feedback samples with a law call of its own, before its
+step forms acc_i = acc_i + w k_i from acc_i = -0.0 and v_i = y_i + c k_i
+(the fourth only accumulates) and takes y_i + (h/6) acc_i: rk4_step's
+((k1 + 2 k2) + 2 k3) + k4 term by term, signed zeros included, so each
+step equals `rk4_step` on the block's `stage` bit for bit.  The vector is
+finite if the sum of its entries is, else if each is.  A sample reads
+stage 0's raw duty ratio and ytilde, the law at the step's start
+(observer feedback samples with a `stage` call of its own, before its
 theta is refreshed: ROADMAP item 5e).  The four stages unrolled ran no
 faster, from 34 KB of source instead of 15 (five estimators), which
-raised a process's peak memory by 1.8 MB more.  numpy enters only
-between steps, in a gradient feed's exact step, the riders' flushes and
-the sample store.
+raised a process's peak memory by 1.8 MB more.  A segment makes numpy
+arrays only in a gradient feed's exact step.
 The matrix states that depend on neither the gain nor the kind are held
 once per run and read by every estimator: the open-loop copy (xi, plus
 Phi when an estimator reads it), driven by u alone, and one regression
@@ -74,26 +76,27 @@ scheme, and the exact step is unconditionally contractive.  Their states
 are rows of stacks (`_ExactSteps`), one row per gain (`_step_key`), and a
 step's frozen inputs are one tape row read from the vector at its start.
 The feeding estimator's gain is a stack of its own, one row of floats
-stepped in the loop after the Runge-Kutta step and checked for finiteness
-like the vector; a GPEBO kind's step (`observers.drem_scalar_step`) and
-fed-back theta are straight-line float code, bit for bit the reference
-`drem_mix`, `scalar_update` and `fct_combine`.
-Every other gain rides, one stack per kind and filter or regression,
-stepped from a tape of at most `_CHUNK` steps with what does not depend
-on the state batched over time (`_ExactSteps.flush`) when it is full,
-before an event, at the end and when a step fails.  So the first failure
-in step order wins as if every stack stepped in the loop (the plant first
-within a step), with its message, the samples up to it and the circuit
-values in force then.
+that the segment steps after each Runge-Kutta step and checks like the
+vector: a GPEBO kind by `observers.drem_scalar_step`, its fed-back theta
+refreshed in straight-line code, bit for bit the reference `drem_mix`,
+`scalar_update` and `fct_combine`; a gradient by one `gradient_update`
+call (no order of float sums reproduces its numpy dot).  Every other
+gain rides, one stack per kind and filter or regression: the segment
+appends its tape rows, which `_ExactSteps.flush` steps at each boundary
+with what does not depend on the state batched over time.  A failing
+segment returns its step, the riders are flushed up to it, and
+`run_scenario` raises: the first failure in step order wins as if every
+stack stepped in one loop (the plant first within a step), with its
+message, the samples up to it and the circuit values in force then.
 
 The run's record (`_Store`) is one float matrix with one row per sample
-instant, written once there: the Runge-Kutta vector as it stands, then
-the duty ratio, passive output, clamp flag and epoch of that instant;
-and one table entry per epoch, its PI-PBC state, reference and circuit
-values.  The loop also samples the feed's exact-step row, and a riding
-stack's flush its own rows.  The plant signals, the storage W and every
-estimator's logged arrays are derived from the record after the loop
-with stacked numpy; the estimators' internals are views of it, so
+instant, written once at the end of its segment: the Runge-Kutta vector
+as it stands, then the duty ratio, passive output, clamp flag and epoch
+of that instant; and one table entry per epoch, its PI-PBC state,
+reference and circuit values.  The segment also samples the feed's
+exact-step row, and a riding stack's flush its own rows.  The plant
+signals, the storage W and every estimator's logged arrays are derived
+from the record after the run with stacked numpy; the estimators' internals are views of it, so
 estimators that read the same copy, filter or row share them.
 
 A sweep over what the plant cannot see shares one closed-loop pass
@@ -183,6 +186,11 @@ _BLOCK = [*ESTIMATES, "err_norm", "omega", "Delta"]  # its columns, each after "
 MAX_STEPS = 10**8  # the most grid steps one run may take (horizon / h)
 MAX_STORE_BYTES = 2**30  # the most bytes one run's samples may take (`_Store` and the exact steps)
 _CHUNK = 256  # the most steps a riding stack's tape holds (`_ExactSteps.flush`)
+# A test's hook, which no run sets: while set, each segment generated calls
+# _check(segment, k, h, p, res, u_raw, d, theta, st) after step k (p the vector
+# at its start, res a list of it after, stage 0's u_raw and d, the theta read,
+# st the feed's state after, its own list or None) and goes on from res and st.
+_check = None
 
 
 class NonFiniteState(RuntimeError):
@@ -209,26 +217,13 @@ def rk4_step(f, t: float, y, h: float):
     return y_new
 
 
-def _rk4_split_step(step, t: float, p: list, h: float, theta) -> tuple:
-    """The engine's step: `rk4_step` on the Runge-Kutta vector p, a list of
-    Python floats, the plant rows and integrator [x1, .., x4, xc] first and
-    the estimator rows of the bank (`_Bank`) after them, if any.  step is
-    the epoch's generated step (`_epoch_step`) and theta the fed-back
-    parameter estimate it reads, if any.  Returns the new p, equal to
-    rk4_step's on step.stage bit for bit, then stage 0's raw duty ratio and
-    integrator derivative."""
-    p, u_raw, d = step(p, h, theta)
-    if not all(map(math.isfinite, p)):
-        raise NonFiniteState(f"non-finite state after step ending at t={t + h:g} s")
-    return p, u_raw, d
-
-
 @functools.lru_cache(maxsize=64)
 def _compiled(source: str, name: str):
     """The function `name` that `source` defines, compiled once per source
-    in a process, without a line table (it has no source file): the lookup
-    tracemalloc makes at every traced allocation scans that table, which
-    made a traced run 17 times slower."""
+    in a process (`_epoch_step`: one per layout, zero pattern, feed and
+    riders), without a line table, so a traceback entry in it has no line
+    number: the lookup tracemalloc makes at every traced allocation scans
+    that table, which made a traced run 17 times slower."""
 
     def lineless(code):
         consts = tuple(lineless(c) if isinstance(c, types.CodeType) else c for c in code.co_consts)
@@ -435,15 +430,24 @@ class _PlantCache:
         self.c_y = model.C.item(3)
 
 
-def _epoch_step(bank: "_Bank", cache: _PlantCache, ctl: ControllerSpec, pi, v_ref: float, fb_rt):
-    """The generated step of one epoch, step(p, h, theta) -> (p_new,
-    u_raw, d), and on it step.stage(v, theta) -> (dv, u_raw, d), both from
-    one stage block (see the module docstring): the fed-back state (the
-    plant rows, or fb_rt's estimate in stored units, theta its parameter),
-    the law of ctl, pi and v_ref (u_raw, and d, the integrator derivative),
-    the clamp, the drift of cache, then y_m and the rows of the bank, the
-    terms of zero coefficients dropped and every constant an argument of
-    make(...).  Each source is compiled once in a process (`_compiled`)."""
+def _epoch_step(bank: "_Bank", cache: _PlantCache, ctl: ControllerSpec, pi, v_ref: float, fb_rt, stacks=()):
+    """The generated segment of one epoch, segment(p, k, stop, due, stride,
+    h, st, theta, out, fout, tapes) -> (k, why, p, st, theta), and on it
+    segment.stage(v, theta) -> (dv, u_raw, d), both from one stage block
+    (see the module docstring): the fed-back state (the plant rows, or
+    fb_rt's estimate in stored units, theta its parameter), the law of ctl,
+    pi and v_ref (u_raw, and d, the integrator derivative), the clamp, the
+    drift of cache, then y_m and the rows of the bank, the terms of zero
+    coefficients dropped and every constant an argument of make(...).
+
+    The segment takes steps k to stop - 1 from the vector p, with st the
+    state of the feed's exact step (the stack of fb_rt, else None) and
+    theta the fed-back theta.  At each sample instant, due and every
+    stride-th step on, it extends the float array out by [*p, u, d,
+    u != u_raw] and fout by st, and at each step every other stack's array
+    in tapes by its tape row.  It returns stop, 0 and the vector, st and
+    theta there; or the first step whose vector (why 1) or feed state
+    (why 2) is not finite, its sample and tape rows taken."""
     n, R, W = bank.n, range(bank.n), bank.base + bank.size
     qd = cache.qd.tolist()
     consts, lines, twin = {}, [], {}  # make's arguments; the block; a mirrored entry's upper twin
@@ -533,27 +537,74 @@ def _epoch_step(bank: "_Bank", cache: _PlantCache, ctl: ControllerSpec, pi, v_re
             lines += [f"p{i}{j} = " + total(times(i, [sym(kbf.H, k, j) for k in R])) for i in R for j in R]
             mirrored(kbf.H, lambda i, j: f"((p{j}{i} + p{i}{j}) - {sym(kbf.H, i, 3)} * {sym(kbf.H, 3, j)})"
                                          f" + {bound(f's{g}_{i}{j}', S[i][j])}")
-    staged, uppers = [k for k in range(W) if k not in twin], sorted(set(twin.values()))
+    staged = [k for k in range(W) if k not in twin]
     unpack = lambda name: ", ".join(f"{name}{k}" if k not in twin else "_" for k in range(W))
     result = lambda expr: "[" + ", ".join(expr(twin.get(k, k)) for k in range(W)) + "]"
-    theta = [", ".join(f"t{j}" for j in R) + " = theta"] if fb_rt is not None and fb_rt.estimate[1] else []
+    ys, ts = result(lambda k: f"y{k}"), ", ".join(f"t{j}" for j in R)
+    theta = [f"{ts} = theta"] if fb_rt is not None and fb_rt.estimate[1] else []
+    thetas = f"({ts})" if theta else "()"
+    loop = next((stack for stack in stacks if stack.rt is fb_rt), None)  # the feed's exact step
+    riding = [stack for stack in stacks if stack is not loop]
+
+    def reads(stack):  # the tape row of a step of stack, read from the vector at its start
+        if stack.raw:
+            phi, xi3 = stack.read
+            return [f"y{i}" for i in range(phi.start, phi.stop)] + [f"{bound('c_y', cache.c_y)} * y3 - y{xi3}"]
+        return [f"y{twin.get(i, i)}" for i in range(stack.read.start, stack.read.stop)]
+
+    def sample(u_raw, d, *law):  # the sample row, u = min(max(u_raw, lo), hi) as in the stage
+        return ["if k == due:", *(f"    {s}" for s in [
+            "due = due + stride", *law, f"u = lo if lo > {u_raw} else {u_raw}", "u = hi if hi < u else u",
+            f"out.extend(({ys[1:-1]}, u, {d}, u != {u_raw}))", *(["fout.extend(st)"] if loop else [])])]
+
+    def finite(names, why):  # their sum is finite, else each is, or the step fails
+        return [f"if not isfinite({' + '.join(names)}) and not all(map(isfinite, ({', '.join(names)},))):",
+                f"    return k, {why}, None, st, None"]
+
+    # a step starts with observer feedback's sample, a law call of its own before theta is refreshed
+    # (ROADMAP item 5e), the riders' tape rows and a GPEBO-kind feed's theta (fct_combine, theta_hat0 = 0)
+    body = sample("u_raw", "d", f"u_raw, d = segment.stage({ys}, {thetas})[1:]") if fb_rt is not None else []
+    body += [f"ta{r}(({', '.join(reads(stack))},))" for r, stack in enumerate(riding)]
+    feed = ts.split(", ")  # the names the feed's state unpacks to: a gradient's is its theta
+    if loop is not None and loop.gpebo:
+        feed = ["om", *(f"th{j}" for j in R)]
+        body += ([f"oc = {bound('omc', 1.0 - fb_rt.spec.mu)} if omc < om else om", "oz, den = oc * 0.0, 1.0 - oc",
+                  *(f"t{j} = (th{j} - oz) / den" for j in R)] if fb_rt.fct else [f"{ts} = {', '.join(feed[1:])}"])
+    # then the stages (the fourth only accumulates), the state loop's sample, the feed's step, the checks
+    body += [" = ".join(f"acc{k}" for k in staged) + " = -0.0",
+             "for w, c in stages:",
+             *(f"    {s}" for s in [*lines, "if w == 1.0:", f"    u0, d0 = u_raw, k{n}"]),
+             *(f"    {s}" for k in staged for s in (f"acc{k} = acc{k} + w * k{k}", f"v{k} = y{k} + c * k{k}")),
+             *lines, *(f"acc{k} = acc{k} + k{k}" for k in staged),
+             *(sample("u0", "d0") if fb_rt is None else []),
+             *(f"v{k} = y{k} + h6 * acc{k}" for k in staged)]
+    if loop is not None:
+        step = bound("drem", drem_scalar_step) if loop.gpebo else bound(
+            "gstep", lambda st, row, gamma, h: loop.advance(np.array(row), np.array(st), gamma, h).tolist())
+        body.append(f"st = {step}(st, ({', '.join(reads(loop))}), {bound('gam', fb_rt.spec.gamma)}, h)")
+    if _check is not None:  # the check variant
+        body += [*(["st = [*st]"] if loop else []), f"res = {result(lambda k: f'v{k}')}",
+                 f"{bound('check', _check)}(segment, k, h, {ys}, res, u0, d0, {thetas}, st)", f"{unpack('v')} = res"]
+    body += finite([f"v{k}" for k in staged], 1)
+    if loop is not None:
+        body += [f"{', '.join(feed)} = st", *finite(feed, 2)]
+    body += [f"y{k} = v{k}" for k in staged]
+    bound("isfinite", math.isfinite)
+    extends = [", ".join(f"ta{r}" for r in range(len(riding))) + ", = [tape.extend for tape in tapes]"] if riding else []
     source = [
         f"def make({', '.join(consts)}):",
         "    def stage(v, theta):",
         *(f"        {s}" for s in [*theta, f"{unpack('v')} = v", *lines]),
         f"        return {result(lambda k: f'k{k}')}, u_raw, k{n}",
-        "    def step(p, h, theta):",
-        *(f"        {s}" for s in [*theta, f"{unpack('y')} = p", f"{unpack('v')} = p",
-                                   " = ".join(f"acc{k}" for k in staged) + " = -0.0",
-                                   "hh, first = 0.5 * h, None"]),
-        "        for w, c in ((1.0, hh), (2.0, hh), (2.0, h), (1.0, 0.0)):",
-        *(f"            {s}" for s in [*lines, "if first is None:", f"    first = u_raw, k{n}"]),
-        *(f"            acc{k} = acc{k} + w * k{k}\n            v{k} = y{k} + c * k{k}" for k in staged),
-        "        h6 = h / 6.0",
-        *(f"        r{k} = y{k} + h6 * acc{k}" for k in uppers),
-        f"        return {result(lambda k: f'r{k}' if k in uppers else f'y{k} + h6 * acc{k}')}, *first",
-        "    step.stage = stage",
-        "    return step",
+        "    def segment(p, k, stop, due, stride, h, st, theta, out, fout, tapes):",
+        *(f"        {s}" for s in [f"{unpack('y')} = p", f"{unpack('v')} = p", *theta,
+                                   *([f"{', '.join(feed)} = st"] if loop else []), *extends,
+                                   "stages, h6 = ((1.0, 0.5 * h), (2.0, 0.5 * h), (2.0, h)), h / 6.0",
+                                   "for k in range(k, stop):"]),
+        *(f"            {s}" for s in body),
+        f"        return stop, 0, {ys}, st, {thetas}",
+        "    segment.stage = stage",
+        "    return segment",
         "",
     ]
     return _compiled("\n".join(source), "make")(*consts.values())
@@ -578,17 +629,16 @@ class _Bank:
     and the integrator in the vector, from entry `base` on.
 
     The rows are Python floats, differentiated in the epoch's generated
-    step (`_epoch_step`) for the bank's layout.  The exact steps read them
-    from the list (`_ExactSteps.inputs`), every other reader from a (K,
-    size) stack of sampled rows, through a `_Block`.
+    segment (`_epoch_step`) for the bank's layout, which also reads the
+    exact steps' tape rows from them (`_ExactSteps.read`); every other
+    reader reads a (K, size) stack of sampled rows, through a `_Block`.
 
     An estimator runtime only reads the rows.  It gives `estimate`, the
     blocks of its estimate in volts and amperes when it closes the loop (x,
-    or xi and Phi for xi + Phi theta_feed), and `record(ys, cols, deltas)`,
-    its logged arrays from the sampled rows, the sampled columns of the
-    exact steps (`_ExactSteps`) by step key and the store's sampled Delta
-    by filter pole (`_Store`); one stepped exactly holds its `step_key` and
-    is pointed to the stack that holds its row, `exact`."""
+    or xi and Phi for xi + Phi theta), and `record(ys, cols, deltas)`, its
+    logged arrays from the sampled rows, the sampled columns of the exact
+    steps (`_ExactSteps`) by step key and the store's sampled Delta by
+    filter pole (`_Store`); one stepped exactly holds its `step_key`."""
 
     def __init__(self, n: int):
         self.n = n
@@ -661,24 +711,12 @@ class _GpeboRuntime:
         self.filt = bank.filter(spec.lam)
         self.estimate = bank.xi, bank.Phi
         self.step_key = _step_key(spec)
-        self.theta_hat0 = [0.0] * bank.n  # theta_hat starts at zero with its row
-        self.theta_feed = self.theta_hat0
 
     def theta(self, omega, theta_hat):
         """The estimate of theta: the finite-time combination, or theta_hat."""
         if self.fct:
-            return fct_combine(theta_hat, self.theta_hat0, omega, self.spec.mu)
+            return fct_combine(theta_hat, 0.0, omega, self.spec.mu)  # theta_hat starts at zero
         return theta_hat
-
-    def refresh_feed(self):
-        # called once per step after the sample, so a sampled u of observer
-        # feedback reads the theta of one step earlier (ROADMAP item 5e);
-        # `theta` on the loop's row of floats
-        omega, *theta_hat = self.exact.state
-        if self.fct:
-            omega_c = min(omega, 1.0 - self.spec.mu)
-            theta_hat = [(th - omega_c * th0) / (1.0 - omega_c) for th, th0 in zip(theta_hat, self.theta_hat0)]
-        self.theta_feed = theta_hat
 
     def record(self, ys, cols, deltas):
         col = cols[self.step_key]
@@ -709,7 +747,6 @@ class _EmulatorRuntime:
         self.bank = bank
         bank.copy(phi=False)
         self.estimate = bank.xi, None
-        self.theta_feed = ()  # reads no theta
 
     def record(self, ys, cols, deltas):
         xi = self.bank.xi(ys)
@@ -727,7 +764,6 @@ class _KbfRuntime:
         self.H0 = _as_spd(spec.h0, bank.n, "H0")
         self.x, self.H = bank.kbf(self)
         self.estimate = self.x, None
-        self.theta_feed = ()  # reads no theta
 
     def record(self, ys, cols, deltas):
         return self.x(ys), {"H": self.H(ys)}
@@ -749,11 +785,6 @@ class _GradientRuntime:
         self.estimate = bank.xi, bank.Phi
         self.step_key = _step_key(spec)
 
-    @property
-    def theta_feed(self):
-        """The fed-back theta: its row, read as it stands."""
-        return self.exact.state
-
     def record(self, ys, cols, deltas):
         rec = {"xi": self.bank.xi(ys), "Phi": self.bank.Phi(ys), "theta_hat": cols[self.step_key]}
         return rec["xi"] + _matvec(rec["Phi"], rec["theta_hat"]), rec
@@ -764,14 +795,14 @@ class _ExactSteps:
     one row per step key (`_step_key`), shared by the run's estimators of
     that key: (omega, theta_hat) for the GPEBO kinds, theta for a gradient
     estimator.  Each step reads inputs frozen at its start, one tape row
-    (`inputs`): the filter's (Y, Omega), which the GPEBO kinds mix by DREM,
-    or a raw gradient's C Phi = Phi[3] and y_m - C xi = y_m - xi[3].  The
-    loop's stack, the feeding estimator's gain alone, holds its one row as
-    a list of floats and steps it once per step (`step`): a GPEBO kind by
-    `drem_scalar_step` on floats, a gradient by `advance`.  A riding stack
-    holds its rows as an array and keeps the tape rows of its steps,
-    stepped bit for bit alike by `scalar_steps`, `raw_steps` or, for an
-    extended gradient, `advance` (`flush`)."""
+    (the entries `read`): the filter's (Y, Omega), which the GPEBO kinds
+    mix by DREM, or a raw gradient's C Phi = Phi[3] and y_m - C xi =
+    y_m - xi[3].  The feed's stack, the feeding estimator's gain alone,
+    holds its one row as a list of floats, which the segment steps: a
+    GPEBO kind by `drem_scalar_step` on floats, a gradient by `advance`.
+    A riding stack holds its rows as an array and keeps the tape rows of
+    its steps, stepped bit for bit alike by `scalar_steps`, `raw_steps`
+    or, for an extended gradient, `advance` (`flush`)."""
 
     def __init__(self, rt):
         self.rt = rt  # the run's first estimator on these inputs
@@ -799,7 +830,7 @@ class _ExactSteps:
 
     def start(self, K: int, rides: bool):
         """Set every row to its initial state, omega = 1 and zeros, and
-        reserve its `buffers`; the loop's one row is a list of floats."""
+        reserve its `buffers`; the feed's one row is a list of floats."""
         for name, shape in self.buffers(K, rides).items():
             setattr(self, name, np.empty(shape))
         self.gammas = [key[-1] for key in self.rows]
@@ -807,14 +838,6 @@ class _ExactSteps:
         self.state = np.array([first] * len(self.gammas)) if rides else first
         if self.gpebo and rides:  # the gains of `scalar_steps`
             self.column = np.array(self.gammas, dtype=float)[:, None]
-
-    def inputs(self, v: list, y_m: float) -> list:
-        """The tape row of the step that starts at the Runge-Kutta vector v
-        and the measurement y_m."""
-        if self.raw:
-            phi, xi3 = self.read
-            return [*v[phi], y_m - v[xi3]]
-        return v[self.read]
 
     def advance(self, row, theta, gamma, h: float):
         """A gradient's theta after one step of the gain gamma on the tape
@@ -824,18 +847,6 @@ class _ExactSteps:
         frozen = ({"CPhi": row[None, :n], "y_shift": row[n]} if self.raw
                   else {"Omega": row[n:].reshape(n, n), "Y": row[:n]})
         return gradient_update(theta, gamma, self.rt.spec.mode, h, **frozen)
-
-    def step(self, v: list, y_m: float, t: float, h: float):
-        """Step the loop's one row from t to t + h on the vector v and the
-        measurement y_m at t."""
-        (gamma,) = self.gammas
-        row = self.inputs(v, y_m)
-        if self.gpebo:
-            self.state = drem_scalar_step(self.state, row, gamma, h)
-        else:
-            self.state = self.advance(np.array(row), np.array(self.state), gamma, h).tolist()
-        if not all(map(math.isfinite, self.state)):
-            raise NonFiniteState(f"non-finite estimator state after the step to t={t + h:g} s")
 
     def flush(self, k0: int, T: int, stride: int, h: float):
         """Step every row over the T taped steps from step k0 on, and
@@ -870,8 +881,8 @@ def _exact_steps(runtimes, fb_rt) -> list:
     for rt in runtimes:
         if rt.spec.kind in _EXACT_KINDS:
             key = rt.step_key if rt.step_key == feed_key else rt.step_key[:-1]  # without the gain
-            rt.exact = stacks.get(key) or stacks.setdefault(key, _ExactSteps(rt))
-            rt.exact.rows.setdefault(rt.step_key, len(rt.exact.rows))
+            stack = stacks.get(key) or stacks.setdefault(key, _ExactSteps(rt))
+            stack.rows.setdefault(rt.step_key, len(stack.rows))
     return list(stacks.values())
 
 
@@ -1137,13 +1148,14 @@ def validate_scenario(scn: Scenario) -> int:
     return N
 
 
-def _epoch(store: _Store, ctl: ControllerSpec, params, model: PHModel, v_ref: float, t: float, cache, bank, fb_rt):
-    """The generated step (`_epoch_step`) of the epoch that starts at time
-    t with reference v_ref and the circuit values params, its law on the
-    plant rows or, on observer feedback, on fb_rt's estimate; the store's
-    epoch table gains the PI-PBC state (None for the classical PI).  An
-    unreachable v_ref raises `InfeasibleEquilibrium` with t as its
-    `epoch_time`."""
+def _epoch(store: _Store, ctl: ControllerSpec, params, model: PHModel, v_ref: float, t: float, cache, bank, fb_rt,
+           stacks=()):
+    """The generated segment (`_epoch_step`, on the exact steps stacks) of
+    the epoch that starts at time t with reference v_ref and the circuit
+    values params, its law on the plant rows or, on observer feedback, on
+    fb_rt's estimate; the store's epoch table gains the PI-PBC state (None
+    for the classical PI).  An unreachable v_ref raises
+    `InfeasibleEquilibrium` with t as its `epoch_time`."""
     pi = None
     if ctl.type != "classical-pi":
         try:
@@ -1154,7 +1166,7 @@ def _epoch(store: _Store, ctl: ControllerSpec, params, model: PHModel, v_ref: fl
             model, ctl.kp, ctl.ki, pair.x_star, pair.u_star, u_min=ctl.u_min, u_max=ctl.u_max
         )
     store.epochs.append((pi, v_ref, params))
-    return _epoch_step(bank, cache, ctl, pi, v_ref, fb_rt)
+    return _epoch_step(bank, cache, ctl, pi, v_ref, fb_rt, stacks)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a run that overflows assembles as it stands
@@ -1239,11 +1251,10 @@ def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
     # the run's estimators; a union adds riders alone, so its rows y are laid out as scn's
     bank, stepped = (bank, runtimes) if shared is None else _estimators(shared.union.observers)
     fb_rt = stepped[0] if _closes_loop(ctl) else None
-    feed = fb_rt if isinstance(fb_rt, _GpeboRuntime) else None  # refreshes its theta per step
 
     y = bank.start()  # the estimator rows at t = 0
     stacks = _exact_steps(stepped, fb_rt)
-    loop = next((stack for stack in stacks if stack.rt is fb_rt), None)  # the feed's gain, stepped in the loop
+    loop = next((stack for stack in stacks if stack.rt is fb_rt), None)  # the feed's gain, stepped in the segments
     riding = [stack for stack in stacks if stack is not loop]  # stepped from their tapes
     for stack in stacks:
         stack.start(K, stack is not loop)
@@ -1266,45 +1277,41 @@ def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
     v = x0.tolist() + [float(ctl.xc0)] + y
     store = _Store(K, len(v), model.Q)
     ref_now = ctl.x4_star
-    step = _epoch(store, ctl, params, model, ref_now, 0.0, cache, bank, fb_rt)
+    segment = _epoch(store, ctl, params, model, ref_now, 0.0, cache, bank, fb_rt, stacks)
     epoch = 0
 
-    rows, lo, hi = store.rows, ctl.u_min, ctl.u_max
-    taken = due = 0  # the samples taken and the step of the next one
-    k0 = taped = 0  # the first step on the riding stacks' tapes and the steps taped
+    from array import array  # here, not at import: `equilibrium` and `presets list` run no scenario
+    stride, rows = scn.stride, store.rows
+    # the feed's state and the fed-back theta (theta_hat0, or a gradient's
+    # state, both zero); what a segment samples and tapes, at most _CHUNK steps
+    st, theta = (loop.state, [0.0] * bank.n) if loop is not None else (None, ())
+    out, fout, tapes = array("d"), array("d"), [array("d") for _ in riding]  # rows end to end
+    taken = k0 = 0  # the samples taken and the first step on the riders' tapes
 
-    def sample(x: list, u_raw: float, d: float):
-        """Take the sample instant due at the vector x, with the law's raw
-        duty ratio u_raw and integrator derivative d there."""
-        nonlocal taken, due
-        u = min(max(u_raw, lo), hi)
-        rows[taken] = [*x, u, d, u != u_raw, epoch]  # the clamp flag, formed only here
-        if loop is not None:
-            loop.samples[taken] = loop.state
-        taken += 1
-        due = min(due + scn.stride, N)
-
-    def flush():
-        """Step the riding stacks over their tapes; the first step after
+    def flush(k: int):
+        """Step the riders over their tapes up to step k; the first step after
         which a row is not finite raises, with the samples up to it."""
-        nonlocal taken, k0, taped
-        if not taped:
+        nonlocal taken, k0
+        T = k - k0
+        for stack, tape in zip(riding, tapes):
+            stack.tape.reshape(-1)[: T * stack.width] = np.frombuffer(tape)[: T * stack.width]
+            del tape[:]
+        if not T:
             return
-        failed = [j for stack in riding if (j := stack.flush(k0, taped, scn.stride, h)) is not None]
-        k0, taped = k0 + taped, 0
+        failed = [j for stack in riding if (j := stack.flush(k0, T, stride, h)) is not None]
+        k0 = k
         if failed:
             t = min(failed) * h
-            taken = min(failed) // scn.stride + 1
+            taken = min(failed) // stride + 1
             raise NonFiniteState(f"non-finite estimator state after the step to t={t + h:g} s")
 
     try:
         # an overflow or invalid value shows as a non-finite state, which
-        # the step checks raise; numpy's warnings are silenced once here
+        # the segments' checks report; numpy's warnings are silenced once here
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(N + 1):
-                t = k * h
-                if k in events_at:
-                    flush()  # the riders reach the event before it changes the circuit values
+            k = 0
+            while True:
+                if k in events_at:  # the riders reached the event at the last flush
                     for ev in events_at[k]:
                         epoch += 1
                         if ev.kind == "load":
@@ -1313,36 +1320,29 @@ def run_scenario(scn: Scenario, shared: SharedPass | None = None) -> Trajectory:
                             cache.rebuild(model)
                         else:
                             ref_now = ev.value
-                        step = _epoch(store, ctl, params, model, ref_now, t, cache, bank, fb_rt)
-                if k == due and (fb_rt is not None or k == N):  # a law call of its own; else stage 0's
-                    sample(v, *step.stage(v, fb_rt.theta_feed if fb_rt else ())[1:])
+                        segment = _epoch(store, ctl, params, model, ref_now, k * h, cache, bank, fb_rt, stacks)
                 if k == N:
                     break
-                if stacks:  # the exact steps read v, and y_m, at the start of the step
-                    y_m = cache.c_y * v[3]
-                    if riding:
-                        if taped == _CHUNK:
-                            flush()
-                        for stack in riding:
-                            stack.tape[taped] = stack.inputs(v, y_m)
-                        taped += 1
-                if feed is not None:
-                    feed.refresh_feed()
-                theta = fb_rt.theta_feed if fb_rt else ()  # the fed-back theta the step reads
-                try:
-                    v0, (v, u_raw, d) = v, _rk4_split_step(step, t, v, h, theta)
-                    if loop is not None:
-                        loop.step(v0, y_m, t, h)
-                except NonFiniteState:
-                    if k == due:  # not yet taken: the step failed before its stage 0 was read
-                        sample(v, *step.stage(v, theta)[1:])
-                    if riding:  # the riders' step k comes after the failing one
-                        taped -= 1
-                        flush()
-                    raise
-                if k == due:
-                    sample(v0, u_raw, d)
-            flush()
+                stop = min(k + _CHUNK, N, *(e for e in events_at if e > k))  # the next flush, event or N
+                due = -(-k // stride) * stride  # the first sample instant from k on
+                k, why, v, st, theta = segment(v, k, stop, due, stride, h, st, theta, out, fout, tapes)
+                at = slice(taken, taken + len(out) // (rows.shape[1] - 1))  # the segment's samples, kept
+                rows[at, :-1], rows[at, -1] = np.frombuffer(out).reshape(-1, rows.shape[1] - 1), epoch
+                if loop is not None:
+                    loop.samples[at, 0] = np.frombuffer(fout).reshape(-1, loop.slots)
+                taken = at.stop
+                del out[:], fout[:]
+                flush(k)  # up to k: the riders' step k comes after a failing one
+                if why:
+                    t = k * h
+                    raise NonFiniteState(f"non-finite state after step ending at t={t + h:g} s" if why == 1
+                                         else f"non-finite estimator state after the step to t={t + h:g} s")
+            u_raw, d = segment.stage(v, theta)[1:]  # the sample at N, a law call of its own
+            u = min(max(u_raw, ctl.u_min), ctl.u_max)
+            rows[taken] = [*v, u, d, u != u_raw, epoch]
+            if loop is not None:
+                loop.samples[taken] = st
+            taken += 1
             for stack in riding:
                 stack.samples[-1] = stack.state
     except NonFiniteState as exc:

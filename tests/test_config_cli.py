@@ -460,13 +460,7 @@ def test_gain_sweep_shares_one_pass_without_a_pool(monkeypatch, tmp_path, capsys
     import pbclab.sim as simmod
 
     pools, steps = _counting_pools(monkeypatch), []
-    step = simmod._rk4_split_step
-
-    def counting_step(*args):
-        steps.append(1)
-        return step(*args)
-
-    monkeypatch.setattr(simmod, "_rk4_split_step", counting_step)
+    monkeypatch.setattr(simmod, "_check", lambda *args: steps.append(1))  # the check variant: a call per step
     values = ["1e10", "1e11", "1e12"]
     base = ["--preset", "fig-observer-gains", *FAST, "--param", "observers.0.gamma"]
     swept = _sweep_stdout(capsys, tmp_path / "all", [*base, "--values", ",".join(values)])
@@ -556,7 +550,7 @@ def test_a_shared_pass_counts_its_union_against_the_sample_cap(monkeypatch, caps
     import pbclab.sim as simmod
 
     steps = []
-    monkeypatch.setattr(simmod, "_rk4_split_step", lambda *args: steps.append(1))
+    monkeypatch.setattr(simmod, "_check", lambda *args: steps.append(1))
     preset = (PRESET_DIR / "fig-observer-gains.yaml").read_text()
     apply_overrides(loads_config(preset), ["scenario.stride=1", "observers.0.gamma=2.0e+12"])  # one row: valid
     values = ",".join(f"{i}e9" for i in range(1, 2001))

@@ -480,27 +480,27 @@ def _numpy_refresh(fct: bool, state, mu) -> list:
 
 @pytest.mark.parametrize("kind, gamma", [("fct-gpebo", 1e12), ("gpebo", 1e17)], ids=["fct", "gpebo"])
 def test_the_feeds_float_step_and_refresh_equal_their_numpy_oracles(monkeypatch, kind, gamma):
-    # the loop steps the feed's one row on floats (`drem_scalar_step`) and
-    # refreshes the fed-back theta on floats (`refresh_feed`): on every tape
-    # row of a 2 000-step observer-feedback run each must equal drem_mix,
-    # then scalar_update, then fct_combine (theta_hat for a gpebo kind) on
-    # arrays, bit for bit
+    # the segment steps the feed's one row on floats (`drem_scalar_step`)
+    # and refreshes the fed-back theta on floats before each step, from the
+    # state that step starts at (the check variant's hook reads the theta
+    # each step read): on every tape row of a 2 000-step observer-feedback
+    # run each must equal drem_mix, then scalar_update, then fct_combine
+    # (theta_hat for a gpebo kind) on arrays, bit for bit
     import pbclab.sim as simmod
 
     steps, refreshes = [], []
-    step, refresh = simmod.drem_scalar_step, simmod._GpeboRuntime.refresh_feed
+    step = simmod.drem_scalar_step
 
     def recording_step(state, row, g, h):
         new = step(state, row, g, h)
         steps.append((list(state), list(row), g, h, new))
         return new
 
-    def recording_refresh(rt):
-        refresh(rt)
-        refreshes.append((list(rt.exact.state), rt.theta_feed))
+    def recording_check(segment, k, h, p, res, u_raw, d, theta, st):
+        refreshes.append((steps[k][0], theta))  # the state step k starts at, its theta
 
     monkeypatch.setattr(simmod, "drem_scalar_step", recording_step)
-    monkeypatch.setattr(simmod._GpeboRuntime, "refresh_feed", recording_refresh)
+    monkeypatch.setattr(simmod, "_check", recording_check)
     scn = Scenario(controller=ControllerSpec(feedback="observer"),
                    observers=[ObserverSpec(name="feed", kind=kind, gamma=gamma)], horizon=1e-3, stride=100)
     run_scenario(scn)
@@ -513,12 +513,26 @@ def test_the_feeds_float_step_and_refresh_equal_their_numpy_oracles(monkeypatch,
         assert _bits(theta) == _bits(_numpy_refresh(kind == "fct-gpebo", state, 1e-6)), k
 
 
-def test_the_float_step_holds_and_saturates_as_its_oracle_does():
+def _refreshed(monkeypatch, state, mu) -> tuple:
+    """The fed-back theta that the segment of an FCT feed of margin mu
+    refreshes from the feed state `state`: a run of two steps whose first
+    feed step returns it, read by the check variant's hook at the second."""
+    import pbclab.sim as simmod
+
+    thetas = []
+    with monkeypatch.context() as m:
+        m.setattr(simmod, "drem_scalar_step", lambda *args: list(state))
+        m.setattr(simmod, "_check", lambda segment, k, h, p, res, u_raw, d, theta, st: thetas.append(theta))
+        run_scenario(Scenario(controller=ControllerSpec(feedback="observer"),
+                              observers=[ObserverSpec(kind="fct-gpebo", mu=mu)], horizon=1e-6))
+    return thetas[1]
+
+
+def test_the_float_step_holds_and_saturates_as_its_oracle_does(monkeypatch):
     # Delta = 0 exactly and Delta = 1e-180 (z = gamma Delta^2 h underflows)
     # hold the state; z >> 1 takes omega to 0 and theta_hat to the target.
     # Each step and the refresh of its state, at mu = 0.5 and 1e-6, equal
     # their numpy oracles bit for bit
-    import pbclab.sim as simmod
     from pbclab.observers import drem_scalar_step
 
     Y, state = [1.0, -2.0, 3.0, 0.5], [0.7, 0.1, -0.2, 0.3, -0.4]
@@ -529,11 +543,8 @@ def test_the_float_step_holds_and_saturates_as_its_oracle_does():
         assert _bits(new) == _bits(_numpy_step(state, row, 1e17, 1e-6))
         assert (new == state) is held
         for mu in (0.5, 1e-6):
-            rt = simmod._GpeboRuntime(ObserverSpec(kind="fct-gpebo", mu=mu), simmod._Bank(4))
             for st in (state, new):
-                rt.exact = types.SimpleNamespace(state=st)
-                rt.refresh_feed()
-                assert _bits(rt.theta_feed) == _bits(_numpy_refresh(True, st, mu))
+                assert _bits(_refreshed(monkeypatch, st, mu)) == _bits(_numpy_refresh(True, st, mu))
     assert new[0] == 0.0 and new != state  # omega -> 0 after z >> 1
     nan = drem_scalar_step(state, [math.nan] * 20, 1e17, 1e-6)
     assert np.isnan(nan).all() and np.isnan(_numpy_step(state, [math.nan] * 20, 1e17, 1e-6)).all()
@@ -541,21 +552,24 @@ def test_the_float_step_holds_and_saturates_as_its_oracle_does():
 
 def test_a_non_finite_tape_row_of_the_feed_raises_with_partial(monkeypatch):
     # a NaN in the feed's tape row at step 40 turns its float row
-    # non-finite, which raises at that step with the samples before it
+    # non-finite, which raises at that step with the samples before it; the
+    # check variant's hook sees that row's state non-finite after step 40
+    # and finite after every step before it
     import pbclab.sim as simmod
 
-    inputs, calls = simmod._ExactSteps.inputs, []
+    step, calls, seen = simmod.drem_scalar_step, [], []
 
-    def nan_inputs(stack, v, y_m):
-        row = inputs(stack, v, y_m)
+    def nan_row(state, row, g, h):
         calls.append(1)
-        return [math.nan] * len(row) if len(calls) == 41 else row
+        return step(state, [math.nan] * len(row) if len(calls) == 41 else row, g, h)
 
-    monkeypatch.setattr(simmod._ExactSteps, "inputs", nan_inputs)
+    monkeypatch.setattr(simmod, "drem_scalar_step", nan_row)
+    monkeypatch.setattr(simmod, "_check", lambda *args: seen.append((args[1], all(map(math.isfinite, args[-1])))))
     scn = Scenario(controller=ControllerSpec(feedback="observer"), observers=[ObserverSpec(name="fct")],
                    horizon=1e-4, stride=30)
     with pytest.raises(NonFiniteState, match=f"after the step to t={41 * 5e-7:g} s") as err:
         run_scenario(scn)
+    assert seen == [(k, k < 40) for k in range(41)]
     assert len(err.value.partial.t) == 40 // 30 + 1
     assert np.isfinite(err.value.partial.observers["fct"]["omega"]).all()
 
@@ -568,20 +582,18 @@ def test_one_filter_integration_per_pole(monkeypatch):
     import pbclab.sim as simmod
 
     banks, lengths = [], []
-    start, step = simmod._Bank.start, simmod._rk4_split_step
+    start = simmod._Bank.start
 
     def keeping_start(bank):
         banks.append(bank)
         return start(bank)
 
-    def counting_step(epoch_step, t, p, h, theta):
-        lengths.append(len(epoch_step.stage(p, theta)[0]))
-        out = step(epoch_step, t, p, h, theta)
-        lengths.append(len(out[0]))
-        return out
+    def counting_check(segment, k, h, p, res, u_raw, d, theta, st):
+        lengths.append(len(segment.stage(p, theta)[0]))
+        lengths.append(len(res))
 
     monkeypatch.setattr(simmod._Bank, "start", keeping_start)
-    monkeypatch.setattr(simmod, "_rk4_split_step", counting_step)
+    monkeypatch.setattr(simmod, "_check", counting_check)
     scn = Scenario(
         observers=[ObserverSpec(kind="fct-gpebo", gamma=g) for g in (1e10, 1e11, 1e12)]
         + [ObserverSpec(kind="fct-gpebo", lam=3.0)],
@@ -684,17 +696,16 @@ def _captured_run(monkeypatch, scn):
     import pbclab.sim as simmod
 
     ys, pis = [], []
-    step, make = simmod._rk4_split_step, simmod.make_pi_pbc
+    make = simmod.make_pi_pbc
 
-    def keeping_step(epoch_step, t, p, h, theta):
+    def keeping_check(segment, k, h, p, res, u_raw, d, theta, st):
         ys.append(np.array(p))
-        return step(epoch_step, t, p, h, theta)
 
     def keeping_make(*args, **kwargs):
         pis.append(make(*args, **kwargs))
         return pis[-1]
 
-    monkeypatch.setattr(simmod, "_rk4_split_step", keeping_step)
+    monkeypatch.setattr(simmod, "_check", keeping_check)
     monkeypatch.setattr(simmod, "make_pi_pbc", keeping_make)
     traj = run_scenario(scn)
     ys.append(None)  # the last sample follows the last step
@@ -903,18 +914,17 @@ def test_the_riders_tapes_read_the_rows_at_the_start_of_each_step(monkeypatch):
     N = round(scn.horizon / scn.h)
     assert N > simmod._CHUNK
     kept, starts = {}, []
-    step, bank_start = simmod._rk4_split_step, simmod._Bank.start
+    bank_start = simmod._Bank.start
 
     def keeping_bank(bank):
         kept["bank"] = bank
         return bank_start(bank)
 
-    def keeping_step(epoch_step, t, p, h, theta):
+    def keeping_check(segment, k, h, p, res, u_raw, d, theta, st):
         starts.append((p[3], np.array(p[5:])))
-        return step(epoch_step, t, p, h, theta)
 
     monkeypatch.setattr(simmod._Bank, "start", keeping_bank)
-    monkeypatch.setattr(simmod, "_rk4_split_step", keeping_step)
+    monkeypatch.setattr(simmod, "_check", keeping_check)
     traj = run_scenario(scn)
     monkeypatch.undo()
     bank, c_y = kept["bank"], build_cuk(CukParams()).C[0, 3]  # the sensor is the same in both epochs
@@ -1009,16 +1019,14 @@ def test_the_first_failure_in_step_order_wins(monkeypatch):
     scn = _gradient_riders_on_the_state_loop()
     scn = replace(scn, events=[EventSpec(time=k_event * h, kind="load", value=30.0)], horizon=2400 * h, stride=stride)
     own = _trajectory_arrays(run_scenario(scn))
-    step = simmod._rk4_split_step
 
     def failing_plant(k_plant):
         calls = []
 
-        def failing(epoch_step, t, p, h, theta):
+        def failing(segment, k, h, p, res, u_raw, d, theta, st):  # the plant's x1 turns NaN from step k_plant on
             calls.append(1)
             if len(calls) > k_plant:
-                raise NonFiniteState(f"non-finite state after step ending at t={t + h:g} s")
-            return step(epoch_step, t, p, h, theta)
+                res[0] = math.nan
 
         return failing
 
@@ -1030,7 +1038,7 @@ def test_the_first_failure_in_step_order_wins(monkeypatch):
     ]
     for gamma, k_rider, k_plant, which, k, r in cases:
         _nan_from_step(monkeypatch, k_rider, gamma)
-        monkeypatch.setattr(simmod, "_rk4_split_step", failing_plant(k_plant))
+        monkeypatch.setattr(simmod, "_check", failing_plant(k_plant))
         with pytest.raises(NonFiniteState) as err:
             run_scenario(scn)
         monkeypatch.undo()
@@ -1045,20 +1053,66 @@ def test_the_first_failure_in_step_order_wins(monkeypatch):
         assert partial.meta["params"]["r"] == r
 
 
+def _segment_bounds(h=5e-7):
+    """An FCT feed with a GPEBO and a raw-gradient rider over 1 300 steps at
+    stride 7, with a load event at step 602 and a reference event at step
+    1 000, both off the riders' flush grid (every 256 steps from the start
+    and from each event); `tools/snapshot.py segment-bounds` runs it too."""
+    return Scenario(
+        controller=ControllerSpec(feedback="observer"),
+        observers=[ObserverSpec(name="fct", kind="fct-gpebo", gamma=1e12), ObserverSpec(name="g", kind="gpebo", gamma=1e17),
+                   ObserverSpec(name="r", kind="gradient", gamma=1e8, mode="raw")],
+        events=[EventSpec(time=602 * h, kind="load", value=30.0), EventSpec(time=1000 * h, kind="reference", value=-12.0)],
+        horizon=1300 * h, stride=7)
+
+
+@pytest.mark.parametrize("k, which", [(602, "plant"), (602, "feed"), (512, "plant"), (858, "feed"), (1000, "plant")],
+                         ids=["load-event-plant", "load-event-feed", "flush-plant", "flush-after-event-feed",
+                              "reference-event-plant"])
+def test_a_failure_at_a_segment_boundary_raises_at_its_own_step(monkeypatch, tmp_path, k, which):
+    # a NaN at the first step after an event or after a riders' flush (the
+    # first step of a segment), in the plant's vector or the feed's state
+    # (by the check variant's hook), raises at that step with its message,
+    # the samples up to it (step 602's own included), their CSV and the
+    # epoch table in force then
+    import pbclab.sim as simmod
+
+    scn, h = _segment_bounds(), 5e-7
+    own = run_scenario(scn)
+
+    def failing(segment, step, h, p, res, u_raw, d, theta, st):
+        if step == k and which == "plant":
+            res[0] = math.nan
+        elif step == k:
+            st[1] = math.nan
+
+    monkeypatch.setattr(simmod, "_check", failing)
+    with pytest.raises(NonFiniteState) as err:
+        run_scenario(scn)
+    t = k * h
+    assert str(err.value) == (f"non-finite state after step ending at t={t + h:g} s" if which == "plant"
+                              else f"non-finite estimator state after the step to t={t + h:g} s")
+    partial, taken = err.value.partial, k // scn.stride + 1
+    assert len(partial.t) == taken
+    mine = _trajectory_arrays(own)
+    for key, arr in _trajectory_arrays(partial).items():
+        assert np.array_equal(arr, mine[key][:taken], equal_nan=True), key
+    own.to_csv(tmp_path / "own.csv")
+    partial.to_csv(tmp_path / "partial.csv")
+    lines = (tmp_path / "own.csv").read_text().splitlines()
+    assert (tmp_path / "partial.csv").read_text().splitlines() == lines[: taken + 1]
+    assert partial.meta["params"]["r"] == (30.0 if k >= 602 else 20.0)  # the circuit in force at step k
+
+
 # -- shared closed-loop passes ------------------------------------------------------
 
 
 def _counting_steps(monkeypatch):
-    """Count the engine's Runge-Kutta steps."""
+    """Count the engine's Runge-Kutta steps (by the check variant's hook)."""
     import pbclab.sim as simmod
 
-    calls, step = [], simmod._rk4_split_step
-
-    def counting(*args):
-        calls.append(1)
-        return step(*args)
-
-    monkeypatch.setattr(simmod, "_rk4_split_step", counting)
+    calls = []
+    monkeypatch.setattr(simmod, "_check", lambda *args: calls.append(1))
     return calls
 
 
@@ -1401,26 +1455,26 @@ def _checked_steps(monkeypatch, check_stage=None):
     and its stage 0's raw duty ratio and integrator derivative against the
     stage's at that vector; check_stage(t, v, dv, u_raw) sees every stage
     of that rk4_step, t the step's start.  Returns the (t, p) each checked
-    step starts from."""
+    step starts from.  The steps are the check variant's (`sim._check`)."""
     import pbclab.sim as simmod
 
-    step, count = simmod._rk4_split_step, []
+    count = []
 
-    def checking_step(epoch_step, t, p, h, theta):
+    def checking_step(segment, k, h, p, p_new, u_raw, d, theta, st):
+        t = k * h
+
         def f(t_stage, y):
-            dv, u_raw, _ = epoch_step.stage(y.tolist(), theta)
+            dv, u_raw, _ = segment.stage(y.tolist(), theta)
             if check_stage is not None:
                 check_stage(t, y.tolist(), dv, u_raw)
             return np.array(dv)
 
         want = simmod.rk4_step(f, t, np.array(p), h)
-        p_new, u_raw, d = step(epoch_step, t, p, h, theta)
         assert np.array(p_new).tobytes() == want.tobytes(), t
-        assert (u_raw.hex(), d.hex()) == tuple(x.hex() for x in epoch_step.stage(p, theta)[1:]), t
+        assert (u_raw.hex(), d.hex()) == tuple(x.hex() for x in segment.stage(p, theta)[1:]), t
         count.append((t, list(p)))
-        return p_new, u_raw, d
 
-    monkeypatch.setattr(simmod, "_rk4_split_step", checking_step)
+    monkeypatch.setattr(simmod, "_check", checking_step)
     return count
 
 
@@ -1539,9 +1593,9 @@ def test_engine_step_equals_rk4_on_the_clamped_stage(monkeypatch, loop):
     ctl, event = _CLAMPED_LOOPS[loop]
     epochs, epoch_step = [], simmod._epoch_step
 
-    def keeping_epoch_step(bank, cache, ctl, pi, v_ref, fb_rt):
+    def keeping_epoch_step(bank, cache, ctl, pi, v_ref, fb_rt, stacks):
         epochs.append((pi, cache.rows, cache.qd.tolist()[3], v_ref))
-        return epoch_step(bank, cache, ctl, pi, v_ref, fb_rt)
+        return epoch_step(bank, cache, ctl, pi, v_ref, fb_rt, stacks)
 
     clamped = []
 
@@ -1624,7 +1678,7 @@ _STAGE_LOOPS = {  # (controller type, the estimator that closes the loop or None
 
 
 @pytest.mark.parametrize("loop", list(_STAGE_LOOPS))
-def test_the_generated_stage_equals_the_oracles(loop):
+def test_the_generated_stage_equals_the_oracles(monkeypatch, loop):
     # an epoch's generated stage, at seeded random vectors with exact 0.0
     # and -0.0 entries, at loads 20 and 30 ohm, with the duty ratio inside
     # and on both clamp bounds, equals the float oracles: `_stage_law` on
@@ -1634,10 +1688,15 @@ def test_the_generated_stage_equals_the_oracles(loop):
     # and A1_obs, b0), which can change only the sign of an exactly-zero
     # sum, so the rows compare with ==; the law's outputs compare as
     # float.hex.  The step from a vector whose Omega and H are symmetric
-    # equals rk4_step on the stage byte for byte, and each mirrored entry
-    # of its result is the float of its upper twin
+    # (one step of the epoch's segment, without the feed's exact step, so
+    # on the theta given; the check variant's hook reads it) equals rk4_step
+    # on the stage byte for byte, and each mirrored entry of its result is
+    # the float of its upper twin
     import pbclab.sim as simmod
     from pbclab.cuk import build_cuk
+
+    seen = []
+    monkeypatch.setattr(simmod, "_check", lambda *args: seen.append(args))
 
     kind, feed = _STAGE_LOOPS[loop]
     specs = [*_six_estimators(), ObserverSpec(name="kbf", kind="kbf", s=_KBF_S, h0=2.0)]
@@ -1686,7 +1745,8 @@ def test_the_generated_stage_equals_the_oracles(loop):
                 assert dv[bank.base :] == _estimator_rows(bank, cache, v, u, cache.c_y * v[3]), (r, where)
             for lower, upper in twins.items():
                 v[lower] = v[upper]
-            p, u_raw, d = step(v, 5e-7, theta)
+            step(v, 0, 1, 1, 1, 5e-7, None, theta, [], [], [])
+            p, u_raw, d = seen[-1][4:7]
             f = lambda t, z: np.array(step.stage(z.tolist(), theta)[0])
             assert np.array(p).tobytes() == rk4_step(f, 0.0, np.array(v), 5e-7).tobytes()
             assert (u_raw.hex(), d.hex()) == tuple(x.hex() for x in step.stage(v, theta)[1:])
@@ -1705,10 +1765,52 @@ def test_the_generated_step_keeps_the_sign_of_a_zero_sum():
     cache = types.SimpleNamespace(rows=[(*row, 0.0, 0.0, 0.0, 0.0, 0.0) for row in np.eye(4).tolist()], qd=np.ones(4))
     step = simmod._epoch_step(bank, cache, ControllerSpec(type="classical-pi", kp=0.008, ki=8.0), None, -12.0, None)
     v = [-0.0, 1.0, -0.0, 2.0, 0.0]
-    p, _, _ = step(v, 0.5, ())
+    _, _, p, _, _ = step(v, 0, 1, 1, 1, 0.5, None, (), [], [], [])  # one step of the segment
     want = rk4_step(lambda t, y: np.array(step.stage(y.tolist(), ())[0]), 0.0, np.array(v), 0.5)
     assert np.array(p).tobytes() == want.tobytes()
     assert [p[0].hex(), p[2].hex()] == [(-0.0).hex()] * 2
+
+
+def test_each_segment_source_compiles_once():
+    # a segment's source is compiled once in a process, never once per run
+    # or per epoch: two runs of one scenario add one compile, and a run
+    # whose load event keeps the zero pattern one for its two epochs
+    import pbclab.sim as simmod
+
+    simmod._compiled.cache_clear()
+    scn = Scenario(observers=[ObserverSpec(kind="fct-gpebo")], horizon=1e-5)
+    run_scenario(scn)
+    run_scenario(scn)
+    assert simmod._compiled.cache_info()[:2] == (1, 1)  # (hits, misses)
+    run_scenario(Scenario(observers=[ObserverSpec(kind="kbf")], horizon=1e-5,
+                          events=[EventSpec(time=5e-6, kind="load", value=30.0)]))
+    assert simmod._compiled.cache_info()[:2] == (2, 2)
+
+
+def test_a_failure_inside_generated_code_is_reported(tmp_path):
+    # generated code keeps no line table, so a traceback entry in it has no
+    # line number, which pytest's report cannot format; the suite's
+    # conftest rebuilds such entries, so a test failing inside a segment
+    # (in a check hook it calls) is reported as failed, not as an
+    # INTERNALERROR.  A child pytest runs one with that conftest
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    tests = Path(__file__).parent
+    (tmp_path / "test_inside.py").write_text(
+        "import pbclab.sim as sim\n\n\n"
+        "def test_fails_inside_a_segment(monkeypatch):\n"
+        "    def check(segment, k, *args):\n"
+        "        assert k < 3\n\n"
+        "    monkeypatch.setattr(sim, '_check', check)\n"
+        "    sim.run_scenario(sim.Scenario(horizon=5e-6))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "conftest", "-p", "no:cacheprovider",
+                          "test_inside.py"], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert run.returncode == 1 and "1 failed" in run.stdout and "assert 3 < 3" in run.stdout
 
 
 def test_a_stride_1_state_loop_evaluates_the_law_outside_the_step_only_at_the_end(monkeypatch):

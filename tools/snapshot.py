@@ -12,8 +12,9 @@ horizon, a `compare`, sweeps of a riding gain on the state loop at stride
 1 and on observer feedback, a sweep of a gain no estimator of the loop
 reads, raw- and extended-gradient, GPEBO, emulator and Kalman-Bucy feeds
 with riders at stride 1, a classical PI at stride 1 across a reference
-event, and a run that fails after two events (its partial CSV, epochs and
-exit 4), on the state loop and on observer feedback.
+event, a run that fails after two events (its partial CSV, epochs and
+exit 4), on the state loop and on observer feedback, and a run across
+every boundary of the engine's generated segments (`segment-bounds`).
 """
 
 import contextlib
@@ -47,6 +48,17 @@ FAIL_AFTER_EVENTS = ["simulate", "--set", "scenario.h=0.004", "--set", "scenario
                      "--set", "observers=[{name: fct, kind: fct-gpebo, gamma: 1.0e+12}]"]
 
 
+# An FCT feed with a GPEBO and a raw-gradient rider, at stride 7, over 1 300
+# steps (not a multiple of 7): a load event at step 602 (a sample instant) and
+# a reference event at step 1 000, both off the riders' 256-step flush grid.
+SEGMENT_BOUNDS = ["simulate", "--preset", "fig-observer-compare", "--set",
+                  "observers=[{name: fct, kind: fct-gpebo, gamma: 1.0e+12}, {name: g, kind: gpebo, gamma: 1.0e+17}, "
+                  "{name: r, kind: gradient, gamma: 1.0e+8, mode: raw}]",
+                  "--set", "scenario.horizon=6.5e-4", "--set", "scenario.stride=7",
+                  "--set", "scenario.events=[{time: 3.01e-4, kind: load, value: 30.0}, "
+                  "{time: 5.0e-4, kind: reference, value: -12.0}]"]
+
+
 COMMANDS = {
     **{preset: ["simulate", "--preset", preset] for preset in PRESETS},
     "compare": ["compare", "--preset", "fig-observer-compare", "--set", "scenario.horizon=0.01"],
@@ -66,6 +78,7 @@ COMMANDS = {
     "feed-fails": [*FAIL_AFTER_EVENTS, "--set", "controller.feedback=observer"],
     "sweep-unread-gain": ["sweep", "--preset", "fig-observer-compare", *SHORT,
                           "--param", "observers.2.gamma", "--values", "1e12,3e12,1e13"],
+    "segment-bounds": SEGMENT_BOUNDS,
 }
 
 
